@@ -152,7 +152,7 @@ class _Step:
         self.cfg = cfg
         self.inputs = inputs
         self.written = []
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
         os.makedirs(outdir, exist_ok=True)
 
     def __enter__(self):
@@ -184,7 +184,7 @@ class _Step:
             "inputs": self.inputs,
             "config_hash": _config_hash(self.cfg),
             "seed": self.cfg["seed"],
-            "wall_time_s": round(time.time() - self.t0, 3),
+            "wall_time_s": round(time.perf_counter() - self.t0, 3),
             "outputs": [os.path.relpath(p, self.outdir) for p in self.written],
         }
         with open(os.path.join(self.outdir, f"{self.name}.prov.json"), "w") as fh:
@@ -350,6 +350,8 @@ def cmd_metrics(cfg, outdir):
 
 
 def cmd_fit(cfg, outdir, manifest_path):
+    if cfg["unary"]["mode"] != "gradient":
+        raise CliError(f"fit supports unary.mode 'gradient' only, got {cfg['unary']['mode']!r}")
     with _Step("fit", outdir, cfg, [manifest_path]) as step:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
@@ -363,7 +365,7 @@ def cmd_fit(cfg, outdir, manifest_path):
             dataset.append((ps, u, gt))
         fc = cfg["fit"]
         fit_cfg = trainmod.FitConfig(lr=fc["lr"], epochs=fc["epochs"], momentum=fc["momentum"],
-                                     seed=cfg["seed"], trainable=tuple(fc["trainable"]))
+                                     trainable=tuple(fc["trainable"]))
         result = trainmod.fit(dataset, _crf_params(cfg), fit_cfg,
                               unary_scale=cfg["unary"]["scale"])
         with open(step.path("fit.json"), "w") as fh:

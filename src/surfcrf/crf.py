@@ -304,23 +304,37 @@ def compat_transform(q_tilde: np.ndarray, theta_comp: float) -> np.ndarray:
     return q_tilde @ m
 
 
+def meanfield_unroll(logits: np.ndarray, kf: KernelField, params: CrfParams,
+                     iterations: int | None = None, tape: list | None = None) -> np.ndarray:
+    """The unrolled mean-field loop shared by inference and fitting.
+
+    Q0 = softmax(logits); each iteration refreshes seam duplicates,
+    message-passes, applies the compatibility transform and renormalizes via
+    softmax(logits - w_p * Qhat).  When ``tape`` is a list, each iteration
+    appends (r, q_tilde, q_hat, q) for the reverse pass.  Returns the final
+    per-slot marginals."""
+    iterations = params.iterations if iterations is None else iterations
+    q = softmax(logits)
+    for _ in range(iterations):
+        r = refresh_duplicates(q, kf.graph)
+        q_tilde = message_pass(r, kf)
+        q_hat = compat_transform(q_tilde, params.theta_comp)
+        q = softmax(logits - params.w_p * q_hat)
+        if not np.isfinite(q).all():
+            raise RuntimeError("non-finite mean-field marginals")
+        if tape is not None:
+            tape.append((r, q_tilde, q_hat, q))
+    return q
+
+
 def meanfield_infer(u: UnaryField, params: CrfParams, ps: PatchSet | None = None,
                     features: np.ndarray | None = None,
                     kf: KernelField | None = None) -> SurfaceLabeling:
-    """T damped-free mean-field updates: Q0 = softmax(logits); each iteration
-    refreshes seam duplicates, message-passes, applies the compatibility
-    transform, and renormalizes via softmax(logits - w_p * Qhat)."""
+    """T damped-free mean-field updates (meanfield_unroll) on the unary
+    logits, merged to per-vertex marginals and their argmax labels."""
     if kf is None:
         kf = compute_kernel(u, params, ps=ps, features=features)
-    q = softmax(u.logits)
-    for _ in range(params.iterations):
-        q = refresh_duplicates(q, u.graph)
-        q_tilde = message_pass(q, kf)
-        q_hat = compat_transform(q_tilde, params.theta_comp)
-        q = softmax(u.logits - params.w_p * q_hat)
-        if not np.isfinite(q).all():
-            raise RuntimeError("non-finite mean-field marginals")
-    merged = u.graph.merge(q)
+    merged = u.graph.merge(meanfield_unroll(u.logits, kf, params))
     return SurfaceLabeling(labels=np.argmax(merged, axis=-1).astype(np.int64), q=merged)
 
 

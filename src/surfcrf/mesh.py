@@ -341,8 +341,7 @@ def harmonic_sphere_map(mesh: TriMesh, tol: float = 1e-6, max_iters: int = 5000,
                 accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            converged = True
+        if not accepted:  # line search stalled: not converged
             break
         disp = np.linalg.norm(cand - phi, axis=1).max()
         phi = cand

@@ -246,13 +246,12 @@ def sample_columns(vol: Volume, qm: QuadMesh, z_len: int, delta: float, pad: int
 def ground_truth(qm: QuadMesh, ref, z_len: int, delta: float) -> GroundTruth:
     """Intersect each vertex normal line with the reference mesh; the hit with
     smallest |t| (ties toward negative t, i.e. inside) is rounded to the
-    nearest sample index."""
+    nearest sample index.  Misses and hits outside the column are invalid."""
     t, hit = accel.raycast_min_abs_t(ref.vertices, ref.faces, qm.positions, qm.normals)
-    c = z_len // 2
-    g = np.rint(t / delta).astype(np.int64) + c
-    g = np.clip(g, 0, z_len - 1)
-    g[~hit] = 0
-    return GroundTruth(surface_index=g, valid=hit)
+    g = np.rint(t / delta).astype(np.int64) + z_len // 2
+    valid = hit & (g >= 0) & (g < z_len)
+    g[~valid] = 0
+    return GroundTruth(surface_index=g, valid=valid)
 
 
 def labeling_to_world(labels: np.ndarray, ps: PatchSet):
@@ -303,7 +302,11 @@ def load_patchset(dirpath) -> PatchSet:
     z_len = int(doc["z_len"])
     samples = np.zeros((*graph.shape, z_len), dtype=np.float32)
     for f in range(6):
-        vol = load_svol(os.path.join(dirpath, f"patch{f}.svol"))
+        path = os.path.join(dirpath, f"patch{f}.svol")
+        vol = load_svol(path)
+        if vol.dims != samples.shape[1:]:
+            raise ValueError(f"{path}: dims {list(vol.dims)} do not match the patch set's "
+                             f"(W, W, z_len) = {list(samples.shape[1:])}")
         samples[f] = vol.data
     return PatchSet(sphere=qs, graph=graph, samples=samples,
                     base=np.asarray(doc["base"], dtype=np.float64),

@@ -4,25 +4,22 @@ the CRF scalars plus a global unary scale."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
 from . import accel
-from .crf import (CrfParams, UnaryField, compat_matrix, compute_kernel,
-                  refresh_duplicates, softmax)
+from .crf import (LOGIT_CLAMP, CrfParams, KernelField, UnaryField, compat_matrix,
+                  compute_kernel, meanfield_unroll, softmax)
 from .patches import ColumnGraph, GroundTruth, PatchSet
 
 SCALAR_NAMES = ("w_p", "w1", "theta1", "theta2", "theta3", "theta_comp", "unary_scale")
 _WIDTHS = ("theta1", "theta2", "theta3", "theta_comp")
 
 
-LOGIT_GUARD = 30.0
-
-
 class FitDivergedError(RuntimeError):
     def __init__(self, epoch: int):
-        super().__init__(f"fit diverged (non-finite loss) at epoch {epoch}")
+        super().__init__(f"fit diverged (non-finite value or zero width) at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -38,10 +35,7 @@ class FitConfig:
     lr: float = 0.05
     epochs: int = 100
     momentum: float = 0.9
-    seed: int = 0
     trainable: tuple[str, ...] = SCALAR_NAMES
-    grad_mode: str = "analytic"  # analytic | fd
-    fd_step: float = 1e-3
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -51,8 +45,6 @@ class FitConfig:
         unknown = set(self.trainable) - set(SCALAR_NAMES)
         if unknown:
             raise ValueError(f"unknown trainable parameters: {sorted(unknown)}")
-        if self.grad_mode not in ("analytic", "fd"):
-            raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
 
 
 @dataclass
@@ -75,7 +67,7 @@ def wbce_loss(logits, mask, weight: float) -> float:
     """Mean over voxels of -[w*m*log sigma(l) + (1-m)*log(1-sigma(l))]."""
     if weight <= 0:
         raise ValueError("weight must be > 0")
-    l = np.clip(np.asarray(logits, dtype=np.float64), -LOGIT_GUARD, LOGIT_GUARD)
+    l = np.clip(np.asarray(logits, dtype=np.float64), -LOGIT_CLAMP, LOGIT_CLAMP)
     m = np.asarray(mask, dtype=np.float64)
     log_sig = -np.logaddexp(0.0, -l)
     log_one_minus = -np.logaddexp(0.0, l)
@@ -120,36 +112,22 @@ def frozen_kernel_stats(u: UnaryField, params: CrfParams, ps: PatchSet | None = 
     return kf.feat_dist, kf.mask, d2, offs
 
 
-def _forward(logits_raw, scale, graph, fd, mask, d2, offs, params, gt, T, want_caches=False):
-    """MCE loss of T unrolled mean-field iterations; fd/mask are constants."""
+def _forward(logits_raw, scale, graph, frozen, params, gt, T, tape=None):
+    """MCE loss of T unrolled mean-field iterations (crf.meanfield_unroll) on
+    the clamped, scaled logits, with kernel weights built from the frozen
+    statistics.  Returns the loss and the intermediates of the reverse pass."""
+    fd, mask, d2, offs = frozen
     it1 = 1.0 / (2.0 * params.theta1 ** 2)
     it2 = 1.0 / (2.0 * params.theta2 ** 2)
     it3 = 1.0 / (2.0 * params.theta3 ** 2)
-    l = scale * logits_raw
     spatial = d2[None, None, None, :]
     app = np.where(mask, np.exp(-spatial * it1 - fd * it2), 0.0)
     sm = np.where(mask, np.exp(-spatial * it3), 0.0)
-    w = app + params.w1 * sm
-    m = compat_matrix(logits_raw.shape[-1], params.theta_comp)
-
-    q = softmax(l)
-    caches = []
-    q0 = q
-    for _ in range(T):
-        r = refresh_duplicates(q, graph)
-        q_tilde = accel.window_sum(r, w, offs)
-        q_hat = q_tilde @ m
-        s = l - params.w_p * q_hat
-        q = softmax(s)
-        caches.append((r, q_tilde, q_hat, q))
-    merged = graph.merge(q)
-    rows = np.nonzero(gt.valid)[0]
-    picked = merged[rows, gt.surface_index[rows]]
-    loss = float(-np.log(picked).mean())
-    if not want_caches:
-        return loss
-    return loss, dict(l=l, app=app, sm=sm, w=w, m=m, q0=q0, caches=caches,
-                      merged=merged, rows=rows, it=(it1, it2, it3), spatial=spatial)
+    kf = KernelField(graph=graph, offsets=offs, weights=app + params.w1 * sm,
+                     appearance=app, feat_dist=fd, mask=mask, radius=params.window_radius)
+    l = np.clip(scale * logits_raw, -LOGIT_CLAMP, LOGIT_CLAMP)
+    merged = graph.merge(meanfield_unroll(l, kf, params, T, tape=tape))
+    return mce_loss(merged, gt), dict(l=l, kf=kf, sm=sm, spatial=spatial, merged=merged)
 
 
 def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
@@ -158,37 +136,36 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
                    frozen=None) -> LossReport:
     """Exact reverse-mode derivatives of the MCE loss after T mean-field
     iterations w.r.t. all scalars and all input logits, with the kernel
-    features treated as constants of the forward pass."""
+    features treated as constants of the forward pass.  The logit clamp has
+    zero derivative where it binds, for the logits and the unary scale."""
     T = params.iterations if T is None else T
     graph = u.graph
     logits_raw = u.logits
     if frozen is None:
         frozen = frozen_kernel_stats(
             UnaryField(graph=graph, logits=unary_scale * logits_raw), params, ps=ps)
-    fd, mask, d2, offs = frozen
-    loss, c = _forward(logits_raw, unary_scale, graph, fd, mask, d2, offs,
-                       params, gt, T, want_caches=True)
+    fd, _, _, offs = frozen
+    tape = []
+    loss, c = _forward(logits_raw, unary_scale, graph, frozen, params, gt, T, tape=tape)
 
     merged = c["merged"]
-    rows = c["rows"]
-    n_valid = len(rows)
+    rows = np.nonzero(gt.valid)[0]
     d_merged = np.zeros_like(merged)
     g_idx = gt.surface_index[rows]
-    d_merged[rows, g_idx] = -1.0 / (n_valid * merged[rows, g_idx])
+    d_merged[rows, g_idx] = -1.0 / (len(rows) * merged[rows, g_idx])
 
     # merge adjoint: scatter vertex grads onto owning slots
     owner = graph.owner_slots()
     dq = np.zeros_like(c["l"])
     dq.reshape(-1, dq.shape[-1])[owner] = d_merged
 
-    m = c["m"]
-    w = c["w"]
+    m = compat_matrix(logits_raw.shape[-1], params.theta_comp)
+    w = c["kf"].weights
     dl = np.zeros_like(c["l"])
     dwp = 0.0
     dm = np.zeros_like(m)
     dw = np.zeros_like(w)
-    for t in range(T - 1, -1, -1):
-        r, q_tilde, q_hat, q = c["caches"][t]
+    for r, q_tilde, q_hat, q in reversed(tape):
         ds = _softmax_backward(q, dq)
         dl += ds
         dq_hat = -params.w_p * ds
@@ -198,10 +175,10 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
         dr = accel.window_sum_adjoint(dq_tilde, w, offs)
         dw += accel.window_weight_grad(dq_tilde, r, offs)
         dq = _refresh_adjoint(dr, graph)
-    dl += _softmax_backward(c["q0"], dq)
+    dl += _softmax_backward(softmax(c["l"]), dq)
+    dl = np.where(np.abs(unary_scale * logits_raw) <= LOGIT_CLAMP, dl, 0.0)
 
-    it1, it2, it3 = c["it"]
-    app = c["app"]
+    app = c["kf"].appearance
     sm = c["sm"]
     spatial = c["spatial"]
     d_theta1 = float((dw * app * spatial).sum() / params.theta1 ** 3)
@@ -253,29 +230,20 @@ def fd_check(u: UnaryField, params: CrfParams, gt: GroundTruth, T: int | None = 
     graph = u.graph
     frozen = frozen_kernel_stats(
         UnaryField(graph=graph, logits=unary_scale * u.logits), params, ps=ps)
-    fd, mask, d2, offs = frozen
     report = meanfield_grad(u, params, gt, T=T, unary_scale=unary_scale, frozen=frozen)
 
     def loss_with(p: CrfParams, scale: float, logits: np.ndarray) -> float:
-        return _forward(logits, scale, graph, fd, mask, d2, offs, p, gt, T)
+        return _forward(logits, scale, graph, frozen, p, gt, T)[0]
 
     errors = {}
-    base_kwargs = dict(w_p=params.w_p, w1=params.w1, theta1=params.theta1,
-                       theta2=params.theta2, theta3=params.theta3,
-                       theta_comp=params.theta_comp,
-                       window_radius=params.window_radius,
-                       iterations=params.iterations,
-                       kernel_variant=params.kernel_variant)
     for name in SCALAR_NAMES:
         if name == "unary_scale":
             fn = lambda x: loss_with(params, x, u.logits)
             x0 = unary_scale
         else:
-            def fn(x, _name=name):
-                kw = dict(base_kwargs)
-                kw[_name] = x
-                return loss_with(CrfParams(**kw), unary_scale, u.logits)
-            x0 = base_kwargs[name]
+            fn = lambda x, _name=name: loss_with(replace(params, **{_name: x}),
+                                                  unary_scale, u.logits)
+            x0 = getattr(params, name)
         step = scalar_step
         if name in _WIDTHS:  # keep the probe positive
             step = min(step, 0.4 * x0)
@@ -310,15 +278,9 @@ def _pack(params: CrfParams, scale: float) -> np.ndarray:
 
 
 def _unpack(vec: np.ndarray, template: CrfParams):
-    kw = dict(window_radius=template.window_radius, iterations=template.iterations,
-              kernel_variant=template.kernel_variant)
-    scale = 1.0
-    for name, v in zip(SCALAR_NAMES, vec):
-        if name == "unary_scale":
-            scale = float(v)
-        else:
-            kw[name] = float(v)
-    return CrfParams(**kw), scale
+    values = {name: float(v) for name, v in zip(SCALAR_NAMES, vec)}
+    scale = values.pop("unary_scale")
+    return replace(template, **values), scale
 
 
 _IS_WIDTH = np.asarray([name in _WIDTHS for name in SCALAR_NAMES])
@@ -327,8 +289,9 @@ _IS_WIDTH = np.asarray([name in _WIDTHS for name in SCALAR_NAMES])
 def fit(dataset, init: CrfParams, cfg: FitConfig, unary_scale: float = 1.0) -> FitResult:
     """Gradient descent with momentum on the trainable scalars over a dataset
     of (PatchSet, UnaryField, GroundTruth) instances.  Widths are optimized in
-    log space so they stay positive; deterministic for a given seed and
-    dataset order."""
+    log space so they stay positive; deterministic for a given dataset and
+    order.  A non-finite loss, gradient or scalar, or a width that underflows
+    to zero, raises FitDivergedError."""
     if not dataset:
         raise ValueError("dataset is empty")
     vec = _pack(init, unary_scale)
@@ -341,7 +304,7 @@ def fit(dataset, init: CrfParams, cfg: FitConfig, unary_scale: float = 1.0) -> F
         total_grad = np.zeros_like(vec)
         for ps, u, gt in dataset:
             try:
-                rep = _instance_grad(u, params, gt, scale, cfg, ps)
+                rep = meanfield_grad(u, params, gt, unary_scale=scale, ps=ps)
             except RuntimeError as exc:  # non-finite forward/backward
                 raise FitDivergedError(epoch) from exc
             total_loss += rep.loss
@@ -361,51 +324,19 @@ def fit(dataset, init: CrfParams, cfg: FitConfig, unary_scale: float = 1.0) -> F
         with np.errstate(over="ignore"):
             stepped = np.where(_IS_WIDTH, vec * np.exp(velocity), vec + velocity)
         vec = np.where(train_mask, stepped, vec)
-        if not np.isfinite(vec[train_mask]).all():
+        if not np.isfinite(vec[train_mask]).all() or (vec[_IS_WIDTH] <= 0).any():
             raise FitDivergedError(epoch)
     params, scale = _unpack(vec, init)
     final_loss = 0.0
     for ps, u, gt in dataset:
         frozen = frozen_kernel_stats(
             UnaryField(graph=u.graph, logits=scale * u.logits), params, ps=ps)
-        fd, mask, d2, offs = frozen
-        final_loss += _forward(u.logits, scale, u.graph, fd, mask, d2, offs,
-                               params, gt, params.iterations)
+        try:
+            final_loss += _forward(u.logits, scale, u.graph, frozen, params, gt,
+                                   params.iterations)[0]
+        except RuntimeError as exc:
+            raise FitDivergedError(cfg.epochs) from exc
     curve.append(final_loss / len(dataset))
     if not np.isfinite(curve[-1]):
         raise FitDivergedError(cfg.epochs)
     return FitResult(params=params, unary_scale=scale, curve=np.asarray(curve))
-
-
-def _instance_grad(u, params, gt, scale, cfg, ps):
-    if cfg.grad_mode == "analytic":
-        return meanfield_grad(u, params, gt, unary_scale=scale, ps=ps)
-    # finite-difference mode: slow path for cross-checking tiny problems
-    frozen = frozen_kernel_stats(
-        UnaryField(graph=u.graph, logits=scale * u.logits), params, ps=ps)
-    fd, mask, d2, offs = frozen
-    base_kwargs = dict(w_p=params.w_p, w1=params.w1, theta1=params.theta1,
-                       theta2=params.theta2, theta3=params.theta3,
-                       theta_comp=params.theta_comp,
-                       window_radius=params.window_radius,
-                       iterations=params.iterations,
-                       kernel_variant=params.kernel_variant)
-
-    def loss_with(kw, s):
-        return _forward(u.logits, s, u.graph, fd, mask, d2, offs,
-                        CrfParams(**kw), gt, params.iterations)
-
-    loss = loss_with(base_kwargs, scale)
-    grads = {}
-    for name in SCALAR_NAMES:
-        if name == "unary_scale":
-            fn = lambda x: loss_with(base_kwargs, x)
-            x0 = scale
-        else:
-            def fn(x, _n=name):
-                kw = dict(base_kwargs)
-                kw[_n] = x
-                return loss_with(kw, scale)
-            x0 = base_kwargs[name]
-        grads[name] = central_difference(fn, x0, cfg.fd_step)
-    return LossReport(loss=loss, grads=grads, dlogits=np.zeros_like(u.logits))

@@ -243,7 +243,7 @@ def test_a9_fitting_efficacy():
         u = sc.gradient_unary(run["ps"], polarity="bright_to_dark")
         dataset.append((run["ps"], u, run["gt"]))
     init = sc.prostate_params()
-    cfg = sc.FitConfig(lr=0.05, epochs=100, momentum=0.9, seed=0)
+    cfg = sc.FitConfig(lr=0.05, epochs=100, momentum=0.9)
     res = sc.fit(dataset, init, cfg, unary_scale=6.0)
     ratio = res.curve[-1] / res.curve[0]
     assert ratio <= 0.8

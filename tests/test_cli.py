@@ -173,3 +173,16 @@ class TestFitCommand:
         doc = json.loads((tmp_path / "fit" / "fit.json").read_text())
         assert len(doc["curve"]) == 4
         assert doc["params"]["theta1"] > 0
+
+    def test_external_unary_mode_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"runs": []}))
+        rc = cli.main(["fit", "--out", str(tmp_path / "fit"), "--manifest",
+                       str(manifest), "--unary-mode", "external"] + FAST)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["command"] == "fit"
+        assert "unary.mode" in err["message"]
+        with pytest.raises(cli.CliError, match=r"unary\.mode"):
+            cli.cmd_fit(cli.load_config(overrides={"unary.mode": "external"}),
+                        str(tmp_path / "fit"), str(manifest))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import surfcrf as sc
+from surfcrf import mesh as mesh_mod
 from surfcrf.mesh import MeshError, cotangent_edge_weights, signed_volume
 
 from conftest import cube_mesh, tetrahedron
@@ -140,6 +141,18 @@ class TestHarmonicMap:
         ico = sc.icosphere(3)
         smap = sc.harmonic_sphere_map(ico)
         assert np.abs(smap.positions - ico.vertices).max() <= 1e-3
+        assert smap.converged
+
+    def test_line_search_stall_is_not_converged(self, monkeypatch):
+        # an energy that rises on every call rejects all 12 halvings of the
+        # first step, so the map stalls at its start
+        calls = iter(range(10 ** 6))
+        monkeypatch.setattr(mesh_mod, "harmonic_energy",
+                            lambda edges, weights, phi: float(next(calls)))
+        smap = sc.harmonic_sphere_map(sc.icosphere(2))
+        assert smap.iterations == 1
+        assert len(smap.energy_trace) == 1
+        assert not smap.converged
 
     def test_ellipsoid_invariants(self):
         ico = sc.icosphere(3)

@@ -171,6 +171,17 @@ class TestGroundTruth:
         assert hit[0]
         assert t[0] == pytest.approx(-1.0, abs=1e-12)
 
+    def test_hit_outside_column_is_flagged_invalid(self):
+        # the shell lies 1.0 mm out, i.e. index 2 + 2 = 4 in a 4-sample column
+        ico_out = sc.icosphere(4, radius=11.0)
+        qm = synthetic_quadmesh(level=3, radius=10.0, center=(0, 0, 0))
+        short = sc.ground_truth(qm, ico_out, 4, 0.5)
+        assert not short.valid.any()
+        assert (short.surface_index == 0).all()
+        longer = sc.ground_truth(qm, ico_out, 6, 0.5)
+        assert longer.valid.all()
+        assert (longer.surface_index == 3 + 2).mean() > 0.99
+
     def test_miss_is_flagged_invalid(self):
         tiny = sc.icosphere(1, radius=0.5, center=(50.0, 0.0, 0.0))
         qm = synthetic_quadmesh(level=2, radius=10.0, center=(0, 0, 0))
@@ -233,6 +244,18 @@ class TestPatchSetIO:
         assert np.allclose(back.base, ps.base, atol=1e-12)
         assert np.allclose(back.normal, ps.normal, atol=1e-12)
         assert np.array_equal(back.graph.gid, ps.graph.gid)
+
+    def test_patch_dims_mismatch_names_file_and_field(self, tmp_path):
+        qm = synthetic_quadmesh()
+        ps = sc.sample_columns(constant_volume(3.3), qm, z_len=8, delta=0.5, pad=2)
+        sc.save_patchset(ps, tmp_path / "ps")
+        W = ps.graph.shape[1]
+        sc.save_svol(sc.Volume(dims=(W, W, 7), spacing=(1.0, 1.0, 0.5),
+                               origin=(0.0, 0.0, 0.0),
+                               data=np.zeros((W, W, 7), dtype=np.float32)),
+                     tmp_path / "ps" / "patch2.svol")
+        with pytest.raises(ValueError, match=r"patch2\.svol.*dims"):
+            sc.load_patchset(tmp_path / "ps")
 
 
 class TestPadCompleteness:
