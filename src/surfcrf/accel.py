@@ -1,48 +1,28 @@
-"""Hot numeric kernels, each with a numba and a pure-numpy implementation.
+"""Hot numeric kernels of surfcrf, one vectorized numpy function each.
 
-The backend is picked once at import time from the SURFCRF_BACKEND env var:
-  auto  (default) -> numba when importable, else numpy
-  numba           -> require numba, fail loudly if missing
-  numpy           -> force the vectorized numpy path
-
-Both implementations of every kernel are exported (``*_np`` / ``*_nb``) so the
-equivalence tests and ``benchmarks/bench_backends.py`` can compare them
-directly; the unsuffixed name is the dispatched one used by the library.
+Geometry: trilinear volume sampling, point location on the mapped sphere,
+ray casting against a triangle soup and the voxel parity fill.  CRF: the
+Gaussian pairwise weights and the window message pass, its adjoint and its
+weight gradient on (P,H,W,Z) patch grids.  Kernels that would build a
+(rays x faces) or (points x faces) array at once work in chunks of rays or
+points, so their transient memory stays bounded.  The tests compare every
+kernel with a scalar-loop reference.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_choice = os.environ.get("SURFCRF_BACKEND", "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"SURFCRF_BACKEND must be auto|numba|numpy, got {_choice!r}")
+BACKEND = "numpy"
 
-if _choice == "numpy":
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:
-        _numba = None
-
-if _choice == "numba" and _numba is None:
-    raise RuntimeError("SURFCRF_BACKEND=numba but numba is not importable")
-
-HAVE_NUMBA = _numba is not None
-BACKEND = "numba" if (HAVE_NUMBA and _choice != "numpy") else "numpy"
-
-
-def _njit(fn):
-    return _numba.njit(cache=True)(fn)
+_LOCATE_CHUNK = 256  # query points per centroid prefilter block
+_RAY_CHUNK = 64      # rays per (rays x faces) block
 
 
 # ---------------------------------------------------------------------------
 # trilinear gather
 
 
-def trilinear_gather_np(data, origin, spacing, pts):
+def trilinear_gather(data, origin, spacing, pts):
     """Trilinear interpolation of ``data`` (X,Y,Z grid) at world points (N,3).
 
     Continuous coordinates are clamped to the voxel-center lattice, so points
@@ -82,54 +62,11 @@ def trilinear_gather_np(data, origin, spacing, pts):
     return c0 * (1 - fw) + c1 * fw
 
 
-def _trilinear_gather_loop(data, ox, oy, oz, sx, sy, sz, pts, out):
-    X, Y, Z = data.shape
-    for n in range(pts.shape[0]):
-        u = (pts[n, 0] - ox) / sx
-        v = (pts[n, 1] - oy) / sy
-        w = (pts[n, 2] - oz) / sz
-        if u < 0.0:
-            u = 0.0
-        if u > X - 1.0:
-            u = X - 1.0
-        if v < 0.0:
-            v = 0.0
-        if v > Y - 1.0:
-            v = Y - 1.0
-        if w < 0.0:
-            w = 0.0
-        if w > Z - 1.0:
-            w = Z - 1.0
-        i0 = int(u)
-        j0 = int(v)
-        k0 = int(w)
-        if i0 > X - 2:
-            i0 = max(X - 2, 0)
-        if j0 > Y - 2:
-            j0 = max(Y - 2, 0)
-        if k0 > Z - 2:
-            k0 = max(Z - 2, 0)
-        i1 = min(i0 + 1, X - 1)
-        j1 = min(j0 + 1, Y - 1)
-        k1 = min(k0 + 1, Z - 1)
-        fu = u - i0
-        fv = v - j0
-        fw = w - k0
-        c00 = data[i0, j0, k0] * (1 - fu) + data[i1, j0, k0] * fu
-        c10 = data[i0, j1, k0] * (1 - fu) + data[i1, j1, k0] * fu
-        c01 = data[i0, j0, k1] * (1 - fu) + data[i1, j0, k1] * fu
-        c11 = data[i0, j1, k1] * (1 - fu) + data[i1, j1, k1] * fu
-        c0 = c00 * (1 - fv) + c10 * fv
-        c1 = c01 * (1 - fv) + c11 * fv
-        out[n] = c0 * (1 - fw) + c1 * fw
-
-
 # ---------------------------------------------------------------------------
 # point location on the mapped sphere (gnomonic ray-triangle containment)
 
 
-def locate_points_np(inv_mats, centroids, cos_bound, pts, tol=1e-10, fallback_tol=1e-6,
-                     chunk=256):
+def locate_points(inv_mats, centroids, cos_bound, pts, tol=1e-10, fallback_tol=1e-6):
     """Find, per unit query point, the spherical triangle containing it.
 
     inv_mats (F,3,3) are the inverses of the per-face vertex matrices; alpha =
@@ -141,8 +78,8 @@ def locate_points_np(inv_mats, centroids, cos_bound, pts, tol=1e-10, fallback_to
     nq = pts.shape[0]
     face_out = np.full(nq, -1, dtype=np.int64)
     bary_out = np.zeros((nq, 3), dtype=np.float64)
-    for lo in range(0, nq, chunk):
-        hi = min(lo + chunk, nq)
+    for lo in range(0, nq, _LOCATE_CHUNK):
+        hi = min(lo + _LOCATE_CHUNK, nq)
         block = pts[lo:hi]
         dots = centroids @ block.T  # (F, m)
         for qi in range(hi - lo):
@@ -167,78 +104,40 @@ def locate_points_np(inv_mats, centroids, cos_bound, pts, tol=1e-10, fallback_to
     return face_out, bary_out
 
 
-def _locate_points_loop(inv_mats, centroids, cos_bound, pts, tol, fallback_tol,
-                        face_out, bary_out):
-    nq = pts.shape[0]
-    F = inv_mats.shape[0]
-    for n in range(nq):
-        px, py, pz = pts[n, 0], pts[n, 1], pts[n, 2]
-        hit = -1
-        best = -1.0e300
-        best_f = -1
-        b0 = 0.0
-        b1 = 0.0
-        b2 = 0.0
-        for f in range(F):
-            if centroids[f, 0] * px + centroids[f, 1] * py + centroids[f, 2] * pz < cos_bound[f]:
-                continue
-            a0 = inv_mats[f, 0, 0] * px + inv_mats[f, 0, 1] * py + inv_mats[f, 0, 2] * pz
-            a1 = inv_mats[f, 1, 0] * px + inv_mats[f, 1, 1] * py + inv_mats[f, 1, 2] * pz
-            a2 = inv_mats[f, 2, 0] * px + inv_mats[f, 2, 1] * py + inv_mats[f, 2, 2] * pz
-            s = a0 + a1 + a2
-            if s <= 0.0:
-                continue
-            m = a0
-            if a1 < m:
-                m = a1
-            if a2 < m:
-                m = a2
-            frac = m / s
-            if frac >= -tol:
-                hit = f
-                b0, b1, b2 = a0 / s, a1 / s, a2 / s
-                break
-            if frac > best:
-                best = frac
-                best_f = f
-                b0, b1, b2 = a0 / s, a1 / s, a2 / s
-        if hit < 0 and best >= -fallback_tol:
-            hit = best_f
-        if hit >= 0:
-            t = b0 + b1 + b2
-            face_out[n] = hit
-            bary_out[n, 0] = b0 / t
-            bary_out[n, 1] = b1 / t
-            bary_out[n, 2] = b2 / t
-
-
 # ---------------------------------------------------------------------------
 # ray casting: intersection of minimum |t| against a triangle soup
 
 
-def raycast_min_abs_t_np(verts, faces, origins, dirs, chunk=128):
+def raycast_min_abs_t(verts, faces, origins, dirs):
     """Moller-Trumbore over all faces; per ray returns (t, hit) where t is the
-    signed parameter with smallest |t| (ties broken toward negative t)."""
+    signed parameter with smallest |t| (ties broken toward negative t).
+
+    Uses the scalar-triple-product form: with n = e1 x e2 and the per-face
+    vectors a.n, e2 x a and a x e1 precomputed, det, u*det, v*det and t*det
+    of every (ray, face) pair are matrix products of o x d, d and o.
+    """
     a = verts[faces[:, 0]]
     e1 = verts[faces[:, 1]] - a
     e2 = verts[faces[:, 2]] - a
+    n = np.cross(e1, e2)
+    a_n = np.einsum("fk,fk->f", a, n)
+    e2_a = np.cross(e2, a)
+    a_e1 = np.cross(a, e1)
     nq = origins.shape[0]
     t_out = np.zeros(nq, dtype=np.float64)
     hit_out = np.zeros(nq, dtype=bool)
     tolb = 1e-10
-    for lo in range(0, nq, chunk):
-        hi = min(lo + chunk, nq)
-        o = origins[lo:hi][:, None, :]  # (m,1,3)
-        d = dirs[lo:hi][:, None, :]
-        p = np.cross(d, e2[None, :, :])
-        det = np.einsum("mfk,fk->mf", p, e1)
+    for lo in range(0, nq, _RAY_CHUNK):
+        hi = min(lo + _RAY_CHUNK, nq)
+        o = origins[lo:hi]
+        d = dirs[lo:hi]
+        od = np.cross(o, d)
+        det = -(d @ n.T)  # (m,F)
         ok = np.abs(det) > 1e-12
         inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        tv = o - a[None, :, :]
-        u = np.einsum("mfk,mfk->mf", tv, p) * inv
-        q = np.cross(tv, e1[None, :, :])
-        v = np.einsum("mk,mfk->mf", dirs[lo:hi], q) * inv
-        t = np.einsum("fk,mfk->mf", e2, q) * inv
+        u = (od @ e2.T - d @ e2_a.T) * inv
+        v = -(od @ e1.T + d @ a_e1.T) * inv
+        t = (o @ n.T - a_n) * inv
         ok &= (u >= -tolb) & (v >= -tolb) & (u + v <= 1.0 + tolb)
         key = np.where(ok, np.abs(t) * 2 + (t > 0), np.inf)  # prefer negative on |t| ties
         best = np.argmin(key, axis=1)
@@ -248,57 +147,11 @@ def raycast_min_abs_t_np(verts, faces, origins, dirs, chunk=128):
     return t_out, hit_out
 
 
-def _raycast_loop(verts, faces, origins, dirs, t_out, hit_out):
-    tolb = 1e-10
-    for n in range(origins.shape[0]):
-        ox, oy, oz = origins[n, 0], origins[n, 1], origins[n, 2]
-        dx, dy, dz = dirs[n, 0], dirs[n, 1], dirs[n, 2]
-        best_t = 0.0
-        best_key = 1.0e300
-        found = False
-        for f in range(faces.shape[0]):
-            i0, i1, i2 = faces[f, 0], faces[f, 1], faces[f, 2]
-            ax, ay, az = verts[i0, 0], verts[i0, 1], verts[i0, 2]
-            e1x = verts[i1, 0] - ax
-            e1y = verts[i1, 1] - ay
-            e1z = verts[i1, 2] - az
-            e2x = verts[i2, 0] - ax
-            e2y = verts[i2, 1] - ay
-            e2z = verts[i2, 2] - az
-            px = dy * e2z - dz * e2y
-            py = dz * e2x - dx * e2z
-            pz = dx * e2y - dy * e2x
-            det = e1x * px + e1y * py + e1z * pz
-            if abs(det) <= 1e-12:
-                continue
-            inv = 1.0 / det
-            tx = ox - ax
-            ty = oy - ay
-            tz = oz - az
-            u = (tx * px + ty * py + tz * pz) * inv
-            if u < -tolb or u > 1.0 + tolb:
-                continue
-            qx = ty * e1z - tz * e1y
-            qy = tz * e1x - tx * e1z
-            qz = tx * e1y - ty * e1x
-            v = (dx * qx + dy * qy + dz * qz) * inv
-            if v < -tolb or u + v > 1.0 + tolb:
-                continue
-            t = (e2x * qx + e2y * qy + e2z * qz) * inv
-            key = abs(t) * 2 + (1.0 if t > 0 else 0.0)
-            if key < best_key:
-                best_key = key
-                best_t = t
-                found = True
-        hit_out[n] = found
-        t_out[n] = best_t if found else 0.0
-
-
 # ---------------------------------------------------------------------------
 # CRF window operations on (P,H,W,Z) patch grids
 
 
-def window_sum_np(q, w, offsets):
+def window_sum(q, w, offsets):
     """out[p,y,x,:] = sum_k w[p,y,x,k] * q[p, y+dy_k, x+dx_k, :]."""
     P, H, W, Z = q.shape
     out = np.zeros_like(q)
@@ -315,7 +168,7 @@ def window_sum_np(q, w, offsets):
     return out
 
 
-def window_sum_adjoint_np(d_out, w, offsets):
+def window_sum_adjoint(d_out, w, offsets):
     """Adjoint of window_sum with respect to q."""
     P, H, W, Z = d_out.shape
     dq = np.zeros_like(d_out)
@@ -331,7 +184,7 @@ def window_sum_adjoint_np(d_out, w, offsets):
     return dq
 
 
-def window_weight_grad_np(d_out, q, offsets):
+def window_weight_grad(d_out, q, offsets):
     """dW[p,y,x,k] = sum_l d_out[p,y,x,l] * q[p, y+dy, x+dx, l]."""
     P, H, W, Z = q.shape
     K = offsets.shape[0]
@@ -350,60 +203,7 @@ def window_weight_grad_np(d_out, q, offsets):
     return dw
 
 
-def _window_sum_loop(q, w, offsets, out):
-    P, H, W, Z = q.shape
-    K = offsets.shape[0]
-    for p in range(P):
-        for y in range(H):
-            for x in range(W):
-                for k in range(K):
-                    wk = w[p, y, x, k]
-                    if wk == 0.0:
-                        continue
-                    ny = y + offsets[k, 0]
-                    nx = x + offsets[k, 1]
-                    if ny < 0 or ny >= H or nx < 0 or nx >= W:
-                        continue
-                    for l in range(Z):
-                        out[p, y, x, l] += wk * q[p, ny, nx, l]
-
-
-def _window_sum_adjoint_loop(d_out, w, offsets, dq):
-    P, H, W, Z = d_out.shape
-    K = offsets.shape[0]
-    for p in range(P):
-        for y in range(H):
-            for x in range(W):
-                for k in range(K):
-                    wk = w[p, y, x, k]
-                    if wk == 0.0:
-                        continue
-                    ny = y + offsets[k, 0]
-                    nx = x + offsets[k, 1]
-                    if ny < 0 or ny >= H or nx < 0 or nx >= W:
-                        continue
-                    for l in range(Z):
-                        dq[p, ny, nx, l] += wk * d_out[p, y, x, l]
-
-
-def _window_weight_grad_loop(d_out, q, offsets, dw):
-    P, H, W, Z = q.shape
-    K = offsets.shape[0]
-    for p in range(P):
-        for y in range(H):
-            for x in range(W):
-                for k in range(K):
-                    ny = y + offsets[k, 0]
-                    nx = x + offsets[k, 1]
-                    if ny < 0 or ny >= H or nx < 0 or nx >= W:
-                        continue
-                    acc = 0.0
-                    for l in range(Z):
-                        acc += d_out[p, y, x, l] * q[p, ny, nx, l]
-                    dw[p, y, x, k] = acc
-
-
-def pairwise_weights_np(feat, valid, offsets, inv2t1, inv2t2, inv2t3, w1):
+def pairwise_weights(feat, valid, offsets, inv2t1, inv2t2, inv2t3, w1):
     """Gaussian pairwise weights per column and window offset.
 
     Returns (w, app, fdist): total weight, the masked appearance term and the
@@ -437,222 +237,52 @@ def pairwise_weights_np(feat, valid, offsets, inv2t1, inv2t2, inv2t3, w1):
     return w, app, fd
 
 
-def _pairwise_weights_loop(feat, valid, offsets, inv2t1, inv2t2, inv2t3, w1,
-                           w, app, fd):
-    P, H, W, Z = feat.shape
-    K = offsets.shape[0]
-    for p in range(P):
-        for y in range(H):
-            for x in range(W):
-                if not valid[p, y, x]:
-                    continue
-                for k in range(K):
-                    dy = offsets[k, 0]
-                    dx = offsets[k, 1]
-                    if dy == 0 and dx == 0:
-                        continue
-                    ny = y + dy
-                    nx = x + dx
-                    if ny < 0 or ny >= H or nx < 0 or nx >= W:
-                        continue
-                    if not valid[p, ny, nx]:
-                        continue
-                    dist = 0.0
-                    for l in range(Z):
-                        df = feat[p, y, x, l] - feat[p, ny, nx, l]
-                        dist += df * df
-                    d2 = float(dy * dy + dx * dx)
-                    a = np.exp(-d2 * inv2t1 - dist * inv2t2)
-                    s = np.exp(-d2 * inv2t3)
-                    w[p, y, x, k] = a + w1 * s
-                    app[p, y, x, k] = a
-                    fd[p, y, x, k] = dist
-
-
 # ---------------------------------------------------------------------------
 # voxel parity fill (z-axis ray crossing counts as a difference array)
 
 
-def parity_diff_np(tri_xyz, origin, spacing, dims):
+def parity_diff(tri_xyz, origin, spacing, dims):
     """Accumulate +1 at the first voxel index above each z-crossing, per column.
 
+    A column crosses a triangle when its (x,y) center lies strictly inside the
+    triangle's projection; triangles with zero projected area are skipped.
+    Every triangle's bounding-box columns are expanded into one flat batch.
     Caller turns the difference array into inside labels via cumsum % 2.
     """
     X, Y, Z = dims
     ox, oy, oz = origin
     sx, sy, sz = spacing
     diff = np.zeros((X, Y, Z), dtype=np.int32)
-    for f in range(tri_xyz.shape[0]):
-        ax, ay, az = tri_xyz[f, 0]
-        bx, by, bz = tri_xyz[f, 1]
-        cx, cy, cz = tri_xyz[f, 2]
-        area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        if area2 == 0.0:
-            continue
-        i0 = max(int(np.ceil((min(ax, bx, cx) - ox) / sx)), 0)
-        i1 = min(int(np.floor((max(ax, bx, cx) - ox) / sx)), X - 1)
-        j0 = max(int(np.ceil((min(ay, by, cy) - oy) / sy)), 0)
-        j1 = min(int(np.floor((max(ay, by, cy) - oy) / sy)), Y - 1)
-        if i0 > i1 or j0 > j1:
-            continue
-        px = ox + sx * np.arange(i0, i1 + 1)[:, None]
-        py = oy + sy * np.arange(j0, j1 + 1)[None, :]
-        ea = (cx - bx) * (py - by) - (cy - by) * (px - bx)
-        eb = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
-        ec = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        inside = ((ea > 0) & (eb > 0) & (ec > 0)) | ((ea < 0) & (eb < 0) & (ec < 0))
-        if not inside.any():
-            continue
-        zstar = (ea * az + eb * bz + ec * cz) / (ea + eb + ec)
-        k0 = np.floor((zstar - oz) / sz).astype(np.int64) + 1
-        ii, jj = np.nonzero(inside)
-        kk = np.clip(k0[ii, jj], 0, None)
-        keep = kk < Z
-        np.add.at(diff, (ii[keep] + i0, jj[keep] + j0, kk[keep]), 1)
+    tri_xyz = np.asarray(tri_xyz, dtype=np.float64)
+    xs, ys = tri_xyz[:, :, 0], tri_xyz[:, :, 1]
+    ax, bx, cx = xs.T
+    ay, by, cy = ys.T
+    area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    i0 = np.maximum(np.ceil((xs.min(axis=1) - ox) / sx), 0)
+    i1 = np.minimum(np.floor((xs.max(axis=1) - ox) / sx), X - 1)
+    j0 = np.maximum(np.ceil((ys.min(axis=1) - oy) / sy), 0)
+    j1 = np.minimum(np.floor((ys.max(axis=1) - oy) / sy), Y - 1)
+    sel = np.nonzero((area2 != 0.0) & (i0 <= i1) & (j0 <= j1))[0]
+    i0 = i0[sel].astype(np.int64)
+    j0 = j0[sel].astype(np.int64)
+    nj = j1[sel].astype(np.int64) - j0 + 1
+    count = (i1[sel].astype(np.int64) - i0 + 1) * nj
+    # one row per (triangle, bounding-box column)
+    f = np.repeat(np.arange(sel.size), count)
+    local = np.arange(f.size) - np.repeat(np.cumsum(count) - count, count)
+    ii = i0[f] + local // nj[f]
+    jj = j0[f] + local % nj[f]
+    f = sel[f]
+    px = ox + sx * ii
+    py = oy + sy * jj
+    ea = (cx[f] - bx[f]) * (py - by[f]) - (cy[f] - by[f]) * (px - bx[f])
+    eb = (ax[f] - cx[f]) * (py - cy[f]) - (ay[f] - cy[f]) * (px - cx[f])
+    ec = (bx[f] - ax[f]) * (py - ay[f]) - (by[f] - ay[f]) * (px - ax[f])
+    inside = ((ea > 0) & (eb > 0) & (ec > 0)) | ((ea < 0) & (eb < 0) & (ec < 0))
+    ea, eb, ec, f = ea[inside], eb[inside], ec[inside], f[inside]
+    az, bz, cz = tri_xyz[f, :, 2].T
+    zstar = (ea * az + eb * bz + ec * cz) / (ea + eb + ec)
+    kk = np.clip(np.floor((zstar - oz) / sz).astype(np.int64) + 1, 0, None)
+    keep = kk < Z
+    np.add.at(diff, (ii[inside][keep], jj[inside][keep], kk[keep]), 1)
     return diff
-
-
-def _parity_diff_loop(tri_xyz, ox, oy, oz, sx, sy, sz, X, Y, Z, diff):
-    for f in range(tri_xyz.shape[0]):
-        ax, ay, az = tri_xyz[f, 0, 0], tri_xyz[f, 0, 1], tri_xyz[f, 0, 2]
-        bx, by, bz = tri_xyz[f, 1, 0], tri_xyz[f, 1, 1], tri_xyz[f, 1, 2]
-        cx, cy, cz = tri_xyz[f, 2, 0], tri_xyz[f, 2, 1], tri_xyz[f, 2, 2]
-        area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        if area2 == 0.0:
-            continue
-        minx = min(ax, min(bx, cx))
-        maxx = max(ax, max(bx, cx))
-        miny = min(ay, min(by, cy))
-        maxy = max(ay, max(by, cy))
-        i0 = int(np.ceil((minx - ox) / sx))
-        i1 = int(np.floor((maxx - ox) / sx))
-        j0 = int(np.ceil((miny - oy) / sy))
-        j1 = int(np.floor((maxy - oy) / sy))
-        if i0 < 0:
-            i0 = 0
-        if j0 < 0:
-            j0 = 0
-        if i1 > X - 1:
-            i1 = X - 1
-        if j1 > Y - 1:
-            j1 = Y - 1
-        for i in range(i0, i1 + 1):
-            px = ox + sx * i
-            for j in range(j0, j1 + 1):
-                py = oy + sy * j
-                ea = (cx - bx) * (py - by) - (cy - by) * (px - bx)
-                eb = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
-                ec = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-                pos = (ea > 0) and (eb > 0) and (ec > 0)
-                neg = (ea < 0) and (eb < 0) and (ec < 0)
-                if not (pos or neg):
-                    continue
-                zstar = (ea * az + eb * bz + ec * cz) / (ea + eb + ec)
-                k0 = int(np.floor((zstar - oz) / sz)) + 1
-                if k0 >= Z:
-                    continue
-                if k0 < 0:
-                    k0 = 0
-                diff[i, j, k0] += 1
-
-
-# ---------------------------------------------------------------------------
-# compile + dispatch
-
-if HAVE_NUMBA:
-    _trilinear_gather_nb = _njit(_trilinear_gather_loop)
-    _locate_points_nb = _njit(_locate_points_loop)
-    _raycast_nb = _njit(_raycast_loop)
-    _window_sum_nb = _njit(_window_sum_loop)
-    _window_sum_adjoint_nb = _njit(_window_sum_adjoint_loop)
-    _window_weight_grad_nb = _njit(_window_weight_grad_loop)
-    _pairwise_weights_nb = _njit(_pairwise_weights_loop)
-    _parity_diff_nb = _njit(_parity_diff_loop)
-
-    def trilinear_gather_nb(data, origin, spacing, pts):
-        out = np.empty(pts.shape[0], dtype=np.float64)
-        _trilinear_gather_nb(np.asarray(data, dtype=np.float64),
-                             origin[0], origin[1], origin[2],
-                             spacing[0], spacing[1], spacing[2],
-                             np.ascontiguousarray(pts, dtype=np.float64), out)
-        return out
-
-    def locate_points_nb(inv_mats, centroids, cos_bound, pts, tol=1e-10, fallback_tol=1e-6):
-        face_out = np.full(pts.shape[0], -1, dtype=np.int64)
-        bary_out = np.zeros((pts.shape[0], 3), dtype=np.float64)
-        _locate_points_nb(inv_mats, centroids, cos_bound,
-                          np.ascontiguousarray(pts, dtype=np.float64),
-                          tol, fallback_tol, face_out, bary_out)
-        return face_out, bary_out
-
-    def raycast_min_abs_t_nb(verts, faces, origins, dirs):
-        t_out = np.zeros(origins.shape[0], dtype=np.float64)
-        hit_out = np.zeros(origins.shape[0], dtype=np.bool_)
-        _raycast_nb(np.ascontiguousarray(verts, dtype=np.float64),
-                    np.ascontiguousarray(faces, dtype=np.int64),
-                    np.ascontiguousarray(origins, dtype=np.float64),
-                    np.ascontiguousarray(dirs, dtype=np.float64), t_out, hit_out)
-        return t_out, hit_out
-
-    def window_sum_nb(q, w, offsets):
-        out = np.zeros_like(q)
-        _window_sum_nb(q, w, offsets, out)
-        return out
-
-    def window_sum_adjoint_nb(d_out, w, offsets):
-        dq = np.zeros_like(d_out)
-        _window_sum_adjoint_nb(d_out, w, offsets, dq)
-        return dq
-
-    def window_weight_grad_nb(d_out, q, offsets):
-        P, H, W, _ = q.shape
-        dw = np.zeros((P, H, W, offsets.shape[0]), dtype=q.dtype)
-        _window_weight_grad_nb(d_out, q, offsets, dw)
-        return dw
-
-    def pairwise_weights_nb(feat, valid, offsets, inv2t1, inv2t2, inv2t3, w1):
-        P, H, W, _ = feat.shape
-        K = offsets.shape[0]
-        w = np.zeros((P, H, W, K), dtype=np.float64)
-        app = np.zeros((P, H, W, K), dtype=np.float64)
-        fd = np.zeros((P, H, W, K), dtype=np.float64)
-        _pairwise_weights_nb(feat, valid, offsets, inv2t1, inv2t2, inv2t3, w1,
-                             w, app, fd)
-        return w, app, fd
-
-    def parity_diff_nb(tri_xyz, origin, spacing, dims):
-        X, Y, Z = dims
-        diff = np.zeros((X, Y, Z), dtype=np.int32)
-        _parity_diff_nb(np.ascontiguousarray(tri_xyz, dtype=np.float64),
-                        origin[0], origin[1], origin[2],
-                        spacing[0], spacing[1], spacing[2], X, Y, Z, diff)
-        return diff
-else:
-    trilinear_gather_nb = None
-    locate_points_nb = None
-    raycast_min_abs_t_nb = None
-    window_sum_nb = None
-    window_sum_adjoint_nb = None
-    window_weight_grad_nb = None
-    pairwise_weights_nb = None
-    parity_diff_nb = None
-
-
-if BACKEND == "numba":
-    trilinear_gather = trilinear_gather_nb
-    locate_points = locate_points_nb
-    raycast_min_abs_t = raycast_min_abs_t_nb
-    window_sum = window_sum_nb
-    window_sum_adjoint = window_sum_adjoint_nb
-    window_weight_grad = window_weight_grad_nb
-    pairwise_weights = pairwise_weights_nb
-    parity_diff = parity_diff_nb
-else:
-    trilinear_gather = trilinear_gather_np
-    locate_points = locate_points_np
-    raycast_min_abs_t = raycast_min_abs_t_np
-    window_sum = window_sum_np
-    window_sum_adjoint = window_sum_adjoint_np
-    window_weight_grad = window_weight_grad_np
-    pairwise_weights = pairwise_weights_np
-    parity_diff = parity_diff_np

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 import json
+import weakref
 
 import numpy as np
 
@@ -183,6 +184,20 @@ def window_pair_mask(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
     return keep.reshape(P, H, W, K)
 
 
+# graph -> {window radius: read-only pair mask}; the mask depends on nothing
+# else, and fit rebuilds the kernel of every instance on every epoch
+_PAIR_MASKS = weakref.WeakKeyDictionary()
+
+
+def _cached_pair_mask(graph: ColumnGraph, radius: int, offsets: np.ndarray) -> np.ndarray:
+    masks = _PAIR_MASKS.setdefault(graph, {})
+    if radius not in masks:
+        mask = window_pair_mask(graph, offsets)
+        mask.flags.writeable = False
+        masks[radius] = mask
+    return masks[radius]
+
+
 @dataclass(eq=False)
 class SurfaceLabeling:
     """Per-vertex surface index and mean-field marginals."""
@@ -273,7 +288,7 @@ def compute_kernel(u: UnaryField, params: CrfParams, ps: PatchSet | None = None,
         1.0 / (2.0 * params.theta3 ** 2),
         params.w1,
     )
-    mask = window_pair_mask(u.graph, offs)
+    mask = _cached_pair_mask(u.graph, params.window_radius, offs)
     w = np.where(mask, w, 0.0)
     app = np.where(mask, app, 0.0)
     fd = np.where(mask, fd, 0.0)

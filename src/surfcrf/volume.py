@@ -11,6 +11,9 @@ from scipy import ndimage
 from . import accel
 
 
+_FLOAT_MAX = np.finfo(np.float64).max
+
+
 class SvolError(ValueError):
     """Malformed .svol file or inconsistent header."""
 
@@ -55,6 +58,18 @@ def save_svol(vol: Volume, path) -> None:
         fh.write(np.asarray(vol.data, dtype="<f4").ravel(order="F").tobytes())
 
 
+def _finite(v) -> bool:
+    """A JSON number (not a bool) that a float64 holds without overflow."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
+
+
+def _header_triple(header, key, path, ok, what) -> tuple:
+    val = header[key]
+    if not (isinstance(val, list) and len(val) == 3 and all(ok(v) for v in val)):
+        raise SvolError(f"header field {key!r} in {path} must be {what}, got {val!r}")
+    return tuple(val)
+
+
 def load_svol(path) -> Volume:
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -62,20 +77,27 @@ def load_svol(path) -> Volume:
             header = json.loads(line.decode("ascii"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SvolError(f"malformed .svol header in {path}: {exc}") from exc
+        if not isinstance(header, dict):
+            raise SvolError(f"malformed .svol header in {path}: not a JSON object")
         for key in ("dims", "spacing", "origin", "dtype"):
             if key not in header:
                 raise SvolError(f"missing header field {key!r} in {path}")
         if header["dtype"] != "f32le":
             raise SvolError(f"unsupported dtype {header['dtype']!r} in {path}")
-        dims = tuple(int(d) for d in header["dims"])
+        dims = _header_triple(header, "dims", path,
+                              lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+                              "3 positive integers")
+        spacing = _header_triple(header, "spacing", path, lambda v: _finite(v) and v > 0,
+                                 "3 positive finite numbers")
+        origin = _header_triple(header, "origin", path, _finite, "3 finite numbers")
         raw = fh.read()
     expect = dims[0] * dims[1] * dims[2] * 4
     if len(raw) != expect:
         raise SvolError(
             f"length mismatch in {path}: header implies {expect} data bytes, found {len(raw)}")
     data = np.frombuffer(raw, dtype="<f4").reshape(dims, order="F").copy()
-    return Volume(dims=dims, spacing=tuple(float(s) for s in header["spacing"]),
-                  origin=tuple(float(o) for o in header["origin"]), data=data)
+    return Volume(dims=dims, spacing=tuple(float(s) for s in spacing),
+                  origin=tuple(float(o) for o in origin), data=data)
 
 
 def trilinear_sample(vol: Volume, pts):

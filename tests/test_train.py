@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import surfcrf as sc
+from surfcrf import crf
 from surfcrf.crf import LOGIT_CLAMP, softmax
 from surfcrf.patches import make_toy_graph
 from surfcrf.train import central_difference, relative_error
@@ -220,6 +221,18 @@ class TestFit:
         res = sc.fit([(None, u, gt)], init, cfg)
         assert res.params == init
         assert res.unary_scale != 1.0
+
+    def test_pair_mask_built_once_per_instance(self, monkeypatch):
+        calls = []
+        build = crf.window_pair_mask
+        monkeypatch.setattr(crf, "window_pair_mask",
+                            lambda graph, offsets: calls.append(graph) or build(graph, offsets))
+        dataset = [(None, *toy_instance(seed=s)) for s in (25, 26)]
+        init = sc.prostate_params(window_radius=1, iterations=2)
+        sc.fit(dataset, init, sc.FitConfig(lr=0.05, epochs=3))
+        assert len(calls) == 2
+        kf = crf.compute_kernel(dataset[0][1], init)
+        assert len(calls) == 2 and not kf.mask.flags.writeable
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,31 @@
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import surfcrf as sc
 from surfcrf.volume import SvolError
+
+GOOD_HEADER = {"dims": [2, 3, 4], "spacing": [1.0, 0.5, 2.0], "origin": [0.0, -1.0, 3.5],
+               "dtype": "f32le"}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+# near-valid triples: the corruptions a writer is most likely to make
+number_lists = st.lists(st.integers(-2, 30) | st.floats(), min_size=0, max_size=4)
+
+
+def write_svol(path, header, n_floats=24):
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header) + "\n").encode())
+        fh.write(np.zeros(n_floats, dtype="<f4").tobytes())
 
 
 def small_volume(data=None, dims=(4, 4, 4), spacing=(1.0, 1.0, 1.0)):
@@ -46,6 +67,37 @@ class TestSvolIO:
         path.write_bytes(b"not json at all\n\x00\x01")
         with pytest.raises(SvolError):
             sc.load_svol(path)
+
+    @pytest.mark.parametrize("field, value", [("dims", [2, 2]), ("dims", "abc"),
+                                              ("spacing", [1, 1])])
+    def test_bad_header_field_names_file_and_field(self, tmp_path, field, value):
+        path = tmp_path / "h.svol"
+        write_svol(path, dict(GOOD_HEADER, **{field: value}))
+        with pytest.raises(SvolError) as err:
+            sc.load_svol(path)
+        assert str(path) in str(err.value)
+        assert repr(field) in str(err.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(sorted(GOOD_HEADER)), value=json_values | number_lists,
+           drop=st.booleans())
+    def test_fuzzed_header_raises_or_loads_consistent_volume(self, field, value, drop):
+        header = dict(GOOD_HEADER)
+        if drop:
+            del header[field]
+        else:
+            header[field] = value
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "f.svol")
+            write_svol(path, header)
+            try:
+                vol = sc.load_svol(path)
+            except SvolError:
+                return
+        assert vol.data.shape == vol.dims and vol.data.size == 24
+        assert all(type(d) is int and d >= 1 for d in vol.dims)
+        assert len(vol.spacing) == 3 and all(math.isfinite(x) and x > 0 for x in vol.spacing)
+        assert len(vol.origin) == 3 and all(math.isfinite(x) for x in vol.origin)
 
     def test_phantom_header_round_trip(self, tmp_path):
         spec = sc.PhantomSpec(dims=(48, 48, 48), spacing=(1.25, 1.25, 1.25), seed=5,
