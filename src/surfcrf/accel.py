@@ -139,8 +139,9 @@ def raycast_min_abs_t(verts, faces, origins, dirs):
         v = -(od @ e1.T + d @ a_e1.T) * inv
         t = (o @ n.T - a_n) * inv
         ok &= (u >= -tolb) & (v >= -tolb) & (u + v <= 1.0 + tolb)
-        key = np.where(ok, np.abs(t) * 2 + (t > 0), np.inf)  # prefer negative on |t| ties
-        best = np.argmin(key, axis=1)
+        abs_t = np.where(ok, np.abs(t), np.inf)
+        tie = abs_t == abs_t.min(axis=1, keepdims=True)
+        best = np.argmin(np.where(tie, t, np.inf), axis=1)  # negative wins a |t| tie
         rows = np.arange(hi - lo)
         hit_out[lo:hi] = ok[rows, best]
         t_out[lo:hi] = np.where(hit_out[lo:hi], t[rows, best], 0.0)

@@ -2,9 +2,12 @@
 smoothing, and cotangent-Laplacian harmonic mapping to the unit sphere."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 
 class MeshError(ValueError):
@@ -49,25 +52,35 @@ def save_mesh(mesh: TriMesh, path) -> None:
 
 def _parse_mesh_records(path, allow_quads):
     verts, tris, quads = [], [], []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # bad bytes fail as bad records
         for ln, line in enumerate(fh, 1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
+            where = f"{path}:{ln}"
             if parts[0] == "v":
                 if len(parts) != 4:
-                    raise MeshError(f"{path}:{ln}: vertex record needs 3 coordinates")
-                verts.append([float(x) for x in parts[1:]])
+                    raise MeshError(f"{where}: vertex record needs 3 coordinates")
+                try:
+                    xyz = [float(x) for x in parts[1:]]
+                except ValueError:
+                    raise MeshError(f"{where}: vertex coordinate is not a number") from None
+                if not all(map(math.isfinite, xyz)):
+                    raise MeshError(f"{where}: vertex coordinate is not finite")
+                verts.append(xyz)
             elif parts[0] == "f":
-                idx = [int(x) - 1 for x in parts[1:]]
+                try:
+                    idx = [int(x) - 1 for x in parts[1:]]
+                except ValueError:
+                    raise MeshError(f"{where}: face index is not an integer") from None
                 if len(idx) == 3:
                     tris.append(idx)
                 elif len(idx) == 4 and allow_quads:
                     quads.append(idx)
                 else:
-                    raise MeshError(f"{path}:{ln}: face must have 3 vertices, got {len(idx)}")
+                    raise MeshError(f"{where}: face must have 3 vertices, got {len(idx)}")
             else:
-                raise MeshError(f"{path}:{ln}: unknown record {parts[0]!r}")
+                raise MeshError(f"{where}: unknown record {parts[0]!r}")
     verts = np.asarray(verts, dtype=np.float64).reshape(-1, 3)
     for fc in tris + quads:
         for i in fc:
@@ -117,58 +130,65 @@ def signed_volume(mesh: TriMesh) -> float:
     return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
 
 
+def _edge_table(faces, n_vertices):
+    """Half-edges and undirected edges of a triangle list.
+
+    Returns (half, edges, inverse): ``half`` (3F,3) holds ``(a, b, opposite)``
+    for the edge a->b of each face corner, face by face; ``edges`` (E,2) are
+    the sorted unique undirected edges ``(min, max)``; ``inverse`` (3F,)
+    indexes each half-edge's undirected edge."""
+    half = np.stack([faces, np.roll(faces, -1, axis=1), np.roll(faces, -2, axis=1)],
+                    axis=-1).reshape(-1, 3)
+    lo = np.minimum(half[:, 0], half[:, 1])
+    hi = np.maximum(half[:, 0], half[:, 1])
+    keys, inverse = np.unique(lo * n_vertices + hi, return_inverse=True)
+    edges = np.stack([keys // n_vertices, keys % n_vertices], axis=1)
+    return half, edges, inverse
+
+
+def _edge_operator(edges, weights, n_vertices):
+    """Symmetric (V,V) CSR matrix with ``weights[e]`` at (i,j) and (j,i) of
+    each edge (i,j)."""
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    return sparse.csr_matrix((np.concatenate([weights, weights]), (rows, cols)),
+                             shape=(n_vertices, n_vertices))
+
+
 def validate_closed_genus0(mesh: TriMesh) -> ValidationReport:
     """Closed genus-0 check: 2-manifold edges, consistent orientation,
     connectivity, Euler characteristic 2.  Report lists each violation."""
-    problems = []
     V = len(mesh.vertices)
     F = len(mesh.faces)
     if F == 0:
         return ValidationReport(False, ["mesh has no faces"], V, 0, 0)
     if mesh.faces.min() < 0 or mesh.faces.max() >= V:
-        problems.append("face index out of range")
-        return ValidationReport(False, problems, V, 0, F)
+        return ValidationReport(False, ["face index out of range"], V, 0, F)
 
-    directed = {}
-    for fi, (i, j, k) in enumerate(mesh.faces):
-        for a, b in ((i, j), (j, k), (k, i)):
-            if a == b:
-                problems.append(f"degenerate edge in face {fi}")
-                continue
-            if (a, b) in directed:
-                problems.append(f"inconsistent orientation: directed edge ({a},{b}) repeated")
-            directed[(a, b)] = fi
-    undirected = {}
-    for (a, b) in directed:
-        key = (min(a, b), max(a, b))
-        undirected[key] = undirected.get(key, 0) + 1
-    boundary = [e for e, cnt in undirected.items() if cnt == 1]
-    overfull = [e for e, cnt in undirected.items() if cnt > 2]
-    if boundary:
-        problems.append(f"boundary edge: {len(boundary)} edges with a single incident face")
-    if overfull:
-        problems.append(f"non-manifold edge: {len(overfull)} edges with >2 incident faces")
+    half, edges, inverse = _edge_table(mesh.faces, V)
+    degenerate = half[:, 0] == half[:, 1]
+    # a directed edge is its undirected edge plus the bit a > b; a repeat of
+    # one means two faces traverse an edge the same way
+    directed = np.where(degenerate, -1, 2 * inverse + (half[:, 0] > half[:, 1]))
+    repeated = ~degenerate
+    repeated[np.unique(directed, return_index=True)[1]] = False
+    problems = [f"degenerate edge in face {h // 3}" if degenerate[h] else
+                f"inconsistent orientation: directed edge ({half[h, 0]},{half[h, 1]}) repeated"
+                for h in np.nonzero(degenerate | repeated)[0]]
+    # distinct incident faces per edge; degenerate corners add only self-loops
+    incident = np.unique((inverse * F + np.arange(3 * F) // 3)[~degenerate]) // F
+    counts = np.bincount(incident, minlength=len(edges))[edges[:, 0] != edges[:, 1]]
+    if (counts == 1).any():
+        problems.append(f"boundary edge: {int((counts == 1).sum())} edges with a single incident face")
+    if (counts > 2).any():
+        problems.append(f"non-manifold edge: {int((counts > 2).sum())} edges with >2 incident faces")
 
-    # connectivity over the vertex graph
-    adj = [[] for _ in range(V)]
-    for a, b in undirected:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = np.zeros(V, dtype=bool)
-    stack = [int(mesh.faces[0, 0])]
-    seen[stack[0]] = True
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    used = np.zeros(V, dtype=bool)
-    used[mesh.faces.ravel()] = True
-    if not seen[used].all():
+    _, component = connected_components(
+        _edge_operator(edges, np.ones(len(edges)), V), directed=False)
+    if (component[mesh.faces] != component[mesh.faces[0, 0]]).any():
         problems.append("disconnected: multiple surface components")
 
-    E = len(undirected)
+    E = len(counts)
     euler = V - E + F
     if euler != 2:
         problems.append(f"Euler characteristic V-E+F = {euler}, expected 2")
@@ -216,32 +236,17 @@ def vertex_normals(mesh: TriMesh) -> np.ndarray:
     return out / norms[:, None]
 
 
-def _vertex_adjacency(mesh: TriMesh):
-    pairs = set()
-    for i, j, k in mesh.faces:
-        pairs.add((min(i, j), max(i, j)))
-        pairs.add((min(j, k), max(j, k)))
-        pairs.add((min(k, i), max(k, i)))
-    pairs = np.asarray(sorted(pairs), dtype=np.int64)
-    return pairs
-
-
 def taubin_smooth(mesh: TriMesh, iterations: int, lam: float = 0.5,
                   mu_shrink: float = -0.53) -> TriMesh:
     """Alternating lambda/mu uniform-Laplacian smoothing; connectivity kept."""
-    pairs = _vertex_adjacency(mesh)
     V = len(mesh.vertices)
-    deg = np.zeros(V)
-    np.add.at(deg, pairs[:, 0], 1)
-    np.add.at(deg, pairs[:, 1], 1)
-    deg = np.maximum(deg, 1)[:, None]
+    _, edges, _ = _edge_table(mesh.faces, V)
+    adj = _edge_operator(edges, np.ones(len(edges)), V)
+    deg = np.maximum(np.asarray(adj.sum(axis=1)), 1)
     verts = mesh.vertices.copy()
     for _ in range(iterations):
         for factor in (lam, mu_shrink):
-            acc = np.zeros_like(verts)
-            np.add.at(acc, pairs[:, 0], verts[pairs[:, 1]])
-            np.add.at(acc, pairs[:, 1], verts[pairs[:, 0]])
-            verts = verts + factor * (acc / deg - verts)
+            verts = verts + factor * (adj @ verts / deg - verts)
     return TriMesh(vertices=verts, faces=mesh.faces.copy())
 
 
@@ -252,18 +257,14 @@ def taubin_smooth(mesh: TriMesh, iterations: int, lam: float = 0.5,
 def cotangent_edge_weights(mesh: TriMesh):
     """Per undirected edge: 0.5*(cot alpha + cot beta), negatives clamped to 0.
     Returns (edges (E,2), weights (E,), clamped_count)."""
-    edge_w = {}
+    half, edges, inverse = _edge_table(mesh.faces, len(mesh.vertices))
     verts = mesh.vertices
-    for (i, j, k) in mesh.faces:
-        for (a, b, opp) in ((i, j, k), (j, k, i), (k, i, j)):
-            u = verts[a] - verts[opp]
-            v = verts[b] - verts[opp]
-            cross = np.linalg.norm(np.cross(u, v))
-            cot = float(np.dot(u, v) / cross) if cross > 1e-300 else 0.0
-            key = (min(a, b), max(a, b))
-            edge_w[key] = edge_w.get(key, 0.0) + 0.5 * cot
-    edges = np.asarray(sorted(edge_w), dtype=np.int64)
-    weights = np.asarray([edge_w[tuple(e)] for e in edges])
+    u = verts[half[:, 0]] - verts[half[:, 2]]
+    v = verts[half[:, 1]] - verts[half[:, 2]]
+    cross = np.linalg.norm(np.cross(u, v), axis=1)
+    ok = cross > 1e-300
+    cot = np.where(ok, np.einsum("ij,ij->i", u, v) / np.where(ok, cross, 1.0), 0.0)
+    weights = np.bincount(inverse, weights=0.5 * cot, minlength=len(edges))
     clamped = int((weights < 0).sum())
     weights = np.maximum(weights, 0.0)
     return edges, weights, clamped
@@ -306,11 +307,8 @@ def harmonic_sphere_map(mesh: TriMesh, tol: float = 1e-6, max_iters: int = 5000,
     if not report.ok:
         raise MeshError(f"harmonic_sphere_map requires a closed genus-0 mesh: {report.problems}")
     edges, weights, clamped = cotangent_edge_weights(mesh)
-    V = len(mesh.vertices)
-    wsum = np.zeros(V)
-    np.add.at(wsum, edges[:, 0], weights)
-    np.add.at(wsum, edges[:, 1], weights)
-    wsum = np.maximum(wsum, 1e-300)[:, None]
+    lap_w = _edge_operator(edges, weights, len(mesh.vertices))
+    wsum = np.maximum(np.asarray(lap_w.sum(axis=1)), 1e-300)
 
     phi = mesh.vertices - mesh.vertices.mean(axis=0)
     phi = phi / np.linalg.norm(phi, axis=1)[:, None]
@@ -319,10 +317,7 @@ def harmonic_sphere_map(mesh: TriMesh, tol: float = 1e-6, max_iters: int = 5000,
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        acc = np.zeros_like(phi)
-        np.add.at(acc, edges[:, 0], weights[:, None] * phi[edges[:, 1]])
-        np.add.at(acc, edges[:, 1], weights[:, None] * phi[edges[:, 0]])
-        lap = acc / wsum - phi
+        lap = lap_w @ phi / wsum - phi
         tang = lap - np.einsum("ij,ij->i", lap, phi)[:, None] * phi
 
         prev_e = energies[-1]

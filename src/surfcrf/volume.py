@@ -42,9 +42,6 @@ class Volume:
         idx = np.asarray(idx, dtype=np.float64)
         return np.asarray(self.origin) + idx * np.asarray(self.spacing)
 
-    def world_center(self):
-        return np.asarray(self.origin) + (np.asarray(self.dims) - 1) / 2.0 * np.asarray(self.spacing)
-
 
 def save_svol(vol: Volume, path) -> None:
     header = {

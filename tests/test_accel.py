@@ -88,7 +88,7 @@ def ref_raycast_min_abs_t(verts, faces, origins, dirs):
     hit_out = np.zeros(origins.shape[0], dtype=bool)
     for n, ((ox, oy, oz), (dx, dy, dz)) in enumerate(zip(origins.tolist(), dirs.tolist())):
         best_t = 0.0
-        best_key = 1.0e300
+        best_key = (np.inf, True)
         for i0, i1, i2 in faces.tolist():
             ax, ay, az = verts[i0]
             e1x, e1y, e1z = (b - a for a, b in zip(verts[i0], verts[i1]))
@@ -110,7 +110,7 @@ def ref_raycast_min_abs_t(verts, faces, origins, dirs):
             if v < -tolb or u + v > 1.0 + tolb:
                 continue
             t = (e2x * qx + e2y * qy + e2z * qz) / det
-            key = abs(t) * 2 + (1.0 if t > 0 else 0.0)  # prefer negative on |t| ties
+            key = (abs(t), t > 0)  # least |t|; negative wins a |t| tie
             if key < best_key:
                 best_key = key
                 best_t = t
@@ -239,6 +239,18 @@ class TestScalarOracles:
         t2, h2 = ref_raycast_min_abs_t(ico.vertices, ico.faces, origins, dirs)
         assert np.array_equal(h1, h2)
         assert np.abs(t1 - t2).max() <= 1e-12
+
+    @pytest.mark.parametrize("cast", [accel.raycast_min_abs_t, ref_raycast_min_abs_t])
+    def test_raycast_least_abs_t_wins(self, cast):
+        # faces in the planes x = +1.0 and x = -1.4 (then x = -1.0, an exact
+        # |t| tie) on a ray from the origin along +x
+        tri = np.asarray([[0.0, -1.0, -1.0], [0.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        faces = np.asarray([[0, 1, 2], [3, 4, 5]])
+        origin, along_x = np.zeros((1, 3)), np.asarray([[1.0, 0.0, 0.0]])
+        for back, want in ((-1.4, 1.0), (-1.0, -1.0)):
+            verts = np.concatenate([tri + [1.0, 0.0, 0.0], tri + [back, 0.0, 0.0]])
+            t, hit = cast(verts, faces, origin, along_x)
+            assert hit[0] and t[0] == want
 
     def test_window_ops(self, rng):
         offs = window_offsets(2)

@@ -1,11 +1,109 @@
+import os
+import re
+import string
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import surfcrf as sc
 from surfcrf import mesh as mesh_mod
-from surfcrf.mesh import MeshError, cotangent_edge_weights, signed_volume
+from surfcrf.mesh import (MeshError, cotangent_edge_weights, load_quad_mesh_records,
+                          signed_volume)
 
 from conftest import cube_mesh, tetrahedron
+
+
+# ---------------------------------------------------------------------------
+# scalar references: one face corner or one edge at a time
+
+
+def ref_cotangent_edge_weights(mesh):
+    edge_w = {}
+    verts = mesh.vertices
+    for (i, j, k) in mesh.faces:
+        for (a, b, opp) in ((i, j, k), (j, k, i), (k, i, j)):
+            u = verts[a] - verts[opp]
+            v = verts[b] - verts[opp]
+            cross = np.linalg.norm(np.cross(u, v))
+            cot = float(np.dot(u, v) / cross) if cross > 1e-300 else 0.0
+            key = (min(a, b), max(a, b))
+            edge_w[key] = edge_w.get(key, 0.0) + 0.5 * cot
+    edges = np.asarray(sorted(edge_w), dtype=np.int64)
+    weights = np.asarray([edge_w[tuple(e)] for e in edges])
+    clamped = int((weights < 0).sum())
+    return edges, np.maximum(weights, 0.0), clamped
+
+
+def ref_taubin_smooth(mesh, iterations, lam=0.5, mu_shrink=-0.53):
+    pairs = set()
+    for i, j, k in mesh.faces:
+        pairs.update({(min(i, j), max(i, j)), (min(j, k), max(j, k)), (min(k, i), max(k, i))})
+    pairs = np.asarray(sorted(pairs), dtype=np.int64)
+    deg = np.zeros(len(mesh.vertices))
+    np.add.at(deg, pairs[:, 0], 1)
+    np.add.at(deg, pairs[:, 1], 1)
+    deg = np.maximum(deg, 1)[:, None]
+    verts = mesh.vertices.copy()
+    for _ in range(iterations):
+        for factor in (lam, mu_shrink):
+            acc = np.zeros_like(verts)
+            np.add.at(acc, pairs[:, 0], verts[pairs[:, 1]])
+            np.add.at(acc, pairs[:, 1], verts[pairs[:, 0]])
+            verts = verts + factor * (acc / deg - verts)
+    return verts
+
+
+def stretched_noisy_icosphere():
+    """A badly stretched mesh: its obtuse triangles give negative cotangents."""
+    rng = np.random.default_rng(7)
+    ico = sc.icosphere(2)
+    stretched = ico.vertices * np.array([30.0, 3.0, 30.0])
+    stretched += rng.normal(0, 0.4, stretched.shape)
+    return sc.TriMesh(vertices=stretched, faces=ico.faces)
+
+
+def torus(n=8, m=6, big=3.0, small=1.0):
+    """Closed genus-1 surface: an n x m grid of quads, each split in two."""
+    i, j = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
+    u, v = 2 * np.pi * i / n, 2 * np.pi * j / m
+    ring = big + small * np.cos(v)
+    verts = np.stack([ring * np.cos(u), ring * np.sin(u), small * np.sin(v)], -1)
+    a = (i * m + j).ravel()
+    b = ((i + 1) % n * m + j).ravel()
+    c = ((i + 1) % n * m + (j + 1) % m).ravel()
+    d = (i * m + (j + 1) % m).ravel()
+    faces = np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, d], 1)])
+    return sc.TriMesh(vertices=verts.reshape(-1, 3), faces=faces)
+
+
+REFERENCE_MESHES = [pytest.param(sc.icosphere(2), id="icosphere2"),
+                    pytest.param(stretched_noisy_icosphere(), id="stretched")]
+
+# loader fuzz: a well-formed file, then up to two inserted lines, each a bad
+# number, a wrong count, an out-of-range index, a comment or free text
+_INSERTS = st.sampled_from(["v 0 0 abc", "v nan 0 0", "v 1e999 0 0", "v -inf 1 2", "v 1 2",
+                            "v 1 2 3 4", "f 1/1 2 3", "f 0 1 2", "f 1 2 99", "f -1 2 3",
+                            "f 1 2", "f 1 2 3", "f 1 2 3 4", "f 1 2 3 4 5", "x 1 2 3",
+                            "# comment", ""]) | st.text(string.printable, max_size=12)
+
+
+@st.composite
+def mesh_records(draw):
+    quads = draw(st.booleans())
+    n = draw(st.integers(0, 6))
+    coords = st.floats(-1e3, 1e3).map(repr)
+    lines = ["v " + " ".join(draw(st.lists(coords, min_size=3, max_size=3)))
+             for _ in range(n)]
+    if n:
+        index = st.integers(1, n).map(str)
+        lines += ["f " + " ".join(draw(st.lists(index, min_size=4 if quads else 3,
+                                                max_size=4 if quads else 3)))
+                  for _ in range(draw(st.integers(0, 4)))]
+    for line in draw(st.lists(_INSERTS, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return lines, quads
 
 
 class TestMeshIO:
@@ -35,6 +133,40 @@ class TestMeshIO:
         path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
         with pytest.raises(MeshError, match="3 vertices"):
             sc.load_mesh(path)
+
+    @pytest.mark.parametrize("record, why", [
+        (b"v 0 0 abc", "vertex coordinate is not a number"),
+        (b"f 1/1 2 3", "face index is not an integer"),
+        (b"v nan 0 0", "vertex coordinate is not finite"),
+        (b"v 1e999 0 0", "vertex coordinate is not finite"),
+        (b"v 0 0 \xff", "vertex coordinate is not a number"),
+    ])
+    def test_bad_number_names_file_and_line(self, tmp_path, record, why):
+        path = tmp_path / "bad.mesh"
+        path.write_bytes(b"v 0 0 0\nv 1 0 0\nv 0 1 0\n" + record + b"\n")
+        with pytest.raises(MeshError, match=re.escape(f"{path}:4: {why}")):
+            sc.load_mesh(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=mesh_records())
+    def test_fuzzed_records_load_or_raise_naming_file(self, records):
+        lines, quads = records
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "f.mesh")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines))
+            try:
+                if quads:
+                    verts, faces = load_quad_mesh_records(path)
+                else:
+                    tri = sc.load_mesh(path)
+                    verts, faces = tri.vertices, tri.faces
+            except MeshError as err:
+                assert path in str(err)
+                return
+        assert verts.shape[1] == 3 and np.isfinite(verts).all()
+        assert faces.shape[1] == (4 if quads else 3)
+        assert faces.size == 0 or (faces.min() >= 0 and faces.max() < len(verts))
 
 
 class TestValidate:
@@ -67,6 +199,41 @@ class TestValidate:
         report = sc.validate_closed_genus0(sc.TriMesh(vertices=ico.vertices, faces=faces))
         assert not report.ok
         assert any("orientation" in p for p in report.problems)
+
+    def test_degenerate_edge(self):
+        ico = sc.icosphere(0)
+        faces = ico.faces.copy()
+        faces[3, 2] = faces[3, 1]  # (0, 7, 7): its edge (0, 7) is also traversed as 7 -> 0
+        report = sc.validate_closed_genus0(sc.TriMesh(vertices=ico.vertices, faces=faces))
+        assert report.problems == [
+            "degenerate edge in face 3",
+            "inconsistent orientation: directed edge (7,0) repeated",
+            "boundary edge: 2 edges with a single incident face"]
+        assert (report.n_vertices, report.n_edges, report.n_faces) == (12, 30, 20)
+
+    def test_non_manifold_edge(self):
+        # a fin face on the icosahedron edge (0, 11) gives it three incident faces
+        ico = sc.icosphere(0)
+        verts = np.concatenate([ico.vertices, [[-2.0, 2.0, 0.0]]])
+        faces = np.concatenate([ico.faces, [[0, 11, 12]]])
+        report = sc.validate_closed_genus0(sc.TriMesh(vertices=verts, faces=faces))
+        assert report.problems == [
+            "inconsistent orientation: directed edge (0,11) repeated",
+            "boundary edge: 2 edges with a single incident face",
+            "non-manifold edge: 1 edges with >2 incident faces"]
+        assert (report.n_vertices, report.n_edges, report.n_faces) == (13, 32, 21)
+
+    def test_torus_euler_characteristic(self):
+        report = sc.validate_closed_genus0(torus())
+        assert report.problems == ["Euler characteristic V-E+F = 0, expected 2"]
+        assert (report.n_vertices, report.n_edges, report.n_faces) == (48, 144, 96)
+
+    def test_inward_orientation(self):
+        ico = sc.icosphere(1)
+        report = sc.validate_closed_genus0(sc.TriMesh(vertices=ico.vertices,
+                                                      faces=ico.faces[:, ::-1]))
+        assert report.problems == ["inward orientation: signed volume <= 0"]
+        assert (report.n_vertices, report.n_edges, report.n_faces) == (42, 120, 80)
 
     def test_invariant_under_vertex_permutation(self):
         rng = np.random.default_rng(0)
@@ -135,6 +302,11 @@ class TestTaubin:
         out = sc.taubin_smooth(ico, 3)
         assert np.array_equal(out.faces, ico.faces)
 
+    @pytest.mark.parametrize("mesh", REFERENCE_MESHES)
+    def test_matches_reference(self, mesh):
+        out = sc.taubin_smooth(mesh, 5)
+        assert np.abs(out.vertices - ref_taubin_smooth(mesh, 5)).max() <= 1e-12
+
 
 class TestHarmonicMap:
     def test_icosphere_fixed_point(self):
@@ -202,13 +374,16 @@ def test_signed_volume_cube():
 
 
 def test_cotangent_clamping_recorded():
-    # a badly stretched mesh has obtuse triangles -> negative cotangents are
-    # clamped and the count is reported on the map
-    rng = np.random.default_rng(7)
-    ico = sc.icosphere(2)
-    stretched = ico.vertices * np.array([30.0, 3.0, 30.0])
-    stretched += rng.normal(0, 0.4, stretched.shape)
-    mesh = sc.TriMesh(vertices=stretched, faces=ico.faces)
-    edges, weights, clamped = cotangent_edge_weights(mesh)
+    # negative cotangents are clamped and the count is reported on the map
+    edges, weights, clamped = cotangent_edge_weights(stretched_noisy_icosphere())
     assert clamped > 0
     assert (weights >= 0).all()
+
+
+@pytest.mark.parametrize("mesh", REFERENCE_MESHES)
+def test_cotangent_weights_match_reference(mesh):
+    edges, weights, clamped = cotangent_edge_weights(mesh)
+    ref_edges, ref_weights, ref_clamped = ref_cotangent_edge_weights(mesh)
+    assert np.array_equal(edges, ref_edges)
+    assert clamped == ref_clamped
+    assert np.abs(weights - ref_weights).max() <= 1e-14 * np.abs(ref_weights).max()
