@@ -3,14 +3,18 @@
 Geometry: trilinear volume sampling, point location on the mapped sphere,
 ray casting against a triangle soup and the voxel parity fill.  CRF: the
 Gaussian pairwise weights and the window message pass, its adjoint and its
-weight gradient on (P,H,W,Z) patch grids.  Kernels that would build a
-(rays x faces) or (points x faces) array at once work in chunks of rays or
-points, so their transient memory stays bounded.  The tests compare every
-kernel with a scalar-loop reference.
+weight gradient on (P,H,W,Z) patch grids; the message pass and its adjoint
+are CSR products over a stencil cached per grid shape and window.  Kernels
+that would build a (rays x faces) or (points x faces) array at once work in
+chunks of rays or points, so their transient memory stays bounded.  The
+tests compare every kernel with a scalar-loop reference.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from scipy import sparse
 
 BACKEND = "numpy"
 
@@ -152,37 +156,65 @@ def raycast_min_abs_t(verts, faces, origins, dirs):
 # CRF window operations on (P,H,W,Z) patch grids
 
 
-def window_sum(q, w, offsets):
-    """out[p,y,x,:] = sum_k w[p,y,x,k] * q[p, y+dy_k, x+dx_k, :]."""
-    P, H, W, Z = q.shape
-    out = np.zeros_like(q)
-    for k in range(offsets.shape[0]):
-        dy, dx = int(offsets[k, 0]), int(offsets[k, 1])
+@functools.lru_cache(maxsize=16)
+def _window_stencil(shape, offsets, transpose):
+    """CSR pattern of the window message pass on a (P,H,W) slot grid.
+
+    Row i lists the in-grid window entries of slot i in offset order: their
+    column slots ``cols``, the position of each entry's weight in the
+    flattened (P,H,W,K) weight array ``pos``, and the row pointer ``indptr``.
+    Without ``transpose`` slot i receives from i + offset with the weight of
+    i; with it, the adjoint, slot i receives from i - offset with the weight
+    of that source.  ``offsets`` is a tuple of (dy, dx) pairs.  The arrays
+    are int32 where the weights allow it (scipy would otherwise copy int64
+    indices on every product) and read-only.
+    """
+    P, H, W = shape
+    K = len(offsets)
+    itype = np.int32 if P * H * W * K < 2 ** 31 else np.int64
+    slots = np.arange(P * H * W, dtype=itype).reshape(P, H, W)
+    src = np.full((P, H, W, K), -1, dtype=itype)
+    sign = -1 if transpose else 1
+    for k, (dy, dx) in enumerate(offsets):
+        dy, dx = sign * dy, sign * dx
         ys0, ys1 = max(0, -dy), min(H, H - dy)
         xs0, xs1 = max(0, -dx), min(W, W - dx)
-        if ys0 >= ys1 or xs0 >= xs1:
-            continue
-        out[:, ys0:ys1, xs0:xs1, :] += (
-            w[:, ys0:ys1, xs0:xs1, k, None]
-            * q[:, ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx, :]
-        )
-    return out
+        if ys0 < ys1 and xs0 < xs1:
+            src[:, ys0:ys1, xs0:xs1, k] = slots[:, ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx]
+    src = src.reshape(-1, K)
+    inside = src >= 0
+    cols = src[inside]
+    if transpose:
+        pos = cols * itype(K) + np.nonzero(inside)[1].astype(itype)
+    else:
+        pos = np.flatnonzero(inside).astype(itype)
+    indptr = np.zeros(src.shape[0] + 1, dtype=itype)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    for a in (cols, pos, indptr):
+        a.flags.writeable = False
+    return cols, pos, indptr
+
+
+def _window_product(x, w, offsets, transpose):
+    """The CSR product of a window stencil filled with ``w`` and ``x`` per slot."""
+    P, H, W, Z = x.shape
+    n = P * H * W
+    key = tuple((int(dy), int(dx)) for dy, dx in offsets)
+    cols, pos, indptr = _window_stencil((P, H, W), key, transpose)
+    op = sparse.csr_matrix((np.ravel(w)[pos], cols, indptr), shape=(n, n))
+    return (op @ x.reshape(n, Z)).reshape(x.shape)
+
+
+def window_sum(q, w, offsets):
+    """out[p,y,x,:] = sum_k w[p,y,x,k] * q[p, y+dy_k, x+dx_k, :].
+
+    One sparse product; each row adds its in-grid terms in offset order."""
+    return _window_product(q, w, offsets, transpose=False)
 
 
 def window_sum_adjoint(d_out, w, offsets):
-    """Adjoint of window_sum with respect to q."""
-    P, H, W, Z = d_out.shape
-    dq = np.zeros_like(d_out)
-    for k in range(offsets.shape[0]):
-        dy, dx = int(offsets[k, 0]), int(offsets[k, 1])
-        ys0, ys1 = max(0, -dy), min(H, H - dy)
-        xs0, xs1 = max(0, -dx), min(W, W - dx)
-        if ys0 >= ys1 or xs0 >= xs1:
-            continue
-        dq[:, ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx, :] += (
-            w[:, ys0:ys1, xs0:xs1, k, None] * d_out[:, ys0:ys1, xs0:xs1, :]
-        )
-    return dq
+    """Adjoint of window_sum with respect to q (the transposed stencil)."""
+    return _window_product(d_out, w, offsets, transpose=True)
 
 
 def window_weight_grad(d_out, q, offsets):

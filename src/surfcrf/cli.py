@@ -15,7 +15,8 @@ import numpy as np
 
 from . import crf as crfmod
 from . import train as trainmod
-from .mesh import TriMesh, harmonic_sphere_map, load_mesh, save_mesh, taubin_smooth
+from .mesh import (SphereMap, TriMesh, harmonic_sphere_map, load_mesh, load_quad_mesh_records,
+                   save_mesh, save_quad_mesh_records, taubin_smooth)
 from .metrics import compare_surfaces
 from .patches import GroundTruth, ground_truth, labeling_to_world, load_patchset, sample_columns, save_patchset
 from .quadsphere import build_quadsphere, load_quadmesh, remesh, save_quadmesh
@@ -260,7 +261,6 @@ def cmd_spheremap(cfg, outdir):
 
 def cmd_remesh(cfg, outdir):
     with _Step("remesh", outdir, cfg, ["preseg.mesh", "sphere.mesh"]) as step:
-        from .mesh import SphereMap
         pre = load_mesh(os.path.join(outdir, "preseg.mesh"))
         sphere = load_mesh(os.path.join(outdir, "sphere.mesh"))
         smap = SphereMap(mesh=pre, positions=sphere.vertices)
@@ -331,14 +331,12 @@ def cmd_segment(cfg, outdir):
         with open(step.path("labeling.json"), "w") as fh:
             json.dump({"labels": lab.labels.tolist()}, fh)
         verts, faces = labeling_to_world(lab.labels, ps)
-        from .mesh import save_quad_mesh_records
         save_quad_mesh_records(step.path("pred.mesh"), verts, faces)
 
 
 def cmd_metrics(cfg, outdir):
     with _Step("metrics", outdir, cfg,
                ["pred.mesh", "truth.mesh", "labels.svol", "volume.svol"]) as step:
-        from .mesh import load_quad_mesh_records
         pred_verts, pred_faces = load_quad_mesh_records(os.path.join(outdir, "pred.mesh"))
         truth = load_mesh(os.path.join(outdir, "truth.mesh"))
         template = load_svol(os.path.join(outdir, "volume.svol"))

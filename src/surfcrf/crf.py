@@ -8,6 +8,7 @@ import json
 import weakref
 
 import numpy as np
+from scipy import sparse
 
 from . import accel
 from .patches import ColumnGraph, PatchSet
@@ -169,18 +170,19 @@ def window_pair_mask(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
     dup[:, order] = dup_ord
     keep &= ~dup
 
-    # symmetrize on (gid pair, squared grid distance) keys of owner windows
+    # symmetrize on (gid pair, squared grid distance) records of owner
+    # windows: A[src, dst] = d2 + 1, one entry per pair after the dedup above
+    rows, ks = np.nonzero(keep)
+    if rows.size == 0:
+        return keep.reshape(P, H, W, K)
+    src, dst, d2p = own[rows], gwin[rows, ks], d2[ks] + 1
+    orec = graph.owned.reshape(-1)[rows]
     nv = graph.n_vertices
-    stride = int(d2.max()) + 1
-    d2k = np.broadcast_to(d2[None, :], keep.shape)
-    src = np.broadcast_to(own[:, None], keep.shape)
-    owned_rows = graph.owned.reshape(-1)
-    orec = keep & owned_rows[:, None]
-    fwd = (src[orec] * nv + gwin[orec]) * stride + d2k[orec]
-    mirror = (gwin[orec] * nv + src[orec]) * stride + d2k[orec]
-    allowed = np.unique(fwd[np.isin(mirror, fwd)])
-    all_keys = (src[keep] * nv + gwin[keep]) * stride + d2k[keep]
-    keep[keep] = np.isin(all_keys, allowed)
+    a = sparse.csr_matrix((d2p[orec], (src[orec], dst[orec])), shape=(nv, nv))
+    assert a.nnz == orec.sum(), "owner windows list a gid pair twice"
+    fwd = np.asarray(a[src, dst]).ravel()
+    mirror = np.asarray(a[dst, src]).ravel()
+    keep[rows, ks] = (fwd == d2p) & (mirror == d2p)
     return keep.reshape(P, H, W, K)
 
 

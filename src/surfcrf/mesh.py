@@ -188,6 +188,10 @@ def validate_closed_genus0(mesh: TriMesh) -> ValidationReport:
     if (component[mesh.faces] != component[mesh.faces[0, 0]]).any():
         problems.append("disconnected: multiple surface components")
 
+    unused = V - len(np.unique(mesh.faces))
+    if unused:
+        problems.append(f"unreferenced vertex: {unused} vertices used by no face")
+
     E = len(counts)
     euler = V - E + F
     if euler != 2:

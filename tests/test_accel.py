@@ -252,16 +252,53 @@ class TestScalarOracles:
             t, hit = cast(verts, faces, origin, along_x)
             assert hit[0] and t[0] == want
 
-    def test_window_ops(self, rng):
-        offs = window_offsets(2)
-        q = rng.random((3, 9, 8, 6))
-        w = rng.random((3, 9, 8, len(offs)))
+    @staticmethod
+    def assert_window_ops_match(q, w, offs):
         assert np.abs(accel.window_sum(q, w, offs)
                       - ref_window_sum(q, w, offs)).max() <= 1e-12
         assert np.abs(accel.window_sum_adjoint(q, w, offs)
                       - ref_window_sum_adjoint(q, w, offs)).max() <= 1e-12
+
+    def test_window_ops(self, rng):
+        offs = window_offsets(2)
+        q = rng.random((3, 9, 8, 6))
+        w = rng.random((3, 9, 8, len(offs)))
+        self.assert_window_ops_match(q, w, offs)
         assert np.abs(accel.window_weight_grad(q, 2 * q, offs)
                       - ref_window_weight_grad(q, 2 * q, offs)).max() <= 1e-12
+
+    def test_window_ops_ignore_out_of_grid_weights(self, rng):
+        # nonzero (and negative) weights on offsets that leave the grid must
+        # not reach any slot
+        offs = window_offsets(2)
+        q = rng.random((2, 5, 6, 4))
+        w = rng.normal(size=(2, 5, 6, len(offs)))
+        self.assert_window_ops_match(q, w, offs)
+        inside = np.zeros_like(w)
+        for p, y, x, k, _, _ in _neighbors(q.shape[:3], offs):
+            inside[p, y, x, k] = w[p, y, x, k]
+        assert np.array_equal(accel.window_sum(q, w, offs), accel.window_sum(q, inside, offs))
+        assert np.array_equal(accel.window_sum_adjoint(q, w, offs),
+                              accel.window_sum_adjoint(q, inside, offs))
+
+    def test_window_wider_than_grid(self, rng):
+        offs = window_offsets(3)
+        for shape in ((2, 1, 5), (1, 1, 1), (3, 2, 1)):
+            q = rng.random(shape + (3,))
+            w = rng.normal(size=shape + (len(offs),))
+            self.assert_window_ops_match(q, w, offs)
+
+    def test_window_ops_alternating_shapes(self, rng):
+        # alternate grid shapes, radii and offset orders so that a stencil
+        # cached under the wrong key would give a wrong or mis-shaped answer
+        cases = [((2, 4, 5), window_offsets(1)), ((2, 5, 4), window_offsets(1)),
+                 ((2, 4, 5), window_offsets(2)), ((1, 4, 5), window_offsets(1)),
+                 ((2, 4, 5), window_offsets(1)[::-1])]
+        for _ in range(2):
+            for shape, offs in cases:
+                q = rng.random(shape + (3,))
+                w = rng.normal(size=shape + (len(offs),))
+                self.assert_window_ops_match(q, w, offs)
 
     def test_pairwise_weights(self, rng):
         offs = window_offsets(2)

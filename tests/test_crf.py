@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import surfcrf as sc
-from surfcrf.crf import LOGIT_CLAMP, softmax, window_gids
+from surfcrf.crf import LOGIT_CLAMP, softmax, window_gids, window_offsets
 from surfcrf.patches import build_column_graph, make_toy_graph
 
 
@@ -28,6 +28,43 @@ def brute_force_message_pass(q, kf):
                     if 0 <= ny < H and 0 <= nx < W:
                         out[p, y, x] += kf.weights[p, y, x, k] * q[p, ny, nx]
     return out
+
+
+def ref_window_pair_mask(graph, offsets):
+    """The key-set form of window_pair_mask: the same dedup, then a record
+    survives when its (src gid, dst gid, d2) key and the mirrored key are
+    both among the owner windows' records (np.isin / np.unique on composite
+    int64 keys)."""
+    P, H, W = graph.shape
+    K = offsets.shape[0]
+    gwin = window_gids(graph, offsets).reshape(-1, K)
+    own = np.where(graph.valid, graph.gid, -2).reshape(-1)
+    keep = (gwin >= 0) & (gwin != own[:, None]) & graph.valid.reshape(-1)[:, None]
+    keep[:, (offsets[:, 0] == 0) & (offsets[:, 1] == 0)] = False
+    d2 = offsets[:, 0] ** 2 + offsets[:, 1] ** 2
+    order = np.lexsort((np.arange(K), d2))
+    g_ord = np.where(keep, gwin, -1)[:, order]
+    idx = np.argsort(g_ord, axis=1, kind="stable")
+    g_sorted = np.take_along_axis(g_ord, idx, axis=1)
+    dup_sorted = np.zeros_like(g_sorted, dtype=bool)
+    dup_sorted[:, 1:] = (g_sorted[:, 1:] == g_sorted[:, :-1]) & (g_sorted[:, 1:] >= 0)
+    dup_ord = np.zeros_like(dup_sorted)
+    np.put_along_axis(dup_ord, idx, dup_sorted, axis=1)
+    dup = np.zeros_like(dup_sorted)
+    dup[:, order] = dup_ord
+    keep &= ~dup
+
+    nv = graph.n_vertices
+    stride = int(d2.max()) + 1
+    d2k = np.broadcast_to(d2[None, :], keep.shape)
+    src = np.broadcast_to(own[:, None], keep.shape)
+    orec = keep & graph.owned.reshape(-1)[:, None]
+    fwd = (src[orec] * nv + gwin[orec]) * stride + d2k[orec]
+    mirror = (gwin[orec] * nv + src[orec]) * stride + d2k[orec]
+    allowed = np.unique(fwd[np.isin(mirror, fwd)])
+    all_keys = (src[keep] * nv + gwin[keep]) * stride + d2k[keep]
+    keep[keep] = np.isin(all_keys, allowed)
+    return keep.reshape(P, H, W, K)
 
 
 class TestChannelReduce:
@@ -185,6 +222,28 @@ class TestComputeKernel:
         kf = sc.compute_kernel(u, params, ps=ps)
         # constant volume -> zero intensity distance everywhere
         assert np.allclose(kf.feat_dist[kf.mask], 0.0, atol=1e-12)
+
+
+class TestPairMask:
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    @pytest.mark.parametrize("pad", [0, 1, 2, 3])
+    def test_matches_key_set_reference_on_quad_sphere(self, level, pad):
+        graph = build_column_graph(sc.build_quadsphere(level), pad=pad)
+        for radius in range(1, 5):
+            offs = window_offsets(radius)
+            assert np.array_equal(sc.crf.window_pair_mask(graph, offs),
+                                  ref_window_pair_mask(graph, offs))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 4), (1, 2, 3), (2, 5, 4)])
+    def test_matches_key_set_reference_on_toy_graphs(self, shape):
+        patches, height, width = shape
+        graph = make_toy_graph(height, width, patches)
+        for radius in range(1, 5):
+            offs = window_offsets(radius)
+            mask = sc.crf.window_pair_mask(graph, offs)
+            assert np.array_equal(mask, ref_window_pair_mask(graph, offs))
+            if shape == (1, 1, 1):
+                assert not mask.any()  # a lone column keeps no record
 
 
 class TestMessagePass:

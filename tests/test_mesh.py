@@ -235,6 +235,15 @@ class TestValidate:
         assert report.problems == ["inward orientation: signed volume <= 0"]
         assert (report.n_vertices, report.n_edges, report.n_faces) == (42, 120, 80)
 
+    def test_unreferenced_vertex(self):
+        ico = sc.icosphere(1)
+        verts = np.concatenate([ico.vertices, [[5.0, 0.0, 0.0]]])
+        report = sc.validate_closed_genus0(sc.TriMesh(vertices=verts, faces=ico.faces))
+        assert report.problems == [
+            "unreferenced vertex: 1 vertices used by no face",
+            "Euler characteristic V-E+F = 3, expected 2"]
+        assert (report.n_vertices, report.n_edges, report.n_faces) == (43, 120, 80)
+
     def test_invariant_under_vertex_permutation(self):
         rng = np.random.default_rng(0)
         ico = sc.icosphere(1)
