@@ -42,12 +42,19 @@ class SphereMap:
 # I/O: "v x y z" / "f i j k" records, 1-based indices
 
 
-def save_mesh(mesh: TriMesh, path) -> None:
+def _write_mesh_records(path, verts, faces) -> None:
+    """Write "v x y z" records (%.17g, exact round trip) then 1-based "f"
+    records of any width, each block formatted by one % over all values."""
+    verts = np.asarray(verts, dtype=np.float64)
+    faces = np.asarray(faces, dtype=np.int64)
+    face_fmt = "f" + " %d" * faces.shape[-1] + "\n"
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.write("v %.17g %.17g %.17g\n" * len(verts) % tuple(verts.ravel().tolist()))
+        fh.write(face_fmt * len(faces) % tuple((faces + 1).ravel().tolist()))
+
+
+def save_mesh(mesh: TriMesh, path) -> None:
+    _write_mesh_records(path, mesh.vertices, mesh.faces)
 
 
 def _parse_mesh_records(path, allow_quads):
@@ -103,11 +110,7 @@ def load_quad_mesh_records(path):
 
 
 def save_quad_mesh_records(path, verts, quads) -> None:
-    with open(path, "w") as fh:
-        for v in verts:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in quads:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1} {f[3] + 1}\n")
+    _write_mesh_records(path, verts, quads)
 
 
 # ---------------------------------------------------------------------------

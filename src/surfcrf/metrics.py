@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -81,55 +82,87 @@ def point_surface_distance(point, surface_points: np.ndarray) -> float:
     return float(d)
 
 
+@lru_cache(maxsize=None)
+def _centroid_lattice(depth: int) -> np.ndarray:
+    """Barycentric weights (n*n, 3), n = 2**depth, of the centroids of the
+    n*n sub-triangles that `depth` rounds of midpoint subdivision cut a
+    triangle into.  With (u, v) the weights of the second and third corner,
+    up-triangles sit at ((i+1/3)/n, (j+1/3)/n) for i+j <= n-1 and
+    down-triangles at ((i+2/3)/n, (j+2/3)/n) for i+j <= n-2."""
+    n = 2 ** depth
+    i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) <= n - 1)
+    up = np.stack([i + 1 / 3, j + 1 / 3], axis=1)
+    down = np.stack([i + 2 / 3, j + 2 / 3], axis=1)[i + j <= n - 2]
+    uv = np.concatenate([up, down]) / n
+    w = np.column_stack([1.0 - uv.sum(axis=1), uv])
+    w.flags.writeable = False
+    return w
+
+
 def sample_surface(vertices: np.ndarray, faces: np.ndarray, max_edge: float) -> np.ndarray:
     """Dense surface samples: all mesh vertices plus centroids of faces
-    subdivided (midpoint scheme) until every edge is <= max_edge."""
+    subdivided (midpoint scheme) until every edge is <= max_edge.
+
+    Midpoint subdivision halves every edge of all four children, so every
+    leaf of a face with longest edge L sits at the least depth k with
+    L / 2**k <= max_edge, and the leaf centroids are a fixed lattice of 4**k
+    barycentric points."""
+    if not max_edge > 0:
+        raise ValueError(f"max_edge must be > 0, got {max_edge!r}")
     tris = _as_triangles(faces)
     verts = np.asarray(vertices, dtype=np.float64)
     corners = verts[tris]  # (F,3,3)
+    longest = np.linalg.norm(corners - corners[:, (1, 2, 0)], axis=2).max(axis=1)
+    depth = np.zeros(len(tris), dtype=np.int64)
+    big = longest > max_edge
+    while big.any():
+        depth[big] += 1
+        big &= np.ldexp(longest, -depth) > max_edge
     out = [verts]
-    while True:
-        e0 = np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
-        e1 = np.linalg.norm(corners[:, 2] - corners[:, 1], axis=1)
-        e2 = np.linalg.norm(corners[:, 0] - corners[:, 2], axis=1)
-        big = np.maximum(np.maximum(e0, e1), e2) > max_edge
-        done = corners[~big]
-        if done.size:
-            out.append(done.mean(axis=1))
-        if not big.any():
-            break
-        a, b, c = corners[big, 0], corners[big, 1], corners[big, 2]
-        ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-        corners = np.concatenate([
-            np.stack([a, ab, ca], axis=1),
-            np.stack([b, bc, ab], axis=1),
-            np.stack([c, ca, bc], axis=1),
-            np.stack([ab, bc, ca], axis=1),
-        ])
+    for k in np.unique(depth):
+        out.append(np.einsum("sw,fwc->fsc", _centroid_lattice(int(k)),
+                             corners[depth == k]).reshape(-1, 3))
     return np.concatenate(out)
 
 
 def _bidirectional_distances(s1: np.ndarray, s2: np.ndarray):
+    """Exact nearest-neighbour distance from every point of s1 to s2 (d12)
+    and from every point of s2 to s1 (d21).
+
+    Each set is queried in the leaf order of its own tree, so consecutive
+    queries are spatial neighbours and walk the other tree along the same
+    paths; the distances are scattered back to the input order."""
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
     if s1.size == 0 or s2.size == 0:
         raise ValueError("empty surface point set")
-    d12, _ = cKDTree(s2).query(s1, workers=-1)
-    d21, _ = cKDTree(s1).query(s2, workers=-1)
+    t1 = cKDTree(s1, balanced_tree=False, compact_nodes=False)
+    t2 = cKDTree(s2, balanced_tree=False, compact_nodes=False)
+    d12 = np.empty(len(s1))
+    d21 = np.empty(len(s2))
+    d12[t1.indices], _ = t2.query(s1[t1.indices], workers=-1)
+    d21[t2.indices], _ = t1.query(s2[t2.indices], workers=-1)
     return d12, d21
+
+
+def _hd_asd(s1: np.ndarray, s2: np.ndarray) -> tuple[float, float]:
+    """Hausdorff distance (max of the two directed maxima) and symmetric
+    average surface distance (summed directed distances divided by the total
+    sample count) of two sample sets."""
+    d12, d21 = _bidirectional_distances(s1, s2)
+    return (float(max(d12.max(), d21.max())),
+            float((d12.sum() + d21.sum()) / (len(d12) + len(d21))))
 
 
 def hd(s1: np.ndarray, s2: np.ndarray) -> float:
     """Hausdorff distance: max of the two directed maxima."""
-    d12, d21 = _bidirectional_distances(s1, s2)
-    return float(max(d12.max(), d21.max()))
+    return _hd_asd(s1, s2)[0]
 
 
 def asd(s1: np.ndarray, s2: np.ndarray) -> float:
     """Symmetric average surface distance: summed directed distances divided
     by the total sample count."""
-    d12, d21 = _bidirectional_distances(s1, s2)
-    return float((d12.sum() + d21.sum()) / (len(d12) + len(d21)))
+    return _hd_asd(s1, s2)[1]
 
 
 def compare_surfaces(pred_verts, pred_faces, truth_verts, truth_faces,
@@ -146,11 +179,11 @@ def compare_surfaces(pred_verts, pred_faces, truth_verts, truth_faces,
     s_truth = sample_surface(truth_verts, truth_faces, max_edge)
     mp = _check_binary(pred_lab, "prediction")
     mt = _check_binary(truth_lab, "truth")
-    d12, d21 = _bidirectional_distances(s_pred, s_truth)
+    hd_mm, asd_mm = _hd_asd(s_pred, s_truth)
     return MetricsReport(
         dsc=dsc(truth_lab, pred_lab),
-        asd_mm=float((d12.sum() + d21.sum()) / (len(d12) + len(d21))),
-        hd_mm=float(max(d12.max(), d21.max())),
+        asd_mm=asd_mm,
+        hd_mm=hd_mm,
         voxels_truth=int(mt.sum()),
         voxels_pred=int(mp.sum()),
         voxels_overlap=int((mp & mt).sum()),

@@ -54,3 +54,12 @@ def cube_mesh(side=2.0, center=(0.0, 0.0, 0.0)):
     for a, b, c, d in quads:
         faces += [(a, b, c), (a, c, d)]
     return sc.TriMesh(vertices=corners, faces=np.asarray(faces))
+
+
+def stretched_noisy_icosphere():
+    """A badly stretched mesh: its obtuse triangles give negative cotangents."""
+    rng = np.random.default_rng(7)
+    ico = sc.icosphere(2)
+    stretched = ico.vertices * np.array([30.0, 3.0, 30.0])
+    stretched += rng.normal(0, 0.4, stretched.shape)
+    return sc.TriMesh(vertices=stretched, faces=ico.faces)

@@ -46,6 +46,15 @@ class TestPipeline:
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
         assert (a / "pred.mesh").read_bytes() == (b / "pred.mesh").read_bytes()
 
+    def test_default_seed0_metrics_pinned(self, tmp_path):
+        # the seed-0 metrics.json of the default config, as the benchmark's
+        # pipeline-r5 gate records it
+        assert cli.main(["pipeline", "--out", str(tmp_path / "run")]) == 0
+        rep = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert rep["dsc"] == pytest.approx(0.960543697420566, rel=1e-9)
+        assert rep["asd_mm"] == pytest.approx(0.7102643235518107, rel=1e-9)
+        assert rep["hd_mm"] == pytest.approx(4.732583380731317, rel=1e-9)
+
     def test_different_seed_changes_volume(self, tmp_path):
         a = run_pipeline(tmp_path / "a", ["--seed", "1"])
         b = run_pipeline(tmp_path / "b", ["--seed", "2"])
@@ -105,10 +114,14 @@ class TestConfig:
 
 class TestErrors:
     def test_single_line_machine_parsable_error(self, tmp_path):
+        # the child imports the surfcrf this test imported, installed or not
+        src = os.path.dirname(os.path.dirname(sc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
             [sys.executable, "-m", "surfcrf.cli", "segment", "--out",
              str(tmp_path / "nothing")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert out.returncode == 1
         lines = [l for l in out.stderr.strip().splitlines() if l]
         assert len(lines) == 1

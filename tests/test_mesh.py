@@ -12,7 +12,7 @@ from surfcrf import mesh as mesh_mod
 from surfcrf.mesh import (MeshError, cotangent_edge_weights, load_quad_mesh_records,
                           signed_volume)
 
-from conftest import cube_mesh, tetrahedron
+from conftest import cube_mesh, stretched_noisy_icosphere, tetrahedron
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +55,13 @@ def ref_taubin_smooth(mesh, iterations, lam=0.5, mu_shrink=-0.53):
     return verts
 
 
-def stretched_noisy_icosphere():
-    """A badly stretched mesh: its obtuse triangles give negative cotangents."""
-    rng = np.random.default_rng(7)
-    ico = sc.icosphere(2)
-    stretched = ico.vertices * np.array([30.0, 3.0, 30.0])
-    stretched += rng.normal(0, 0.4, stretched.shape)
-    return sc.TriMesh(vertices=stretched, faces=ico.faces)
+def ref_write_mesh_records(path, verts, faces):
+    """The record writer as one f-string per vertex and face."""
+    with open(path, "w") as fh:
+        for v in verts:
+            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for f in faces:
+            fh.write("f " + " ".join(f"{i + 1}" for i in f) + "\n")
 
 
 def torus(n=8, m=6, big=3.0, small=1.0):
@@ -121,6 +121,23 @@ class TestMeshIO:
         sc.save_mesh(ico, path)
         back = sc.load_mesh(path)
         assert np.abs(back.vertices - ico.vertices).max() <= 1e-6
+
+    def test_writer_matches_fstring_reference(self, tmp_path):
+        # -0.0, tiny and huge coordinates must format as the reference does
+        tet = tetrahedron()
+        tet.vertices[0] = (-0.0, 1e-300, 1e300)
+        tet.vertices[1, 0] = -1e-300
+        sc.save_mesh(tet, tmp_path / "tri.mesh")
+        ref_write_mesh_records(tmp_path / "tri.ref", tet.vertices, tet.faces)
+        assert (tmp_path / "tri.mesh").read_bytes() == (tmp_path / "tri.ref").read_bytes()
+        qs = sc.build_quadsphere(2)
+        verts = qs.vertices * 12.3456789 - 1e-7
+        verts[0] = (-0.0, 1e300, -1e-300)
+        mesh_mod.save_quad_mesh_records(tmp_path / "quad.mesh", verts, qs.faces)
+        ref_write_mesh_records(tmp_path / "quad.ref", verts, qs.faces)
+        assert (tmp_path / "quad.mesh").read_bytes() == (tmp_path / "quad.ref").read_bytes()
+        back, quads = load_quad_mesh_records(tmp_path / "quad.mesh")
+        assert np.array_equal(back, verts) and np.array_equal(quads, qs.faces)
 
     def test_out_of_range_face_index(self, tmp_path):
         path = tmp_path / "bad.mesh"

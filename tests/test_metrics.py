@@ -1,10 +1,47 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
 import surfcrf as sc
+from surfcrf.metrics import _as_triangles, _bidirectional_distances
 
-from conftest import cube_mesh
+from conftest import cube_mesh, stretched_noisy_icosphere
+
+
+def ref_sample_surface(vertices, faces, max_edge):
+    """Reference sampler: the mesh vertices, then midpoint subdivision run
+    as a loop until every edge is <= max_edge, then each leaf's centroid."""
+    tris = _as_triangles(faces)
+    verts = np.asarray(vertices, dtype=np.float64)
+    corners = verts[tris]
+    out = [verts]
+    while True:
+        e0 = np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
+        e1 = np.linalg.norm(corners[:, 2] - corners[:, 1], axis=1)
+        e2 = np.linalg.norm(corners[:, 0] - corners[:, 2], axis=1)
+        big = np.maximum(np.maximum(e0, e1), e2) > max_edge
+        done = corners[~big]
+        if done.size:
+            out.append(done.mean(axis=1))
+        if not big.any():
+            break
+        a, b, c = corners[big, 0], corners[big, 1], corners[big, 2]
+        ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+        corners = np.concatenate([
+            np.stack([a, ab, ca], axis=1),
+            np.stack([b, bc, ab], axis=1),
+            np.stack([c, ca, bc], axis=1),
+            np.stack([ab, bc, ca], axis=1),
+        ])
+    return np.concatenate(out)
+
+
+def sorted_rows(points):
+    """Rows in lexicographic order of their coordinates rounded to 1e-6, so
+    that last-digit differences do not reorder rows."""
+    return points[np.lexsort(np.round(points, 6).T[::-1])]
 
 
 def template(dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0)):
@@ -175,12 +212,129 @@ class TestSampleSurface:
         d, _ = cKDTree(fine).query(fine, k=2)
         assert d[:, 1].max() <= 1.0  # neighbors within the edge scale
 
+    def test_non_positive_max_edge_rejected(self):
+        ico = sc.icosphere(1)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="max_edge"):
+                sc.sample_surface(ico.vertices, ico.faces, bad)
+
     def test_samples_lie_on_faces(self):
         cube = cube_mesh(side=4.0)
         s = sc.sample_surface(cube.vertices, cube.faces, 0.7)
         assert np.abs(s).max() <= 2.0 + 1e-12
         on_face = (np.abs(np.abs(s) - 2.0) < 1e-9).any(axis=1)
         assert on_face.all()
+
+
+def _degenerate_mesh():
+    # a repeated-vertex face and a collinear sliver beside a regular face
+    verts = np.asarray([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 2.5, 0.0],
+                        [1.5, 0.0, 0.0], [6.0, 0.0, 0.0]])
+    return verts, np.asarray([[0, 1, 2], [0, 0, 1], [0, 3, 4]])
+
+
+def _tie_tetrahedron():
+    # dyadic corners: the longest edge (4) halves exactly onto max_edge
+    verts = np.asarray([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [2.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
+    return verts, np.asarray([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+
+
+def _quad_sphere():
+    qs = sc.build_quadsphere(3)
+    return qs.vertices * 7.0 + 1.0, qs.faces
+
+
+def _vf(mesh):
+    return mesh.vertices, mesh.faces
+
+
+SAMPLER_CASES = (
+    [pytest.param(*_vf(sc.icosphere(n, radius=10.0)), me, id=f"icosphere{n}-{me}")
+     for n in (1, 2, 3, 4) for me in (0.5, 1.3)]
+    + [pytest.param(*_vf(stretched_noisy_icosphere()), me, id=f"stretched-{me}")
+       for me in (0.7, 2.0)]
+    + [pytest.param(*_quad_sphere(), 0.4, id="quad-sphere")]
+    + [pytest.param(*_degenerate_mesh(), me, id=f"degenerate-{me}") for me in (0.3, 1.0)]
+    + [pytest.param(*_vf(cube_mesh(side=4.0)), me, id=f"cube4-{me}") for me in (0.5, 1.0, 2.0)]
+    + [pytest.param(*_tie_tetrahedron(), me, id=f"tie-tetra-{me}")
+       for me in (0.5, 1.0, 2.0, 4.0)]
+)
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("verts,faces,max_edge", SAMPLER_CASES)
+    def test_matches_subdivision_loop(self, verts, faces, max_edge):
+        got = sc.sample_surface(verts, faces, max_edge)
+        want = ref_sample_surface(verts, faces, max_edge)
+        assert got.shape == want.shape
+        assert np.array_equal(got[:len(verts)], verts)
+        assert np.abs(sorted_rows(got) - sorted_rows(want)).max() <= 1e-12
+
+
+class TestBidirectionalDistances:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equal_to_plain_kd_queries(self, seed):
+        rng = np.random.default_rng(seed)
+        n1, n2 = (1, 1) if seed == 0 else rng.integers(1, 400, size=2)
+        s1 = rng.normal(size=(n1, 3)) * rng.uniform(0.1, 50.0)
+        s2 = rng.normal(size=(n2, 3)) * rng.uniform(0.1, 50.0)
+        if seed % 3 == 1:  # duplicated points and points shared by both sets
+            s1 = np.concatenate([s1, s1[: n1 // 2 + 1], s2[:3]])
+            s2 = np.concatenate([s2, s2[:2], s2[:2]])
+        if seed % 3 == 2:  # integer lattice points: many exact distance ties
+            s1 = np.round(s1)
+            s2 = np.round(s2)
+        d12, d21 = _bidirectional_distances(s1, s2)
+        assert np.array_equal(d12, cKDTree(s2).query(s1)[0])
+        assert np.array_equal(d21, cKDTree(s1).query(s2)[0])
+
+    def test_hd_and_asd_use_the_same_distances(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(300, 3))
+        b = rng.normal(size=(200, 3)) + 0.5
+        d12, d21 = cKDTree(b).query(a)[0], cKDTree(a).query(b)[0]
+        assert sc.hd(a, b) == max(d12.max(), d21.max())
+        assert sc.asd(a, b) == pytest.approx((d12.sum() + d21.sum()) / 500, rel=1e-14)
+
+
+def _rigid(points, quat, shift):
+    return Rotation.from_quat(quat).apply(points) + np.asarray(shift)
+
+
+_QUAT = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
+_SHIFT = st.tuples(*[st.floats(-100.0, 100.0)] * 3)
+
+
+class TestRigidMotion:
+    @settings(max_examples=25, deadline=None)
+    @given(quat=_QUAT, shift=_SHIFT)
+    def test_hd_asd_invariant(self, quat, shift):
+        a = stretched_noisy_icosphere()
+        b = sc.icosphere(2, radius=18.0)
+        s_a = sc.sample_surface(a.vertices, a.faces, 2.0)
+        s_b = sc.sample_surface(b.vertices, b.faces, 2.0)
+        m_a = sc.sample_surface(_rigid(a.vertices, quat, shift), a.faces, 2.0)
+        m_b = sc.sample_surface(_rigid(b.vertices, quat, shift), b.faces, 2.0)
+        assert len(m_a) == len(s_a) and len(m_b) == len(s_b)
+        assert sc.hd(m_a, m_b) == pytest.approx(sc.hd(s_a, s_b), rel=1e-9)
+        assert sc.asd(m_a, m_b) == pytest.approx(sc.asd(s_a, s_b), rel=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(steps=st.tuples(*[st.integers(-40, 40)] * 3))
+    def test_dsc_invariant_under_whole_voxel_shift(self, steps):
+        spacing = (0.8, 1.1, 1.3)
+        truth = sc.icosphere(3, radius=8.0, center=(13.0, 14.0, 15.0))
+        pred_verts = (truth.vertices - truth.vertices.mean(axis=0)) * (1.1, 0.9, 1.0) \
+            + (13.5, 13.8, 15.2)
+        base = template(dims=(32, 28, 24), spacing=spacing)
+        rep = sc.compare_surfaces(pred_verts, truth.faces, truth.vertices, truth.faces, base)
+        shift = np.asarray(steps) * spacing
+        moved = sc.Volume(dims=base.dims, spacing=spacing, origin=tuple(shift),
+                          data=base.data)
+        got = sc.compare_surfaces(pred_verts + shift, truth.faces, truth.vertices + shift,
+                                  truth.faces, moved)
+        assert abs(got.dsc - rep.dsc) <= 1e-3
+        assert got.hd_mm == pytest.approx(rep.hd_mm, rel=1e-9)
 
 
 class TestPhantomAgreement:
