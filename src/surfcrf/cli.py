@@ -266,14 +266,14 @@ def cmd_remesh(cfg, outdir):
         smap = SphereMap(mesh=pre, positions=sphere.vertices)
         qs = build_quadsphere(cfg["quad"]["recursion"])
         qm = remesh(pre, smap, qs)
-        save_quadmesh(qm, step.path("quad.mesh"), step.path("quad.json"))
+        save_quadmesh(qm, step.path("quad.mesh"), step.path("quad.npz"))
 
 
 def cmd_patches(cfg, outdir):
-    with _Step("patches", outdir, cfg, ["volume.svol", "quad.mesh", "quad.json"]) as step:
+    with _Step("patches", outdir, cfg, ["volume.svol", "quad.mesh", "quad.npz"]) as step:
         pc = cfg["patches"]
         vol = load_svol(os.path.join(outdir, "volume.svol"))
-        qm = load_quadmesh(os.path.join(outdir, "quad.mesh"), os.path.join(outdir, "quad.json"))
+        qm = load_quadmesh(os.path.join(outdir, "quad.mesh"), os.path.join(outdir, "quad.npz"))
         ps = sample_columns(vol, qm, z_len=pc["column_len"], delta=pc["column_res_mm"],
                             pad=pc["pad"])
         save_patchset(ps, step.path("patches"))
@@ -285,6 +285,14 @@ def cmd_patches(cfg, outdir):
                 fh.write(gt.to_json())
 
 
+def _external_logits(path, dims) -> np.ndarray:
+    vol = load_svol(path)
+    if vol.dims != dims:
+        raise CliError(f"{path}: dims {list(vol.dims)} do not match the patch set's "
+                       f"(W, W, z_len) = {list(dims)}")
+    return vol.data
+
+
 def _load_unary(cfg, outdir) -> tuple:
     ps = load_patchset(os.path.join(outdir, "patches"))
     un = cfg["unary"]
@@ -294,9 +302,10 @@ def _load_unary(cfg, outdir) -> tuple:
     elif un["mode"] == "external":
         ext = un["external_dir"] or os.path.join(outdir, "external_logits")
         logits = np.zeros((*ps.graph.shape, ps.z_len))
+        dims = logits.shape[1:]
         for f in range(6):
-            surf = load_svol(os.path.join(ext, f"patch{f}_surface.svol")).data
-            nons = load_svol(os.path.join(ext, f"patch{f}_nonsurface.svol")).data
+            surf = _external_logits(os.path.join(ext, f"patch{f}_surface.svol"), dims)
+            nons = _external_logits(os.path.join(ext, f"patch{f}_nonsurface.svol"), dims)
             logits[f] = crfmod.channel_reduce(surf, nons)
         logits = un["scale"] * logits
     else:
@@ -347,6 +356,20 @@ def cmd_metrics(cfg, outdir):
             fh.write(rep.to_json())
 
 
+def _check_ground_truth(gt: GroundTruth, ps, path) -> None:
+    """Ground truth must cover the patch set's vertices with valid indices
+    inside its columns."""
+    for field in ("surface_index", "valid"):
+        n = len(getattr(gt, field))
+        if n != ps.graph.n_vertices:
+            raise CliError(f"{path}: {field} has {n} entries, the patch set has "
+                           f"{ps.graph.n_vertices} vertices")
+    idx = gt.surface_index[gt.valid]
+    if np.any((idx < 0) | (idx >= ps.z_len)):
+        raise CliError(f"{path}: surface_index of a valid vertex lies outside "
+                       f"[0, z_len) = [0, {ps.z_len})")
+
+
 def cmd_fit(cfg, outdir, manifest_path):
     if cfg["unary"]["mode"] != "gradient":
         raise CliError(f"fit supports unary.mode 'gradient' only, got {cfg['unary']['mode']!r}")
@@ -358,8 +381,10 @@ def cmd_fit(cfg, outdir, manifest_path):
             ps = load_patchset(os.path.join(run_dir, "patches"))
             un = cfg["unary"]
             u = crfmod.gradient_unary(ps, polarity=un["polarity"])
-            with open(os.path.join(run_dir, "ground_truth.json")) as fh:
+            gt_path = os.path.join(run_dir, "ground_truth.json")
+            with open(gt_path) as fh:
                 gt = GroundTruth.from_json(fh.read())
+            _check_ground_truth(gt, ps, gt_path)
             dataset.append((ps, u, gt))
         fc = cfg["fit"]
         fit_cfg = trainmod.FitConfig(lr=fc["lr"], epochs=fc["epochs"], momentum=fc["momentum"],

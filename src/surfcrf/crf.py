@@ -187,7 +187,9 @@ def window_pair_mask(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
 
 
 # graph -> {window radius: read-only pair mask}; the mask depends on nothing
-# else, and fit rebuilds the kernel of every instance on every epoch
+# else, and fit rebuilds the kernel of every instance on every epoch.
+# build_column_graph returns one graph per (level, pad), so the cache is in
+# effect keyed on (level, pad, radius) and hits across load_patchset calls
 _PAIR_MASKS = weakref.WeakKeyDictionary()
 
 

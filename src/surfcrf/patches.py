@@ -3,6 +3,7 @@ per-column ground truth from a reference mesh, seam-aware padding between the
 6 cube faces, and mapping predictions back to world space."""
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -10,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .quadsphere import QuadMesh, QuadSphere, build_quadsphere
+from .quadsphere import (QuadMesh, QuadSphere, build_quadsphere, checked_array, load_arrays,
+                         save_arrays)
 from .volume import Volume, load_svol, save_svol
 
 
@@ -186,12 +188,19 @@ def padded_gid_grids(qs: QuadSphere, pad: int) -> np.ndarray:
 
 
 def build_column_graph(qs: QuadSphere, pad: int) -> ColumnGraph:
+    """Column graph of the padded face grids of ``qs``.
+
+    Cached per (sphere, pad): every caller shares one graph, whose arrays are
+    read-only, so caches keyed on the graph hit across patch-set loads."""
+    return _cached_column_graph(qs, pad)  # positional, so a keyword call hits too
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_column_graph(qs: QuadSphere, pad: int) -> ColumnGraph:
     gid = padded_gid_grids(qs, pad)
     P, H, W = gid.shape
     valid = gid >= 0
     n = qs.n
-    interior = np.zeros_like(valid)
-    interior[:, pad:pad + n + 1, pad:pad + n + 1] = True
 
     owned = np.zeros_like(valid)
     claimed = np.zeros(len(qs.vertices), dtype=bool)
@@ -212,6 +221,8 @@ def build_column_graph(qs: QuadSphere, pad: int) -> ColumnGraph:
     ok = flat_gid >= 0
     dup[ok] = owner[flat_gid[ok]]
     graph.dup_src = dup.reshape(P, H, W)
+    for arr in (graph.valid, graph.owned, graph.gid, graph.dup_src):
+        arr.flags.writeable = False
     return graph
 
 
@@ -266,7 +277,9 @@ def labeling_to_world(labels: np.ndarray, ps: PatchSet):
 
 
 # ---------------------------------------------------------------------------
-# serialization: one .svol per patch plus a JSON sidecar
+# serialization: one .svol per patch, scalars in patchset.json and the
+# per-vertex geometry in an .npz sidecar; the topology is rebuilt from level
+# and pad, never stored
 
 
 def save_patchset(ps: PatchSet, dirpath) -> None:
@@ -282,12 +295,11 @@ def save_patchset(ps: PatchSet, dirpath) -> None:
         "delta": ps.delta,
         "pad": ps.pad,
         "center_index": ps.center_index,
-        "base": ps.base.tolist(),
-        "normal": ps.normal.tolist(),
-        "gid": ps.graph.gid.tolist(),
     }
     with open(os.path.join(dirpath, "patchset.json"), "w") as fh:
         json.dump(doc, fh)
+    save_arrays(os.path.join(dirpath, "geometry.npz"),
+                positions=ps.graph.merge(ps.base), normals=ps.graph.merge(ps.normal))
 
 
 def load_patchset(dirpath) -> PatchSet:
@@ -296,9 +308,11 @@ def load_patchset(dirpath) -> PatchSet:
     qs = build_quadsphere(int(doc["level"]))
     pad = int(doc["pad"])
     graph = build_column_graph(qs, pad)
-    gid = np.asarray(doc["gid"], dtype=np.int64)
-    if not np.array_equal(gid, graph.gid):
-        raise ValueError(f"{dirpath}: stored gid grids do not match level/pad")
+    sidecar = os.path.join(dirpath, "geometry.npz")
+    arrays = load_arrays(sidecar)
+    shape = (graph.n_vertices, 3)
+    positions = checked_array(arrays, sidecar, "positions", shape, np.float64)
+    normals = checked_array(arrays, sidecar, "normals", shape, np.float64)
     z_len = int(doc["z_len"])
     samples = np.zeros((*graph.shape, z_len), dtype=np.float32)
     for f in range(6):
@@ -309,6 +323,6 @@ def load_patchset(dirpath) -> PatchSet:
                              f"(W, W, z_len) = {list(samples.shape[1:])}")
         samples[f] = vol.data
     return PatchSet(sphere=qs, graph=graph, samples=samples,
-                    base=np.asarray(doc["base"], dtype=np.float64),
-                    normal=np.asarray(doc["normal"], dtype=np.float64),
+                    base=graph.split(positions, fill=0.0),
+                    normal=graph.split(normals, fill=0.0),
                     z_len=z_len, delta=float(doc["delta"]), pad=pad)

@@ -3,7 +3,8 @@ subdivision, spherical point location, and barycentric transfer of the quad
 structure onto the pre-segmentation surface."""
 from __future__ import annotations
 
-import json
+import functools
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,15 @@ class QuadSphere:
 
 def build_quadsphere(level: int) -> QuadSphere:
     """Inscribed cube projected to the sphere, then ``level`` recursions of
-    quad subdivision with edge midpoints and face centers pushed outward."""
+    quad subdivision with edge midpoints and face centers pushed outward.
+
+    Cached per level: every caller shares one QuadSphere, whose arrays are
+    read-only."""
+    return _cached_quadsphere(level)  # positional, so a keyword call hits too
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_quadsphere(level: int) -> QuadSphere:
     if level < 0:
         raise ValueError("recursion level must be >= 0")
     verts = [v / np.linalg.norm(v) for v in _CORNER_SIGNS.astype(np.float64)]
@@ -116,7 +125,10 @@ def build_quadsphere(level: int) -> QuadSphere:
                         new[f, 2 * i + 1, 2 * j + 1] = len(verts)
                         verts.append(m)
         grids = new
-    return QuadSphere(level=level, vertices=np.asarray(verts), grids=grids)
+    vertices = np.asarray(verts)
+    vertices.flags.writeable = False
+    grids.flags.writeable = False
+    return QuadSphere(level=level, vertices=vertices, grids=grids)
 
 
 # ---------------------------------------------------------------------------
@@ -186,27 +198,53 @@ def remesh(mesh: TriMesh, smap: SphereMap, qs: QuadSphere) -> QuadMesh:
                     bary_face=face, bary=bary)
 
 
+def save_arrays(path, **arrays) -> None:
+    """Write named arrays to the .npz sidecar at exactly ``path``."""
+    with open(path, "wb") as fh:  # np.savez appends ".npz" to a path without it
+        np.savez(fh, **arrays)
+
+
+def load_arrays(path) -> dict:
+    """Every array of the .npz sidecar at ``path``, by name."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an archive")
+        with npz:
+            return {name: npz[name] for name in npz.files}
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not an .npz archive of arrays ({exc})") from None
+
+
+def checked_array(arrays: dict, path, name: str, shape: tuple, dtype) -> np.ndarray:
+    """arrays[name], which must have exactly this shape and dtype."""
+    if name not in arrays:
+        raise ValueError(f"{path}: missing array {name!r}")
+    arr = arrays[name]
+    if arr.shape != shape or arr.dtype != np.dtype(dtype):
+        raise ValueError(f"{path}: {name!r} has shape {arr.shape} and dtype {arr.dtype}, "
+                         f"expected {shape} and {np.dtype(dtype)}")
+    return arr
+
+
 def save_quadmesh(qm: QuadMesh, mesh_path, sidecar_path) -> None:
+    """Positions to the text quad mesh; level, barycentric records and
+    normals to the .npz sidecar.  The topology is rebuilt from the level."""
     save_quad_mesh_records(mesh_path, qm.positions, qm.sphere.faces)
-    doc = {
-        "level": qm.sphere.level,
-        "bary_face": qm.bary_face.tolist(),
-        "bary": qm.bary.tolist(),
-        "normals": qm.normals.tolist(),
-    }
-    with open(sidecar_path, "w") as fh:
-        json.dump(doc, fh)
+    save_arrays(sidecar_path, level=np.int64(qm.sphere.level), bary_face=qm.bary_face,
+                bary=qm.bary, normals=qm.normals)
 
 
 def load_quadmesh(mesh_path, sidecar_path) -> QuadMesh:
     verts, quads = load_quad_mesh_records(mesh_path)
-    with open(sidecar_path) as fh:
-        doc = json.load(fh)
-    qs = build_quadsphere(int(doc["level"]))
-    if len(verts) != len(qs.vertices):
+    arrays = load_arrays(sidecar_path)
+    level = int(checked_array(arrays, sidecar_path, "level", (), np.int64))
+    qs = build_quadsphere(level)
+    V = len(qs.vertices)
+    if len(verts) != V:
         raise MeshError(
-            f"quad mesh has {len(verts)} vertices, level {doc['level']} implies {len(qs.vertices)}")
+            f"quad mesh has {len(verts)} vertices, level {level} implies {V}")
     return QuadMesh(sphere=qs, positions=verts,
-                    normals=np.asarray(doc["normals"], dtype=np.float64),
-                    bary_face=np.asarray(doc["bary_face"], dtype=np.int64),
-                    bary=np.asarray(doc["bary"], dtype=np.float64))
+                    normals=checked_array(arrays, sidecar_path, "normals", (V, 3), np.float64),
+                    bary_face=checked_array(arrays, sidecar_path, "bary_face", (V,), np.int64),
+                    bary=checked_array(arrays, sidecar_path, "bary", (V, 3), np.float64))

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import pytest
 
 import surfcrf as sc
 from surfcrf import cli
+from surfcrf import crf as crfmod
 
 FAST = ["--recursion", "3", "--column-len", "16", "--column-res-mm", "1.25",
         "--pad", "2", "--window-radius", "2"]
@@ -19,11 +22,17 @@ def run_pipeline(outdir, extra=()):
     return outdir
 
 
+@pytest.fixture(scope="module")
+def fast_run(tmp_path_factory):
+    """One FAST pipeline run; tests that write into a run copy it first."""
+    return run_pipeline(tmp_path_factory.mktemp("fast") / "run")
+
+
 class TestPipeline:
     def test_emits_all_artifacts(self, tmp_path):
         out = run_pipeline(tmp_path / "run")
         for name in ("volume.svol", "labels.svol", "truth.mesh", "preseg.mesh",
-                     "sphere.mesh", "quad.mesh", "quad.json", "patches",
+                     "sphere.mesh", "quad.mesh", "quad.npz", "patches",
                      "pred.mesh", "labeling.json", "metrics.json",
                      "config.echo.json", "ground_truth.json"):
             assert (out / name).exists(), name
@@ -33,6 +42,18 @@ class TestPipeline:
         rep = json.loads((out / "metrics.json").read_text())
         assert 0.0 <= rep["dsc"] <= 1.0
         assert rep["hd_mm"] >= rep["asd_mm"] >= 0.0
+
+    def test_every_artifact_listed_in_a_provenance_record(self, fast_run):
+        # step failure cleanup and the benchmark's byte count both read the
+        # outputs lists, so no file may escape them
+        listed = set()
+        for prov in fast_run.glob("*.prov.json"):
+            listed.update(json.loads(prov.read_text())["outputs"])
+        for path in fast_run.rglob("*"):
+            rel = path.relative_to(fast_run)
+            if path.is_dir() or rel.name == "config.echo.json" or rel.name.endswith(".prov.json"):
+                continue
+            assert any(str(p) in listed for p in (rel, *rel.parents)), rel
 
     def test_provenance_records(self, tmp_path):
         out = run_pipeline(tmp_path / "run")
@@ -78,6 +99,17 @@ class TestSegmentIdentity:
             labeling = json.loads((out / "labeling.json").read_text())["labels"]
             baseline = json.loads((out / "unary_argmax.json").read_text())["labels"]
             assert labeling == baseline
+
+    def test_segment_reload_reuses_pair_mask(self, fast_run, tmp_path, monkeypatch):
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        calls = []
+        build = crfmod.window_pair_mask
+        monkeypatch.setattr(crfmod, "window_pair_mask",
+                            lambda graph, offsets: calls.append(graph) or build(graph, offsets))
+        crfmod._PAIR_MASKS.clear()
+        for _ in range(2):
+            assert cli.main(["segment", "--out", str(out)] + FAST) == 0
+        assert len(calls) == 1
 
 
 class TestConfig:
@@ -171,8 +203,50 @@ class TestExternalUnary:
         expect = np.clip(surf[0].astype(np.float64) - nons[0], -30, 30)
         assert np.allclose(got, expect.astype(np.float32), atol=1e-6)
 
+    def test_wrong_dims_name_file_and_field(self, fast_run, tmp_path):
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        ps = sc.load_patchset(out / "patches")
+        ext = out / "external_logits"
+        os.makedirs(ext)
+        dims = (ps.graph.shape[1] - 1, ps.graph.shape[1] - 1, ps.z_len)
+        for f in range(6):
+            for name in ("surface", "nonsurface"):
+                sc.save_svol(sc.Volume(dims, (1.0, 1.0, ps.delta), (0.0, 0.0, 0.0),
+                                       np.zeros(dims, dtype=np.float32)),
+                             ext / f"patch{f}_{name}.svol")
+        cfg = cli.load_config(overrides={"unary.mode": "external"})
+        with pytest.raises(cli.CliError, match=r"patch0_surface\.svol: dims"):
+            cli.cmd_unary(cfg, str(out))
+
+
+def _truncate(doc):
+    return {key: vals[:100] for key, vals in doc.items()}
+
+
+def _short_valid(doc):
+    return {**doc, "valid": doc["valid"][:100]}
+
+
+def _index_out_of_column(doc):
+    idx = list(doc["surface_index"])
+    idx[doc["valid"].index(True)] = 999
+    return {**doc, "surface_index": idx}
+
 
 class TestFitCommand:
+    @pytest.mark.parametrize("edit, field", [(_truncate, "surface_index"),
+                                             (_short_valid, "valid"),
+                                             (_index_out_of_column, "surface_index")])
+    def test_ground_truth_checked_against_patch_set(self, fast_run, tmp_path, edit, field):
+        run = shutil.copytree(fast_run, tmp_path / "run")
+        gt_path = run / "ground_truth.json"
+        gt_path.write_text(json.dumps(edit(json.loads(gt_path.read_text()))))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"runs": [str(run)]}))
+        cfg = cli.load_config(overrides={"fit.epochs": 1, "crf.window_radius": 2})
+        with pytest.raises(cli.CliError, match=re.escape(f"{gt_path}: {field}")):
+            cli.cmd_fit(cfg, str(tmp_path / "fit"), str(manifest))
+
     def test_fit_over_manifest(self, tmp_path):
         runs = []
         for seed in (0, 1):

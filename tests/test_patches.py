@@ -1,9 +1,13 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 import surfcrf as sc
 from surfcrf import accel
 from surfcrf.patches import build_column_graph
+from surfcrf.quadsphere import save_arrays
 
 
 def synthetic_quadmesh(level=2, radius=10.0, center=(16.0, 16.0, 16.0)):
@@ -59,6 +63,14 @@ class TestColumnGraph:
         corrupted = slots.copy()
         corrupted[~g.owned] = -99.0
         assert np.array_equal(g.merge(corrupted), g.merge(slots))
+
+    def test_cached_and_read_only(self):
+        qs = sc.build_quadsphere(2)
+        g = build_column_graph(qs, pad=2)
+        assert build_column_graph(qs, 2) is g
+        for arr in (g.valid, g.owned, g.gid, g.dup_src):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0] = 0
 
     def test_pad_exceeding_grid_rejected(self):
         qs = sc.build_quadsphere(1)
@@ -232,30 +244,73 @@ class TestLabelingToWorld:
 
 
 class TestPatchSetIO:
-    def test_save_load_round_trip(self, tmp_path):
+    @pytest.fixture
+    def saved(self, tmp_path):
         qm = synthetic_quadmesh()
         ps = sc.sample_columns(constant_volume(3.3), qm, z_len=8, delta=0.5, pad=2)
         sc.save_patchset(ps, tmp_path / "ps")
-        back = sc.load_patchset(tmp_path / "ps")
+        return ps, tmp_path / "ps"
+
+    def test_save_load_round_trip(self, saved):
+        ps, path = saved
+        back = sc.load_patchset(path)
         assert back.z_len == ps.z_len
         assert back.pad == ps.pad
         assert back.delta == ps.delta
         assert np.array_equal(back.samples, ps.samples)
-        assert np.allclose(back.base, ps.base, atol=1e-12)
-        assert np.allclose(back.normal, ps.normal, atol=1e-12)
-        assert np.array_equal(back.graph.gid, ps.graph.gid)
+        assert np.array_equal(back.base, ps.base)
+        assert np.array_equal(back.normal, ps.normal)
+        assert back.graph is ps.graph is sc.load_patchset(path).graph
 
-    def test_patch_dims_mismatch_names_file_and_field(self, tmp_path):
-        qm = synthetic_quadmesh()
-        ps = sc.sample_columns(constant_volume(3.3), qm, z_len=8, delta=0.5, pad=2)
-        sc.save_patchset(ps, tmp_path / "ps")
+    def test_json_holds_scalars_only(self, saved):
+        _, path = saved
+        doc = json.loads((path / "patchset.json").read_text())
+        assert sorted(doc) == ["center_index", "delta", "level", "pad", "z_len"]
+
+    def test_missing_sidecar_names_file(self, saved):
+        _, path = saved
+        os.remove(path / "geometry.npz")
+        with pytest.raises(FileNotFoundError, match=r"geometry\.npz"):
+            sc.load_patchset(path)
+
+    @pytest.mark.parametrize("field", ["positions", "normals"])
+    def test_missing_array_names_file_and_field(self, saved, field):
+        _, path = saved
+        arrays = dict(np.load(path / "geometry.npz"))
+        del arrays[field]
+        save_arrays(path / "geometry.npz", **arrays)
+        with pytest.raises(ValueError, match=rf"geometry\.npz: missing array '{field}'"):
+            sc.load_patchset(path)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("positions", lambda a: a[:-1]),
+        ("normals", lambda a: a.astype(np.float32)),
+    ])
+    def test_wrong_shape_or_dtype_names_file_and_field(self, saved, field, bad):
+        _, path = saved
+        arrays = dict(np.load(path / "geometry.npz"))
+        arrays[field] = bad(arrays[field])
+        save_arrays(path / "geometry.npz", **arrays)
+        with pytest.raises(ValueError, match=rf"geometry\.npz: '{field}' has shape"):
+            sc.load_patchset(path)
+
+    def test_level_mismatch_names_the_vertex_count(self, saved):
+        # positions for level 2 under a patchset.json that claims level 3
+        _, path = saved
+        doc = json.loads((path / "patchset.json").read_text())
+        (path / "patchset.json").write_text(json.dumps({**doc, "level": 3}))
+        with pytest.raises(ValueError, match=r"'positions' has shape \(98, 3\).*\(386, 3\)"):
+            sc.load_patchset(path)
+
+    def test_patch_dims_mismatch_names_file_and_field(self, saved):
+        ps, path = saved
         W = ps.graph.shape[1]
         sc.save_svol(sc.Volume(dims=(W, W, 7), spacing=(1.0, 1.0, 0.5),
                                origin=(0.0, 0.0, 0.0),
                                data=np.zeros((W, W, 7), dtype=np.float32)),
-                     tmp_path / "ps" / "patch2.svol")
+                     path / "patch2.svol")
         with pytest.raises(ValueError, match=r"patch2\.svol.*dims"):
-            sc.load_patchset(tmp_path / "ps")
+            sc.load_patchset(path)
 
 
 class TestPadCompleteness:

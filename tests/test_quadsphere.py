@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 import surfcrf as sc
-from surfcrf.quadsphere import LocateError
+from surfcrf.quadsphere import LocateError, save_arrays
 
 
 class TestBuildQuadsphere:
@@ -49,6 +51,13 @@ class TestBuildQuadsphere:
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
             sc.build_quadsphere(-1)
+
+    def test_cached_and_read_only(self):
+        qs = sc.build_quadsphere(3)
+        assert sc.build_quadsphere(3) is qs
+        for arr in (qs.vertices, qs.grids):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 @pytest.fixture(scope="module")
@@ -154,9 +163,52 @@ class TestRemesh:
 
     def test_quadmesh_serialization_round_trip(self, ico_map, tmp_path):
         qm = sc.remesh(ico_map.mesh, ico_map, sc.build_quadsphere(2))
-        sc.save_quadmesh(qm, tmp_path / "q.mesh", tmp_path / "q.json")
-        back = sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.json")
+        sc.save_quadmesh(qm, tmp_path / "q.mesh", tmp_path / "q.npz")
+        back = sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+        assert back.sphere is qm.sphere
         assert np.allclose(back.positions, qm.positions, atol=1e-12)
         assert np.array_equal(back.bary_face, qm.bary_face)
-        assert np.allclose(back.bary, qm.bary, atol=1e-12)
-        assert np.allclose(back.normals, qm.normals, atol=1e-12)
+        assert np.array_equal(back.bary, qm.bary)
+        assert np.array_equal(back.normals, qm.normals)
+
+
+class TestQuadSidecarErrors:
+    @pytest.fixture
+    def saved(self, ico_map, tmp_path):
+        qm = sc.remesh(ico_map.mesh, ico_map, sc.build_quadsphere(2))
+        sc.save_quadmesh(qm, tmp_path / "q.mesh", tmp_path / "q.npz")
+        arrays = dict(np.load(tmp_path / "q.npz"))
+        return tmp_path, arrays
+
+    def test_missing_sidecar_names_file(self, saved):
+        tmp_path, _ = saved
+        os.remove(tmp_path / "q.npz")
+        with pytest.raises(FileNotFoundError, match=r"q\.npz"):
+            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+
+    @pytest.mark.parametrize("field", ["level", "bary_face", "bary", "normals"])
+    def test_missing_array_names_file_and_field(self, saved, field):
+        tmp_path, arrays = saved
+        del arrays[field]
+        save_arrays(tmp_path / "q.npz", **arrays)
+        with pytest.raises(ValueError, match=rf"q\.npz: missing array '{field}'"):
+            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+
+    @pytest.mark.parametrize("field, bad", [
+        ("level", lambda a: a.reshape(1)),
+        ("bary_face", lambda a: a[:-1]),
+        ("bary", lambda a: a.astype(np.float32)),
+        ("normals", lambda a: a[:, :2]),
+    ])
+    def test_wrong_shape_or_dtype_names_file_and_field(self, saved, field, bad):
+        tmp_path, arrays = saved
+        arrays[field] = bad(arrays[field])
+        save_arrays(tmp_path / "q.npz", **arrays)
+        with pytest.raises(ValueError, match=rf"q\.npz: '{field}' has shape"):
+            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+
+    def test_text_file_is_not_an_archive(self, saved):
+        tmp_path, _ = saved
+        (tmp_path / "q.npz").write_text('{"level": 2}')
+        with pytest.raises(ValueError, match=r"q\.npz: not an \.npz archive"):
+            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
