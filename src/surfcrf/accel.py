@@ -30,10 +30,12 @@ def trilinear_gather(data, origin, spacing, pts):
     """Trilinear interpolation of ``data`` (X,Y,Z grid) at world points (N,3).
 
     Continuous coordinates are clamped to the voxel-center lattice, so points
-    outside the volume take the nearest border value.
+    outside the volume take the nearest border value.  The eight corners are
+    read with flat takes at (i*Y + j)*Z + k.
     """
     data = np.asarray(data, dtype=np.float64)
     X, Y, Z = data.shape
+    flat = data.ravel()
     u = (pts[:, 0] - origin[0]) / spacing[0]
     v = (pts[:, 1] - origin[1]) / spacing[1]
     w = (pts[:, 2] - origin[2]) / spacing[2]
@@ -49,14 +51,18 @@ def trilinear_gather(data, origin, spacing, pts):
     fu = u - i0
     fv = v - j0
     fw = w - k0
-    c000 = data[i0, j0, k0]
-    c100 = data[i1, j0, k0]
-    c010 = data[i0, j1, k0]
-    c110 = data[i1, j1, k0]
-    c001 = data[i0, j0, k1]
-    c101 = data[i1, j0, k1]
-    c011 = data[i0, j1, k1]
-    c111 = data[i1, j1, k1]
+    r00 = (i0 * Y + j0) * Z
+    r10 = (i1 * Y + j0) * Z
+    r01 = (i0 * Y + j1) * Z
+    r11 = (i1 * Y + j1) * Z
+    c000 = flat.take(r00 + k0)
+    c100 = flat.take(r10 + k0)
+    c010 = flat.take(r01 + k0)
+    c110 = flat.take(r11 + k0)
+    c001 = flat.take(r00 + k1)
+    c101 = flat.take(r10 + k1)
+    c011 = flat.take(r01 + k1)
+    c111 = flat.take(r11 + k1)
     c00 = c000 * (1 - fu) + c100 * fu
     c10 = c010 * (1 - fu) + c110 * fu
     c01 = c001 * (1 - fu) + c101 * fu
@@ -76,35 +82,37 @@ def locate_points(inv_mats, centroids, cos_bound, pts, tol=1e-10, fallback_tol=1
     inv_mats (F,3,3) are the inverses of the per-face vertex matrices; alpha =
     inv @ q gives the unnormalized barycentric weights of the ray hit.
     Candidates are prefiltered by centroid dot product (faces lie inside their
-    circumscribing geodesic disc).  Scanning ascending face ids and stopping at
-    the first containment resolves exact-edge ties to the lowest id.
+    circumscribing geodesic disc).  Each block of points is one pass over its
+    (point, face) candidate pairs, ordered by point and then by face id: per
+    point the first containing face wins, so exact-edge ties go to the lowest
+    id; without one, the first face of largest min-fraction is taken if it is
+    within ``fallback_tol``.  Points with neither get face -1.
     """
     nq = pts.shape[0]
     face_out = np.full(nq, -1, dtype=np.int64)
     bary_out = np.zeros((nq, 3), dtype=np.float64)
     for lo in range(0, nq, _LOCATE_CHUNK):
-        hi = min(lo + _LOCATE_CHUNK, nq)
-        block = pts[lo:hi]
+        block = pts[lo:lo + _LOCATE_CHUNK]
         dots = centroids @ block.T  # (F, m)
-        for qi in range(hi - lo):
-            cand = np.nonzero(dots[:, qi] >= cos_bound)[0]
-            if cand.size == 0:
-                continue
-            q = block[qi]
-            alphas = inv_mats[cand] @ q  # (C,3)
-            sums = alphas.sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                minfrac = np.where(sums > 0, alphas.min(axis=1) / sums, -np.inf)
-            ok = np.nonzero(minfrac >= -tol)[0]
-            if ok.size:
-                j = ok[0]  # cand is ascending -> lowest face id
-            else:
-                j = int(np.argmax(minfrac))
-                if not (minfrac[j] >= -fallback_tol):
-                    continue
-            t = alphas[j] / sums[j]
-            face_out[lo + qi] = cand[j]
-            bary_out[lo + qi] = t / t.sum()
+        qi, cand = np.nonzero(dots.T >= cos_bound)  # row-major: by point, then face
+        if qi.size == 0:
+            continue
+        alphas = np.matmul(inv_mats[cand], block[qi, :, None])[:, :, 0]  # (C,3)
+        sums = alphas.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            minfrac = np.where(sums > 0, alphas.min(axis=1) / sums, -np.inf)
+        # a containing face outranks every fallback; the first maximum per
+        # point is then its lowest containing face, or its best fallback
+        score = np.where(minfrac >= -tol, np.inf, minfrac)
+        starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+        best = np.full(block.shape[0], -np.inf)
+        best[qi[starts]] = np.maximum.reduceat(score, starts)
+        pair = np.arange(qi.size)
+        first = np.minimum.reduceat(np.where(score == best[qi], pair, qi.size), starts)
+        first = first[best[qi[first]] >= -fallback_tol]
+        t = alphas[first] / sums[first, None]
+        face_out[lo + qi[first]] = cand[first]
+        bary_out[lo + qi[first]] = t / t.sum(axis=1)[:, None]
     return face_out, bary_out
 
 

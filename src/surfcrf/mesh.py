@@ -278,8 +278,22 @@ def cotangent_edge_weights(mesh: TriMesh):
 
 
 def harmonic_energy(edges, weights, positions) -> float:
-    d = positions[edges[:, 0]] - positions[edges[:, 1]]
-    return float((weights * np.einsum("ij,ij->i", d, d)).sum())
+    """Sum over the edges (i, j) of weight * |p_i - p_j|^2.
+
+    ``positions`` is (V,3); each coordinate column is gathered with a 1-D
+    take, so the transposed view of (3,V) coordinate rows is read in place."""
+    i, j = edges.T
+    dx, dy, dz = (x.take(i) - x.take(j) for x in np.asarray(positions).T)
+    return float((weights * _dot3(dx, dy, dz, dx, dy, dz)).sum())
+
+
+def _dot3(ax, ay, az, bx, by, bz):
+    """Elementwise dot product of two vector fields given as coordinate rows.
+
+    The products are added as (x + z) + y, the order in which numpy's SIMD
+    einsum reduces a length-3 dot product, so the map is bit-identical to
+    the same loop written with einsum on (V,3) arrays (the test reference)."""
+    return (ax * bx + az * bz) + ay * by
 
 
 def _sphere_flips(positions, faces) -> int:
@@ -290,14 +304,29 @@ def _sphere_flips(positions, faces) -> int:
     return int((trip <= 0).sum())
 
 
-def _area_center(positions, faces):
-    a = positions[faces[:, 0]]
-    b = positions[faces[:, 1]]
-    c = positions[faces[:, 2]]
-    areas = np.linalg.norm(np.cross(b - a, c - a), axis=1) / 2.0
-    centroid = (a + b + c) / 3.0
-    total = areas.sum()
-    return (areas[:, None] * centroid).sum(axis=0) / total
+def _unit_rows(xyz):
+    """(3,V) coordinate rows, each vertex scaled to unit length."""
+    x, y, z = xyz
+    return xyz / np.sqrt(x * x + y * y + z * z)
+
+
+def _area_center(xyz, corners):
+    """Area-weighted mean of the face centroids.
+
+    ``xyz`` holds the (3,V) coordinate rows and ``corners`` the (3,F) corner
+    index rows; the cross product is written out per coordinate.  The
+    weighted centroids are added in face order (the last entry of a cumsum),
+    as a sum over the rows of an (F,3) array adds them; a pairwise sum would
+    move a converged map by up to 1e-14."""
+    (ax, bx, cx), (ay, by, cy), (az, bz, cz) = xyz.take(corners, axis=1)
+    ux, uy, uz = bx - ax, by - ay, bz - az
+    vx, vy, vz = cx - ax, cy - ay, cz - az
+    nx = uy * vz - uz * vy
+    ny = uz * vx - ux * vz
+    nz = ux * vy - uy * vx
+    areas = np.sqrt(nx * nx + ny * ny + nz * nz) / 2.0
+    centroid = np.stack([ax + bx + cx, ay + by + cy, az + bz + cz]) / 3.0
+    return np.cumsum(areas * centroid, axis=1)[:, -1] / areas.sum()
 
 
 def harmonic_sphere_map(mesh: TriMesh, tol: float = 1e-6, max_iters: int = 5000,
@@ -309,53 +338,56 @@ def harmonic_sphere_map(mesh: TriMesh, tol: float = 1e-6, max_iters: int = 5000,
     the area-weighted center of the map) to prevent Mobius collapse.  Steps
     that would raise the harmonic energy are retried with halved damping so
     the energy trace is non-increasing up to roundoff.
+
+    The loop holds the map as three contiguous (V,) coordinate rows: with a
+    few hundred vertices, per-call overhead dominates, and 1-D takes and
+    row arithmetic are far cheaper than (V,3) fancy gathers and reductions.
     """
     report = validate_closed_genus0(mesh)
     if not report.ok:
         raise MeshError(f"harmonic_sphere_map requires a closed genus-0 mesh: {report.problems}")
     edges, weights, clamped = cotangent_edge_weights(mesh)
     lap_w = _edge_operator(edges, weights, len(mesh.vertices))
-    wsum = np.maximum(np.asarray(lap_w.sum(axis=1)), 1e-300)
+    wsum = np.maximum(np.asarray(lap_w.sum(axis=1)).ravel(), 1e-300)
+    corners = np.ascontiguousarray(mesh.faces.T)
 
-    phi = mesh.vertices - mesh.vertices.mean(axis=0)
-    phi = phi / np.linalg.norm(phi, axis=1)[:, None]
+    phi = _unit_rows(np.ascontiguousarray((mesh.vertices - mesh.vertices.mean(axis=0)).T))
 
-    energies = [harmonic_energy(edges, weights, phi)]
+    energies = [harmonic_energy(edges, weights, phi.T)]
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        lap = lap_w @ phi / wsum - phi
-        tang = lap - np.einsum("ij,ij->i", lap, phi)[:, None] * phi
+        lap = (lap_w @ phi.T).T / wsum - phi
+        tang = lap - _dot3(*lap, *phi) * phi
 
         prev_e = energies[-1]
         step = damping
         accepted = False
         cand = phi
         for attempt in range(12):
-            cand = phi + step * tang
-            cand = cand / np.linalg.norm(cand, axis=1)[:, None]
+            cand = _unit_rows(phi + step * tang)
             if attempt < 11:
-                center = _area_center(cand, mesh.faces)
-                cand = cand - center
-                cand = cand / np.linalg.norm(cand, axis=1)[:, None]
-            e = harmonic_energy(edges, weights, cand)
+                cand = _unit_rows(cand - _area_center(cand, corners)[:, None])
+            e = harmonic_energy(edges, weights, cand.T)
             if e <= prev_e * (1 + 1e-12) + 1e-12:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:  # line search stalled: not converged
             break
-        disp = np.linalg.norm(cand - phi, axis=1).max()
+        dx, dy, dz = cand - phi
+        disp = np.sqrt(dx * dx + dy * dy + dz * dz).max()
         phi = cand
         energies.append(e)
         if disp < tol:
             converged = True
             break
 
-    flips = _sphere_flips(phi, mesh.faces)
+    positions = np.ascontiguousarray(phi.T)
+    flips = _sphere_flips(positions, mesh.faces)
     if flips:
         raise MeshError(f"harmonic map has {flips} flipped spherical triangles")
-    return SphereMap(mesh=mesh, positions=phi, iterations=it, converged=converged,
+    return SphereMap(mesh=mesh, positions=positions, iterations=it, converged=converged,
                      energy_trace=np.asarray(energies), clamped_weights=clamped)
 
 

@@ -90,9 +90,13 @@ class PatchSet:
     def center_index(self) -> int:
         return self.z_len // 2
 
+    def sample_offsets(self) -> np.ndarray:
+        """Signed distance (mm) of each sample along its column's normal, (Z,)."""
+        return (np.arange(self.z_len) - self.center_index) * self.delta
+
     def column_points(self) -> np.ndarray:
         """World sample points, (6,W,W,Z,3); invalid columns give zeros."""
-        offs = (np.arange(self.z_len) - self.center_index) * self.delta
+        offs = self.sample_offsets()
         pts = self.base[..., None, :] + offs[None, None, None, :, None] * self.normal[..., None, :]
         return np.where(self.graph.valid[..., None, None], pts, 0.0)
 
@@ -233,7 +237,8 @@ def _cached_column_graph(qs: QuadSphere, pad: int) -> ColumnGraph:
 def sample_columns(vol: Volume, qm: QuadMesh, z_len: int, delta: float, pad: int) -> PatchSet:
     """Trilinear column sampling along quad-vertex normals; each face grid is
     extended by ``pad`` rings of true neighbor columns so convolution windows
-    at seams see real geometry."""
+    at seams see real geometry.  Each vertex column is sampled once and
+    copied into every slot that shows it; corner pad slots stay 0."""
     if z_len < 2:
         raise ValueError("z_len must be >= 2")
     if delta <= 0:
@@ -246,11 +251,11 @@ def sample_columns(vol: Volume, qm: QuadMesh, z_len: int, delta: float, pad: int
     normal = graph.split(qm.normals, fill=0.0)
     ps = PatchSet(sphere=qs, graph=graph, samples=None, base=base, normal=normal,
                   z_len=z_len, delta=float(delta), pad=pad)
-    pts = ps.column_points().reshape(-1, 3)
-    vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin), np.asarray(vol.spacing), pts)
-    samples = vals.reshape(*graph.shape, z_len).astype(np.float32)
-    samples[~graph.valid] = 0.0
-    ps.samples = samples
+    offs = ps.sample_offsets()
+    pts = qm.positions[:, None, :] + offs[None, :, None] * qm.normals[:, None, :]
+    vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin), np.asarray(vol.spacing),
+                                  pts.reshape(-1, 3))
+    ps.samples = graph.split(vals.reshape(-1, z_len), fill=0.0).astype(np.float32)
     return ps
 
 

@@ -235,6 +235,20 @@ def save_quadmesh(qm: QuadMesh, mesh_path, sidecar_path) -> None:
                 bary=qm.bary, normals=qm.normals)
 
 
+def _check_quad_records(mesh_path, quads, qs: QuadSphere) -> None:
+    """The face records of a quad mesh file must be the faces of its level."""
+    want = qs.faces
+    if len(quads) != len(want):
+        raise MeshError(f"{mesh_path}: quad mesh has {len(quads)} faces, "
+                        f"level {qs.level} implies {len(want)}")
+    bad = np.nonzero((quads != want).any(axis=1))[0]
+    if bad.size:
+        k = int(bad[0])
+        got, exp = (" ".join(map(str, (f + 1).tolist())) for f in (quads[k], want[k]))
+        raise MeshError(f"{mesh_path}: face record {k + 1} is 'f {got}', "
+                        f"level {qs.level} implies 'f {exp}'")
+
+
 def load_quadmesh(mesh_path, sidecar_path) -> QuadMesh:
     verts, quads = load_quad_mesh_records(mesh_path)
     arrays = load_arrays(sidecar_path)
@@ -243,7 +257,8 @@ def load_quadmesh(mesh_path, sidecar_path) -> QuadMesh:
     V = len(qs.vertices)
     if len(verts) != V:
         raise MeshError(
-            f"quad mesh has {len(verts)} vertices, level {level} implies {V}")
+            f"{mesh_path}: quad mesh has {len(verts)} vertices, level {level} implies {V}")
+    _check_quad_records(mesh_path, quads, qs)
     return QuadMesh(sphere=qs, positions=verts,
                     normals=checked_array(arrays, sidecar_path, "normals", (V, 3), np.float64),
                     bary_face=checked_array(arrays, sidecar_path, "bary_face", (V,), np.int64),

@@ -218,7 +218,7 @@ class TestScalarOracles:
         spacing = np.asarray([1.0, 0.8, 1.2])
         a = accel.trilinear_gather(data, origin, spacing, pts)
         b = ref_trilinear_gather(data, origin, spacing, pts)
-        assert np.abs(a - b).max() <= 1e-12
+        assert np.array_equal(a, b)
 
     def test_locate(self, rng):
         smap = sc.harmonic_sphere_map(sc.icosphere(2))
@@ -228,7 +228,7 @@ class TestScalarOracles:
         f1, b1 = accel.locate_points(inv, cent, cosb, pts)
         f2, b2 = ref_locate_points(inv, cent, cosb, pts)
         assert np.array_equal(f1, f2)
-        assert np.abs(b1 - b2).max() <= 1e-12
+        assert np.array_equal(b1, b2)
 
     def test_raycast(self, rng):
         ico = sc.icosphere(2, radius=3.0)
@@ -319,6 +319,81 @@ class TestScalarOracles:
 
 # ---------------------------------------------------------------------------
 # properties on a randomly placed convex surface
+
+
+@pytest.fixture(scope="module")
+def ico_map():
+    return sc.harmonic_sphere_map(sc.icosphere(2))
+
+
+def single_triangle_map():
+    """A one-face spherical mesh near the north pole."""
+    verts = np.asarray([[0.1, 0.0, 1.0], [0.0, 0.1, 1.0], [-0.1, -0.1, 1.0]])
+    verts /= np.linalg.norm(verts, axis=1)[:, None]
+    return sc.SphereMap(mesh=sc.TriMesh(vertices=verts, faces=np.asarray([[0, 1, 2]])),
+                        positions=verts)
+
+
+def assert_locate_matches_reference(smap, pts):
+    tables = _location_tables(smap)
+    f1, b1 = accel.locate_points(*tables, pts)
+    f2, b2 = ref_locate_points(*tables, pts)
+    assert f1.shape == (len(pts),) and b1.shape == (len(pts), 3)
+    assert np.array_equal(f1, f2)
+    assert np.array_equal(b1, b2)
+    return f1, b1
+
+
+class TestLocate:
+    """Edge cases of the one-pass point location, each against the loop."""
+
+    def test_mapped_vertices_go_to_lowest_incident_face(self, ico_map):
+        faces = ico_map.mesh.faces
+        face, _ = assert_locate_matches_reference(ico_map, ico_map.positions)
+        lowest = np.full(len(ico_map.positions), len(faces))
+        np.minimum.at(lowest, faces.ravel(), np.repeat(np.arange(len(faces)), 3))
+        assert np.array_equal(face, lowest)
+
+    def test_shared_edge_points_go_to_lowest_face(self, ico_map):
+        faces = ico_map.mesh.faces
+        pos = ico_map.positions
+        i, j = faces[:, 0], faces[:, 1]
+        sharing = [min(f for f in range(len(faces)) if a in faces[f] and b in faces[f])
+                   for a, b in zip(i, j)]
+        for w in (0.5, 0.3):  # midpoints and off-center points of each edge
+            pts = w * pos[i] + (1.0 - w) * pos[j]
+            pts /= np.linalg.norm(pts, axis=1)[:, None]
+            face, _ = assert_locate_matches_reference(ico_map, pts)
+            assert np.array_equal(face, sharing)
+
+    def test_fallback_and_no_face(self):
+        smap = single_triangle_map()
+        a, b, c = smap.positions
+        # just outside edge a-b: min-fraction about -1e-8, inside fallback_tol
+        near = 0.5 * (a + b) - 1e-8 * c
+        # well outside edge a-b but inside the prefilter disc: no fallback
+        outside = 0.5 * (a + b) - 1e-3 * c
+        pts = np.stack([near, outside, [0.0, 0.0, -1.0]])  # south pole: no candidate
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        face, bary = assert_locate_matches_reference(smap, pts)
+        assert face.tolist() == [0, -1, -1]
+        assert -1e-6 <= bary[0].min() < -1e-10
+        assert np.array_equal(bary[1:], np.zeros((2, 3)))
+        assert sc.locate_on_sphere(pts[0], smap)[0] == 0
+        for p in pts[1:]:
+            with pytest.raises(sc.LocateError, match="no containing triangle"):
+                sc.locate_on_sphere(p, smap)
+
+    @pytest.mark.parametrize("nq", [0, 1, accel._LOCATE_CHUNK, 2 * accel._LOCATE_CHUNK + 37])
+    def test_chunk_boundaries(self, ico_map, nq):
+        pts = np.random.default_rng(nq).normal(size=(nq, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        face, _ = assert_locate_matches_reference(ico_map, pts)
+        assert (face >= 0).all()
+
+    def test_level5_quad_sphere_vertices(self, ico_map):
+        face, _ = assert_locate_matches_reference(ico_map, sc.build_quadsphere(5).vertices)
+        assert (face >= 0).all()
 
 
 def random_convex_icosphere(seed, subdivisions):

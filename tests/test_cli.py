@@ -76,6 +76,14 @@ class TestPipeline:
         assert rep["asd_mm"] == pytest.approx(0.7102643235518107, rel=1e-9)
         assert rep["hd_mm"] == pytest.approx(4.732583380731317, rel=1e-9)
 
+    def test_default_seed0_spheremap_report_pinned(self, tmp_path):
+        # the seed-0 default pre-segmentation maps in 1326 line-search steps
+        out = str(tmp_path / "run")
+        for step in ("phantom", "presegment", "spheremap"):
+            assert cli.main([step, "--out", out]) == 0
+        rep = json.loads((tmp_path / "run" / "spheremap.report.json").read_text())
+        assert (rep["iterations"], rep["converged"], rep["clamped_weights"]) == (1326, True, 24)
+
     def test_different_seed_changes_volume(self, tmp_path):
         a = run_pipeline(tmp_path / "a", ["--seed", "1"])
         b = run_pipeline(tmp_path / "b", ["--seed", "2"])

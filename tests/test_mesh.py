@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import surfcrf as sc
 from surfcrf import mesh as mesh_mod
+from surfcrf.cli import perturb_mesh_radially
 from surfcrf.mesh import (MeshError, cotangent_edge_weights, load_quad_mesh_records,
                           signed_volume)
 
@@ -55,6 +56,55 @@ def ref_taubin_smooth(mesh, iterations, lam=0.5, mu_shrink=-0.53):
     return verts
 
 
+def ref_harmonic_sphere_map(mesh, tol=1e-6, max_iters=5000, damping=0.5):
+    """The sphere-map loop on (V,3) positions, with a fancy-indexed energy and
+    area-weighted recentering; returns (positions, iterations, converged,
+    energy trace, clamped count)."""
+    edges, weights, clamped = cotangent_edge_weights(mesh)
+    lap_w = mesh_mod._edge_operator(edges, weights, len(mesh.vertices))
+    wsum = np.maximum(np.asarray(lap_w.sum(axis=1)), 1e-300)
+
+    def energy(pos):
+        d = pos[edges[:, 0]] - pos[edges[:, 1]]
+        return float((weights * np.einsum("ij,ij->i", d, d)).sum())
+
+    def area_center(pos):
+        a, b, c = (pos[mesh.faces[:, k]] for k in range(3))
+        areas = np.linalg.norm(np.cross(b - a, c - a), axis=1) / 2.0
+        return (areas[:, None] * ((a + b + c) / 3.0)).sum(axis=0) / areas.sum()
+
+    phi = mesh.vertices - mesh.vertices.mean(axis=0)
+    phi = phi / np.linalg.norm(phi, axis=1)[:, None]
+    energies = [energy(phi)]
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        lap = lap_w @ phi / wsum - phi
+        tang = lap - np.einsum("ij,ij->i", lap, phi)[:, None] * phi
+        step = damping
+        accepted = False
+        for attempt in range(12):
+            cand = phi + step * tang
+            cand = cand / np.linalg.norm(cand, axis=1)[:, None]
+            if attempt < 11:
+                cand = cand - area_center(cand)
+                cand = cand / np.linalg.norm(cand, axis=1)[:, None]
+            e = energy(cand)
+            if e <= energies[-1] * (1 + 1e-12) + 1e-12:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        disp = np.linalg.norm(cand - phi, axis=1).max()
+        phi = cand
+        energies.append(e)
+        if disp < tol:
+            converged = True
+            break
+    return phi, it, converged, np.asarray(energies), clamped
+
+
 def ref_write_mesh_records(path, verts, faces):
     """The record writer as one f-string per vertex and face."""
     with open(path, "w") as fh:
@@ -80,6 +130,13 @@ def torus(n=8, m=6, big=3.0, small=1.0):
 
 REFERENCE_MESHES = [pytest.param(sc.icosphere(2), id="icosphere2"),
                     pytest.param(stretched_noisy_icosphere(), id="stretched")]
+
+_ICO3 = sc.icosphere(3)
+_ELLIPSOID = sc.TriMesh(vertices=_ICO3.vertices * np.array([25.0, 22.0, 25.0]), faces=_ICO3.faces)
+SPHERE_MAP_MESHES = [pytest.param(_ICO3, id="icosphere3"),
+                     pytest.param(_ELLIPSOID, id="ellipsoid"),
+                     pytest.param(stretched_noisy_icosphere(), id="stretched"),
+                     pytest.param(perturb_mesh_radially(_ELLIPSOID, 3.0, 6, 1000), id="preseg")]
 
 # loader fuzz: a well-formed file, then up to two inserted lines, each a bad
 # number, a wrong count, an out-of-range index, a comment or free text
@@ -392,6 +449,17 @@ class TestHarmonicMap:
         ell = sc.TriMesh(vertices=ico.vertices * np.array([2.0, 1.0, 1.0]), faces=ico.faces)
         smap = sc.harmonic_sphere_map(ell)
         assert smap.energy_trace[-1] < smap.energy_trace[0]
+
+
+@pytest.mark.parametrize("mesh", SPHERE_MAP_MESHES)
+def test_sphere_map_matches_reference(mesh):
+    smap = sc.harmonic_sphere_map(mesh)
+    positions, iterations, converged, energies, clamped = ref_harmonic_sphere_map(mesh)
+    assert (smap.iterations, smap.converged, smap.clamped_weights) == \
+        (iterations, converged, clamped)
+    assert smap.energy_trace.shape == energies.shape
+    assert np.abs(smap.energy_trace - energies).max() <= 1e-13 * np.abs(energies).max()
+    assert np.abs(smap.positions - positions).max() <= 1e-14
 
 
 def test_signed_volume_cube():

@@ -132,6 +132,18 @@ class TestSampleColumns:
             (np.arange(8) - c)[None, None, None, :, None] * 0.25 * ps.normal[..., None, :]
         assert np.allclose(pts[ps.graph.valid], recon[ps.graph.valid], atol=1e-12)
 
+    def test_equals_gather_over_every_slot(self, ellipsoid_run):
+        # one sample per vertex column, spread to the slots, is the gather of
+        # every padded slot's points with the corner pad blocks zeroed
+        vol, qm = ellipsoid_run["vol"], ellipsoid_run["qm"]
+        ps = sc.sample_columns(vol, qm, z_len=12, delta=0.75, pad=3)
+        vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin), np.asarray(vol.spacing),
+                                      ps.column_points().reshape(-1, 3))
+        want = vals.reshape(ps.samples.shape).astype(np.float32)
+        want[~ps.graph.valid] = 0.0
+        assert ps.samples.dtype == np.float32
+        assert np.array_equal(ps.samples, want)
+
     def test_parameter_validation(self):
         qm = synthetic_quadmesh()
         vol = constant_volume()

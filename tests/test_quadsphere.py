@@ -207,6 +207,24 @@ class TestQuadSidecarErrors:
         with pytest.raises(ValueError, match=rf"q\.npz: '{field}' has shape"):
             sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
 
+    def test_edited_face_record_names_file_and_record(self, saved):
+        tmp_path, _ = saved
+        text = (tmp_path / "q.mesh").read_text()
+        first = next(line for line in text.splitlines() if line.startswith("f "))
+        a, b, *rest = first.split()[1:]
+        swapped = " ".join(["f", b, a, *rest])
+        (tmp_path / "q.mesh").write_text(text.replace(first + "\n", swapped + "\n", 1))
+        with pytest.raises(sc.MeshError,
+                           match=rf"q\.mesh: face record 1 is '{swapped}', level 2 implies '{first}'"):
+            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+
+    def test_missing_face_record_names_file(self, saved):
+        tmp_path, _ = saved
+        lines = (tmp_path / "q.mesh").read_text().splitlines(keepends=True)
+        (tmp_path / "q.mesh").write_text("".join(lines[:-1]))
+        with pytest.raises(sc.MeshError, match=r"q\.mesh: quad mesh has 95 faces, level 2 implies 96"):
+            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+
     def test_text_file_is_not_an_archive(self, saved):
         tmp_path, _ = saved
         (tmp_path / "q.npz").write_text('{"level": 2}')
