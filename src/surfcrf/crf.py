@@ -360,32 +360,14 @@ def meanfield_infer(u: UnaryField, params: CrfParams, ps: PatchSet | None = None
 def energy(lab: SurfaceLabeling, u: UnaryField, kf: KernelField, params: CrfParams) -> float:
     """E = sum_i psi_u(n_i) + w_p * sum_{(i,j) pairs} mu(|n_i-n_j|) k_ij.
 
-    Pairs mirror the operational message-passing graph: enumerate each owned
-    column's window once and halve the symmetric double count; slot pairs that
-    duplicate the same global vertex are skipped.
+    Pairs are those of the operational message-passing graph: one message
+    pass of the one-hot labeling gives sum_i (Q~ M)[i, n_i], which counts
+    each symmetric pair twice.
     """
-    psi = u.potentials()
     graph = u.graph
-    owner = graph.owner_slots()
-    flat_psi = psi.reshape(-1, psi.shape[-1])
-    unary_term = float(flat_psi[owner, lab.labels].sum())
-
-    labels_slot = graph.split(lab.labels.astype(np.float64), fill=0.0)
-    P, H, W = graph.shape
-    pair = 0.0
-    owned = graph.owned
-    for k in range(kf.offsets.shape[0]):
-        dy, dx = int(kf.offsets[k, 0]), int(kf.offsets[k, 1])
-        if dy == 0 and dx == 0:
-            continue
-        ys0, ys1 = max(0, -dy), min(H, H - dy)
-        xs0, xs1 = max(0, -dx), min(W, W - dx)
-        if ys0 >= ys1 or xs0 >= xs1:
-            continue
-        w = kf.weights[:, ys0:ys1, xs0:xs1, k]  # dedup mask already folded in
-        src_owned = owned[:, ys0:ys1, xs0:xs1]
-        dn = (labels_slot[:, ys0:ys1, xs0:xs1]
-              - labels_slot[:, ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx])
-        mu = compatibility(np.abs(dn), params.theta_comp)
-        pair += float((np.where(src_owned, mu * w, 0.0)).sum())
-    return unary_term + params.w_p * pair / 2.0
+    rows = np.arange(graph.n_vertices)
+    onehot = np.eye(u.z_len)[lab.labels]
+    q_tilde = graph.merge(message_pass(graph.split(onehot, fill=0.0), kf))
+    pair = compat_transform(q_tilde, params.theta_comp)[rows, lab.labels].sum()
+    unary = graph.merge(u.potentials())[rows, lab.labels].sum()
+    return float(unary) + params.w_p * float(pair) / 2.0

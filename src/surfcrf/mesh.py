@@ -134,12 +134,13 @@ def signed_volume(mesh: TriMesh) -> float:
 
 
 def _edge_table(faces, n_vertices):
-    """Half-edges and undirected edges of a triangle list.
+    """Half-edges and undirected edges of a polygon list (F,k).
 
-    Returns (half, edges, inverse): ``half`` (3F,3) holds ``(a, b, opposite)``
-    for the edge a->b of each face corner, face by face; ``edges`` (E,2) are
-    the sorted unique undirected edges ``(min, max)``; ``inverse`` (3F,)
-    indexes each half-edge's undirected edge."""
+    Returns (half, edges, inverse): ``half`` (kF,3) holds ``(a, b, c)`` for
+    the side a->b of each face corner, c the corner after b, face by face
+    (for triangles c is opposite a->b); ``edges`` (E,2) are the sorted
+    unique undirected edges ``(min, max)``; ``inverse`` (kF,) indexes each
+    half-edge's undirected edge."""
     half = np.stack([faces, np.roll(faces, -1, axis=1), np.roll(faces, -2, axis=1)],
                     axis=-1).reshape(-1, 3)
     lo = np.minimum(half[:, 0], half[:, 1])

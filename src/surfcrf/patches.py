@@ -12,7 +12,7 @@ import numpy as np
 
 from . import accel
 from .quadsphere import (QuadMesh, QuadSphere, build_quadsphere, checked_array, load_arrays,
-                         save_arrays)
+                         padded_gid_grids, save_arrays)
 from .volume import Volume, load_svol, save_svol
 
 
@@ -72,16 +72,17 @@ def make_toy_graph(height: int, width: int, patches: int = 1) -> ColumnGraph:
 
 @dataclass(eq=False)
 class PatchSet:
-    """6 padded (W,W,Z) intensity grids plus per-column world geometry.
+    """6 padded (W,W,Z) intensity grids plus per-vertex column geometry.
 
-    Sample i of a column sits at base + (i - center_index)*delta*normal, so
-    the center sample lies on the pre-segmentation vertex.
+    Sample i of vertex v's column sits at
+    positions[v] + (i - center_index)*delta*normals[v], so the center sample
+    lies on the pre-segmentation vertex.
     """
     sphere: QuadSphere
     graph: ColumnGraph
-    samples: np.ndarray   # (6,W,W,Z) float32
-    base: np.ndarray      # (6,W,W,3) float64
-    normal: np.ndarray    # (6,W,W,3) float64
+    samples: np.ndarray    # (6,W,W,Z) float32
+    positions: np.ndarray  # (Nv,3) float64
+    normals: np.ndarray    # (Nv,3) float64
     z_len: int
     delta: float
     pad: int
@@ -95,10 +96,9 @@ class PatchSet:
         return (np.arange(self.z_len) - self.center_index) * self.delta
 
     def column_points(self) -> np.ndarray:
-        """World sample points, (6,W,W,Z,3); invalid columns give zeros."""
+        """World sample points of every vertex column, (Nv,Z,3)."""
         offs = self.sample_offsets()
-        pts = self.base[..., None, :] + offs[None, None, None, :, None] * self.normal[..., None, :]
-        return np.where(self.graph.valid[..., None, None], pts, 0.0)
+        return self.positions[:, None, :] + offs[None, :, None] * self.normals[:, None, :]
 
 
 @dataclass
@@ -119,76 +119,7 @@ class GroundTruth:
 
 
 # ---------------------------------------------------------------------------
-# padded grid construction
-
-
-def _boundary_lines(grid):
-    n = grid.shape[0] - 1
-    return {
-        0: grid[0, :],    # u = 0 side
-        1: grid[n, :],    # u = n side
-        2: grid[:, 0],    # v = 0 side
-        3: grid[:, n],    # v = n side
-    }
-
-
-def _depth_line(grid, side, depth, reverse):
-    n = grid.shape[0] - 1
-    if side == 0:
-        line = grid[depth, :]
-    elif side == 1:
-        line = grid[n - depth, :]
-    elif side == 2:
-        line = grid[:, depth]
-    else:
-        line = grid[:, n - depth]
-    return line[::-1] if reverse else line
-
-
-def _face_adjacency(grids):
-    """For each (face, side): the neighbor (face, side, reversed) across the
-    shared cube edge, found by matching boundary id sequences."""
-    adj = {}
-    lines = [_boundary_lines(grids[f]) for f in range(6)]
-    for f in range(6):
-        for s in range(4):
-            seq = lines[f][s]
-            for g in range(6):
-                if g == f:
-                    continue
-                for s2 in range(4):
-                    other = lines[g][s2]
-                    if np.array_equal(seq, other):
-                        adj[(f, s)] = (g, s2, False)
-                    elif np.array_equal(seq, other[::-1]):
-                        adj[(f, s)] = (g, s2, True)
-    return adj
-
-
-def padded_gid_grids(qs: QuadSphere, pad: int) -> np.ndarray:
-    """(6, n+1+2p, n+1+2p) global-id grids; -1 in the p x p corner blocks,
-    which have no diagonal neighbor on the cube (the 8 degree-3 corners)."""
-    n = qs.n
-    if pad > n:
-        raise ValueError(f"pad {pad} exceeds face grid size n={n}")
-    W = n + 1 + 2 * pad
-    adj = _face_adjacency(qs.grids)
-    out = np.full((6, W, W), -1, dtype=np.int64)
-    for f in range(6):
-        out[f, pad:pad + n + 1, pad:pad + n + 1] = qs.grids[f]
-        for s in range(4):
-            g, s2, rev = adj[(f, s)]
-            for d in range(1, pad + 1):
-                line = _depth_line(qs.grids[g], s2, d, rev)
-                if s == 0:
-                    out[f, pad - d, pad:pad + n + 1] = line
-                elif s == 1:
-                    out[f, pad + n + d, pad:pad + n + 1] = line
-                elif s == 2:
-                    out[f, pad:pad + n + 1, pad - d] = line
-                else:
-                    out[f, pad:pad + n + 1, pad + n + d] = line
-    return out
+# column graph
 
 
 def build_column_graph(qs: QuadSphere, pad: int) -> ColumnGraph:
@@ -202,29 +133,20 @@ def build_column_graph(qs: QuadSphere, pad: int) -> ColumnGraph:
 @functools.lru_cache(maxsize=16)
 def _cached_column_graph(qs: QuadSphere, pad: int) -> ColumnGraph:
     gid = padded_gid_grids(qs, pad)
-    P, H, W = gid.shape
-    valid = gid >= 0
     n = qs.n
-
-    owned = np.zeros_like(valid)
-    claimed = np.zeros(len(qs.vertices), dtype=bool)
-    for f in range(6):
-        sub = gid[f, pad:pad + n + 1, pad:pad + n + 1].ravel()
-        fresh = ~claimed[sub]
-        owned[f, pad:pad + n + 1, pad:pad + n + 1] = fresh.reshape(n + 1, n + 1)
-        claimed[sub[fresh]] = True
-    if not claimed.all():
+    valid = gid >= 0
+    # each vertex is owned by its first interior slot in (face, row, column) order
+    interior = np.zeros_like(valid)
+    interior[:, pad:pad + n + 1, pad:pad + n + 1] = True
+    slots = np.flatnonzero(interior)
+    first = np.unique(gid.ravel()[slots], return_index=True)[1]
+    if len(first) != len(qs.vertices):
         raise AssertionError("unclaimed quad vertex in ownership pass")
-
-    graph = ColumnGraph(valid=valid, owned=owned, gid=gid,
-                        dup_src=np.full((P, H, W), -1, dtype=np.int64),
-                        n_vertices=len(qs.vertices))
-    owner = graph.owner_slots()
-    flat_gid = gid.ravel()
-    dup = np.full(P * H * W, -1, dtype=np.int64)
-    ok = flat_gid >= 0
-    dup[ok] = owner[flat_gid[ok]]
-    graph.dup_src = dup.reshape(P, H, W)
+    owner = slots[first]
+    owned = np.zeros(gid.size, dtype=bool)
+    owned[owner] = True
+    graph = ColumnGraph(valid=valid, owned=owned.reshape(gid.shape), gid=gid,
+                        dup_src=np.where(valid, owner[gid], -1), n_vertices=len(qs.vertices))
     for arr in (graph.valid, graph.owned, graph.gid, graph.dup_src):
         arr.flags.writeable = False
     return graph
@@ -247,14 +169,10 @@ def sample_columns(vol: Volume, qm: QuadMesh, z_len: int, delta: float, pad: int
         raise ValueError("pad must be >= 0")
     qs = qm.sphere
     graph = build_column_graph(qs, pad)
-    base = graph.split(qm.positions, fill=0.0)
-    normal = graph.split(qm.normals, fill=0.0)
-    ps = PatchSet(sphere=qs, graph=graph, samples=None, base=base, normal=normal,
-                  z_len=z_len, delta=float(delta), pad=pad)
-    offs = ps.sample_offsets()
-    pts = qm.positions[:, None, :] + offs[None, :, None] * qm.normals[:, None, :]
+    ps = PatchSet(sphere=qs, graph=graph, samples=None, positions=qm.positions,
+                  normals=qm.normals, z_len=z_len, delta=float(delta), pad=pad)
     vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin), np.asarray(vol.spacing),
-                                  pts.reshape(-1, 3))
+                                  ps.column_points().reshape(-1, 3))
     ps.samples = graph.split(vals.reshape(-1, z_len), fill=0.0).astype(np.float32)
     return ps
 
@@ -274,10 +192,8 @@ def labeling_to_world(labels: np.ndarray, ps: PatchSet):
     """Per-vertex surface indices -> quad surface (vertices, quad faces)."""
     if len(labels) != ps.graph.n_vertices:
         raise ValueError("labeling does not cover all interior columns")
-    base = ps.graph.merge(ps.base)
-    normal = ps.graph.merge(ps.normal)
     offs = (np.asarray(labels, dtype=np.float64) - ps.center_index) * ps.delta
-    verts = base + offs[:, None] * normal
+    verts = ps.positions + offs[:, None] * ps.normals
     return verts, ps.sphere.faces
 
 
@@ -303,8 +219,8 @@ def save_patchset(ps: PatchSet, dirpath) -> None:
     }
     with open(os.path.join(dirpath, "patchset.json"), "w") as fh:
         json.dump(doc, fh)
-    save_arrays(os.path.join(dirpath, "geometry.npz"),
-                positions=ps.graph.merge(ps.base), normals=ps.graph.merge(ps.normal))
+    save_arrays(os.path.join(dirpath, "geometry.npz"), positions=ps.positions,
+                normals=ps.normals)
 
 
 def load_patchset(dirpath) -> PatchSet:
@@ -327,7 +243,5 @@ def load_patchset(dirpath) -> PatchSet:
             raise ValueError(f"{path}: dims {list(vol.dims)} do not match the patch set's "
                              f"(W, W, z_len) = {list(samples.shape[1:])}")
         samples[f] = vol.data
-    return PatchSet(sphere=qs, graph=graph, samples=samples,
-                    base=graph.split(positions, fill=0.0),
-                    normal=graph.split(normals, fill=0.0),
-                    z_len=z_len, delta=float(doc["delta"]), pad=pad)
+    return PatchSet(sphere=qs, graph=graph, samples=samples, positions=positions,
+                    normals=normals, z_len=z_len, delta=float(doc["delta"]), pad=pad)

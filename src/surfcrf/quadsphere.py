@@ -1,6 +1,7 @@
 """Quadrilateral parameterization of the unit sphere by recursive cube
-subdivision, spherical point location, and barycentric transfer of the quad
-structure onto the pre-segmentation surface."""
+subdivision, the padded face-grid ids across cube edges, spherical point
+location, and barycentric transfer of the quad structure onto the
+pre-segmentation surface."""
 from __future__ import annotations
 
 import functools
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .mesh import (MeshError, SphereMap, TriMesh, load_quad_mesh_records,
+from .mesh import (MeshError, SphereMap, TriMesh, _edge_table, load_quad_mesh_records,
                    save_quad_mesh_records, vertex_normals)
 
 
@@ -54,25 +55,12 @@ class QuadSphere:
         f = np.stack([g[:, :-1, :-1], g[:, 1:, :-1], g[:, 1:, 1:], g[:, :-1, 1:]], axis=-1)
         return f.reshape(-1, 4)
 
-    def _edge_keys(self) -> np.ndarray:
-        quads = self.faces
-        V = len(self.vertices)
-        sides = [np.stack([quads[:, a], quads[:, (a + 1) % 4]], axis=1) for a in range(4)]
-        e = np.concatenate(sides)
-        lo = e.min(axis=1).astype(np.int64)
-        hi = e.max(axis=1).astype(np.int64)
-        return np.unique(lo * V + hi)
-
     def edge_count(self) -> int:
-        return len(self._edge_keys())
+        return len(_edge_table(self.faces, len(self.vertices))[1])
 
     def vertex_degrees(self) -> np.ndarray:
-        V = len(self.vertices)
-        key = self._edge_keys()
-        deg = np.zeros(V, dtype=np.int64)
-        np.add.at(deg, key // V, 1)
-        np.add.at(deg, key % V, 1)
-        return deg
+        edges = _edge_table(self.faces, len(self.vertices))[1]
+        return np.bincount(edges.ravel(), minlength=len(self.vertices))
 
 
 def build_quadsphere(level: int) -> QuadSphere:
@@ -129,6 +117,35 @@ def _cached_quadsphere(level: int) -> QuadSphere:
     vertices.flags.writeable = False
     grids.flags.writeable = False
     return QuadSphere(level=level, vertices=vertices, grids=grids)
+
+
+def padded_gid_grids(qs: QuadSphere, pad: int) -> np.ndarray:
+    """(6, n+1+2p, n+1+2p) global-id grids; -1 in the p x p corner blocks,
+    which have no diagonal neighbor on the cube (the 8 degree-3 corners).
+
+    Slot (i, j) of face f, i and j in [-p, n+p], sits at the cube-lattice
+    point n*c00 + i*du + j*dv (corners at +-n, grid step 2).  A slot past one
+    cube edge folds its excess off that tangent axis and inward along the
+    face normal, which lands on the neighbor face's grid line at that depth."""
+    n = qs.n
+    if pad > n:
+        raise ValueError(f"pad {pad} exceeds face grid size n={n}")
+    c00, cn0, c0n = (_CORNER_SIGNS[list(c)] for c in zip(*_FACE_CORNERS))  # (6,3) each
+    du, dv = cn0 - c00, c0n - c00
+    normal = np.where((du == 0) & (dv == 0), c00, 0)
+    k = np.arange(-pad, n + pad + 1)
+    pts = (n * c00[:, None, None] + k[:, None, None] * du[:, None, None]
+           + k[None, :, None] * dv[:, None, None])
+    excess = np.maximum(np.abs(pts) - n, 0)
+    folded = np.clip(pts, -n, n) - excess.sum(axis=-1, keepdims=True) * normal[:, None, None]
+    lat = (folded + n) // 2  # 0..n per axis
+    table = np.full((n + 1,) * 3, -1, dtype=np.int64)
+    inner = lat[:, pad:pad + n + 1, pad:pad + n + 1]
+    table[tuple(np.moveaxis(inner, -1, 0))] = qs.grids
+    out = np.full(lat.shape[:-1], -1, dtype=np.int64)
+    edge = (excess > 0).sum(axis=-1) < 2  # slots past two edges stay -1
+    out[edge] = table[tuple(lat[edge].T)]
+    return out
 
 
 # ---------------------------------------------------------------------------

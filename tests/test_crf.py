@@ -447,6 +447,29 @@ class TestEnergy:
                 expect = (-math.log(p0[n0])) + (-math.log(p1[n1])) + 0.8 * mu * k01
                 assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
+    def test_seam_graph_against_pair_mask_records(self):
+        # a padded quad-sphere graph (seams, duplicate pad slots, corner
+        # blocks): the energy equals a scalar loop over the pair-mask records
+        # of owned slots, each symmetric pair counted twice and halved
+        graph = build_column_graph(sc.build_quadsphere(2), 3)
+        rng = np.random.default_rng(16)
+        u = sc.unary_from_logits(graph, graph.split(rng.normal(size=(graph.n_vertices, 6))))
+        params = sc.CrfParams(w_p=0.9, theta1=2.0, theta2=0.5, theta_comp=2.0, window_radius=3)
+        kf = sc.compute_kernel(u, params)
+        gwin = window_gids(graph, kf.offsets)
+        psi = u.potentials()
+        for seed in range(3):
+            labels = np.random.default_rng(seed).integers(0, 6, graph.n_vertices)
+            lab = sc.SurfaceLabeling(labels=labels, q=np.eye(6)[labels])
+            unary = pair = 0.0
+            for p, y, x in zip(*np.nonzero(graph.owned)):
+                unary += psi[p, y, x, labels[graph.gid[p, y, x]]]
+            for p, y, x, k in zip(*np.nonzero(kf.mask & graph.owned[..., None])):
+                d = labels[graph.gid[p, y, x]] - labels[gwin[p, y, x, k]]
+                pair += kf.weights[p, y, x, k] * -math.exp(-d * d / params.theta_comp ** 2)
+            expect = unary + params.w_p * pair / 2.0
+            assert sc.energy(lab, u, kf, params) == pytest.approx(expect, rel=1e-12)
+
     def test_meanfield_not_worse_than_argmax_statistically(self):
         # no per-instance guarantee; >= 90% over 100 seeded random instances
         wins = 0

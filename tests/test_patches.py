@@ -7,7 +7,7 @@ import pytest
 import surfcrf as sc
 from surfcrf import accel
 from surfcrf.patches import build_column_graph
-from surfcrf.quadsphere import save_arrays
+from surfcrf.quadsphere import padded_gid_grids, save_arrays
 
 
 def synthetic_quadmesh(level=2, radius=10.0, center=(16.0, 16.0, 16.0)):
@@ -19,9 +19,53 @@ def synthetic_quadmesh(level=2, radius=10.0, center=(16.0, 16.0, 16.0)):
                        bary=np.full((len(qs.vertices), 3), 1 / 3))
 
 
+def ref_padded_gid_grids(qs, pad):
+    """Padded id grids by seam matching: each (face, side) finds the neighbor
+    face side with the same boundary id sequence (forward or reversed) and
+    copies that face's grid lines at depths 1..pad into the pad ring."""
+    n = qs.n
+    if pad > n:
+        raise ValueError(f"pad {pad} exceeds face grid size n={n}")
+
+    def line(grid, side, depth):  # sides: u = 0, u = n, v = 0, v = n
+        return (grid[depth, :], grid[n - depth, :], grid[:, depth], grid[:, n - depth])[side]
+
+    adj = {}
+    for f, s, g, s2 in np.ndindex(6, 4, 6, 4):
+        seq, other = line(qs.grids[f], s, 0), line(qs.grids[g], s2, 0)
+        if g != f and np.array_equal(seq, other):
+            adj[f, s] = (g, s2, False)
+        elif g != f and np.array_equal(seq, other[::-1]):
+            adj[f, s] = (g, s2, True)
+    W = n + 1 + 2 * pad
+    inner = slice(pad, pad + n + 1)
+    out = np.full((6, W, W), -1, dtype=np.int64)
+    for f in range(6):
+        out[f, inner, inner] = qs.grids[f]
+        for s in range(4):
+            g, s2, rev = adj[f, s]
+            for d in range(1, pad + 1):
+                seq = line(qs.grids[g], s2, d)[::-1 if rev else 1]
+                at = ((pad - d, inner), (pad + n + d, inner), (inner, pad - d), (inner, pad + n + d))
+                out[(f, *at[s])] = seq
+    return out
+
+
 def constant_volume(value=4.0, dims=(32, 32, 32)):
     return sc.Volume(dims=dims, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0),
                      data=np.full(dims, value, dtype=np.float32))
+
+
+class TestPaddedGidGrids:
+    @pytest.mark.parametrize("level", range(6))
+    def test_fold_matches_seam_matching(self, level):
+        qs = sc.build_quadsphere(level)
+        for pad in range(qs.n + 1):
+            got = padded_gid_grids(qs, pad)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref_padded_gid_grids(qs, pad)), pad
+        with pytest.raises(ValueError, match=f"pad {qs.n + 1} exceeds face grid size n={qs.n}"):
+            padded_gid_grids(qs, qs.n + 1)
 
 
 class TestColumnGraph:
@@ -38,6 +82,17 @@ class TestColumnGraph:
         counts = np.zeros(g.n_vertices, dtype=int)
         np.add.at(counts, g.gid[g.owned], 1)
         assert (counts == 1).all()
+
+    def test_seam_owner_is_first_face_showing_it(self):
+        # owners are the first interior slot in (face, row, column) order:
+        # face 0 owns its whole grid, face 5 only what no earlier face shows
+        qs = sc.build_quadsphere(2)
+        p, n = 2, qs.n
+        g = build_column_graph(qs, p)
+        inner = (slice(p, p + n + 1),) * 2
+        assert g.owned[(0, *inner)].all()
+        earlier = np.isin(qs.grids[5], qs.grids[:5])
+        assert np.array_equal(g.owned[(5, *inner)], ~earlier)
 
     def test_corner_pad_blocks_invalid(self):
         qs = sc.build_quadsphere(2)
@@ -101,7 +156,7 @@ class TestSampleColumns:
         vol = sc.Volume((48, 48, 48), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), data)
         ps = sc.sample_columns(vol, qm, z_len=64, delta=0.625, pad=0)
         assert ps.center_index == 32
-        base_vals = sc.trilinear_sample(vol, ps.graph.merge(ps.base))
+        base_vals = sc.trilinear_sample(vol, ps.positions)
         center_vals = ps.graph.merge(ps.samples)[:, 32]
         assert np.allclose(center_vals, base_vals, atol=1e-5)
 
@@ -115,11 +170,10 @@ class TestSampleColumns:
         ps = sc.sample_columns(vol, qm, z_len=10, delta=delta, pad=0)
         cols = ps.graph.merge(ps.samples).astype(np.float64)
         slopes = np.diff(cols, axis=1)
-        nz = ps.graph.merge(ps.normal)[:, 2]
+        nz = ps.normals[:, 2]
         # columns fully inside the volume follow the analytic slope
         pts = ps.column_points()
-        inside = (ps.graph.merge(pts)[..., 2].min(axis=1) > 0.5) & \
-                 (ps.graph.merge(pts)[..., 2].max(axis=1) < 30.5)
+        inside = (pts[..., 2].min(axis=1) > 0.5) & (pts[..., 2].max(axis=1) < 30.5)
         expect = a * delta * nz
         assert np.allclose(slopes[inside], expect[inside, None], atol=1e-5)
 
@@ -128,17 +182,19 @@ class TestSampleColumns:
         ps = sc.sample_columns(constant_volume(), qm, z_len=8, delta=0.25, pad=1)
         pts = ps.column_points()
         c = ps.center_index
-        recon = ps.base[..., None, :] + \
-            (np.arange(8) - c)[None, None, None, :, None] * 0.25 * ps.normal[..., None, :]
-        assert np.allclose(pts[ps.graph.valid], recon[ps.graph.valid], atol=1e-12)
+        recon = ps.positions[:, None, :] + \
+            (np.arange(8) - c)[None, :, None] * 0.25 * ps.normals[:, None, :]
+        assert pts.shape == (ps.graph.n_vertices, 8, 3)
+        assert np.allclose(pts, recon, atol=1e-12)
 
     def test_equals_gather_over_every_slot(self, ellipsoid_run):
         # one sample per vertex column, spread to the slots, is the gather of
         # every padded slot's points with the corner pad blocks zeroed
         vol, qm = ellipsoid_run["vol"], ellipsoid_run["qm"]
         ps = sc.sample_columns(vol, qm, z_len=12, delta=0.75, pad=3)
+        slot_points = ps.graph.split(ps.column_points(), fill=0.0)
         vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin), np.asarray(vol.spacing),
-                                      ps.column_points().reshape(-1, 3))
+                                      slot_points.reshape(-1, 3))
         want = vals.reshape(ps.samples.shape).astype(np.float32)
         want[~ps.graph.valid] = 0.0
         assert ps.samples.dtype == np.float32
@@ -270,8 +326,8 @@ class TestPatchSetIO:
         assert back.pad == ps.pad
         assert back.delta == ps.delta
         assert np.array_equal(back.samples, ps.samples)
-        assert np.array_equal(back.base, ps.base)
-        assert np.array_equal(back.normal, ps.normal)
+        assert np.array_equal(back.positions, ps.positions)
+        assert np.array_equal(back.normals, ps.normals)
         assert back.graph is ps.graph is sc.load_patchset(path).graph
 
     def test_json_holds_scalars_only(self, saved):
