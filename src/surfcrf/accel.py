@@ -2,9 +2,11 @@
 
 Geometry: trilinear volume sampling, point location on the mapped sphere,
 ray casting against a triangle soup and the voxel parity fill.  CRF: the
-Gaussian pairwise weights and the window message pass, its adjoint and its
-weight gradient on (P,H,W,Z) patch grids; the message pass and its adjoint
-are CSR products over a stencil cached per grid shape and window.  Kernels
+Gaussian pairwise weights on (P,H,W,Z) patch grids, and the slot-grid window
+message pass, its adjoint and its weight gradient (CSR products over a
+stencil cached per grid shape and window).  Mean field runs on the vertex
+operator of crf.compute_kernel; the window kernels remain as its slot-grid
+reference in the tests and as benchmark probe targets.  Kernels
 that would build a (rays x faces) or (points x faces) array at once work in
 chunks of rays or points, so their transient memory stays bounded.  The
 tests compare every kernel with a scalar-loop reference.

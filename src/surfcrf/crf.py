@@ -111,7 +111,9 @@ def window_offsets(radius: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class KernelField:
-    """Fixed pairwise weights per column and window offset (self excluded)."""
+    """Fixed pairwise weights per column and window offset (self excluded),
+    and the vertex operator W that mean field runs on: W[i, j] is the weight
+    of j's record in the window of i's owning slot."""
     graph: ColumnGraph
     offsets: np.ndarray    # (K,2) int64
     weights: np.ndarray    # (P,H,W,K) float64
@@ -119,6 +121,8 @@ class KernelField:
     feat_dist: np.ndarray  # (P,H,W,K) float64 (squared feature distance)
     mask: np.ndarray       # (P,H,W,K) bool (valid, deduplicated pairs)
     radius: int
+    W: sparse.csr_matrix   # (Nv,Nv) owner-row weights, rows in offset order
+    edge_pos: np.ndarray   # (nnz,) flat (slot, k) position of each entry of W
 
 
 def window_gids(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
@@ -179,26 +183,52 @@ def window_pair_mask(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
     orec = graph.owned.reshape(-1)[rows]
     nv = graph.n_vertices
     a = sparse.csr_matrix((d2p[orec], (src[orec], dst[orec])), shape=(nv, nv))
-    assert a.nnz == orec.sum(), "owner windows list a gid pair twice"
+    if a.nnz != orec.sum():
+        raise AssertionError("owner windows list a gid pair twice")
     fwd = np.asarray(a[src, dst]).ravel()
     mirror = np.asarray(a[dst, src]).ravel()
     keep[rows, ks] = (fwd == d2p) & (mirror == d2p)
     return keep.reshape(P, H, W, K)
 
 
-# graph -> {window radius: read-only pair mask}; the mask depends on nothing
-# else, and fit rebuilds the kernel of every instance on every epoch.
-# build_column_graph returns one graph per (level, pad), so the cache is in
-# effect keyed on (level, pad, radius) and hits across load_patchset calls
+def pair_edges(graph: ColumnGraph, mask: np.ndarray, offsets: np.ndarray):
+    """The owner-row records of a pair mask as CSR arrays over vertices.
+
+    Row i lists the kept window entries of vertex i's owning slot in offset
+    order: ``cols`` holds each neighbour's gid, ``pos`` the entry's flat
+    (slot, k) position in a (P,H,W,K) array, ``indptr`` the row pointer.
+    The arrays are int32 where the positions allow it, so scipy takes them
+    without a copy, and read-only."""
+    W = graph.shape[2]
+    K = offsets.shape[0]
+    itype = np.int32 if mask.size < 2 ** 31 else np.int64
+    owner = graph.owner_slots()
+    rows, ks = np.nonzero(mask.reshape(-1, K)[owner])
+    src = owner[rows]
+    cols = graph.gid.reshape(-1)[src + offsets[ks, 0] * W + offsets[ks, 1]].astype(itype)
+    pos = (src * K + ks).astype(itype)
+    indptr = np.zeros(graph.n_vertices + 1, dtype=itype)
+    np.cumsum(np.bincount(rows, minlength=graph.n_vertices), out=indptr[1:])
+    for a in (cols, pos, indptr):
+        a.flags.writeable = False
+    return cols, pos, indptr
+
+
+# graph -> {window radius: (read-only pair mask, its edge records)}; both
+# depend on nothing else, and fit rebuilds the kernel of every instance on
+# every epoch.  build_column_graph returns one graph per (level, pad), so the
+# cache is in effect keyed on (level, pad, radius) and hits across
+# load_patchset calls
 _PAIR_MASKS = weakref.WeakKeyDictionary()
 
 
-def _cached_pair_mask(graph: ColumnGraph, radius: int, offsets: np.ndarray) -> np.ndarray:
+def _cached_pair_mask(graph: ColumnGraph, radius: int, offsets: np.ndarray):
+    """(pair mask, pair_edges records) of ``graph`` at window ``radius``."""
     masks = _PAIR_MASKS.setdefault(graph, {})
     if radius not in masks:
         mask = window_pair_mask(graph, offsets)
         mask.flags.writeable = False
-        masks[radius] = mask
+        masks[radius] = mask, pair_edges(graph, mask, offsets)
     return masks[radius]
 
 
@@ -277,7 +307,8 @@ def kernel_features(u: UnaryField, ps: PatchSet | None, params: CrfParams) -> np
 
 def compute_kernel(u: UnaryField, params: CrfParams, ps: PatchSet | None = None,
                    features: np.ndarray | None = None) -> KernelField:
-    """Gaussian appearance + smoothness weights for every window neighbor.
+    """Gaussian appearance + smoothness weights for every window neighbor,
+    and the vertex operator W taken from the owner rows of the weights.
 
     Features are FIXED for the whole inference (computed once, here)."""
     if features is None:
@@ -292,17 +323,21 @@ def compute_kernel(u: UnaryField, params: CrfParams, ps: PatchSet | None = None,
         1.0 / (2.0 * params.theta3 ** 2),
         params.w1,
     )
-    mask = _cached_pair_mask(u.graph, params.window_radius, offs)
+    mask, (cols, pos, indptr) = _cached_pair_mask(u.graph, params.window_radius, offs)
     w = np.where(mask, w, 0.0)
     app = np.where(mask, app, 0.0)
     fd = np.where(mask, fd, 0.0)
+    nv = u.graph.n_vertices
+    op = sparse.csr_matrix((w.take(pos), cols, indptr), shape=(nv, nv))
     return KernelField(graph=u.graph, offsets=offs, weights=w, appearance=app,
-                       feat_dist=fd, mask=mask, radius=params.window_radius)
+                       feat_dist=fd, mask=mask, radius=params.window_radius,
+                       W=op, edge_pos=pos)
 
 
 def refresh_duplicates(q: np.ndarray, graph: ColumnGraph) -> np.ndarray:
     """Copy every valid slot's values from its owning slot (pads and unowned
-    seam slots become consistent with their owner)."""
+    seam slots become consistent with their owner).  The slot-grid reference
+    of the vertex operator; inference does not use it."""
     flat = q.reshape(-1, q.shape[-1])
     src = graph.dup_src.ravel()
     ok = src >= 0
@@ -312,7 +347,9 @@ def refresh_duplicates(q: np.ndarray, graph: ColumnGraph) -> np.ndarray:
 
 
 def message_pass(q: np.ndarray, kf: KernelField) -> np.ndarray:
-    """Q~_i(l) = sum_{j in window(i), j != i} k_ij Q_j(l)."""
+    """Q~_i(l) = sum_{j in window(i), j != i} k_ij Q_j(l) on (P,H,W,Z) slots.
+
+    Its owner rows, on refreshed slots, are ``kf.W @ Q`` on the vertices."""
     return accel.window_sum(np.ascontiguousarray(q, dtype=np.float64),
                             kf.weights, kf.offsets)
 
@@ -323,51 +360,51 @@ def compat_transform(q_tilde: np.ndarray, theta_comp: float) -> np.ndarray:
     return q_tilde @ m
 
 
-def meanfield_unroll(logits: np.ndarray, kf: KernelField, params: CrfParams,
+def meanfield_unroll(logits: np.ndarray, W: sparse.csr_matrix, params: CrfParams,
                      iterations: int | None = None, tape: list | None = None) -> np.ndarray:
-    """The unrolled mean-field loop shared by inference and fitting.
+    """The unrolled mean-field loop shared by inference and fitting, on
+    (Nv,Z) vertex arrays.
 
-    Q0 = softmax(logits); each iteration refreshes seam duplicates,
-    message-passes, applies the compatibility transform and renormalizes via
-    softmax(logits - w_p * Qhat).  When ``tape`` is a list, each iteration
-    appends (r, q_tilde, q_hat, q) for the reverse pass.  Returns the final
-    per-slot marginals."""
+    Q0 = softmax(logits); each iteration message-passes (W @ Q), applies the
+    compatibility transform and renormalizes via softmax(logits - w_p * Qhat).
+    When ``tape`` is a list, each iteration appends (q_in, q_tilde, q_hat, q)
+    for the reverse pass.  Returns the final per-vertex marginals."""
     iterations = params.iterations if iterations is None else iterations
     q = softmax(logits)
     for _ in range(iterations):
-        r = refresh_duplicates(q, kf.graph)
-        q_tilde = message_pass(r, kf)
+        q_in = q
+        q_tilde = W @ q_in
         q_hat = compat_transform(q_tilde, params.theta_comp)
         q = softmax(logits - params.w_p * q_hat)
         if not np.isfinite(q).all():
             raise RuntimeError("non-finite mean-field marginals")
         if tape is not None:
-            tape.append((r, q_tilde, q_hat, q))
+            tape.append((q_in, q_tilde, q_hat, q))
     return q
 
 
 def meanfield_infer(u: UnaryField, params: CrfParams, ps: PatchSet | None = None,
                     features: np.ndarray | None = None,
                     kf: KernelField | None = None) -> SurfaceLabeling:
-    """T damped-free mean-field updates (meanfield_unroll) on the unary
-    logits, merged to per-vertex marginals and their argmax labels."""
+    """T damped-free mean-field updates (meanfield_unroll) on the per-vertex
+    unary logits: the marginals and their argmax labels."""
     if kf is None:
         kf = compute_kernel(u, params, ps=ps, features=features)
-    merged = u.graph.merge(meanfield_unroll(u.logits, kf, params))
-    return SurfaceLabeling(labels=np.argmax(merged, axis=-1).astype(np.int64), q=merged)
+    q = meanfield_unroll(u.graph.merge(u.logits), kf.W, params)
+    return SurfaceLabeling(labels=np.argmax(q, axis=-1).astype(np.int64), q=q)
 
 
 def energy(lab: SurfaceLabeling, u: UnaryField, kf: KernelField, params: CrfParams) -> float:
     """E = sum_i psi_u(n_i) + w_p * sum_{(i,j) pairs} mu(|n_i-n_j|) k_ij.
 
-    Pairs are those of the operational message-passing graph: one message
-    pass of the one-hot labeling gives sum_i (Q~ M)[i, n_i], which counts
-    each symmetric pair twice.
+    Pairs are those of the operational message-passing graph: the stored
+    entries of W, which list each symmetric pair twice, so their sum is
+    halved.
     """
-    graph = u.graph
-    rows = np.arange(graph.n_vertices)
-    onehot = np.eye(u.z_len)[lab.labels]
-    q_tilde = graph.merge(message_pass(graph.split(onehot, fill=0.0), kf))
-    pair = compat_transform(q_tilde, params.theta_comp)[rows, lab.labels].sum()
-    unary = graph.merge(u.potentials())[rows, lab.labels].sum()
+    op = kf.W
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    mu = compatibility(lab.labels[rows] - lab.labels[op.indices], params.theta_comp)
+    pair = (op.data * mu).sum()
+    verts = np.arange(u.graph.n_vertices)
+    unary = u.graph.merge(u.potentials())[verts, lab.labels].sum()
     return float(unary) + params.w_p * float(pair) / 2.0

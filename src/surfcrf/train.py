@@ -7,11 +7,11 @@ import json
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
+from scipy import sparse
 
-from . import accel
-from .crf import (LOGIT_CLAMP, CrfParams, KernelField, UnaryField, compat_matrix,
+from .crf import (LOGIT_CLAMP, CrfParams, UnaryField, compat_matrix,
                   compute_kernel, meanfield_unroll, softmax)
-from .patches import ColumnGraph, GroundTruth, PatchSet
+from .patches import GroundTruth, PatchSet
 
 SCALAR_NAMES = ("w_p", "w1", "theta1", "theta2", "theta3", "theta_comp", "unary_scale")
 _WIDTHS = ("theta1", "theta2", "theta3", "theta_comp")
@@ -93,41 +93,45 @@ def _softmax_backward(q, dq):
     return q * (dq - (dq * q).sum(axis=-1, keepdims=True))
 
 
-def _refresh_adjoint(dr: np.ndarray, graph: ColumnGraph) -> np.ndarray:
-    flat = dr.reshape(-1, dr.shape[-1])
-    src = graph.dup_src.ravel()
-    ok = src >= 0
-    out = np.zeros_like(flat)
-    np.add.at(out, src[ok], flat[ok])
-    return out.reshape(dr.shape)
+_EDGE_CHUNK = 1 << 15  # edges per gathered block of the weight gradient
+
+
+def _edge_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """<a[rows[e]], b[cols[e]]> per edge e, in blocks of edges so the
+    gathered (edges, Z) arrays stay bounded."""
+    out = np.empty(rows.size)
+    for lo in range(0, rows.size, _EDGE_CHUNK):
+        sl = slice(lo, lo + _EDGE_CHUNK)
+        out[sl] = np.einsum("ez,ez->e", a[rows[sl]], b[cols[sl]])
+    return out
 
 
 def frozen_kernel_stats(u: UnaryField, params: CrfParams, ps: PatchSet | None = None):
-    """The stop-gradient kernel inputs: squared feature distances, the valid
-    (deduplicated) pair mask, and squared spatial offsets.  Held constant by
-    fd_check too."""
+    """The stop-gradient kernel inputs per stored entry of the vertex
+    operator W: the squared feature distance, the squared grid distance, and
+    W itself for its sparsity pattern.  Held constant by fd_check too."""
     kf = compute_kernel(u, params, ps=ps)
     offs = kf.offsets
     d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2).astype(np.float64)
-    return kf.feat_dist, kf.mask, d2, offs
+    return kf.feat_dist.take(kf.edge_pos), d2[kf.edge_pos % len(offs)], kf.W
 
 
 def _forward(logits_raw, scale, graph, frozen, params, gt, T, tape=None):
     """MCE loss of T unrolled mean-field iterations (crf.meanfield_unroll) on
-    the clamped, scaled logits, with kernel weights built from the frozen
-    statistics.  Returns the loss and the intermediates of the reverse pass."""
-    fd, mask, d2, offs = frozen
+    the clamped, scaled vertex logits, with kernel weights built from the
+    frozen statistics.  Returns the loss and the intermediates of the
+    reverse pass."""
+    fd, d2, pattern = frozen
     it1 = 1.0 / (2.0 * params.theta1 ** 2)
     it2 = 1.0 / (2.0 * params.theta2 ** 2)
     it3 = 1.0 / (2.0 * params.theta3 ** 2)
-    spatial = d2[None, None, None, :]
-    app = np.where(mask, np.exp(-spatial * it1 - fd * it2), 0.0)
-    sm = np.where(mask, np.exp(-spatial * it3), 0.0)
-    kf = KernelField(graph=graph, offsets=offs, weights=app + params.w1 * sm,
-                     appearance=app, feat_dist=fd, mask=mask, radius=params.window_radius)
-    l = np.clip(scale * logits_raw, -LOGIT_CLAMP, LOGIT_CLAMP)
-    merged = graph.merge(meanfield_unroll(l, kf, params, T, tape=tape))
-    return mce_loss(merged, gt), dict(l=l, kf=kf, sm=sm, spatial=spatial, merged=merged)
+    app = np.exp(-d2 * it1 - fd * it2)
+    sm = np.exp(-d2 * it3)
+    op = sparse.csr_matrix((app + params.w1 * sm, pattern.indices, pattern.indptr),
+                           shape=pattern.shape)
+    l = np.clip(scale * graph.merge(logits_raw), -LOGIT_CLAMP, LOGIT_CLAMP)
+    q = meanfield_unroll(l, op, params, T, tape=tape)
+    return mce_loss(q, gt), dict(l=l, W=op, app=app, sm=sm, q=q)
 
 
 def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
@@ -137,54 +141,51 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
     """Exact reverse-mode derivatives of the MCE loss after T mean-field
     iterations w.r.t. all scalars and all input logits, with the kernel
     features treated as constants of the forward pass.  The logit clamp has
-    zero derivative where it binds, for the logits and the unary scale."""
+    zero derivative where it binds, for the logits and the unary scale.  The
+    loss reads only the owning slot of each vertex, so every other slot of
+    ``dlogits`` is 0."""
     T = params.iterations if T is None else T
     graph = u.graph
     logits_raw = u.logits
     if frozen is None:
         frozen = frozen_kernel_stats(
             UnaryField(graph=graph, logits=unary_scale * logits_raw), params, ps=ps)
-    fd, _, _, offs = frozen
+    fd, d2, _ = frozen
     tape = []
     loss, c = _forward(logits_raw, unary_scale, graph, frozen, params, gt, T, tape=tape)
 
-    merged = c["merged"]
+    q_out = c["q"]
     rows = np.nonzero(gt.valid)[0]
-    d_merged = np.zeros_like(merged)
+    dq = np.zeros_like(q_out)
     g_idx = gt.surface_index[rows]
-    d_merged[rows, g_idx] = -1.0 / (len(rows) * merged[rows, g_idx])
-
-    # merge adjoint: scatter vertex grads onto owning slots
-    owner = graph.owner_slots()
-    dq = np.zeros_like(c["l"])
-    dq.reshape(-1, dq.shape[-1])[owner] = d_merged
+    dq[rows, g_idx] = -1.0 / (len(rows) * q_out[rows, g_idx])
 
     m = compat_matrix(logits_raw.shape[-1], params.theta_comp)
-    w = c["kf"].weights
+    op = c["W"]
+    e_rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
     dl = np.zeros_like(c["l"])
     dwp = 0.0
     dm = np.zeros_like(m)
-    dw = np.zeros_like(w)
-    for r, q_tilde, q_hat, q in reversed(tape):
+    dw = np.zeros(op.nnz)
+    for q_in, q_tilde, q_hat, q in reversed(tape):
         ds = _softmax_backward(q, dq)
         dl += ds
         dq_hat = -params.w_p * ds
         dwp += float(-(ds * q_hat).sum())
         dq_tilde = dq_hat @ m.T
-        dm += np.einsum("pyxl,pyxm->lm", q_tilde, dq_hat)
-        dr = accel.window_sum_adjoint(dq_tilde, w, offs)
-        dw += accel.window_weight_grad(dq_tilde, r, offs)
-        dq = _refresh_adjoint(dr, graph)
+        dm += q_tilde.T @ dq_hat
+        dw += _edge_dots(dq_tilde, q_in, e_rows, op.indices)
+        dq = op.T @ dq_tilde
     dl += _softmax_backward(softmax(c["l"]), dq)
-    dl = np.where(np.abs(unary_scale * logits_raw) <= LOGIT_CLAMP, dl, 0.0)
+    merged_raw = graph.merge(logits_raw)
+    dl = np.where(np.abs(unary_scale * merged_raw) <= LOGIT_CLAMP, dl, 0.0)
 
-    app = c["kf"].appearance
+    app = c["app"]
     sm = c["sm"]
-    spatial = c["spatial"]
-    d_theta1 = float((dw * app * spatial).sum() / params.theta1 ** 3)
+    d_theta1 = float((dw * app * d2).sum() / params.theta1 ** 3)
     d_theta2 = float((dw * app * fd).sum() / params.theta2 ** 3)
     d_w1 = float((dw * sm).sum())
-    d_theta3 = float((dw * params.w1 * sm * spatial).sum() / params.theta3 ** 3)
+    d_theta3 = float((dw * params.w1 * sm * d2).sum() / params.theta3 ** 3)
 
     z = logits_raw.shape[-1]
     idx = np.arange(z)
@@ -192,8 +193,9 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
     dmu_dtc = -np.exp(-delta2 / params.theta_comp ** 2) * (2.0 * delta2 / params.theta_comp ** 3)
     d_theta_comp = float((dm * dmu_dtc).sum())
 
-    d_scale = float((dl * logits_raw).sum())
-    dlogits = unary_scale * dl
+    d_scale = float((dl * merged_raw).sum())
+    dlogits = np.zeros_like(logits_raw)
+    dlogits.reshape(-1, z)[graph.owner_slots()] = unary_scale * dl
     grads = {"w_p": dwp, "w1": d_w1, "theta1": d_theta1, "theta2": d_theta2,
              "theta3": d_theta3, "theta_comp": d_theta_comp, "unary_scale": d_scale}
     for name, val in grads.items():
@@ -224,8 +226,9 @@ def fd_check(u: UnaryField, params: CrfParams, gt: GroundTruth, T: int | None = 
              logit_step: float = 1e-2, n_logits: int = 100, seed: int = 0,
              ps: PatchSet | None = None) -> dict:
     """Central-difference check of every trainable scalar plus a random subset
-    of logits, against the analytic gradients; kernel features frozen on both
-    sides.  Returns per-parameter relative errors and the worst case."""
+    of the owner slots' logits, against the analytic gradients; kernel
+    features frozen on both sides.  Returns per-parameter relative errors and
+    the worst case."""
     T = params.iterations if T is None else T
     graph = u.graph
     frozen = frozen_kernel_stats(
@@ -250,9 +253,13 @@ def fd_check(u: UnaryField, params: CrfParams, gt: GroundTruth, T: int | None = 
         num = central_difference(fn, x0, step)
         errors[name] = relative_error(report.grads[name], num)
 
+    # the loss reads only owner slots; every other slot's derivative is 0 on
+    # both sides, so the picks are drawn from the owner slots' logits
     rng = np.random.default_rng(seed)
     flat = u.logits.reshape(-1)
-    pick = rng.choice(flat.size, size=min(n_logits, flat.size), replace=False)
+    z = u.z_len
+    owned = (graph.owner_slots()[:, None] * z + np.arange(z)).ravel()
+    pick = rng.choice(owned, size=min(n_logits, owned.size), replace=False)
     worst_logit = 0.0
     for j in pick:
         step = logit_step * max(1.0, abs(flat[j]))

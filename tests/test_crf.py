@@ -280,6 +280,25 @@ class TestMessagePass:
         assert np.abs(got - expect).max() / denom <= 1e-6
 
 
+class TestVertexOperator:
+    """W against its slot-grid reference: the owner rows of a message pass
+    over refreshed slots."""
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_matches_slot_message_pass_on_quad_sphere(self, level):
+        # pad 3, or the whole face grid where it is smaller (level 1: n = 2)
+        graph = build_column_graph(sc.build_quadsphere(level), pad=min(3, 2 ** level))
+        rng = np.random.default_rng(level)
+        u = sc.unary_from_logits(graph, graph.split(rng.normal(size=(graph.n_vertices, 5))))
+        q = rng.random((graph.n_vertices, 5))
+        for radius in range(1, 5):
+            kf = sc.compute_kernel(u, sc.CrfParams(window_radius=radius))
+            slot = sc.message_pass(sc.crf.refresh_duplicates(graph.split(q), graph), kf)
+            assert np.array_equal(kf.W @ q, graph.merge(slot))
+            assert (kf.W != kf.W.T).nnz == 0
+            assert kf.W.nnz == kf.mask[graph.owned].sum()
+
+
 class TestCompatTransform:
     def test_small_theta_is_negative_identity(self):
         rng = np.random.default_rng(9)

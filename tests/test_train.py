@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import surfcrf as sc
-from surfcrf import crf
+from surfcrf import accel, crf
 from surfcrf.crf import LOGIT_CLAMP, softmax
 from surfcrf.patches import make_toy_graph
-from surfcrf.train import central_difference, relative_error
+from surfcrf.train import _softmax_backward, central_difference, relative_error
 
 from conftest import make_pipeline_inputs
 
@@ -23,6 +23,84 @@ def toy_instance(h=4, w=4, z=8, seed=0, valid_frac=1.0):
         valid[0] = True
     gt = sc.GroundTruth(surface_index=rng.integers(0, z, graph.n_vertices), valid=valid)
     return u, gt
+
+
+def _ref_refresh_adjoint(dr, graph):
+    flat = dr.reshape(-1, dr.shape[-1])
+    src = graph.dup_src.ravel()
+    ok = src >= 0
+    out = np.zeros_like(flat)
+    np.add.at(out, src[ok], flat[ok])
+    return out.reshape(dr.shape)
+
+
+def ref_meanfield_grad(u, params, gt, unary_scale=1.0, ps=None):
+    """The slot-grid forward and reverse pass: mean field on the padded
+    (P,H,W,Z) slots with seam refreshes, the window adjoint, and the refresh
+    adjoint scattering every duplicate's gradient onto its owning slot.
+    Returns (loss, grads, dlogits) as meanfield_grad does."""
+    graph = u.graph
+    logits_raw = u.logits
+    kf0 = crf.compute_kernel(
+        sc.unary_from_logits(graph, unary_scale * logits_raw), params, ps=ps)
+    fd, mask, offs = kf0.feat_dist, kf0.mask, kf0.offsets
+    d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2).astype(np.float64)
+    it1 = 1.0 / (2.0 * params.theta1 ** 2)
+    it2 = 1.0 / (2.0 * params.theta2 ** 2)
+    it3 = 1.0 / (2.0 * params.theta3 ** 2)
+    spatial = d2[None, None, None, :]
+    app = np.where(mask, np.exp(-spatial * it1 - fd * it2), 0.0)
+    sm = np.where(mask, np.exp(-spatial * it3), 0.0)
+    w = app + params.w1 * sm
+    kf = dataclasses.replace(kf0, weights=w, appearance=app)
+    l = np.clip(unary_scale * logits_raw, -LOGIT_CLAMP, LOGIT_CLAMP)
+    q = softmax(l)
+    tape = []
+    for _ in range(params.iterations):
+        r = crf.refresh_duplicates(q, graph)
+        q_tilde = crf.message_pass(r, kf)
+        q_hat = crf.compat_transform(q_tilde, params.theta_comp)
+        q = softmax(l - params.w_p * q_hat)
+        tape.append((r, q_tilde, q_hat, q))
+    merged = graph.merge(q)
+    loss = sc.mce_loss(merged, gt)
+
+    rows = np.nonzero(gt.valid)[0]
+    d_merged = np.zeros_like(merged)
+    g_idx = gt.surface_index[rows]
+    d_merged[rows, g_idx] = -1.0 / (len(rows) * merged[rows, g_idx])
+    dq = np.zeros_like(l)
+    dq.reshape(-1, dq.shape[-1])[graph.owner_slots()] = d_merged
+    m = sc.compat_matrix(logits_raw.shape[-1], params.theta_comp)
+    dl = np.zeros_like(l)
+    dwp = 0.0
+    dm = np.zeros_like(m)
+    dw = np.zeros_like(w)
+    for r, q_tilde, q_hat, q in reversed(tape):
+        ds = _softmax_backward(q, dq)
+        dl += ds
+        dq_hat = -params.w_p * ds
+        dwp += float(-(ds * q_hat).sum())
+        dq_tilde = dq_hat @ m.T
+        dm += np.einsum("pyxl,pyxm->lm", q_tilde, dq_hat)
+        dr = accel.window_sum_adjoint(dq_tilde, w, offs)
+        dw += accel.window_weight_grad(dq_tilde, r, offs)
+        dq = _ref_refresh_adjoint(dr, graph)
+    dl += _softmax_backward(softmax(l), dq)
+    dl = np.where(np.abs(unary_scale * logits_raw) <= LOGIT_CLAMP, dl, 0.0)
+
+    z = logits_raw.shape[-1]
+    idx = np.arange(z)
+    delta2 = (idx[:, None] - idx[None, :]) ** 2
+    dmu_dtc = -np.exp(-delta2 / params.theta_comp ** 2) * (2.0 * delta2 / params.theta_comp ** 3)
+    grads = {"w_p": dwp,
+             "w1": float((dw * sm).sum()),
+             "theta1": float((dw * app * spatial).sum() / params.theta1 ** 3),
+             "theta2": float((dw * app * fd).sum() / params.theta2 ** 3),
+             "theta3": float((dw * params.w1 * sm * spatial).sum() / params.theta3 ** 3),
+             "theta_comp": float((dm * dmu_dtc).sum()),
+             "unary_scale": float((dl * logits_raw).sum())}
+    return loss, grads, unary_scale * dl
 
 
 class TestWbce:
@@ -137,6 +215,28 @@ class TestMeanfieldGrad:
         errs = sc.fd_check(u, params, gt, unary_scale=20.0, n_logits=1)
         assert errs["unary_scale"] <= 1e-6
 
+    def test_matches_slot_reference_on_phantom(self):
+        # the vertex-graph pass against the slot-grid one on a padded r=3
+        # instance: the same marginals, so the same loss, and gradients that
+        # differ only by summation order
+        (ps, u, gt), = phantom_fit_dataset(seeds=[0])
+        params = sc.prostate_params()
+        for scale in (1.0, 3.0):
+            rep = sc.meanfield_grad(u, params, gt, unary_scale=scale, ps=ps)
+            loss, grads, dlogits = ref_meanfield_grad(u, params, gt, unary_scale=scale, ps=ps)
+            assert rep.loss == loss
+            for name, g in grads.items():
+                assert abs(rep.grads[name] - g) <= 1e-13 * abs(g), name
+            assert np.abs(rep.dlogits - dlogits).max() <= 1e-13 * np.abs(dlogits).max()
+            assert (rep.dlogits[~u.graph.owned] == 0.0).all()
+
+    def test_fd_on_padded_graph(self):
+        # seams, pad duplicates and corner blocks: the picks are owner-slot
+        # logits, the only ones the loss reads
+        (ps, u, gt), = phantom_fit_dataset(seeds=[0])
+        errs = sc.fd_check(u, sc.prostate_params(), gt, T=2, n_logits=40, ps=ps)
+        assert errs["max"] <= 1e-3
+
     def test_all_gradients_finite(self):
         u, gt = toy_instance(seed=5, z=12)
         rep = sc.meanfield_grad(u, sc.CrfParams(window_radius=2), gt, unary_scale=3.0)
@@ -224,15 +324,24 @@ class TestFit:
 
     def test_pair_mask_built_once_per_instance(self, monkeypatch):
         calls = []
+        edge_calls = []
         build = crf.window_pair_mask
+        build_edges = crf.pair_edges
         monkeypatch.setattr(crf, "window_pair_mask",
                             lambda graph, offsets: calls.append(graph) or build(graph, offsets))
+        monkeypatch.setattr(crf, "pair_edges",
+                            lambda graph, mask, offsets: edge_calls.append(graph)
+                            or build_edges(graph, mask, offsets))
         dataset = [(None, *toy_instance(seed=s)) for s in (25, 26)]
         init = sc.prostate_params(window_radius=1, iterations=2)
         sc.fit(dataset, init, sc.FitConfig(lr=0.05, epochs=3))
-        assert len(calls) == 2
+        assert len(calls) == 2 and len(edge_calls) == 2
         kf = crf.compute_kernel(dataset[0][1], init)
-        assert len(calls) == 2 and not kf.mask.flags.writeable
+        assert len(calls) == 2 and len(edge_calls) == 2 and not kf.mask.flags.writeable
+        _, edges = crf._cached_pair_mask(kf.graph, init.window_radius, kf.offsets)
+        assert kf.edge_pos is edges[1]
+        for arr in edges:
+            assert arr.dtype == np.int32 and not arr.flags.writeable
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
