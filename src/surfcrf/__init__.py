@@ -2,7 +2,6 @@
 remeshing, terrain-like column patches, and mean-field CRF inference."""
 
 from .volume import (Volume, PhantomSpec, SvolError, load_svol, save_svol,
-                     trilinear_sample, resample_isotropic, normalize,
                      make_phantom, phantom_label_volume)
 from .mesh import (TriMesh, SphereMap, MeshError, load_mesh, save_mesh,
                    validate_closed_genus0, vertex_normals, taubin_smooth,
@@ -19,7 +18,7 @@ from .crf import (UnaryField, CrfParams, KernelField, SurfaceLabeling,
                   spleen_params)
 from .train import (LossReport, FitConfig, FitResult, FitDivergedError,
                     wbce_loss, mce_loss, meanfield_grad, fd_check, fit)
-from .metrics import (MetricsReport, voxelize, dsc, point_surface_distance,
-                      sample_surface, hd, asd, compare_surfaces)
+from .metrics import (MetricsReport, voxelize, dsc, sample_surface, hd, asd,
+                      compare_surfaces)
 
 __version__ = "0.1.0"

@@ -5,8 +5,10 @@ ray casting against a triangle soup and the voxel parity fill.  CRF: the
 Gaussian pairwise weights on (P,H,W,Z) patch grids, and the slot-grid window
 message pass, its adjoint and its weight gradient (CSR products over a
 stencil cached per grid shape and window).  Mean field runs on the vertex
-operator of crf.compute_kernel; the window kernels remain as its slot-grid
-reference in the tests and as benchmark probe targets.  Kernels
+operator of crf.compute_kernel, whose weights come from the owner features
+of each vertex pair, so it is symmetric for every unary; the slot-grid CRF
+kernels (pairwise_weights and the window kernels) remain as its reference in
+the tests and as benchmark probe targets.  Kernels
 that would build a (rays x faces) or (points x faces) array at once work in
 chunks of rays or points, so their transient memory stays bounded.  The
 tests compare every kernel with a scalar-loop reference.

@@ -111,18 +111,23 @@ def window_offsets(radius: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class KernelField:
-    """Fixed pairwise weights per column and window offset (self excluded),
-    and the vertex operator W that mean field runs on: W[i, j] is the weight
-    of j's record in the window of i's owning slot."""
+    """The vertex operator W that mean field runs on: W[i, j] is the Gaussian
+    weight of the pair (i, j), computed from the owner features of i and j
+    (edge_kernel), so W is symmetric for every unary."""
     graph: ColumnGraph
     offsets: np.ndarray    # (K,2) int64
-    weights: np.ndarray    # (P,H,W,K) float64
-    appearance: np.ndarray # (P,H,W,K) float64 (masked appearance term)
-    feat_dist: np.ndarray  # (P,H,W,K) float64 (squared feature distance)
-    mask: np.ndarray       # (P,H,W,K) bool (valid, deduplicated pairs)
-    radius: int
-    W: sparse.csr_matrix   # (Nv,Nv) owner-row weights, rows in offset order
+    W: sparse.csr_matrix   # (Nv,Nv) rows in the offset order of the owning slot
     edge_pos: np.ndarray   # (nnz,) flat (slot, k) position of each entry of W
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The slot-grid view of W, (P,H,W,K): each entry of W at its
+        position in its row's owning-slot window, 0 elsewhere.  Built on
+        access, for the slot-grid reference (message_pass)."""
+        P, H, W = self.graph.shape
+        out = np.zeros(P * H * W * len(self.offsets))
+        out[self.edge_pos] = self.W.data
+        return out.reshape(P, H, W, -1)
 
 
 def window_gids(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
@@ -305,33 +310,56 @@ def kernel_features(u: UnaryField, ps: PatchSet | None, params: CrfParams) -> np
     return ps.samples.astype(np.float64)
 
 
-def compute_kernel(u: UnaryField, params: CrfParams, ps: PatchSet | None = None,
-                   features: np.ndarray | None = None) -> KernelField:
-    """Gaussian appearance + smoothness weights for every window neighbor,
-    and the vertex operator W taken from the owner rows of the weights.
+_EDGE_BLOCK = 1 << 14  # edges per gathered block of the feature distance
+
+
+def edge_stats(u: UnaryField, params: CrfParams, ps: PatchSet | None = None):
+    """The kernel inputs per stored entry (i, j) of W, from the owner
+    (merged) kernel features f: the squared feature distance
+    fd = sum_z (f_i - f_j)^2, the squared grid distance d2 of the entry's
+    window offset, and the entries' cached (cols, pos, indptr) records
+    (pair_edges).  fd is gathered in blocks of edges, so the (edges, Z)
+    arrays stay bounded."""
+    offs = window_offsets(params.window_radius)
+    _, edges = _cached_pair_mask(u.graph, params.window_radius, offs)
+    cols, pos, indptr = edges
+    f = u.graph.merge(kernel_features(u, ps, params))
+    rows = np.repeat(np.arange(u.graph.n_vertices), np.diff(indptr))
+    fd = np.empty(cols.size)
+    for lo in range(0, cols.size, _EDGE_BLOCK):
+        sl = slice(lo, lo + _EDGE_BLOCK)
+        diff = f.take(rows[sl], axis=0)
+        diff -= f.take(cols[sl], axis=0)
+        diff *= diff
+        fd[sl] = diff.sum(axis=-1)
+    d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2).astype(np.float64)[pos % len(offs)]
+    return fd, d2, edges
+
+
+def edge_kernel(fd: np.ndarray, d2: np.ndarray, edges, params: CrfParams):
+    """The Gaussian edge weights w = app + w1 * sm as the vertex operator W
+    over the ``edges`` records, with the appearance term
+    app = exp(-d2/(2 theta1^2) - fd/(2 theta2^2)) and the smoothness term
+    sm = exp(-d2/(2 theta3^2)) per entry.  Returns (W, app, sm)."""
+    cols, _, indptr = edges
+    it1 = 1.0 / (2.0 * params.theta1 ** 2)
+    it2 = 1.0 / (2.0 * params.theta2 ** 2)
+    it3 = 1.0 / (2.0 * params.theta3 ** 2)
+    app = np.exp(-d2 * it1 - fd * it2)
+    sm = np.exp(-d2 * it3)
+    nv = indptr.size - 1
+    op = sparse.csr_matrix((app + params.w1 * sm, cols, indptr), shape=(nv, nv))
+    return op, app, sm
+
+
+def compute_kernel(u: UnaryField, params: CrfParams, ps: PatchSet | None = None) -> KernelField:
+    """The vertex operator W of the Gaussian pairwise kernel over the owner
+    windows' pair-mask records.
 
     Features are FIXED for the whole inference (computed once, here)."""
-    if features is None:
-        features = kernel_features(u, ps, params)
-    offs = window_offsets(params.window_radius)
-    w, app, fd = accel.pairwise_weights(
-        np.ascontiguousarray(features, dtype=np.float64),
-        np.ascontiguousarray(u.graph.valid),
-        offs,
-        1.0 / (2.0 * params.theta1 ** 2),
-        1.0 / (2.0 * params.theta2 ** 2),
-        1.0 / (2.0 * params.theta3 ** 2),
-        params.w1,
-    )
-    mask, (cols, pos, indptr) = _cached_pair_mask(u.graph, params.window_radius, offs)
-    w = np.where(mask, w, 0.0)
-    app = np.where(mask, app, 0.0)
-    fd = np.where(mask, fd, 0.0)
-    nv = u.graph.n_vertices
-    op = sparse.csr_matrix((w.take(pos), cols, indptr), shape=(nv, nv))
-    return KernelField(graph=u.graph, offsets=offs, weights=w, appearance=app,
-                       feat_dist=fd, mask=mask, radius=params.window_radius,
-                       W=op, edge_pos=pos)
+    fd, d2, edges = edge_stats(u, params, ps)
+    return KernelField(graph=u.graph, offsets=window_offsets(params.window_radius),
+                       W=edge_kernel(fd, d2, edges, params)[0], edge_pos=edges[1])
 
 
 def refresh_duplicates(q: np.ndarray, graph: ColumnGraph) -> np.ndarray:
@@ -384,12 +412,11 @@ def meanfield_unroll(logits: np.ndarray, W: sparse.csr_matrix, params: CrfParams
 
 
 def meanfield_infer(u: UnaryField, params: CrfParams, ps: PatchSet | None = None,
-                    features: np.ndarray | None = None,
                     kf: KernelField | None = None) -> SurfaceLabeling:
     """T damped-free mean-field updates (meanfield_unroll) on the per-vertex
     unary logits: the marginals and their argmax labels."""
     if kf is None:
-        kf = compute_kernel(u, params, ps=ps, features=features)
+        kf = compute_kernel(u, params, ps=ps)
     q = meanfield_unroll(u.graph.merge(u.logits), kf.W, params)
     return SurfaceLabeling(labels=np.argmax(q, axis=-1).astype(np.int64), q=q)
 

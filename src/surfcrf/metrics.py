@@ -74,15 +74,6 @@ def dsc(a: Volume, b: Volume) -> float:
     return 2.0 * int((ma & mb).sum()) / (na + nb)
 
 
-def point_surface_distance(point, surface_points: np.ndarray) -> float:
-    """Distance from a point to the nearest surface sample (exact NN)."""
-    pts = np.asarray(surface_points, dtype=np.float64)
-    if pts.size == 0:
-        raise ValueError("empty surface point set")
-    d, _ = cKDTree(pts).query(np.asarray(point, dtype=np.float64))
-    return float(d)
-
-
 @lru_cache(maxsize=None)
 def _centroid_lattice(depth: int) -> np.ndarray:
     """Barycentric weights (n*n, 3), n = 2**depth, of the centroids of the

@@ -7,10 +7,9 @@ import json
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
-from scipy import sparse
 
-from .crf import (LOGIT_CLAMP, CrfParams, UnaryField, compat_matrix,
-                  compute_kernel, meanfield_unroll, softmax)
+from .crf import (LOGIT_CLAMP, CrfParams, UnaryField, compat_matrix, edge_kernel,
+                  edge_stats, meanfield_unroll, softmax)
 from .patches import GroundTruth, PatchSet
 
 SCALAR_NAMES = ("w_p", "w1", "theta1", "theta2", "theta3", "theta_comp", "unary_scale")
@@ -106,14 +105,10 @@ def _edge_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray)
     return out
 
 
-def frozen_kernel_stats(u: UnaryField, params: CrfParams, ps: PatchSet | None = None):
-    """The stop-gradient kernel inputs per stored entry of the vertex
-    operator W: the squared feature distance, the squared grid distance, and
-    W itself for its sparsity pattern.  Held constant by fd_check too."""
-    kf = compute_kernel(u, params, ps=ps)
-    offs = kf.offsets
-    d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2).astype(np.float64)
-    return kf.feat_dist.take(kf.edge_pos), d2[kf.edge_pos % len(offs)], kf.W
+# the stop-gradient kernel inputs per stored entry of W: the squared feature
+# distance, the squared grid distance and the entries' records; held constant
+# by fd_check too
+frozen_kernel_stats = edge_stats
 
 
 def _forward(logits_raw, scale, graph, frozen, params, gt, T, tape=None):
@@ -121,14 +116,7 @@ def _forward(logits_raw, scale, graph, frozen, params, gt, T, tape=None):
     the clamped, scaled vertex logits, with kernel weights built from the
     frozen statistics.  Returns the loss and the intermediates of the
     reverse pass."""
-    fd, d2, pattern = frozen
-    it1 = 1.0 / (2.0 * params.theta1 ** 2)
-    it2 = 1.0 / (2.0 * params.theta2 ** 2)
-    it3 = 1.0 / (2.0 * params.theta3 ** 2)
-    app = np.exp(-d2 * it1 - fd * it2)
-    sm = np.exp(-d2 * it3)
-    op = sparse.csr_matrix((app + params.w1 * sm, pattern.indices, pattern.indptr),
-                           shape=pattern.shape)
+    op, app, sm = edge_kernel(*frozen, params)
     l = np.clip(scale * graph.merge(logits_raw), -LOGIT_CLAMP, LOGIT_CLAMP)
     q = meanfield_unroll(l, op, params, T, tape=tape)
     return mce_loss(q, gt), dict(l=l, W=op, app=app, sm=sm, q=q)

@@ -1,15 +1,13 @@
-"""Scalar volumes: .svol I/O, trilinear sampling, resampling, normalization,
-and synthetic phantom generation (the stand-in for clinical data)."""
+"""Scalar volumes: .svol I/O and synthetic phantom generation (the stand-in
+for clinical data).  Columns are sampled from a volume's own, possibly
+anisotropic, lattice by patches.sample_columns."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy import ndimage
-
-from . import accel
-
 
 _FLOAT_MAX = np.finfo(np.float64).max
 
@@ -37,10 +35,6 @@ class Volume:
             raise ValueError(f"spacing must all be > 0, got {self.spacing}")
         if self.data.shape != tuple(self.dims):
             raise ValueError(f"data shape {self.data.shape} != dims {self.dims}")
-
-    def voxel_center(self, idx):
-        idx = np.asarray(idx, dtype=np.float64)
-        return np.asarray(self.origin) + idx * np.asarray(self.spacing)
 
 
 def save_svol(vol: Volume, path) -> None:
@@ -95,43 +89,6 @@ def load_svol(path) -> Volume:
     data = np.frombuffer(raw, dtype="<f4").reshape(dims, order="F").copy()
     return Volume(dims=dims, spacing=tuple(float(s) for s in spacing),
                   origin=tuple(float(o) for o in origin), data=data)
-
-
-def trilinear_sample(vol: Volume, pts):
-    """Trilinear interpolation at world points (mm); out-of-lattice points
-    clamp to the nearest border value.  pts is (3,) or (N,3)."""
-    pts = np.asarray(pts, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    out = accel.trilinear_gather(vol.data, np.asarray(vol.origin), np.asarray(vol.spacing), pts)
-    return float(out[0]) if single else out
-
-
-def resample_isotropic(vol: Volume, target_spacing: float) -> Volume:
-    """Resample to cubic voxels of the given spacing via trilinear sampling at
-    the new voxel centers; world extent is preserved within one voxel."""
-    if target_spacing <= 0:
-        raise ValueError("target_spacing must be > 0")
-    s = float(target_spacing)
-    new_dims = tuple(
-        int(np.floor((d - 1) * sp / s + 1e-9)) + 1 for d, sp in zip(vol.dims, vol.spacing))
-    ii, jj, kk = np.meshgrid(*(np.arange(d) for d in new_dims), indexing="ij")
-    pts = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3) * s + np.asarray(vol.origin)
-    vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin), np.asarray(vol.spacing), pts)
-    return Volume(dims=new_dims, spacing=(s, s, s), origin=vol.origin,
-                  data=vals.reshape(new_dims).astype(np.float32))
-
-
-def normalize(vol: Volume) -> Volume:
-    """Zero-mean, unit-variance intensity standardization."""
-    data = vol.data.astype(np.float64)
-    mean = data.mean()
-    std = data.std()
-    if std < 1e-12:
-        raise ValueError("zero variance: cannot normalize a constant volume")
-    out = ((data - mean) / std).astype(np.float32)
-    return Volume(dims=vol.dims, spacing=vol.spacing, origin=vol.origin, data=out)
 
 
 # ---------------------------------------------------------------------------

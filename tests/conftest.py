@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import surfcrf as sc
+from surfcrf import accel, crf
 from surfcrf.cli import perturb_mesh_radially
 
 
@@ -22,6 +23,21 @@ def make_pipeline_inputs(seed=0, recursion=4, z_len=32, delta=1.0, pad=3,
     gt = sc.ground_truth(qm, truth, z_len, delta)
     return dict(spec=spec, vol=vol, truth=truth, labels=labels, pre=pre,
                 smap=smap, qm=qm, ps=ps, gt=gt)
+
+
+def slot_kernel(u, params, ps=None):
+    """The slot-grid reference of the pairwise kernel: accel.pairwise_weights
+    over every window entry of the (P,H,W) grid, each slot reading its own
+    features, kept where crf.window_pair_mask keeps it.  Returns the masked
+    weights, appearance terms and squared feature distances, and the mask."""
+    offs = crf.window_offsets(params.window_radius)
+    feats = np.ascontiguousarray(crf.kernel_features(u, ps, params), dtype=np.float64)
+    mask = crf.window_pair_mask(u.graph, offs)
+    terms = accel.pairwise_weights(feats, np.ascontiguousarray(u.graph.valid), offs,
+                                   1.0 / (2.0 * params.theta1 ** 2),
+                                   1.0 / (2.0 * params.theta2 ** 2),
+                                   1.0 / (2.0 * params.theta3 ** 2), params.w1)
+    return (*(np.where(mask, t, 0.0) for t in terms), mask)
 
 
 @pytest.fixture(scope="session")

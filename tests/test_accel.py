@@ -344,6 +344,45 @@ def assert_locate_matches_reference(smap, pts):
     return f1, b1
 
 
+class TestTrilinearGather:
+    """Interpolation properties of trilinear_gather on an anisotropic grid
+    with an offset origin."""
+    origin = np.asarray([-1.5, 2.0, 0.5])
+    spacing = np.asarray([0.8, 1.25, 2.0])
+
+    def center(self, idx):
+        return self.origin + np.asarray(idx, dtype=np.float64) * self.spacing
+
+    def gather(self, data, pts):
+        return accel.trilinear_gather(data, self.origin, self.spacing, np.atleast_2d(pts))
+
+    def test_voxel_center_identity(self):
+        data = np.random.default_rng(0).random((4, 5, 3)).astype(np.float32)
+        idx = [(0, 0, 0), (1, 2, 1), (3, 4, 2)]
+        got = self.gather(data, np.stack([self.center(i) for i in idx]))
+        assert np.allclose(got, [data[i] for i in idx], atol=1e-7)
+
+    def test_midpoint_linearity(self):
+        data = np.zeros((4, 4, 4), dtype=np.float32)
+        data[2, 1, 1] = 2.0
+        mid = (self.center((1, 1, 1)) + self.center((2, 1, 1))) / 2
+        assert self.gather(data, mid)[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_outside_clamps_to_border(self):
+        data = np.random.default_rng(1).random((4, 4, 4)).astype(np.float32)
+        far = np.asarray([100.0, -50.0, 100.0])
+        assert self.gather(data, far)[0] == pytest.approx(float(data[3, 0, 3]), abs=1e-7)
+
+    def test_affine_field_exact(self):
+        # trilinear reproduces affine intensity fields exactly inside the grid
+        ijk = np.stack(np.meshgrid(*(np.arange(5),) * 3, indexing="ij"), -1)
+        world = self.origin + ijk * self.spacing
+        coef = np.asarray([2.0, -3.0, 0.5])
+        data = (world @ coef + 1.0).astype(np.float32)
+        pts = self.origin + np.random.default_rng(2).uniform(0, 4, size=(50, 3)) * self.spacing
+        assert np.allclose(self.gather(data, pts), pts @ coef + 1.0, atol=1e-5)
+
+
 class TestLocate:
     """Edge cases of the one-pass point location, each against the loop."""
 
@@ -428,7 +467,7 @@ class TestConvexProperties:
         # voxelize shifts the surface by a sub-micron jitter off the lattice
         n, off = outward_planes(verts + _JITTER * np.asarray(template.spacing), faces)
         ijk = np.stack(np.meshgrid(*(np.arange(d) for d in template.dims), indexing="ij"), -1)
-        centers = template.voxel_center(ijk.reshape(-1, 3))
+        centers = np.asarray(template.origin) + ijk.reshape(-1, 3) * np.asarray(template.spacing)
         want = (centers @ n.T < off).all(axis=1).reshape(template.dims)
         assert want.any()
         assert np.array_equal(got, want)

@@ -1,11 +1,14 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import surfcrf as sc
-from surfcrf.crf import LOGIT_CLAMP, softmax, window_gids, window_offsets
+from surfcrf.crf import LOGIT_CLAMP, softmax, window_gids, window_offsets, window_pair_mask
 from surfcrf.patches import build_column_graph, make_toy_graph
+
+from conftest import slot_kernel
 
 
 def toy_unary(height, width, z_len, seed=0, sigma=1.5, patches=1):
@@ -169,12 +172,12 @@ class TestComputeKernel:
         u = sc.unary_from_logits(graph, logits)
         params = sc.CrfParams(w1=3.0, theta2=0.2, window_radius=1)
         kf = sc.compute_kernel(u, params)
-        fdist = kf.feat_dist[kf.mask]
-        assert np.allclose(fdist, 2.0, atol=1e-10)
-        app = kf.appearance[kf.mask]
-        assert np.allclose(app, math.exp(-1.0 / 50.0 - 2.0 / 0.08), rtol=1e-6)
-        smooth = kf.weights[kf.mask] - app
-        assert (smooth > 1e3 * app).all()
+        w, app, fdist, mask = slot_kernel(u, params)
+        assert np.array_equal(kf.weights, w)
+        assert np.allclose(fdist[mask], 2.0, atol=1e-10)
+        assert np.allclose(app[mask], math.exp(-1.0 / 50.0 - 2.0 / 0.08), rtol=1e-6)
+        smooth = w[mask] - app[mask]
+        assert (smooth > 1e3 * app[mask]).all()
 
     def test_kernel_symmetry_random(self):
         rng = np.random.default_rng(7)
@@ -182,36 +185,26 @@ class TestComputeKernel:
         u = sc.unary_from_logits(graph, rng.normal(size=(1, 6, 5, 8)))
         kf = sc.compute_kernel(u, sc.CrfParams(window_radius=2))
         gw = window_gids(graph, kf.offsets)
+        mask = window_pair_mask(graph, kf.offsets)
         table = {}
         for y in range(6):
             for x in range(5):
                 for k in range(kf.offsets.shape[0]):
-                    if kf.mask[0, y, x, k]:
+                    if mask[0, y, x, k]:
                         table[(graph.gid[0, y, x], gw[0, y, x, k])] = kf.weights[0, y, x, k]
         for (a, b), w in table.items():
             assert abs(table[(b, a)] - w) <= 1e-9
 
     def test_kernel_symmetry_on_quad_sphere(self):
-        qs = sc.build_quadsphere(2)
-        graph = build_column_graph(qs, pad=2)
+        # raw random slot logits: the pad slots differ from their owners, as
+        # with an external unary; W reads owner features only, so it stays
+        # exactly symmetric
+        graph = build_column_graph(sc.build_quadsphere(2), pad=2)
         rng = np.random.default_rng(8)
-        logits = rng.normal(size=(*graph.shape, 6))
-        u = sc.unary_from_logits(graph, sc.crf.refresh_duplicates(logits, graph))
+        u = sc.unary_from_logits(graph, rng.normal(size=(*graph.shape, 6)))
         kf = sc.compute_kernel(u, sc.CrfParams(window_radius=2))
-        gw = window_gids(graph, kf.offsets)
-        table = {}
-        for p in range(graph.shape[0]):
-            for y in range(graph.shape[1]):
-                for x in range(graph.shape[2]):
-                    if not graph.owned[p, y, x]:
-                        continue
-                    for k in range(kf.offsets.shape[0]):
-                        if kf.mask[p, y, x, k]:
-                            key = (graph.gid[p, y, x], gw[p, y, x, k])
-                            table[key] = kf.weights[p, y, x, k]
-        for (a, b), w in table.items():
-            assert (b, a) in table
-            assert abs(table[(b, a)] - w) <= 1e-9
+        assert kf.W.nnz > 0
+        assert (kf.W != kf.W.T).nnz == 0
 
     def test_intensity_variant_uses_samples(self):
         from test_patches import synthetic_quadmesh, constant_volume
@@ -220,8 +213,10 @@ class TestComputeKernel:
         u = sc.gradient_unary(ps)
         params = sc.CrfParams(kernel_variant="intensity", window_radius=1)
         kf = sc.compute_kernel(u, params, ps=ps)
+        w, _, fdist, mask = slot_kernel(u, params, ps=ps)
         # constant volume -> zero intensity distance everywhere
-        assert np.allclose(kf.feat_dist[kf.mask], 0.0, atol=1e-12)
+        assert np.allclose(fdist[mask], 0.0, atol=1e-12)
+        assert np.array_equal(kf.W.data, w.reshape(-1)[kf.edge_pos])
 
 
 class TestPairMask:
@@ -296,7 +291,24 @@ class TestVertexOperator:
             slot = sc.message_pass(sc.crf.refresh_duplicates(graph.split(q), graph), kf)
             assert np.array_equal(kf.W @ q, graph.merge(slot))
             assert (kf.W != kf.W.T).nnz == 0
-            assert kf.W.nnz == kf.mask[graph.owned].sum()
+            assert kf.W.nnz == window_pair_mask(graph, kf.offsets)[graph.owned].sum()
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_weights_match_slot_kernel_on_quad_sphere(self, level):
+        # refreshed slots, so every pad reads its owner's features: W holds
+        # exactly the owner-row entries of the masked slot-grid weights
+        graph = build_column_graph(sc.build_quadsphere(level), pad=min(3, 2 ** level))
+        rng = np.random.default_rng(level)
+        u = sc.unary_from_logits(graph, graph.split(rng.normal(size=(graph.n_vertices, 5))))
+        ps = SimpleNamespace(samples=graph.split(rng.random((graph.n_vertices, 5))))
+        for radius in range(1, 5):
+            for variant in ("probability", "intensity"):
+                params = sc.CrfParams(window_radius=radius, kernel_variant=variant)
+                kf = sc.compute_kernel(u, params, ps=ps)
+                w, _, _, mask = slot_kernel(u, params, ps=ps)
+                owner_rows = mask & graph.owned[..., None]
+                assert np.array_equal(np.sort(kf.edge_pos), np.flatnonzero(owner_rows))
+                assert np.array_equal(kf.W.data, w.reshape(-1)[kf.edge_pos])
 
 
 class TestCompatTransform:
@@ -395,14 +407,12 @@ class TestMeanfield:
         logits = rng.normal(size=(*graph.shape, 5))
         clean = sc.crf.refresh_duplicates(logits, graph)
         noisy = clean.copy()
-        noisy[~graph.owned] += rng.normal(size=noisy.shape)[~graph.owned] * 0.0
-        u1 = sc.unary_from_logits(graph, clean)
+        noisy[~graph.owned] += rng.normal(size=noisy.shape)[~graph.owned]
         params = sc.CrfParams(window_radius=2, iterations=3)
-        feats = sc.crf.kernel_features(u1, None, params)
-        lab1 = sc.meanfield_infer(u1, params, features=feats)
-        u2 = sc.unary_from_logits(graph, noisy)
-        lab2 = sc.meanfield_infer(u2, params, features=feats)
+        lab1 = sc.meanfield_infer(sc.unary_from_logits(graph, clean), params)
+        lab2 = sc.meanfield_infer(sc.unary_from_logits(graph, noisy), params)
         assert np.array_equal(lab1.labels, lab2.labels)
+        assert np.array_equal(lab1.q, lab2.q)
 
 
 class TestEnergy:
@@ -476,6 +486,7 @@ class TestEnergy:
         params = sc.CrfParams(w_p=0.9, theta1=2.0, theta2=0.5, theta_comp=2.0, window_radius=3)
         kf = sc.compute_kernel(u, params)
         gwin = window_gids(graph, kf.offsets)
+        mask = window_pair_mask(graph, kf.offsets)
         psi = u.potentials()
         for seed in range(3):
             labels = np.random.default_rng(seed).integers(0, 6, graph.n_vertices)
@@ -483,7 +494,7 @@ class TestEnergy:
             unary = pair = 0.0
             for p, y, x in zip(*np.nonzero(graph.owned)):
                 unary += psi[p, y, x, labels[graph.gid[p, y, x]]]
-            for p, y, x, k in zip(*np.nonzero(kf.mask & graph.owned[..., None])):
+            for p, y, x, k in zip(*np.nonzero(mask & graph.owned[..., None])):
                 d = labels[graph.gid[p, y, x]] - labels[gwin[p, y, x, k]]
                 pair += kf.weights[p, y, x, k] * -math.exp(-d * d / params.theta_comp ** 2)
             expect = unary + params.w_p * pair / 2.0

@@ -136,29 +136,6 @@ class TestDsc:
         assert sc.dsc(a, b) == sc.dsc(b, a)
 
 
-class TestPointSurfaceDistance:
-    def test_member_is_zero(self):
-        pts = np.asarray([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
-        assert sc.point_surface_distance(pts[1], pts) == 0.0
-
-    def test_three_four_five(self):
-        assert sc.point_surface_distance([3.0, 4.0, 0.0], np.zeros((1, 3))) == \
-            pytest.approx(5.0, abs=1e-12)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            sc.point_surface_distance([0, 0, 0], np.zeros((0, 3)))
-
-    def test_matches_brute_force_on_random_sets(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            pts = rng.normal(size=(rng.integers(1, 40), 3))
-            q = rng.normal(size=3)
-            got = sc.point_surface_distance(q, pts)
-            brute = np.linalg.norm(pts - q, axis=1).min()
-            assert abs(got - brute) <= 1e-9
-
-
 class TestSurfaceDistances:
     def test_identical_surfaces_zero(self):
         ico = sc.icosphere(2, radius=10.0)

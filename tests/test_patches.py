@@ -156,7 +156,8 @@ class TestSampleColumns:
         vol = sc.Volume((48, 48, 48), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), data)
         ps = sc.sample_columns(vol, qm, z_len=64, delta=0.625, pad=0)
         assert ps.center_index == 32
-        base_vals = sc.trilinear_sample(vol, ps.positions)
+        base_vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin),
+                                           np.asarray(vol.spacing), ps.positions)
         center_vals = ps.graph.merge(ps.samples)[:, 32]
         assert np.allclose(center_vals, base_vals, atol=1e-5)
 

@@ -10,7 +10,7 @@ from surfcrf.crf import LOGIT_CLAMP, softmax
 from surfcrf.patches import make_toy_graph
 from surfcrf.train import _softmax_backward, central_difference, relative_error
 
-from conftest import make_pipeline_inputs
+from conftest import make_pipeline_inputs, slot_kernel
 
 
 def toy_instance(h=4, w=4, z=8, seed=0, valid_frac=1.0):
@@ -41,9 +41,9 @@ def ref_meanfield_grad(u, params, gt, unary_scale=1.0, ps=None):
     Returns (loss, grads, dlogits) as meanfield_grad does."""
     graph = u.graph
     logits_raw = u.logits
-    kf0 = crf.compute_kernel(
+    _, _, fd, mask = slot_kernel(
         sc.unary_from_logits(graph, unary_scale * logits_raw), params, ps=ps)
-    fd, mask, offs = kf0.feat_dist, kf0.mask, kf0.offsets
+    offs = crf.window_offsets(params.window_radius)
     d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2).astype(np.float64)
     it1 = 1.0 / (2.0 * params.theta1 ** 2)
     it2 = 1.0 / (2.0 * params.theta2 ** 2)
@@ -52,13 +52,12 @@ def ref_meanfield_grad(u, params, gt, unary_scale=1.0, ps=None):
     app = np.where(mask, np.exp(-spatial * it1 - fd * it2), 0.0)
     sm = np.where(mask, np.exp(-spatial * it3), 0.0)
     w = app + params.w1 * sm
-    kf = dataclasses.replace(kf0, weights=w, appearance=app)
     l = np.clip(unary_scale * logits_raw, -LOGIT_CLAMP, LOGIT_CLAMP)
     q = softmax(l)
     tape = []
     for _ in range(params.iterations):
         r = crf.refresh_duplicates(q, graph)
-        q_tilde = crf.message_pass(r, kf)
+        q_tilde = accel.window_sum(r, w, offs)
         q_hat = crf.compat_transform(q_tilde, params.theta_comp)
         q = softmax(l - params.w_p * q_hat)
         tape.append((r, q_tilde, q_hat, q))
@@ -337,9 +336,9 @@ class TestFit:
         sc.fit(dataset, init, sc.FitConfig(lr=0.05, epochs=3))
         assert len(calls) == 2 and len(edge_calls) == 2
         kf = crf.compute_kernel(dataset[0][1], init)
-        assert len(calls) == 2 and len(edge_calls) == 2 and not kf.mask.flags.writeable
-        _, edges = crf._cached_pair_mask(kf.graph, init.window_radius, kf.offsets)
-        assert kf.edge_pos is edges[1]
+        assert len(calls) == 2 and len(edge_calls) == 2
+        mask, edges = crf._cached_pair_mask(kf.graph, init.window_radius, kf.offsets)
+        assert kf.edge_pos is edges[1] and not mask.flags.writeable
         for arr in edges:
             assert arr.dtype == np.int32 and not arr.flags.writeable
 

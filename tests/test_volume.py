@@ -110,96 +110,6 @@ class TestSvolIO:
         assert back.spacing == spec.spacing
 
 
-class TestTrilinear:
-    def test_voxel_center_identity(self):
-        rng = np.random.default_rng(0)
-        vol = small_volume(rng.random((4, 4, 4)).astype(np.float32))
-        for idx in [(0, 0, 0), (1, 2, 3), (3, 3, 3)]:
-            assert sc.trilinear_sample(vol, vol.voxel_center(idx)) == pytest.approx(
-                float(vol.data[idx]), abs=1e-7)
-
-    def test_midpoint_linearity(self):
-        data = np.zeros((4, 4, 4), dtype=np.float32)
-        data[1, 1, 1] = 0.0
-        data[2, 1, 1] = 2.0
-        vol = small_volume(data)
-        mid = (vol.voxel_center((1, 1, 1)) + vol.voxel_center((2, 1, 1))) / 2
-        assert sc.trilinear_sample(vol, mid) == pytest.approx(1.0, abs=1e-12)
-
-    def test_outside_clamps_to_border(self):
-        rng = np.random.default_rng(1)
-        vol = small_volume(rng.random((4, 4, 4)).astype(np.float32))
-        far = np.asarray([100.0, -50.0, 100.0])
-        assert sc.trilinear_sample(vol, far) == pytest.approx(
-            float(vol.data[3, 0, 3]), abs=1e-7)
-
-    def test_affine_field_exact(self):
-        # trilinear reproduces affine intensity fields exactly inside the grid
-        ii, jj, kk = np.meshgrid(*(np.arange(5),) * 3, indexing="ij")
-        data = (2.0 * ii - 3.0 * jj + 0.5 * kk + 1.0).astype(np.float32)
-        vol = sc.Volume((5, 5, 5), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), data)
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(0, 4, size=(50, 3))
-        vals = sc.trilinear_sample(vol, pts)
-        expect = 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 0.5 * pts[:, 2] + 1.0
-        assert np.allclose(vals, expect, atol=1e-5)
-
-
-class TestResample:
-    def test_identity_resample(self):
-        rng = np.random.default_rng(4)
-        vol = small_volume(rng.random((6, 5, 4)).astype(np.float32), dims=(6, 5, 4))
-        out = sc.resample_isotropic(vol, 1.0)
-        assert out.dims == vol.dims
-        assert np.allclose(out.data, vol.data, atol=1e-6)
-
-    def test_constant_volume(self):
-        vol = small_volume(np.full((5, 5, 5), 7.5, dtype=np.float32), dims=(5, 5, 5))
-        out = sc.resample_isotropic(vol, 0.8)
-        assert np.allclose(out.data, 7.5, atol=1e-6)
-
-    def test_downsample_linear_ramp(self):
-        # 2:1 downsample of a ramp along x doubles the step
-        ii = np.arange(9, dtype=np.float32)
-        data = np.broadcast_to(ii[:, None, None], (9, 4, 4)).copy()
-        vol = sc.Volume((9, 4, 4), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), data)
-        out = sc.resample_isotropic(vol, 2.0)
-        assert out.dims[0] == 5
-        assert np.allclose(out.data[:, 0, 0], [0, 2, 4, 6, 8], atol=1e-6)
-
-    def test_rejects_bad_spacing(self):
-        with pytest.raises(ValueError):
-            sc.resample_isotropic(small_volume(), 0.0)
-
-
-class TestNormalize:
-    def test_two_level(self):
-        data = np.zeros((4, 4, 4), dtype=np.float32)
-        data[:2] = 0.0
-        data[2:] = 2.0
-        out = sc.normalize(small_volume(data))
-        assert np.allclose(np.unique(out.data), [-1.0, 1.0], atol=1e-6)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(5)
-        vol = small_volume(rng.normal(3, 2, (4, 4, 4)).astype(np.float32))
-        once = sc.normalize(vol)
-        twice = sc.normalize(once)
-        assert np.allclose(once.data, twice.data, atol=1e-6)
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError, match="zero variance"):
-            sc.normalize(small_volume(np.full((4, 4, 4), 3.0, dtype=np.float32)))
-
-    def test_phantom_moments(self):
-        spec = sc.PhantomSpec(noise_sigma=0.2, blur_sigma_mm=1.0, seed=9)
-        vol, _ = sc.make_phantom(spec)
-        out = sc.normalize(vol)
-        data = out.data.astype(np.float64)
-        assert abs(data.mean()) <= 1e-5
-        assert abs(data.var() - 1.0) <= 1e-4
-
-
 class TestPhantom:
     def test_noiseless_matches_analytic_inside_test(self):
         spec = sc.PhantomSpec(kind="ellipsoid", noise_sigma=0.0, blur_sigma_mm=0.0, seed=0)
@@ -245,18 +155,3 @@ class TestPhantom:
     def test_spec_json_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             sc.PhantomSpec.from_json('{"kind": "ellipsoid", "bogus": 1}')
-
-
-class TestResampleAffineExactness:
-    def test_resample_then_sample_exact_for_affine(self):
-        # trilinear resampling reproduces affine fields exactly, so sampling
-        # the resampled volume at original voxel centers returns the original
-        ii, jj, kk = np.meshgrid(*(np.arange(7),) * 3, indexing="ij")
-        data = (1.5 * ii - 0.25 * jj + 3.0 * kk - 2.0).astype(np.float32)
-        vol = sc.Volume((7, 7, 7), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), data)
-        res = sc.resample_isotropic(vol, 0.75)
-        centers = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
-        inside = (centers <= (np.asarray(res.dims) - 1) * 0.75).all(axis=1)
-        got = sc.trilinear_sample(res, centers[inside])
-        expect = sc.trilinear_sample(vol, centers[inside])
-        assert np.allclose(got, expect, atol=1e-5)
