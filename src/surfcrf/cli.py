@@ -383,7 +383,10 @@ def cmd_fit(cfg, outdir, manifest_path):
             u = crfmod.gradient_unary(ps, polarity=un["polarity"])
             gt_path = os.path.join(run_dir, "ground_truth.json")
             with open(gt_path) as fh:
-                gt = GroundTruth.from_json(fh.read())
+                try:
+                    gt = GroundTruth.from_json(fh.read())
+                except KeyError as exc:
+                    raise CliError(f"{gt_path}: missing field {exc.args[0]!r}") from None
             _check_ground_truth(gt, ps, gt_path)
             dataset.append((ps, u, gt))
         fc = cfg["fit"]

@@ -130,111 +130,88 @@ class KernelField:
         return out.reshape(P, H, W, -1)
 
 
-def window_gids(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
-    """Global id of each window neighbor, (P,H,W,K); -1 out of grid/invalid."""
-    P, H, W = graph.shape
+def _window_records(graph: ColumnGraph, offsets: np.ndarray):
+    """(i, k, j) for every window entry k of vertex i's owning slot that
+    shows another valid vertex j, in (i, k) order."""
+    _, H, W = graph.shape
+    slot = graph.owner
+    ny = (slot // W % H)[:, None] + offsets[:, 0]
+    nx = (slot % W)[:, None] + offsets[:, 1]
+    inside = (ny >= 0) & (ny < H) & (nx >= 0) & (nx < W)
+    nbr = slot[:, None] + offsets[:, 0] * W + offsets[:, 1]
+    gwin = np.where(inside, graph.gid.reshape(-1)[np.where(inside, nbr, 0)], -1)
+    # drop self: the centre offset, and any pad that shows the vertex again
+    rows, ks = np.nonzero((gwin >= 0) & (gwin != np.arange(len(slot))[:, None]))
+    return rows, ks, gwin[rows, ks]
+
+
+def pair_edges(graph: ColumnGraph, offsets: np.ndarray):
+    """The neighbour records of the owner windows as CSR arrays over vertices.
+
+    Row i lists, in offset order, the window entries of vertex i's owning
+    slot that show another valid vertex.  Grid windows fold around cube
+    edges through the pad rings, and two artifacts appear near the 8
+    degree-3 corners; they are repaired here so the records form a
+    well-defined symmetric pairwise graph: a seam vertex can show up in two
+    edge pads of one window (keep the record with the least (d2, k), d2 the
+    squared grid distance of offset k), and a diagonal path around a
+    270-degree corner can be visible from one endpoint only (keep a record
+    only if its mirror exists at the same d2).
+
+    ``cols`` holds each neighbour's gid, ``pos`` the entry's flat (slot, k)
+    position in a (P,H,W,K) array, ``indptr`` the row pointer.  The arrays
+    are int32 where the positions allow it, so scipy takes them without a
+    copy, and read-only."""
     K = offsets.shape[0]
-    out = np.full((P, H, W, K), -1, dtype=np.int64)
-    gid = np.where(graph.valid, graph.gid, -1)
-    for k in range(K):
-        dy, dx = int(offsets[k, 0]), int(offsets[k, 1])
-        ys0, ys1 = max(0, -dy), min(H, H - dy)
-        xs0, xs1 = max(0, -dx), min(W, W - dx)
-        if ys0 >= ys1 or xs0 >= xs1:
-            continue
-        out[:, ys0:ys1, xs0:xs1, k] = gid[:, ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx]
-    return out
-
-
-def window_pair_mask(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
-    """Valid neighbor mask with gid deduplication and corner symmetrization.
-
-    Grid windows fold around cube edges through the pad rings.  Two artifacts
-    appear near the 8 degree-3 corners and are repaired here so the
-    operational neighbor graph is a well-defined symmetric pairwise graph:
-    a seam vertex can show up in two edge pads of one window (keep only the
-    minimal-distance occurrence), and a diagonal path around a 270-degree
-    corner can be visible from one endpoint only (drop records whose mirror
-    at the same grid distance does not exist in the owner windows).  Slots
-    duplicating the source's own gid are dropped as self-pairs.
-    """
-    P, H, W = graph.shape
-    K = offsets.shape[0]
-    gwin = window_gids(graph, offsets).reshape(-1, K)
-    own = np.where(graph.valid, graph.gid, -2).reshape(-1)
-    keep = (gwin >= 0) & (gwin != own[:, None]) & graph.valid.reshape(-1)[:, None]
-    center = np.nonzero((offsets[:, 0] == 0) & (offsets[:, 1] == 0))[0]
-    keep[:, center] = False
-
-    d2 = offsets[:, 0] ** 2 + offsets[:, 1] ** 2
-    order = np.lexsort((np.arange(K), d2))
-    g_ord = np.where(keep, gwin, -1)[:, order]
-    idx = np.argsort(g_ord, axis=1, kind="stable")
-    g_sorted = np.take_along_axis(g_ord, idx, axis=1)
-    dup_sorted = np.zeros_like(g_sorted, dtype=bool)
-    dup_sorted[:, 1:] = (g_sorted[:, 1:] == g_sorted[:, :-1]) & (g_sorted[:, 1:] >= 0)
-    dup_ord = np.zeros_like(dup_sorted)
-    np.put_along_axis(dup_ord, idx, dup_sorted, axis=1)
-    dup = np.zeros_like(dup_sorted)
-    dup[:, order] = dup_ord
-    keep &= ~dup
-
-    # symmetrize on (gid pair, squared grid distance) records of owner
-    # windows: A[src, dst] = d2 + 1, one entry per pair after the dedup above
-    rows, ks = np.nonzero(keep)
-    if rows.size == 0:
-        return keep.reshape(P, H, W, K)
-    src, dst, d2p = own[rows], gwin[rows, ks], d2[ks] + 1
-    orec = graph.owned.reshape(-1)[rows]
     nv = graph.n_vertices
-    a = sparse.csr_matrix((d2p[orec], (src[orec], dst[orec])), shape=(nv, nv))
-    if a.nnz != orec.sum():
-        raise AssertionError("owner windows list a gid pair twice")
-    fwd = np.asarray(a[src, dst]).ravel()
-    mirror = np.asarray(a[dst, src]).ravel()
-    keep[rows, ks] = (fwd == d2p) & (mirror == d2p)
-    return keep.reshape(P, H, W, K)
+    rows, ks, cols = _window_records(graph, offsets)
+    d2 = offsets[:, 0] ** 2 + offsets[:, 1] ** 2
+    stride = int(d2.max()) + 1
+    pair = rows * nv + cols
+    key = pair * stride + d2[ks]
+    order = np.argsort(key * K + ks)  # by (i, j), then (d2, k)
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = pair[order[1:]] != pair[order[:-1]]
+    kept = order[first]
+    keep = np.zeros(order.size, dtype=bool)
+    keep[kept] = True
+    mirror = (cols[keep] * nv + rows[keep]) * stride + d2[ks[keep]]
+    keep[keep] = np.isin(mirror, key[kept], assume_unique=True)
 
-
-def pair_edges(graph: ColumnGraph, mask: np.ndarray, offsets: np.ndarray):
-    """The owner-row records of a pair mask as CSR arrays over vertices.
-
-    Row i lists the kept window entries of vertex i's owning slot in offset
-    order: ``cols`` holds each neighbour's gid, ``pos`` the entry's flat
-    (slot, k) position in a (P,H,W,K) array, ``indptr`` the row pointer.
-    The arrays are int32 where the positions allow it, so scipy takes them
-    without a copy, and read-only."""
-    W = graph.shape[2]
-    K = offsets.shape[0]
-    itype = np.int32 if mask.size < 2 ** 31 else np.int64
-    owner = graph.owner_slots()
-    rows, ks = np.nonzero(mask.reshape(-1, K)[owner])
-    src = owner[rows]
-    cols = graph.gid.reshape(-1)[src + offsets[ks, 0] * W + offsets[ks, 1]].astype(itype)
-    pos = (src * K + ks).astype(itype)
-    indptr = np.zeros(graph.n_vertices + 1, dtype=itype)
-    np.cumsum(np.bincount(rows, minlength=graph.n_vertices), out=indptr[1:])
+    itype = np.int32 if graph.gid.size * K < 2 ** 31 else np.int64
+    rows, ks = rows[keep], ks[keep]
+    cols = cols[keep].astype(itype)
+    pos = (graph.owner[rows] * K + ks).astype(itype)
+    indptr = np.zeros(nv + 1, dtype=itype)
+    np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
     for a in (cols, pos, indptr):
         a.flags.writeable = False
     return cols, pos, indptr
 
 
-# graph -> {window radius: (read-only pair mask, its edge records)}; both
-# depend on nothing else, and fit rebuilds the kernel of every instance on
-# every epoch.  build_column_graph returns one graph per (level, pad), so the
-# cache is in effect keyed on (level, pad, radius) and hits across
-# load_patchset calls
-_PAIR_MASKS = weakref.WeakKeyDictionary()
+def window_pair_mask(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
+    """The slot view of the pair_edges records, (P,H,W,K) bool: True at each
+    record's (owning slot, k) position, so on owner rows only.  Built afresh
+    on each call, records included, for the slot-grid test references and
+    the benchmark's pair-record probe; inference does not use it."""
+    mask = np.zeros(graph.gid.size * offsets.shape[0], dtype=bool)
+    mask[pair_edges(graph, offsets)[1]] = True
+    return mask.reshape(*graph.shape, -1)
 
 
-def _cached_pair_mask(graph: ColumnGraph, radius: int, offsets: np.ndarray):
-    """(pair mask, pair_edges records) of ``graph`` at window ``radius``."""
-    masks = _PAIR_MASKS.setdefault(graph, {})
-    if radius not in masks:
-        mask = window_pair_mask(graph, offsets)
-        mask.flags.writeable = False
-        masks[radius] = mask, pair_edges(graph, mask, offsets)
-    return masks[radius]
+# graph -> {window radius: pair_edges records}; they depend on nothing else,
+# and fit rebuilds the kernel of every instance on every epoch.
+# build_column_graph returns one graph per (level, pad), so the cache is in
+# effect keyed on (level, pad, radius) and hits across load_patchset calls
+_PAIR_EDGES = weakref.WeakKeyDictionary()
+
+
+def _cached_pair_edges(graph: ColumnGraph, radius: int, offsets: np.ndarray):
+    """The pair_edges records of ``graph`` at window ``radius``."""
+    edges = _PAIR_EDGES.setdefault(graph, {})
+    if radius not in edges:
+        edges[radius] = pair_edges(graph, offsets)
+    return edges[radius]
 
 
 @dataclass(eq=False)
@@ -321,7 +298,7 @@ def edge_stats(u: UnaryField, params: CrfParams, ps: PatchSet | None = None):
     (pair_edges).  fd is gathered in blocks of edges, so the (edges, Z)
     arrays stay bounded."""
     offs = window_offsets(params.window_radius)
-    _, edges = _cached_pair_mask(u.graph, params.window_radius, offs)
+    edges = _cached_pair_edges(u.graph, params.window_radius, offs)
     cols, pos, indptr = edges
     f = u.graph.merge(kernel_features(u, ps, params))
     rows = np.repeat(np.arange(u.graph.n_vertices), np.diff(indptr))
@@ -354,7 +331,7 @@ def edge_kernel(fd: np.ndarray, d2: np.ndarray, edges, params: CrfParams):
 
 def compute_kernel(u: UnaryField, params: CrfParams, ps: PatchSet | None = None) -> KernelField:
     """The vertex operator W of the Gaussian pairwise kernel over the owner
-    windows' pair-mask records.
+    windows' pair_edges records.
 
     Features are FIXED for the whole inference (computed once, here)."""
     fd, d2, edges = edge_stats(u, params, ps)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -20,35 +21,34 @@ from .volume import Volume, load_svol, save_svol
 class ColumnGraph:
     """Grid topology shared by patch-shaped arrays (P patches of H x W columns).
 
-    valid marks columns with real geometry (corner pad blocks have none);
-    owned marks the single slot per global vertex that contributes to merged
-    output; dup_src holds, per valid slot, the flat index of its owning slot.
+    gid holds the global vertex of each slot (-1 in the corner pad blocks,
+    which have no geometry); owner holds, per global vertex, the flat index
+    of the single slot that contributes to merged output.
     """
-    valid: np.ndarray    # (P,H,W) bool
-    owned: np.ndarray    # (P,H,W) bool
-    gid: np.ndarray      # (P,H,W) int64, -1 where invalid
-    dup_src: np.ndarray  # (P,H,W) int64 flat index, -1 where invalid
-    n_vertices: int
+    gid: np.ndarray    # (P,H,W) int64, -1 where invalid
+    owner: np.ndarray  # (Nv,) int64 flat slot index
 
     @property
     def shape(self):
-        return self.valid.shape
+        return self.gid.shape
 
-    def owner_slots(self) -> np.ndarray:
-        """Flat slot index per global vertex."""
-        flat_gid = self.gid.ravel()
-        flat_owned = self.owned.ravel()
-        out = np.full(self.n_vertices, -1, dtype=np.int64)
-        idx = np.nonzero(flat_owned)[0]
-        out[flat_gid[idx]] = idx
-        if np.any(out < 0):
-            raise AssertionError("vertex without an owning column")
-        return out
+    @property
+    def n_vertices(self) -> int:
+        return len(self.owner)
+
+    @property
+    def valid(self) -> np.ndarray:
+        """(P,H,W) bool: slots with real geometry."""
+        return self.gid >= 0
+
+    @property
+    def dup_src(self) -> np.ndarray:
+        """(P,H,W) flat index of each valid slot's owning slot, -1 where invalid."""
+        return np.where(self.valid, self.owner[self.gid], -1)
 
     def merge(self, field: np.ndarray) -> np.ndarray:
         """Per-slot field (P,H,W,...) -> per-vertex field (Nv,...)."""
-        flat = field.reshape(-1, *field.shape[3:])
-        return flat[self.owner_slots()]
+        return field.reshape(-1, *field.shape[3:])[self.owner]
 
     def split(self, field: np.ndarray, fill=0) -> np.ndarray:
         """Per-vertex field (Nv,...) -> per-slot field (P,H,W,...)."""
@@ -63,11 +63,8 @@ class ColumnGraph:
 def make_toy_graph(height: int, width: int, patches: int = 1) -> ColumnGraph:
     """Single-owner grid with no pads; used by CRF unit tests and oracles."""
     P, H, W = patches, height, width
-    gid = np.arange(P * H * W, dtype=np.int64).reshape(P, H, W)
-    return ColumnGraph(valid=np.ones((P, H, W), dtype=bool),
-                       owned=np.ones((P, H, W), dtype=bool),
-                       gid=gid, dup_src=gid.reshape(P, H, W).copy(),
-                       n_vertices=P * H * W)
+    owner = np.arange(P * H * W, dtype=np.int64)
+    return ColumnGraph(gid=owner.reshape(P, H, W), owner=owner)
 
 
 @dataclass(eq=False)
@@ -134,20 +131,15 @@ def build_column_graph(qs: QuadSphere, pad: int) -> ColumnGraph:
 def _cached_column_graph(qs: QuadSphere, pad: int) -> ColumnGraph:
     gid = padded_gid_grids(qs, pad)
     n = qs.n
-    valid = gid >= 0
     # each vertex is owned by its first interior slot in (face, row, column) order
-    interior = np.zeros_like(valid)
+    interior = np.zeros(gid.shape, dtype=bool)
     interior[:, pad:pad + n + 1, pad:pad + n + 1] = True
     slots = np.flatnonzero(interior)
     first = np.unique(gid.ravel()[slots], return_index=True)[1]
     if len(first) != len(qs.vertices):
         raise AssertionError("unclaimed quad vertex in ownership pass")
-    owner = slots[first]
-    owned = np.zeros(gid.size, dtype=bool)
-    owned[owner] = True
-    graph = ColumnGraph(valid=valid, owned=owned.reshape(gid.shape), gid=gid,
-                        dup_src=np.where(valid, owner[gid], -1), n_vertices=len(qs.vertices))
-    for arr in (graph.valid, graph.owned, graph.gid, graph.dup_src):
+    graph = ColumnGraph(gid=gid, owner=slots[first])
+    for arr in (graph.gid, graph.owner):
         arr.flags.writeable = False
     return graph
 
@@ -223,18 +215,41 @@ def save_patchset(ps: PatchSet, dirpath) -> None:
                 normals=ps.normals)
 
 
-def load_patchset(dirpath) -> PatchSet:
-    with open(os.path.join(dirpath, "patchset.json")) as fh:
+def _load_patchset_doc(path) -> dict:
+    """The scalars of patchset.json, each present and consistent."""
+    with open(path) as fh:
         doc = json.load(fh)
-    qs = build_quadsphere(int(doc["level"]))
-    pad = int(doc["pad"])
+    for key in ("level", "z_len", "delta", "pad", "center_index"):
+        if key not in doc:
+            raise ValueError(f"{path}: missing field {key!r}")
+    for key in ("level", "pad", "z_len"):
+        if type(doc[key]) is not int or doc[key] < 0:
+            raise ValueError(f"{path}: {key!r} must be an integer >= 0, got {doc[key]!r}")
+    delta = doc["delta"]
+    if type(delta) not in (int, float) or not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"{path}: 'delta' must be finite and > 0, got {delta!r}")
+    if doc["pad"] > 2 ** doc["level"]:
+        raise ValueError(f"{path}: 'pad' {doc['pad']} exceeds the face grid size "
+                         f"n = 2**level = {2 ** doc['level']}")
+    if doc["z_len"] < 2:
+        raise ValueError(f"{path}: 'z_len' must be >= 2, got {doc['z_len']}")
+    if doc["center_index"] != doc["z_len"] // 2:
+        raise ValueError(f"{path}: 'center_index' is {doc['center_index']!r}, "
+                         f"expected z_len // 2 = {doc['z_len'] // 2}")
+    return doc
+
+
+def load_patchset(dirpath) -> PatchSet:
+    doc = _load_patchset_doc(os.path.join(dirpath, "patchset.json"))
+    qs = build_quadsphere(doc["level"])
+    pad = doc["pad"]
     graph = build_column_graph(qs, pad)
     sidecar = os.path.join(dirpath, "geometry.npz")
     arrays = load_arrays(sidecar)
     shape = (graph.n_vertices, 3)
     positions = checked_array(arrays, sidecar, "positions", shape, np.float64)
     normals = checked_array(arrays, sidecar, "normals", shape, np.float64)
-    z_len = int(doc["z_len"])
+    z_len = doc["z_len"]
     samples = np.zeros((*graph.shape, z_len), dtype=np.float32)
     for f in range(6):
         path = os.path.join(dirpath, f"patch{f}.svol")

@@ -183,7 +183,7 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
 
     d_scale = float((dl * merged_raw).sum())
     dlogits = np.zeros_like(logits_raw)
-    dlogits.reshape(-1, z)[graph.owner_slots()] = unary_scale * dl
+    dlogits.reshape(-1, z)[graph.owner] = unary_scale * dl
     grads = {"w_p": dwp, "w1": d_w1, "theta1": d_theta1, "theta2": d_theta2,
              "theta3": d_theta3, "theta_comp": d_theta_comp, "unary_scale": d_scale}
     for name, val in grads.items():
@@ -246,7 +246,7 @@ def fd_check(u: UnaryField, params: CrfParams, gt: GroundTruth, T: int | None = 
     rng = np.random.default_rng(seed)
     flat = u.logits.reshape(-1)
     z = u.z_len
-    owned = (graph.owner_slots()[:, None] * z + np.arange(z)).ravel()
+    owned = (graph.owner[:, None] * z + np.arange(z)).ravel()
     pick = rng.choice(owned, size=min(n_logits, owned.size), replace=False)
     worst_logit = 0.0
     for j in pick:

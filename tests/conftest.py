@@ -25,11 +25,19 @@ def make_pipeline_inputs(seed=0, recursion=4, z_len=32, delta=1.0, pad=3,
                 smap=smap, qm=qm, ps=ps, gt=gt)
 
 
+def owned_mask(graph):
+    """(P,H,W) bool: True at the owning slot of each vertex."""
+    out = np.zeros(graph.gid.size, dtype=bool)
+    out[graph.owner] = True
+    return out.reshape(graph.shape)
+
+
 def slot_kernel(u, params, ps=None):
     """The slot-grid reference of the pairwise kernel: accel.pairwise_weights
     over every window entry of the (P,H,W) grid, each slot reading its own
-    features, kept where crf.window_pair_mask keeps it.  Returns the masked
-    weights, appearance terms and squared feature distances, and the mask."""
+    features, kept where crf.window_pair_mask keeps it (the owner rows of
+    the pair records).  Returns the masked weights, appearance terms and
+    squared feature distances, and the mask."""
     offs = crf.window_offsets(params.window_radius)
     feats = np.ascontiguousarray(crf.kernel_features(u, ps, params), dtype=np.float64)
     mask = crf.window_pair_mask(u.graph, offs)

@@ -111,10 +111,10 @@ class TestSegmentIdentity:
     def test_segment_reload_reuses_pair_mask(self, fast_run, tmp_path, monkeypatch):
         out = shutil.copytree(fast_run, tmp_path / "run")
         calls = []
-        build = crfmod.window_pair_mask
-        monkeypatch.setattr(crfmod, "window_pair_mask",
+        build = crfmod.pair_edges
+        monkeypatch.setattr(crfmod, "pair_edges",
                             lambda graph, offsets: calls.append(graph) or build(graph, offsets))
-        crfmod._PAIR_MASKS.clear()
+        crfmod._PAIR_EDGES.clear()
         for _ in range(2):
             assert cli.main(["segment", "--out", str(out)] + FAST) == 0
         assert len(calls) == 1
@@ -254,6 +254,21 @@ class TestFitCommand:
         cfg = cli.load_config(overrides={"fit.epochs": 1, "crf.window_radius": 2})
         with pytest.raises(cli.CliError, match=re.escape(f"{gt_path}: {field}")):
             cli.cmd_fit(cfg, str(tmp_path / "fit"), str(manifest))
+
+    @pytest.mark.parametrize("field", ["surface_index", "valid"])
+    def test_missing_ground_truth_field_named(self, fast_run, tmp_path, capsys, field):
+        run = shutil.copytree(fast_run, tmp_path / "run")
+        gt_path = run / "ground_truth.json"
+        doc = json.loads(gt_path.read_text())
+        del doc[field]
+        gt_path.write_text(json.dumps(doc))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"runs": [str(run)]}))
+        rc = cli.main(["fit", "--out", str(tmp_path / "fit"), "--manifest", str(manifest),
+                       "--epochs", "1"] + FAST)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"] == f"{gt_path}: missing field '{field}'"
 
     def test_fit_over_manifest(self, tmp_path):
         runs = []

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import surfcrf as sc
-from surfcrf.crf import LOGIT_CLAMP, softmax, window_gids, window_offsets, window_pair_mask
+from scipy import sparse
+
+from surfcrf.crf import LOGIT_CLAMP, softmax, window_offsets, window_pair_mask
 from surfcrf.patches import build_column_graph, make_toy_graph
 
-from conftest import slot_kernel
+from conftest import owned_mask, slot_kernel
 
 
 def toy_unary(height, width, z_len, seed=0, sigma=1.5, patches=1):
@@ -33,14 +35,87 @@ def brute_force_message_pass(q, kf):
     return out
 
 
+def ref_window_gids(graph, offsets):
+    """Global id of each window neighbor of every slot, (P,H,W,K); -1 out of
+    grid or invalid."""
+    P, H, W = graph.shape
+    K = offsets.shape[0]
+    out = np.full((P, H, W, K), -1, dtype=np.int64)
+    gid = np.where(graph.valid, graph.gid, -1)
+    for k in range(K):
+        dy, dx = int(offsets[k, 0]), int(offsets[k, 1])
+        ys0, ys1 = max(0, -dy), min(H, H - dy)
+        xs0, xs1 = max(0, -dx), min(W, W - dx)
+        if ys0 >= ys1 or xs0 >= xs1:
+            continue
+        out[:, ys0:ys1, xs0:xs1, k] = gid[:, ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx]
+    return out
+
+
+def ref_full_pair_mask(graph, offsets):
+    """The full-grid pair mask over every (P,H,W,K) window entry, owner or
+    not: per-row gid dedup in (d2, k) order, then a record survives when its
+    own entry and its mirror, at the same squared grid distance, are among
+    the owner windows' records (sparse-matrix lookups)."""
+    P, H, W = graph.shape
+    K = offsets.shape[0]
+    gwin = ref_window_gids(graph, offsets).reshape(-1, K)
+    own = np.where(graph.valid, graph.gid, -2).reshape(-1)
+    keep = (gwin >= 0) & (gwin != own[:, None]) & graph.valid.reshape(-1)[:, None]
+    center = np.nonzero((offsets[:, 0] == 0) & (offsets[:, 1] == 0))[0]
+    keep[:, center] = False
+
+    d2 = offsets[:, 0] ** 2 + offsets[:, 1] ** 2
+    order = np.lexsort((np.arange(K), d2))
+    g_ord = np.where(keep, gwin, -1)[:, order]
+    idx = np.argsort(g_ord, axis=1, kind="stable")
+    g_sorted = np.take_along_axis(g_ord, idx, axis=1)
+    dup_sorted = np.zeros_like(g_sorted, dtype=bool)
+    dup_sorted[:, 1:] = (g_sorted[:, 1:] == g_sorted[:, :-1]) & (g_sorted[:, 1:] >= 0)
+    dup_ord = np.zeros_like(dup_sorted)
+    np.put_along_axis(dup_ord, idx, dup_sorted, axis=1)
+    dup = np.zeros_like(dup_sorted)
+    dup[:, order] = dup_ord
+    keep &= ~dup
+
+    rows, ks = np.nonzero(keep)
+    if rows.size == 0:
+        return keep.reshape(P, H, W, K)
+    src, dst, d2p = own[rows], gwin[rows, ks], d2[ks] + 1
+    orec = owned_mask(graph).reshape(-1)[rows]
+    nv = graph.n_vertices
+    a = sparse.csr_matrix((d2p[orec], (src[orec], dst[orec])), shape=(nv, nv))
+    assert a.nnz == orec.sum(), "owner windows list a gid pair twice"
+    fwd = np.asarray(a[src, dst]).ravel()
+    mirror = np.asarray(a[dst, src]).ravel()
+    keep[rows, ks] = (fwd == d2p) & (mirror == d2p)
+    return keep.reshape(P, H, W, K)
+
+
+def ref_pair_edges(graph, mask, offsets):
+    """The owner-row records of a full-grid pair mask as CSR arrays over
+    vertices, (cols, pos, indptr), as crf.pair_edges returns them."""
+    W = graph.shape[2]
+    K = offsets.shape[0]
+    itype = np.int32 if mask.size < 2 ** 31 else np.int64
+    owner = graph.owner
+    rows, ks = np.nonzero(mask.reshape(-1, K)[owner])
+    src = owner[rows]
+    cols = graph.gid.reshape(-1)[src + offsets[ks, 0] * W + offsets[ks, 1]].astype(itype)
+    pos = (src * K + ks).astype(itype)
+    indptr = np.zeros(graph.n_vertices + 1, dtype=itype)
+    np.cumsum(np.bincount(rows, minlength=graph.n_vertices), out=indptr[1:])
+    return cols, pos, indptr
+
+
 def ref_window_pair_mask(graph, offsets):
-    """The key-set form of window_pair_mask: the same dedup, then a record
+    """The key-set form of ref_full_pair_mask: the same dedup, then a record
     survives when its (src gid, dst gid, d2) key and the mirrored key are
     both among the owner windows' records (np.isin / np.unique on composite
     int64 keys)."""
     P, H, W = graph.shape
     K = offsets.shape[0]
-    gwin = window_gids(graph, offsets).reshape(-1, K)
+    gwin = ref_window_gids(graph, offsets).reshape(-1, K)
     own = np.where(graph.valid, graph.gid, -2).reshape(-1)
     keep = (gwin >= 0) & (gwin != own[:, None]) & graph.valid.reshape(-1)[:, None]
     keep[:, (offsets[:, 0] == 0) & (offsets[:, 1] == 0)] = False
@@ -61,7 +136,7 @@ def ref_window_pair_mask(graph, offsets):
     stride = int(d2.max()) + 1
     d2k = np.broadcast_to(d2[None, :], keep.shape)
     src = np.broadcast_to(own[:, None], keep.shape)
-    orec = keep & graph.owned.reshape(-1)[:, None]
+    orec = keep & owned_mask(graph).reshape(-1)[:, None]
     fwd = (src[orec] * nv + gwin[orec]) * stride + d2k[orec]
     mirror = (gwin[orec] * nv + src[orec]) * stride + d2k[orec]
     allowed = np.unique(fwd[np.isin(mirror, fwd)])
@@ -184,7 +259,7 @@ class TestComputeKernel:
         graph = make_toy_graph(6, 5)
         u = sc.unary_from_logits(graph, rng.normal(size=(1, 6, 5, 8)))
         kf = sc.compute_kernel(u, sc.CrfParams(window_radius=2))
-        gw = window_gids(graph, kf.offsets)
+        gw = ref_window_gids(graph, kf.offsets)
         mask = window_pair_mask(graph, kf.offsets)
         table = {}
         for y in range(6):
@@ -219,17 +294,24 @@ class TestComputeKernel:
         assert np.array_equal(kf.W.data, w.reshape(-1)[kf.edge_pos])
 
 
+QUAD_GRAPHS = [(level, pad) for level in range(6) for pad in range(min(3, 2 ** level) + 1)]
+TOY_SHAPES = [(1, 1, 1), (1, 1, 4), (1, 2, 3), (2, 5, 4), (1, 6, 5)]
+
+
 class TestPairMask:
+    """The slot view of the records: the owner rows of the full-grid mask."""
+
     @pytest.mark.parametrize("level", [2, 3, 4])
     @pytest.mark.parametrize("pad", [0, 1, 2, 3])
     def test_matches_key_set_reference_on_quad_sphere(self, level, pad):
         graph = build_column_graph(sc.build_quadsphere(level), pad=pad)
+        owned = owned_mask(graph)[..., None]
         for radius in range(1, 5):
             offs = window_offsets(radius)
             assert np.array_equal(sc.crf.window_pair_mask(graph, offs),
-                                  ref_window_pair_mask(graph, offs))
+                                  ref_window_pair_mask(graph, offs) & owned)
 
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 4), (1, 2, 3), (2, 5, 4)])
+    @pytest.mark.parametrize("shape", TOY_SHAPES[:4])
     def test_matches_key_set_reference_on_toy_graphs(self, shape):
         patches, height, width = shape
         graph = make_toy_graph(height, width, patches)
@@ -239,6 +321,30 @@ class TestPairMask:
             assert np.array_equal(mask, ref_window_pair_mask(graph, offs))
             if shape == (1, 1, 1):
                 assert not mask.any()  # a lone column keeps no record
+
+
+class TestPairEdges:
+    """The owner-window records against the owner rows of the full-grid
+    mask: levels 0-5 x pads 0..min(3, n) and five toy graphs, radii 1-4."""
+
+    @staticmethod
+    def assert_matches_full_grid(graph):
+        for radius in range(1, 5):
+            offs = window_offsets(radius)
+            got = sc.crf.pair_edges(graph, offs)
+            want = ref_pair_edges(graph, ref_full_pair_mask(graph, offs), offs)
+            for name, a, b in zip(("cols", "pos", "indptr"), got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (radius, name)
+                assert not a.flags.writeable
+
+    @pytest.mark.parametrize("level, pad", QUAD_GRAPHS)
+    def test_matches_full_grid_reference_on_quad_sphere(self, level, pad):
+        self.assert_matches_full_grid(build_column_graph(sc.build_quadsphere(level), pad))
+
+    @pytest.mark.parametrize("shape", TOY_SHAPES)
+    def test_matches_full_grid_reference_on_toy_graphs(self, shape):
+        patches, height, width = shape
+        self.assert_matches_full_grid(make_toy_graph(height, width, patches))
 
 
 class TestMessagePass:
@@ -291,7 +397,7 @@ class TestVertexOperator:
             slot = sc.message_pass(sc.crf.refresh_duplicates(graph.split(q), graph), kf)
             assert np.array_equal(kf.W @ q, graph.merge(slot))
             assert (kf.W != kf.W.T).nnz == 0
-            assert kf.W.nnz == window_pair_mask(graph, kf.offsets)[graph.owned].sum()
+            assert kf.W.nnz == ref_full_pair_mask(graph, kf.offsets)[owned_mask(graph)].sum()
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
     def test_weights_match_slot_kernel_on_quad_sphere(self, level):
@@ -302,11 +408,13 @@ class TestVertexOperator:
         u = sc.unary_from_logits(graph, graph.split(rng.normal(size=(graph.n_vertices, 5))))
         ps = SimpleNamespace(samples=graph.split(rng.random((graph.n_vertices, 5))))
         for radius in range(1, 5):
+            owner_rows = ref_full_pair_mask(graph, window_offsets(radius)) \
+                & owned_mask(graph)[..., None]
             for variant in ("probability", "intensity"):
                 params = sc.CrfParams(window_radius=radius, kernel_variant=variant)
                 kf = sc.compute_kernel(u, params, ps=ps)
                 w, _, _, mask = slot_kernel(u, params, ps=ps)
-                owner_rows = mask & graph.owned[..., None]
+                assert np.array_equal(mask, owner_rows)
                 assert np.array_equal(np.sort(kf.edge_pos), np.flatnonzero(owner_rows))
                 assert np.array_equal(kf.W.data, w.reshape(-1)[kf.edge_pos])
 
@@ -407,7 +515,8 @@ class TestMeanfield:
         logits = rng.normal(size=(*graph.shape, 5))
         clean = sc.crf.refresh_duplicates(logits, graph)
         noisy = clean.copy()
-        noisy[~graph.owned] += rng.normal(size=noisy.shape)[~graph.owned]
+        dup = ~owned_mask(graph)
+        noisy[dup] += rng.normal(size=noisy.shape)[dup]
         params = sc.CrfParams(window_radius=2, iterations=3)
         lab1 = sc.meanfield_infer(sc.unary_from_logits(graph, clean), params)
         lab2 = sc.meanfield_infer(sc.unary_from_logits(graph, noisy), params)
@@ -485,16 +594,17 @@ class TestEnergy:
         u = sc.unary_from_logits(graph, graph.split(rng.normal(size=(graph.n_vertices, 6))))
         params = sc.CrfParams(w_p=0.9, theta1=2.0, theta2=0.5, theta_comp=2.0, window_radius=3)
         kf = sc.compute_kernel(u, params)
-        gwin = window_gids(graph, kf.offsets)
+        gwin = ref_window_gids(graph, kf.offsets)
         mask = window_pair_mask(graph, kf.offsets)
+        owned = owned_mask(graph)
         psi = u.potentials()
         for seed in range(3):
             labels = np.random.default_rng(seed).integers(0, 6, graph.n_vertices)
             lab = sc.SurfaceLabeling(labels=labels, q=np.eye(6)[labels])
             unary = pair = 0.0
-            for p, y, x in zip(*np.nonzero(graph.owned)):
+            for p, y, x in zip(*np.nonzero(owned)):
                 unary += psi[p, y, x, labels[graph.gid[p, y, x]]]
-            for p, y, x, k in zip(*np.nonzero(mask & graph.owned[..., None])):
+            for p, y, x, k in zip(*np.nonzero(mask)):
                 d = labels[graph.gid[p, y, x]] - labels[gwin[p, y, x, k]]
                 pair += kf.weights[p, y, x, k] * -math.exp(-d * d / params.theta_comp ** 2)
             expect = unary + params.w_p * pair / 2.0

@@ -9,6 +9,8 @@ from surfcrf import accel
 from surfcrf.patches import build_column_graph
 from surfcrf.quadsphere import padded_gid_grids, save_arrays
 
+from conftest import owned_mask
+
 
 def synthetic_quadmesh(level=2, radius=10.0, center=(16.0, 16.0, 16.0)):
     """QuadMesh with exactly radial normals (sphere of the given radius)."""
@@ -72,15 +74,16 @@ class TestColumnGraph:
     def test_interior_bijection(self):
         qs = sc.build_quadsphere(3)
         g = build_column_graph(qs, pad=3)
-        assert g.owned.sum() == g.n_vertices
-        owned_gids = g.gid[g.owned]
-        assert len(np.unique(owned_gids)) == g.n_vertices
+        assert np.array_equal(g.gid.reshape(-1)[g.owner], np.arange(g.n_vertices))
+        owned = owned_mask(g)
+        assert owned.sum() == g.n_vertices
+        assert len(np.unique(g.gid[owned])) == g.n_vertices
 
     def test_seam_vertex_owned_once(self):
         qs = sc.build_quadsphere(2)
         g = build_column_graph(qs, pad=2)
         counts = np.zeros(g.n_vertices, dtype=int)
-        np.add.at(counts, g.gid[g.owned], 1)
+        np.add.at(counts, g.gid[owned_mask(g)], 1)
         assert (counts == 1).all()
 
     def test_seam_owner_is_first_face_showing_it(self):
@@ -88,11 +91,11 @@ class TestColumnGraph:
         # face 0 owns its whole grid, face 5 only what no earlier face shows
         qs = sc.build_quadsphere(2)
         p, n = 2, qs.n
-        g = build_column_graph(qs, p)
+        owned = owned_mask(build_column_graph(qs, p))
         inner = (slice(p, p + n + 1),) * 2
-        assert g.owned[(0, *inner)].all()
+        assert owned[(0, *inner)].all()
         earlier = np.isin(qs.grids[5], qs.grids[:5])
-        assert np.array_equal(g.owned[(5, *inner)], ~earlier)
+        assert np.array_equal(owned[(5, *inner)], ~earlier)
 
     def test_corner_pad_blocks_invalid(self):
         qs = sc.build_quadsphere(2)
@@ -116,16 +119,26 @@ class TestColumnGraph:
         field = rng.random(g.n_vertices)
         slots = g.split(field)
         corrupted = slots.copy()
-        corrupted[~g.owned] = -99.0
+        corrupted[~owned_mask(g)] = -99.0
         assert np.array_equal(g.merge(corrupted), g.merge(slots))
 
     def test_cached_and_read_only(self):
         qs = sc.build_quadsphere(2)
         g = build_column_graph(qs, pad=2)
         assert build_column_graph(qs, 2) is g
-        for arr in (g.valid, g.owned, g.gid, g.dup_src):
+        for arr in (g.gid, g.owner):
             with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0, 0] = 0
+                arr[(0,) * arr.ndim] = 0
+
+    def test_derived_slot_fields(self):
+        # valid and dup_src follow from gid and owner: every valid slot
+        # points at the owning slot of its own vertex
+        g = build_column_graph(sc.build_quadsphere(2), pad=2)
+        assert np.array_equal(g.valid, g.gid >= 0)
+        src = g.dup_src
+        assert (src[~g.valid] == -1).all()
+        assert np.array_equal(g.gid.reshape(-1)[src[g.valid]], g.gid[g.valid])
+        assert np.array_equal(np.unique(src[g.valid]), np.sort(g.owner))
 
     def test_pad_exceeding_grid_rejected(self):
         qs = sc.build_quadsphere(1)
@@ -371,6 +384,38 @@ class TestPatchSetIO:
         with pytest.raises(ValueError, match=r"'positions' has shape \(98, 3\).*\(386, 3\)"):
             sc.load_patchset(path)
 
+    @pytest.mark.parametrize("field", ["level", "z_len", "delta", "pad", "center_index"])
+    def test_missing_scalar_names_file_and_field(self, saved, field):
+        _, path = saved
+        doc = json.loads((path / "patchset.json").read_text())
+        del doc[field]
+        (path / "patchset.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"patchset\.json: missing field '{field}'"):
+            sc.load_patchset(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"level": "2"}, r"'level' must be an integer >= 0, got '2'"),
+        ({"level": 2.0}, r"'level' must be an integer >= 0, got 2\.0"),
+        ({"pad": 1.5}, r"'pad' must be an integer >= 0, got 1\.5"),
+        ({"pad": -1}, r"'pad' must be an integer >= 0, got -1"),
+        ({"z_len": True}, r"'z_len' must be an integer >= 0, got True"),
+        ({"delta": -1.0}, r"'delta' must be finite and > 0, got -1\.0"),
+        ({"delta": 0.0}, r"'delta' must be finite and > 0, got 0\.0"),
+        ({"delta": float("nan")}, r"'delta' must be finite and > 0, got nan"),
+        ({"delta": float("inf")}, r"'delta' must be finite and > 0, got inf"),
+        ({"delta": "0.5"}, r"'delta' must be finite and > 0, got '0\.5'"),
+        ({"pad": 5}, r"'pad' 5 exceeds the face grid size n = 2\*\*level = 4"),
+        ({"z_len": 1, "center_index": 0}, r"'z_len' must be >= 2, got 1"),
+        ({"center_index": 3}, r"'center_index' is 3, expected z_len // 2 = 4"),
+    ])
+    def test_bad_scalar_names_file_and_field(self, saved, edit, message):
+        # a negative delta would load and mirror every column about its centre
+        _, path = saved
+        doc = json.loads((path / "patchset.json").read_text())
+        (path / "patchset.json").write_text(json.dumps({**doc, **edit}))
+        with pytest.raises(ValueError, match=r"patchset\.json: " + message):
+            sc.load_patchset(path)
+
     def test_patch_dims_mismatch_names_file_and_field(self, saved):
         ps, path = saved
         W = ps.graph.shape[1]
@@ -390,6 +435,6 @@ class TestPadCompleteness:
         R = 3
         g = build_column_graph(qs, pad=R)
         P, H, W = g.shape
-        ys, xs = np.nonzero(g.owned.any(axis=0))
+        ys, xs = np.nonzero(owned_mask(g).any(axis=0))
         assert ys.min() - R >= 0 and xs.min() - R >= 0
         assert ys.max() + R <= H - 1 and xs.max() + R <= W - 1

@@ -3,7 +3,7 @@
 surfbench/probes.py calls crf and train functions directly, and its own
 smoke test (surfbench/test_smoke.py) is outside this suite's test paths, so
 a change to those functions could break the traced benchmark run unseen.
-These tests run the CRF and fit probes on a small pipeline run.
+These tests run the case, CRF and fit probes on a small pipeline run.
 """
 import json
 import math
@@ -39,6 +39,16 @@ def assert_spans(tr, names):
         assert rec["probe"] and rec["end"] is not None and rec["end"] >= rec["start"]
     for name, value in tr.medians().items():
         assert math.isfinite(value), name
+
+
+def test_probe_case(small_run, tmp_path):
+    # every layer below cli, the CRF and metric probes included
+    run, cfg_path, _ = small_run
+    tr = tracing.Tracer()
+    probes.probe_case(tr, str(run), cli.load_config(str(cfg_path)), str(tmp_path), "small")
+    assert_spans(tr, {"patches.sample_columns", "accel.trilinear_gather",
+                      "accel.locate_points", "metrics.surface_distance",
+                      "crf.window_pair_mask", "crf.meanfield_iter"})
 
 
 def test_probe_crf(small_run, tmp_path):

@@ -10,7 +10,7 @@ from surfcrf.crf import LOGIT_CLAMP, softmax
 from surfcrf.patches import make_toy_graph
 from surfcrf.train import _softmax_backward, central_difference, relative_error
 
-from conftest import make_pipeline_inputs, slot_kernel
+from conftest import make_pipeline_inputs, owned_mask, slot_kernel
 
 
 def toy_instance(h=4, w=4, z=8, seed=0, valid_frac=1.0):
@@ -69,7 +69,7 @@ def ref_meanfield_grad(u, params, gt, unary_scale=1.0, ps=None):
     g_idx = gt.surface_index[rows]
     d_merged[rows, g_idx] = -1.0 / (len(rows) * merged[rows, g_idx])
     dq = np.zeros_like(l)
-    dq.reshape(-1, dq.shape[-1])[graph.owner_slots()] = d_merged
+    dq.reshape(-1, dq.shape[-1])[graph.owner] = d_merged
     m = sc.compat_matrix(logits_raw.shape[-1], params.theta_comp)
     dl = np.zeros_like(l)
     dwp = 0.0
@@ -227,7 +227,7 @@ class TestMeanfieldGrad:
             for name, g in grads.items():
                 assert abs(rep.grads[name] - g) <= 1e-13 * abs(g), name
             assert np.abs(rep.dlogits - dlogits).max() <= 1e-13 * np.abs(dlogits).max()
-            assert (rep.dlogits[~u.graph.owned] == 0.0).all()
+            assert (rep.dlogits[~owned_mask(u.graph)] == 0.0).all()
 
     def test_fd_on_padded_graph(self):
         # seams, pad duplicates and corner blocks: the picks are owner-slot
@@ -323,22 +323,17 @@ class TestFit:
 
     def test_pair_mask_built_once_per_instance(self, monkeypatch):
         calls = []
-        edge_calls = []
-        build = crf.window_pair_mask
-        build_edges = crf.pair_edges
-        monkeypatch.setattr(crf, "window_pair_mask",
-                            lambda graph, offsets: calls.append(graph) or build(graph, offsets))
+        build = crf.pair_edges
         monkeypatch.setattr(crf, "pair_edges",
-                            lambda graph, mask, offsets: edge_calls.append(graph)
-                            or build_edges(graph, mask, offsets))
+                            lambda graph, offsets: calls.append(graph) or build(graph, offsets))
         dataset = [(None, *toy_instance(seed=s)) for s in (25, 26)]
         init = sc.prostate_params(window_radius=1, iterations=2)
         sc.fit(dataset, init, sc.FitConfig(lr=0.05, epochs=3))
-        assert len(calls) == 2 and len(edge_calls) == 2
+        assert len(calls) == 2
         kf = crf.compute_kernel(dataset[0][1], init)
-        assert len(calls) == 2 and len(edge_calls) == 2
-        mask, edges = crf._cached_pair_mask(kf.graph, init.window_radius, kf.offsets)
-        assert kf.edge_pos is edges[1] and not mask.flags.writeable
+        assert len(calls) == 2
+        edges = crf._cached_pair_edges(kf.graph, init.window_radius, kf.offsets)
+        assert kf.edge_pos is edges[1]
         for arr in edges:
             assert arr.dtype == np.int32 and not arr.flags.writeable
 
