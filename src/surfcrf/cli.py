@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -18,9 +19,10 @@ from . import train as trainmod
 from .mesh import (SphereMap, TriMesh, harmonic_sphere_map, load_mesh, load_quad_mesh_records,
                    save_mesh, save_quad_mesh_records, taubin_smooth)
 from .metrics import compare_surfaces
-from .patches import GroundTruth, ground_truth, labeling_to_world, load_patchset, sample_columns, save_patchset
+from .patches import (GroundTruth, ground_truth, labeling_to_world, load_face_grids, load_patchset,
+                      sample_columns, save_face_grids, save_patchset)
 from .quadsphere import build_quadsphere, load_quadmesh, remesh, save_quadmesh
-from .volume import PhantomSpec, Volume, load_svol, make_phantom, phantom_label_volume, save_svol
+from .volume import PhantomSpec, load_svol, make_phantom, phantom_label_volume, save_svol
 
 
 DEFAULT_CONFIG = {
@@ -65,23 +67,8 @@ DEFAULT_CONFIG = {
         "scale": 6.0,
         "external_dir": "",
     },
-    "crf": {
-        "w_p": 1.0,
-        "w1": 3.0,
-        "theta1": 5.0,
-        "theta2": 0.2,
-        "theta3": 5.0,
-        "theta_comp": 5.0,
-        "window_radius": 3,
-        "iterations": 5,
-        "kernel_variant": "probability",
-    },
-    "fit": {
-        "lr": 0.05,
-        "epochs": 100,
-        "momentum": 0.9,
-        "trainable": list(trainmod.SCALAR_NAMES),
-    },
+    "crf": asdict(crfmod.CrfParams()),
+    "fit": {**asdict(trainmod.FitConfig()), "trainable": list(trainmod.FitConfig.trainable)},
 }
 
 
@@ -89,38 +76,54 @@ class CliError(RuntimeError):
     pass
 
 
-def _merge_config(defaults, override, path=""):
-    out = copy.deepcopy(defaults)
+def _fits(val, default) -> bool:
+    """val has default's JSON type; an int fits a float, a bool no number."""
+    if isinstance(default, list):
+        return isinstance(val, list) and all(_fits(v, default[0]) for v in val)
+    return type(val) is type(default) or (type(default) is float and type(val) is int)
+
+
+def _merge_config(cfg, override, source, defaults=DEFAULT_CONFIG, where=""):
+    """Put the leaves of ``override`` into ``cfg`` in place.  The one check
+    of config input: every key must be one of ``defaults``, every section a
+    JSON object and every leaf of its default's JSON type.  Errors name
+    ``source`` and the dotted key."""
+    if not isinstance(override, dict):
+        raise CliError(f"{source}: {where or 'the config'} must be a section (a JSON object), "
+                       f"got {override!r}")
     for key, val in override.items():
-        where = f"{path}.{key}" if path else key
+        dotted = f"{where}.{key}" if where else key
         if key not in defaults:
-            raise CliError(f"unknown config key: {where}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(val, dict):
-                raise CliError(f"config key {where} must be a section")
-            out[key] = _merge_config(defaults[key], val, where)
+            raise CliError(f"{source}: unknown config key {dotted}")
+        default = defaults[key]
+        if isinstance(default, dict):
+            _merge_config(cfg[key], val, source, default, dotted)
+        elif _fits(val, default):
+            cfg[key] = val
         else:
-            out[key] = val
-    return out
+            raise CliError(f"{source}: {dotted} must have the JSON type of its default "
+                           f"{default!r}, got {val!r}")
 
 
 def load_config(path=None, overrides=None) -> dict:
-    cfg = {}
+    """DEFAULT_CONFIG with the config file at ``path`` and then the dotted
+    ``overrides`` ({"crf.w_p": 0.0, ...}) put in."""
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         with open(path) as fh:
-            cfg = json.load(fh)
-    cfg = _merge_config(DEFAULT_CONFIG, cfg)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CliError(f"{path}: not valid JSON: {exc}") from None
+        _merge_config(cfg, doc, path)
+    nested = {}
     for dotted, value in (overrides or {}).items():
-        if "." in dotted:
-            section, key = dotted.split(".", 1)
-            if section not in cfg or not isinstance(cfg[section], dict) \
-                    or key not in cfg[section]:
-                raise CliError(f"unknown config key: {dotted}")
-            cfg[section][key] = value
-        else:
-            if dotted not in cfg or isinstance(cfg[dotted], dict):
-                raise CliError(f"unknown config key: {dotted}")
-            cfg[dotted] = value
+        *sections, key = dotted.split(".")
+        node = nested
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+    _merge_config(cfg, nested, "overrides")
     return cfg
 
 
@@ -129,18 +132,7 @@ def _config_hash(cfg) -> str:
 
 
 def _phantom_spec(cfg) -> PhantomSpec:
-    p = cfg["phantom"]
-    return PhantomSpec(
-        kind=p["kind"], semi_axes_mm=tuple(p["semi_axes_mm"]), radius_mm=p["radius_mm"],
-        bump_amplitude_mm=p["bump_amplitude_mm"], bump_freq=p["bump_freq"],
-        inside_value=p["inside_value"], outside_value=p["outside_value"],
-        noise_sigma=p["noise_sigma"], blur_sigma_mm=p["blur_sigma_mm"],
-        dims=tuple(p["dims"]), spacing=tuple(p["spacing"]), seed=cfg["seed"],
-        mesh_subdivisions=p["mesh_subdivisions"])
-
-
-def _crf_params(cfg) -> crfmod.CrfParams:
-    return crfmod.CrfParams(**cfg["crf"])
+    return PhantomSpec.from_dict({**cfg["phantom"], "seed": cfg["seed"]})
 
 
 class _Step:
@@ -285,14 +277,6 @@ def cmd_patches(cfg, outdir):
                 fh.write(gt.to_json())
 
 
-def _external_logits(path, dims) -> np.ndarray:
-    vol = load_svol(path)
-    if vol.dims != dims:
-        raise CliError(f"{path}: dims {list(vol.dims)} do not match the patch set's "
-                       f"(W, W, z_len) = {list(dims)}")
-    return vol.data
-
-
 def _load_unary(cfg, outdir) -> tuple:
     ps = load_patchset(os.path.join(outdir, "patches"))
     un = cfg["unary"]
@@ -301,13 +285,10 @@ def _load_unary(cfg, outdir) -> tuple:
         logits = un["scale"] * u.logits
     elif un["mode"] == "external":
         ext = un["external_dir"] or os.path.join(outdir, "external_logits")
-        logits = np.zeros((*ps.graph.shape, ps.z_len))
-        dims = logits.shape[1:]
-        for f in range(6):
-            surf = _external_logits(os.path.join(ext, f"patch{f}_surface.svol"), dims)
-            nons = _external_logits(os.path.join(ext, f"patch{f}_nonsurface.svol"), dims)
-            logits[f] = crfmod.channel_reduce(surf, nons)
-        logits = un["scale"] * logits
+        dims = (*ps.graph.shape[1:], ps.z_len)
+        surf, nons = (load_face_grids(lambda f: os.path.join(ext, f"patch{f}_{name}.svol"), dims)
+                      for name in ("surface", "nonsurface"))
+        logits = un["scale"] * crfmod.channel_reduce(surf, nons)
     else:
         raise CliError(f"unknown unary mode {un['mode']!r}")
     return ps, crfmod.unary_from_logits(ps.graph, logits)
@@ -316,11 +297,7 @@ def _load_unary(cfg, outdir) -> tuple:
 def cmd_unary(cfg, outdir):
     with _Step("unary", outdir, cfg, ["patches"]) as step:
         ps, u = _load_unary(cfg, outdir)
-        W = ps.graph.shape[1]
-        for f in range(6):
-            save_svol(Volume(dims=(W, W, ps.z_len), spacing=(1.0, 1.0, ps.delta),
-                             origin=(0.0, 0.0, 0.0), data=u.logits[f].astype(np.float32)),
-                      step.path(f"unary{f}.svol"))
+        save_face_grids(lambda f: step.path(f"unary{f}.svol"), u.logits, ps.delta)
         baseline = u.argmax_labels()
         with open(step.path("unary_argmax.json"), "w") as fh:
             json.dump({"labels": baseline.tolist()}, fh)
@@ -329,14 +306,9 @@ def cmd_unary(cfg, outdir):
 def cmd_segment(cfg, outdir):
     with _Step("segment", outdir, cfg, ["patches", "unary"]) as step:
         ps, u = _load_unary(cfg, outdir)
-        params = _crf_params(cfg)
-        lab = crfmod.meanfield_infer(u, params, ps=ps)
-        W = ps.graph.shape[1]
-        q_slots = ps.graph.split(lab.q, fill=0.0)
-        for f in range(6):
-            save_svol(Volume(dims=(W, W, ps.z_len), spacing=(1.0, 1.0, ps.delta),
-                             origin=(0.0, 0.0, 0.0), data=q_slots[f].astype(np.float32)),
-                      step.path(f"q{f}.svol"))
+        lab = crfmod.meanfield_infer(u, crfmod.CrfParams(**cfg["crf"]), ps=ps)
+        save_face_grids(lambda f: step.path(f"q{f}.svol"), ps.graph.split(lab.q, fill=0.0),
+                        ps.delta)
         with open(step.path("labeling.json"), "w") as fh:
             json.dump({"labels": lab.labels.tolist()}, fh)
         verts, faces = labeling_to_world(lab.labels, ps)
@@ -389,10 +361,8 @@ def cmd_fit(cfg, outdir, manifest_path):
                     raise CliError(f"{gt_path}: missing field {exc.args[0]!r}") from None
             _check_ground_truth(gt, ps, gt_path)
             dataset.append((ps, u, gt))
-        fc = cfg["fit"]
-        fit_cfg = trainmod.FitConfig(lr=fc["lr"], epochs=fc["epochs"], momentum=fc["momentum"],
-                                     trainable=tuple(fc["trainable"]))
-        result = trainmod.fit(dataset, _crf_params(cfg), fit_cfg,
+        fit_cfg = trainmod.FitConfig(**{**cfg["fit"], "trainable": tuple(cfg["fit"]["trainable"])})
+        result = trainmod.fit(dataset, crfmod.CrfParams(**cfg["crf"]), fit_cfg,
                               unary_scale=cfg["unary"]["scale"])
         with open(step.path("fit.json"), "w") as fh:
             fh.write(result.to_json())
@@ -415,50 +385,50 @@ def cmd_pipeline(cfg, outdir):
 
 # short aliases for the commonly overridden keys
 _FLAG_MAP = {
-    "seed": ("seed", int),
-    "kind": ("phantom.kind", str),
-    "noise-sigma": ("phantom.noise_sigma", float),
-    "blur-sigma-mm": ("phantom.blur_sigma_mm", float),
-    "perturb-amplitude-mm": ("preseg.perturb_amplitude_mm", float),
-    "recursion": ("quad.recursion", int),
-    "column-len": ("patches.column_len", int),
-    "column-res-mm": ("patches.column_res_mm", float),
-    "pad": ("patches.pad", int),
-    "unary-mode": ("unary.mode", str),
-    "polarity": ("unary.polarity", str),
-    "unary-scale": ("unary.scale", float),
-    "external-dir": ("unary.external_dir", str),
-    "w-p": ("crf.w_p", float),
-    "w1": ("crf.w1", float),
-    "theta1": ("crf.theta1", float),
-    "theta2": ("crf.theta2", float),
-    "theta3": ("crf.theta3", float),
-    "theta-comp": ("crf.theta_comp", float),
-    "window-radius": ("crf.window_radius", int),
-    "iterations": ("crf.iterations", int),
-    "kernel-variant": ("crf.kernel_variant", str),
-    "lr": ("fit.lr", float),
-    "epochs": ("fit.epochs", int),
-    "momentum": ("fit.momentum", float),
+    "seed": "seed",
+    "kind": "phantom.kind",
+    "noise-sigma": "phantom.noise_sigma",
+    "blur-sigma-mm": "phantom.blur_sigma_mm",
+    "perturb-amplitude-mm": "preseg.perturb_amplitude_mm",
+    "recursion": "quad.recursion",
+    "column-len": "patches.column_len",
+    "column-res-mm": "patches.column_res_mm",
+    "pad": "patches.pad",
+    "unary-mode": "unary.mode",
+    "polarity": "unary.polarity",
+    "unary-scale": "unary.scale",
+    "external-dir": "unary.external_dir",
+    "w-p": "crf.w_p",
+    "w1": "crf.w1",
+    "theta1": "crf.theta1",
+    "theta2": "crf.theta2",
+    "theta3": "crf.theta3",
+    "theta-comp": "crf.theta_comp",
+    "window-radius": "crf.window_radius",
+    "iterations": "crf.iterations",
+    "kernel-variant": "crf.kernel_variant",
+    "lr": "fit.lr",
+    "epochs": "fit.epochs",
+    "momentum": "fit.momentum",
 }
 
 
+def _scalar_leaves(node=DEFAULT_CONFIG, where=""):
+    """(dotted key, default) of every config leaf that is not a list."""
+    for key, val in node.items():
+        dotted = f"{where}.{key}" if where else key
+        if isinstance(val, dict):
+            yield from _scalar_leaves(val, dotted)
+        elif not isinstance(val, list):
+            yield dotted, val
+
+
 def _generated_flags():
-    """Long-form --<section>-<key> flags for every scalar config leaf."""
-    flags = dict(_FLAG_MAP)
-    covered = {dotted for dotted, _ in _FLAG_MAP.values()}
-    for section, body in DEFAULT_CONFIG.items():
-        if not isinstance(body, dict):
-            continue
-        for key, default in body.items():
-            dotted = f"{section}.{key}"
-            if dotted in covered or isinstance(default, (list, dict)):
-                continue
-            typ = type(default)
-            if typ is bool:
-                continue
-            flags[f"{section}-{key}".replace("_", "-")] = (dotted, typ)
-    return flags
+    """flag -> (dotted key, type of its default), one flag per scalar config
+    leaf: its _FLAG_MAP alias, else the long form --<section>-<key>."""
+    alias = {dotted: flag for flag, dotted in _FLAG_MAP.items()}
+    return {alias.get(dotted, dotted.replace(".", "-").replace("_", "-")): (dotted, type(default))
+            for dotted, default in _scalar_leaves()}
 
 
 def _build_parser():

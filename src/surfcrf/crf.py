@@ -366,17 +366,16 @@ def compat_transform(q_tilde: np.ndarray, theta_comp: float) -> np.ndarray:
 
 
 def meanfield_unroll(logits: np.ndarray, W: sparse.csr_matrix, params: CrfParams,
-                     iterations: int | None = None, tape: list | None = None) -> np.ndarray:
+                     tape: list | None = None) -> np.ndarray:
     """The unrolled mean-field loop shared by inference and fitting, on
-    (Nv,Z) vertex arrays.
+    (Nv,Z) vertex arrays: params.iterations iterations.
 
     Q0 = softmax(logits); each iteration message-passes (W @ Q), applies the
     compatibility transform and renormalizes via softmax(logits - w_p * Qhat).
     When ``tape`` is a list, each iteration appends (q_in, q_tilde, q_hat, q)
     for the reverse pass.  Returns the final per-vertex marginals."""
-    iterations = params.iterations if iterations is None else iterations
     q = softmax(logits)
-    for _ in range(iterations):
+    for _ in range(params.iterations):
         q_in = q
         q_tilde = W @ q_in
         q_hat = compat_transform(q_tilde, params.theta_comp)
@@ -390,8 +389,8 @@ def meanfield_unroll(logits: np.ndarray, W: sparse.csr_matrix, params: CrfParams
 
 def meanfield_infer(u: UnaryField, params: CrfParams, ps: PatchSet | None = None,
                     kf: KernelField | None = None) -> SurfaceLabeling:
-    """T damped-free mean-field updates (meanfield_unroll) on the per-vertex
-    unary logits: the marginals and their argmax labels."""
+    """params.iterations damped-free mean-field updates (meanfield_unroll) on
+    the per-vertex unary logits: the marginals and their argmax labels."""
     if kf is None:
         kf = compute_kernel(u, params, ps=ps)
     q = meanfield_unroll(u.graph.merge(u.logits), kf.W, params)

@@ -396,6 +396,22 @@ def harmonic_sphere_map(mesh: TriMesh, tol: float = 1e-6, max_iters: int = 5000,
 # icosphere construction
 
 
+def _sphere_midpoints(verts: list):
+    """midpoint(i, j) -> index of the unit midpoint of verts[i] and verts[j],
+    appended to ``verts`` on the first call for the pair {i, j}."""
+    cache = {}
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in cache:
+            m = verts[i] + verts[j]
+            m /= np.linalg.norm(m)
+            cache[key] = len(verts)
+            verts.append(m)
+        return cache[key]
+    return midpoint
+
+
 def icosphere(subdivisions: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> TriMesh:
     """Unit icosahedron subdivided ``subdivisions`` times, projected to the
     sphere; 10*4^k + 2 vertices."""
@@ -414,17 +430,7 @@ def icosphere(subdivisions: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) ->
     ]
     verts = list(verts)
     for _ in range(subdivisions):
-        cache = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = verts[i] + verts[j]
-                m /= np.linalg.norm(m)
-                cache[key] = len(verts)
-                verts.append(m)
-            return cache[key]
-
+        midpoint = _sphere_midpoints(verts)
         new_faces = []
         for (i, j, k) in faces:
             a = midpoint(i, j)

@@ -61,17 +61,22 @@ def _check_binary(vol: Volume, name: str) -> np.ndarray:
     return data > 0.5
 
 
-def dsc(a: Volume, b: Volume) -> float:
-    """Dice similarity coefficient 2|A&B| / (|A|+|B|); both-empty -> 1."""
+def _voxel_counts(a: Volume, b: Volume, name_a: str, name_b: str) -> tuple[int, int, int]:
+    """(|A|, |B|, |A&B|) of two binary label volumes on one grid."""
     if a.dims != b.dims or a.spacing != b.spacing:
         raise ValueError("label volumes must share dims and spacing")
-    ma = _check_binary(a, "first volume")
-    mb = _check_binary(b, "second volume")
-    na = int(ma.sum())
-    nb = int(mb.sum())
-    if na + nb == 0:
-        return 1.0
-    return 2.0 * int((ma & mb).sum()) / (na + nb)
+    ma = _check_binary(a, name_a)
+    mb = _check_binary(b, name_b)
+    return int(ma.sum()), int(mb.sum()), int((ma & mb).sum())
+
+
+def _dice(na: int, nb: int, nab: int) -> float:
+    return 1.0 if na + nb == 0 else 2.0 * nab / (na + nb)
+
+
+def dsc(a: Volume, b: Volume) -> float:
+    """Dice similarity coefficient 2|A&B| / (|A|+|B|); both-empty -> 1."""
+    return _dice(*_voxel_counts(a, b, "first volume", "second volume"))
 
 
 @lru_cache(maxsize=None)
@@ -160,25 +165,14 @@ def asd(s1: np.ndarray, s2: np.ndarray) -> float:
 
 
 def compare_surfaces(pred_verts, pred_faces, truth_verts, truth_faces,
-                     template: Volume, labels: Volume | None = None,
-                     max_edge: float | None = None) -> MetricsReport:
+                     template: Volume, labels: Volume | None = None) -> MetricsReport:
     """Full report: DSC from voxelized prediction vs labels (or voxelized
-    truth), HD/ASD from dense surface samples at half-voxel density by
-    default (max_edge overrides the sampling density)."""
+    truth), HD/ASD from dense surface samples at half-voxel density."""
     pred_lab = voxelize(pred_verts, pred_faces, template)
     truth_lab = labels if labels is not None else voxelize(truth_verts, truth_faces, template)
-    if max_edge is None:
-        max_edge = 0.5 * min(template.spacing)
-    s_pred = sample_surface(pred_verts, pred_faces, max_edge)
-    s_truth = sample_surface(truth_verts, truth_faces, max_edge)
-    mp = _check_binary(pred_lab, "prediction")
-    mt = _check_binary(truth_lab, "truth")
-    hd_mm, asd_mm = _hd_asd(s_pred, s_truth)
-    return MetricsReport(
-        dsc=dsc(truth_lab, pred_lab),
-        asd_mm=asd_mm,
-        hd_mm=hd_mm,
-        voxels_truth=int(mt.sum()),
-        voxels_pred=int(mp.sum()),
-        voxels_overlap=int((mp & mt).sum()),
-    )
+    n_truth, n_pred, n_both = _voxel_counts(truth_lab, pred_lab, "truth", "prediction")
+    max_edge = 0.5 * min(template.spacing)
+    hd_mm, asd_mm = _hd_asd(sample_surface(pred_verts, pred_faces, max_edge),
+                            sample_surface(truth_verts, truth_faces, max_edge))
+    return MetricsReport(dsc=_dice(n_truth, n_pred, n_both), asd_mm=asd_mm, hd_mm=hd_mm,
+                         voxels_truth=n_truth, voxels_pred=n_pred, voxels_overlap=n_both)

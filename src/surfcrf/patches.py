@@ -190,18 +190,35 @@ def labeling_to_world(labels: np.ndarray, ps: PatchSet):
 
 
 # ---------------------------------------------------------------------------
-# serialization: one .svol per patch, scalars in patchset.json and the
+# serialization: one .svol per face grid, scalars in patchset.json and the
 # per-vertex geometry in an .npz sidecar; the topology is rebuilt from level
 # and pad, never stored
 
 
+def save_face_grids(path_of, grids: np.ndarray, delta: float) -> None:
+    """Write the six (W, W, Z) face grids, face f to ``path_of(f)``, as
+    float32 .svol files with spacing (1, 1, delta)."""
+    for f in range(6):
+        save_svol(Volume(dims=grids[f].shape, spacing=(1.0, 1.0, delta), origin=(0.0, 0.0, 0.0),
+                         data=grids[f].astype(np.float32)), path_of(f))
+
+
+def load_face_grids(path_of, dims) -> np.ndarray:
+    """The six face grids written by save_face_grids, (6, *dims) float32; a
+    file whose dims are not ``dims`` is named in the error."""
+    grids = np.empty((6, *dims), dtype=np.float32)
+    for f in range(6):
+        vol = load_svol(path_of(f))
+        if vol.dims != tuple(dims):
+            raise ValueError(f"{path_of(f)}: dims {list(vol.dims)} do not match the patch "
+                             f"set's (W, W, z_len) = {list(dims)}")
+        grids[f] = vol.data
+    return grids
+
+
 def save_patchset(ps: PatchSet, dirpath) -> None:
     os.makedirs(dirpath, exist_ok=True)
-    W = ps.graph.shape[1]
-    for f in range(6):
-        vol = Volume(dims=(W, W, ps.z_len), spacing=(1.0, 1.0, ps.delta),
-                     origin=(0.0, 0.0, 0.0), data=ps.samples[f].astype(np.float32))
-        save_svol(vol, os.path.join(dirpath, f"patch{f}.svol"))
+    save_face_grids(lambda f: os.path.join(dirpath, f"patch{f}.svol"), ps.samples, ps.delta)
     doc = {
         "level": ps.sphere.level,
         "z_len": ps.z_len,
@@ -250,13 +267,7 @@ def load_patchset(dirpath) -> PatchSet:
     positions = checked_array(arrays, sidecar, "positions", shape, np.float64)
     normals = checked_array(arrays, sidecar, "normals", shape, np.float64)
     z_len = doc["z_len"]
-    samples = np.zeros((*graph.shape, z_len), dtype=np.float32)
-    for f in range(6):
-        path = os.path.join(dirpath, f"patch{f}.svol")
-        vol = load_svol(path)
-        if vol.dims != samples.shape[1:]:
-            raise ValueError(f"{path}: dims {list(vol.dims)} do not match the patch set's "
-                             f"(W, W, z_len) = {list(samples.shape[1:])}")
-        samples[f] = vol.data
+    samples = load_face_grids(lambda f: os.path.join(dirpath, f"patch{f}.svol"),
+                              (*graph.shape[1:], z_len))
     return PatchSet(sphere=qs, graph=graph, samples=samples, positions=positions,
                     normals=normals, z_len=z_len, delta=float(doc["delta"]), pad=pad)

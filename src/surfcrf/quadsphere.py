@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .mesh import (MeshError, SphereMap, TriMesh, _edge_table, load_quad_mesh_records,
-                   save_quad_mesh_records, vertex_normals)
+from .mesh import (MeshError, SphereMap, TriMesh, _edge_table, _sphere_midpoints,
+                   load_quad_mesh_records, save_quad_mesh_records, vertex_normals)
 
 
 class LocateError(ValueError):
@@ -85,21 +85,10 @@ def _cached_quadsphere(level: int) -> QuadSphere:
     grids = np.stack(grids)
 
     for _ in range(level):
-        cache = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = verts[i] + verts[j]
-                m /= np.linalg.norm(m)
-                cache[key] = len(verts)
-                verts.append(m)
-            return cache[key]
-
+        midpoint = _sphere_midpoints(verts)
         old_n = grids.shape[1] - 1
         new = np.zeros((6, 2 * old_n + 1, 2 * old_n + 1), dtype=np.int64)
-        for f in range(6):
-            g = grids[f]
+        for f, g in enumerate(grids):
             for i in range(old_n + 1):
                 for j in range(old_n + 1):
                     new[f, 2 * i, 2 * j] = g[i, j]

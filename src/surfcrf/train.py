@@ -111,28 +111,26 @@ def _edge_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray)
 frozen_kernel_stats = edge_stats
 
 
-def _forward(logits_raw, scale, graph, frozen, params, gt, T, tape=None):
-    """MCE loss of T unrolled mean-field iterations (crf.meanfield_unroll) on
-    the clamped, scaled vertex logits, with kernel weights built from the
-    frozen statistics.  Returns the loss and the intermediates of the
-    reverse pass."""
+def _forward(logits_raw, scale, graph, frozen, params, gt, tape=None):
+    """MCE loss of the params.iterations unrolled mean-field iterations
+    (crf.meanfield_unroll) on the clamped, scaled vertex logits, with kernel
+    weights built from the frozen statistics.  Returns the loss and the
+    intermediates of the reverse pass."""
     op, app, sm = edge_kernel(*frozen, params)
     l = np.clip(scale * graph.merge(logits_raw), -LOGIT_CLAMP, LOGIT_CLAMP)
-    q = meanfield_unroll(l, op, params, T, tape=tape)
+    q = meanfield_unroll(l, op, params, tape=tape)
     return mce_loss(q, gt), dict(l=l, W=op, app=app, sm=sm, q=q)
 
 
 def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
-                   T: int | None = None, unary_scale: float = 1.0,
-                   ps: PatchSet | None = None,
+                   unary_scale: float = 1.0, ps: PatchSet | None = None,
                    frozen=None) -> LossReport:
-    """Exact reverse-mode derivatives of the MCE loss after T mean-field
-    iterations w.r.t. all scalars and all input logits, with the kernel
+    """Exact reverse-mode derivatives of the MCE loss after params.iterations
+    mean-field iterations w.r.t. all scalars and all input logits, with the kernel
     features treated as constants of the forward pass.  The logit clamp has
     zero derivative where it binds, for the logits and the unary scale.  The
     loss reads only the owning slot of each vertex, so every other slot of
     ``dlogits`` is 0."""
-    T = params.iterations if T is None else T
     graph = u.graph
     logits_raw = u.logits
     if frozen is None:
@@ -140,7 +138,7 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
             UnaryField(graph=graph, logits=unary_scale * logits_raw), params, ps=ps)
     fd, d2, _ = frozen
     tape = []
-    loss, c = _forward(logits_raw, unary_scale, graph, frozen, params, gt, T, tape=tape)
+    loss, c = _forward(logits_raw, unary_scale, graph, frozen, params, gt, tape=tape)
 
     q_out = c["q"]
     rows = np.nonzero(gt.valid)[0]
@@ -209,22 +207,20 @@ def relative_error(a: float, b: float, floor: float = 1e-8) -> float:
     return abs(a - b) / max(scale, floor)
 
 
-def fd_check(u: UnaryField, params: CrfParams, gt: GroundTruth, T: int | None = None,
-             unary_scale: float = 1.0, scalar_step: float = 1e-3,
-             logit_step: float = 1e-2, n_logits: int = 100, seed: int = 0,
-             ps: PatchSet | None = None) -> dict:
+def fd_check(u: UnaryField, params: CrfParams, gt: GroundTruth, unary_scale: float = 1.0,
+             scalar_step: float = 1e-3, logit_step: float = 1e-2, n_logits: int = 100,
+             seed: int = 0, ps: PatchSet | None = None) -> dict:
     """Central-difference check of every trainable scalar plus a random subset
     of the owner slots' logits, against the analytic gradients; kernel
     features frozen on both sides.  Returns per-parameter relative errors and
     the worst case."""
-    T = params.iterations if T is None else T
     graph = u.graph
     frozen = frozen_kernel_stats(
         UnaryField(graph=graph, logits=unary_scale * u.logits), params, ps=ps)
-    report = meanfield_grad(u, params, gt, T=T, unary_scale=unary_scale, frozen=frozen)
+    report = meanfield_grad(u, params, gt, unary_scale=unary_scale, frozen=frozen)
 
     def loss_with(p: CrfParams, scale: float, logits: np.ndarray) -> float:
-        return _forward(logits, scale, graph, frozen, p, gt, T)[0]
+        return _forward(logits, scale, graph, frozen, p, gt)[0]
 
     errors = {}
     for name in SCALAR_NAMES:
@@ -327,8 +323,7 @@ def fit(dataset, init: CrfParams, cfg: FitConfig, unary_scale: float = 1.0) -> F
         frozen = frozen_kernel_stats(
             UnaryField(graph=u.graph, logits=scale * u.logits), params, ps=ps)
         try:
-            final_loss += _forward(u.logits, scale, u.graph, frozen, params, gt,
-                                   params.iterations)[0]
+            final_loss += _forward(u.logits, scale, u.graph, frozen, params, gt)[0]
         except RuntimeError as exc:
             raise FitDivergedError(cfg.epochs) from exc
     curve.append(final_loss / len(dataset))

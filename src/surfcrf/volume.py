@@ -118,15 +118,16 @@ class PhantomSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "PhantomSpec":
-        raw = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "PhantomSpec":
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown PhantomSpec keys: {sorted(unknown)}")
-        for key in ("semi_axes_mm", "dims", "spacing"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        return cls(**raw)
+        triples = {key: tuple(raw[key]) for key in ("semi_axes_mm", "dims", "spacing")
+                   if key in raw}
+        return cls(**{**raw, **triples})
 
     def validate(self) -> None:
         if self.kind not in ("ellipsoid", "bumpy"):

@@ -168,7 +168,7 @@ def test_a6_gradient_correctness():
                             valid=np.ones(16, dtype=bool))
         for t in (2, 5):
             params = sc.CrfParams(window_radius=2, iterations=t, theta2=0.5)
-            errs = sc.fd_check(u, params, gt, T=t, unary_scale=1.2,
+            errs = sc.fd_check(u, params, gt, unary_scale=1.2,
                                n_logits=100, seed=seed)
             worst = max(worst, errs["max"])
     assert worst <= 1e-3

@@ -121,11 +121,13 @@ class TestSegmentIdentity:
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"crf": {"bogus_knob": 1}}')
         rc = cli.main(["phantom", "--out", str(tmp_path / "o"), "--config", str(cfg)])
         assert rc == 1
+        message = json.loads(capsys.readouterr().err.split("error: ", 1)[1])["message"]
+        assert message == f"{cfg}: unknown config key crf.bogus_knob"
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -150,6 +152,63 @@ class TestConfig:
         echo = json.loads((out / "config.echo.json").read_text())
         assert echo["crf"]["w_p"] == 1.0
         assert echo["quad"]["recursion"] == 5
+
+    def test_default_config_hash_pinned(self):
+        # every default run records this config_hash in its provenance
+        assert cli._config_hash(cli.load_config()) == "8282a5eb21658470"
+
+    def test_one_flag_per_scalar_leaf(self):
+        leaves = {}
+        for section, body in cli.DEFAULT_CONFIG.items():
+            items = body.items() if isinstance(body, dict) else [(None, body)]
+            for key, default in items:
+                if not isinstance(default, list):
+                    leaves[f"{section}.{key}" if key else section] = default
+        flags = cli._generated_flags()
+        assert set(cli._FLAG_MAP) <= set(flags)
+        named = [dotted for dotted, _ in flags.values()]
+        assert sorted(named) == sorted(leaves)
+        for dotted, typ in flags.values():
+            assert typ is type(leaves[dotted]), dotted
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("segment", {"crf": {"window_radius": "3"}}, "crf.window_radius"),
+        ("segment", {"crf": {"iterations": 2.5}}, "crf.iterations"),
+        ("segment", {"crf": {"w_p": True}}, "crf.w_p"),
+        ("fit", {"fit": {"trainable": "w_p"}}, "fit.trainable"),
+    ])
+    def test_wrong_type_names_file_and_key(self, tmp_path, capsys, command, doc, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"runs": []}))
+        extra = ["--manifest", str(manifest)] if command == "fit" else []
+        rc = cli.main([command, "--out", str(tmp_path / "o"), "--config", str(cfg)] + extra)
+        assert rc == 1
+        message = json.loads(capsys.readouterr().err.split("error: ", 1)[1])["message"]
+        assert message.startswith(f"{cfg}: {key} must have the JSON type")
+
+    def test_int_accepted_for_float(self):
+        assert cli.load_config(overrides={"crf.w_p": 2})["crf"]["w_p"] == 2
+
+    @pytest.mark.parametrize("dotted", ["crf.bogus_knob", "bogus", "seed.x"])
+    def test_unknown_override_key_named(self, dotted):
+        with pytest.raises(cli.CliError, match=r"overrides: (unknown config key|seed must)"):
+            cli.load_config(overrides={dotted: 1})
+
+    def test_malformed_file_named(self, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"crf": ')
+        with pytest.raises(cli.CliError, match=re.escape(f"{cfg}: not valid JSON")):
+            cli.load_config(str(cfg))
+
+    def test_section_given_a_scalar(self, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"crf": 3}')
+        with pytest.raises(cli.CliError, match=re.escape(f"{cfg}: crf must be a section")):
+            cli.load_config(str(cfg))
+        with pytest.raises(cli.CliError, match="overrides: crf must be a section"):
+            cli.load_config(overrides={"crf": 3})
 
 
 class TestErrors:
@@ -223,7 +282,7 @@ class TestExternalUnary:
                                        np.zeros(dims, dtype=np.float32)),
                              ext / f"patch{f}_{name}.svol")
         cfg = cli.load_config(overrides={"unary.mode": "external"})
-        with pytest.raises(cli.CliError, match=r"patch0_surface\.svol: dims"):
+        with pytest.raises(ValueError, match=r"patch0_surface\.svol: dims"):
             cli.cmd_unary(cfg, str(out))
 
 

@@ -192,7 +192,7 @@ class TestMeanfieldGrad:
     def test_matches_finite_differences(self, seed):
         u, gt = toy_instance(seed=seed)
         params = sc.CrfParams(window_radius=2, iterations=2, theta2=0.5)
-        errs = sc.fd_check(u, params, gt, T=2, unary_scale=1.1, n_logits=40, seed=seed)
+        errs = sc.fd_check(u, params, gt, unary_scale=1.1, n_logits=40, seed=seed)
         assert errs["max"] <= 1e-3
 
     def test_partial_validity(self):
@@ -233,7 +233,7 @@ class TestMeanfieldGrad:
         # seams, pad duplicates and corner blocks: the picks are owner-slot
         # logits, the only ones the loss reads
         (ps, u, gt), = phantom_fit_dataset(seeds=[0])
-        errs = sc.fd_check(u, sc.prostate_params(), gt, T=2, n_logits=40, ps=ps)
+        errs = sc.fd_check(u, sc.prostate_params(iterations=2), gt, n_logits=40, ps=ps)
         assert errs["max"] <= 1e-3
 
     def test_all_gradients_finite(self):
