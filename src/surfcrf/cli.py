@@ -76,6 +76,10 @@ class CliError(RuntimeError):
     pass
 
 
+# the one list leaf whose length is free; every other list has its default's length
+_ANY_LENGTH = ("fit.trainable",)
+
+
 def _fits(val, default) -> bool:
     """val has default's JSON type; an int fits a float, a bool no number."""
     if isinstance(default, list):
@@ -86,8 +90,9 @@ def _fits(val, default) -> bool:
 def _merge_config(cfg, override, source, defaults=DEFAULT_CONFIG, where=""):
     """Put the leaves of ``override`` into ``cfg`` in place.  The one check
     of config input: every key must be one of ``defaults``, every section a
-    JSON object and every leaf of its default's JSON type.  Errors name
-    ``source`` and the dotted key."""
+    JSON object, every leaf of its default's JSON type and every list but
+    those of _ANY_LENGTH of its default's length.  Errors name ``source``
+    and the dotted key."""
     if not isinstance(override, dict):
         raise CliError(f"{source}: {where or 'the config'} must be a section (a JSON object), "
                        f"got {override!r}")
@@ -98,16 +103,36 @@ def _merge_config(cfg, override, source, defaults=DEFAULT_CONFIG, where=""):
         default = defaults[key]
         if isinstance(default, dict):
             _merge_config(cfg[key], val, source, default, dotted)
-        elif _fits(val, default):
-            cfg[key] = val
-        else:
+        elif not _fits(val, default):
             raise CliError(f"{source}: {dotted} must have the JSON type of its default "
                            f"{default!r}, got {val!r}")
+        elif isinstance(default, list) and dotted not in _ANY_LENGTH and len(val) != len(default):
+            raise CliError(f"{source}: {dotted} must have {len(default)} entries like its "
+                           f"default {default!r}, got {val!r}")
+        else:
+            cfg[key] = val
+
+
+def _fit_config(cfg) -> trainmod.FitConfig:
+    return trainmod.FitConfig(**{**cfg["fit"], "trainable": tuple(cfg["fit"]["trainable"])})
+
+
+def _check_ranges(cfg, source) -> None:
+    """Build CrfParams and FitConfig from ``cfg``, so a value out of range
+    fails here, before any input is read.  Their errors start with the
+    field's name; the CliError names ``source`` and the dotted key."""
+    for section, build in (("crf", lambda: crfmod.CrfParams(**cfg["crf"])),
+                           ("fit", lambda: _fit_config(cfg))):
+        try:
+            build()
+        except ValueError as exc:
+            raise CliError(f"{source}: {section}.{exc}") from None
 
 
 def load_config(path=None, overrides=None) -> dict:
     """DEFAULT_CONFIG with the config file at ``path`` and then the dotted
-    ``overrides`` ({"crf.w_p": 0.0, ...}) put in."""
+    ``overrides`` ({"crf.w_p": 0.0, ...}) put in, each checked for keys,
+    types, list lengths and the CRF and fit value ranges."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         with open(path) as fh:
@@ -116,6 +141,7 @@ def load_config(path=None, overrides=None) -> dict:
             except json.JSONDecodeError as exc:
                 raise CliError(f"{path}: not valid JSON: {exc}") from None
         _merge_config(cfg, doc, path)
+        _check_ranges(cfg, path)
     nested = {}
     for dotted, value in (overrides or {}).items():
         *sections, key = dotted.split(".")
@@ -124,6 +150,7 @@ def load_config(path=None, overrides=None) -> dict:
             node = node.setdefault(section, {})
         node[key] = value
     _merge_config(cfg, nested, "overrides")
+    _check_ranges(cfg, "overrides")
     return cfg
 
 
@@ -361,8 +388,7 @@ def cmd_fit(cfg, outdir, manifest_path):
                     raise CliError(f"{gt_path}: missing field {exc.args[0]!r}") from None
             _check_ground_truth(gt, ps, gt_path)
             dataset.append((ps, u, gt))
-        fit_cfg = trainmod.FitConfig(**{**cfg["fit"], "trainable": tuple(cfg["fit"]["trainable"])})
-        result = trainmod.fit(dataset, crfmod.CrfParams(**cfg["crf"]), fit_cfg,
+        result = trainmod.fit(dataset, crfmod.CrfParams(**cfg["crf"]), _fit_config(cfg),
                               unary_scale=cfg["unary"]["scale"])
         with open(step.path("fit.json"), "w") as fh:
             fh.write(result.to_json())

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 import json
+import math
+from typing import NamedTuple
 import weakref
 
 import numpy as np
@@ -71,14 +73,22 @@ class CrfParams:
     kernel_variant: str = "probability"  # probability | intensity
 
     def __post_init__(self):
-        if min(self.theta1, self.theta2, self.theta3, self.theta_comp) <= 0:
-            raise ValueError("kernel widths must be > 0")
+        """Each error message starts with the name of the field it rejects.
+        A negative w_p is allowed."""
+        for name in ("w_p", "w1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("theta1", "theta2", "theta3", "theta_comp"):
+            width = getattr(self, name)
+            if not (math.isfinite(width) and width > 0):
+                raise ValueError(f"{name} must be a finite width > 0, got {width!r}")
         if self.window_radius < 1:
-            raise ValueError("window_radius must be >= 1")
+            raise ValueError(f"window_radius must be >= 1, got {self.window_radius!r}")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
         if self.kernel_variant not in ("probability", "intensity"):
-            raise ValueError(f"unknown kernel variant {self.kernel_variant!r}")
+            raise ValueError(f"kernel_variant must be 'probability' or 'intensity', "
+                             f"got {self.kernel_variant!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -145,7 +155,17 @@ def _window_records(graph: ColumnGraph, offsets: np.ndarray):
     return rows, ks, gwin[rows, ks]
 
 
-def pair_edges(graph: ColumnGraph, offsets: np.ndarray):
+class PairEdges(NamedTuple):
+    """The neighbour records of the owner windows as CSR arrays over
+    vertices (pair_edges), read-only, int32 where the positions allow it."""
+    cols: np.ndarray    # (nnz,) the neighbour's gid per entry
+    pos: np.ndarray     # (nnz,) the entry's flat (slot, k) position in (P,H,W,K)
+    indptr: np.ndarray  # (Nv+1,) row pointer
+    upper: np.ndarray   # (nnz/2,) the entries (i, j) with i < j
+    mirror: np.ndarray  # (nnz/2,) the entry (j, i) of each upper entry
+
+
+def pair_edges(graph: ColumnGraph, offsets: np.ndarray) -> PairEdges:
     """The neighbour records of the owner windows as CSR arrays over vertices.
 
     Row i lists, in offset order, the window entries of vertex i's owning
@@ -156,12 +176,12 @@ def pair_edges(graph: ColumnGraph, offsets: np.ndarray):
     edge pads of one window (keep the record with the least (d2, k), d2 the
     squared grid distance of offset k), and a diagonal path around a
     270-degree corner can be visible from one endpoint only (keep a record
-    only if its mirror exists at the same d2).
+    only if its mirror exists at the same d2).  The mirror lookup also
+    gives, for each entry (i, j) with i < j, the position of its transpose
+    (j, i), so that symmetric per-entry values are computed once per pair.
 
-    ``cols`` holds each neighbour's gid, ``pos`` the entry's flat (slot, k)
-    position in a (P,H,W,K) array, ``indptr`` the row pointer.  The arrays
-    are int32 where the positions allow it, so scipy takes them without a
-    copy, and read-only."""
+    The arrays are int32 where the positions allow it, so scipy takes them
+    without a copy, and read-only."""
     K = offsets.shape[0]
     nv = graph.n_vertices
     rows, ks, cols = _window_records(graph, offsets)
@@ -172,21 +192,27 @@ def pair_edges(graph: ColumnGraph, offsets: np.ndarray):
     order = np.argsort(key * K + ks)  # by (i, j), then (d2, k)
     first = np.ones(order.size, dtype=bool)
     first[1:] = pair[order[1:]] != pair[order[:-1]]
-    kept = order[first]
+    kept = order[first]  # one record per (i, j), in (i, j) order
+    kept_key = key[kept]
+    mirror_key = (cols[kept] * nv + rows[kept]) * stride + d2[ks[kept]]
+    loc = np.searchsorted(kept_key, mirror_key)
+    found = loc < kept.size
+    found[found] = kept_key[loc[found]] == mirror_key[found]
     keep = np.zeros(order.size, dtype=bool)
-    keep[kept] = True
-    mirror = (cols[keep] * nv + rows[keep]) * stride + d2[ks[keep]]
-    keep[keep] = np.isin(mirror, key[kept], assume_unique=True)
+    keep[kept[found]] = True
+    at = np.cumsum(keep) - 1  # CSR position of each kept record
+    upper = found & (rows[kept] < cols[kept])
 
     itype = np.int32 if graph.gid.size * K < 2 ** 31 else np.int64
-    rows, ks = rows[keep], ks[keep]
-    cols = cols[keep].astype(itype)
-    pos = (graph.owner[rows] * K + ks).astype(itype)
-    indptr = np.zeros(nv + 1, dtype=itype)
-    np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
-    for a in (cols, pos, indptr):
+    out = PairEdges(cols=cols[keep].astype(itype),
+                    pos=(graph.owner[rows[keep]] * K + ks[keep]).astype(itype),
+                    indptr=np.zeros(nv + 1, dtype=itype),
+                    upper=at[kept[upper]].astype(itype),
+                    mirror=at[kept[loc[upper]]].astype(itype))
+    np.cumsum(np.bincount(rows[keep], minlength=nv), out=out.indptr[1:])
+    for a in out:
         a.flags.writeable = False
-    return cols, pos, indptr
+    return out
 
 
 def window_pair_mask(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
@@ -195,7 +221,7 @@ def window_pair_mask(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
     on each call, records included, for the slot-grid test references and
     the benchmark's pair-record probe; inference does not use it."""
     mask = np.zeros(graph.gid.size * offsets.shape[0], dtype=bool)
-    mask[pair_edges(graph, offsets)[1]] = True
+    mask[pair_edges(graph, offsets).pos] = True
     return mask.reshape(*graph.shape, -1)
 
 
@@ -287,45 +313,45 @@ def kernel_features(u: UnaryField, ps: PatchSet | None, params: CrfParams) -> np
     return ps.samples.astype(np.float64)
 
 
-_EDGE_BLOCK = 1 << 14  # edges per gathered block of the feature distance
+_EDGE_BLOCK = 1 << 14  # pairs per gathered block of the feature distance
 
 
 def edge_stats(u: UnaryField, params: CrfParams, ps: PatchSet | None = None):
     """The kernel inputs per stored entry (i, j) of W, from the owner
     (merged) kernel features f: the squared feature distance
     fd = sum_z (f_i - f_j)^2, the squared grid distance d2 of the entry's
-    window offset, and the entries' cached (cols, pos, indptr) records
-    (pair_edges).  fd is gathered in blocks of edges, so the (edges, Z)
-    arrays stay bounded."""
+    window offset, and the entries' cached PairEdges records.  fd is
+    gathered on the upper entries (i < j) only, in blocks of pairs so the
+    (pairs, Z) arrays stay bounded, and copied to their mirrors (j, i):
+    (f_i - f_j)^2 and (f_j - f_i)^2 are the same floats, so fd is exactly
+    symmetric and equal to a gather over every entry."""
     offs = window_offsets(params.window_radius)
     edges = _cached_pair_edges(u.graph, params.window_radius, offs)
-    cols, pos, indptr = edges
+    cols, upper, mirror = edges.cols, edges.upper, edges.mirror
     f = u.graph.merge(kernel_features(u, ps, params))
-    rows = np.repeat(np.arange(u.graph.n_vertices), np.diff(indptr))
     fd = np.empty(cols.size)
-    for lo in range(0, cols.size, _EDGE_BLOCK):
-        sl = slice(lo, lo + _EDGE_BLOCK)
-        diff = f.take(rows[sl], axis=0)
-        diff -= f.take(cols[sl], axis=0)
+    for lo in range(0, upper.size, _EDGE_BLOCK):
+        up, mi = upper[lo:lo + _EDGE_BLOCK], mirror[lo:lo + _EDGE_BLOCK]
+        diff = f.take(cols[mi], axis=0)  # the row i of (i, j) is the column of (j, i)
+        diff -= f.take(cols[up], axis=0)
         diff *= diff
-        fd[sl] = diff.sum(axis=-1)
-    d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2).astype(np.float64)[pos % len(offs)]
+        fd[up] = fd[mi] = diff.sum(axis=-1)
+    d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2).astype(np.float64)[edges.pos % len(offs)]
     return fd, d2, edges
 
 
-def edge_kernel(fd: np.ndarray, d2: np.ndarray, edges, params: CrfParams):
+def edge_kernel(fd: np.ndarray, d2: np.ndarray, edges: PairEdges, params: CrfParams):
     """The Gaussian edge weights w = app + w1 * sm as the vertex operator W
     over the ``edges`` records, with the appearance term
     app = exp(-d2/(2 theta1^2) - fd/(2 theta2^2)) and the smoothness term
     sm = exp(-d2/(2 theta3^2)) per entry.  Returns (W, app, sm)."""
-    cols, _, indptr = edges
     it1 = 1.0 / (2.0 * params.theta1 ** 2)
     it2 = 1.0 / (2.0 * params.theta2 ** 2)
     it3 = 1.0 / (2.0 * params.theta3 ** 2)
     app = np.exp(-d2 * it1 - fd * it2)
     sm = np.exp(-d2 * it3)
-    nv = indptr.size - 1
-    op = sparse.csr_matrix((app + params.w1 * sm, cols, indptr), shape=(nv, nv))
+    nv = edges.indptr.size - 1
+    op = sparse.csr_matrix((app + params.w1 * sm, edges.cols, edges.indptr), shape=(nv, nv))
     return op, app, sm
 
 
@@ -336,7 +362,7 @@ def compute_kernel(u: UnaryField, params: CrfParams, ps: PatchSet | None = None)
     Features are FIXED for the whole inference (computed once, here)."""
     fd, d2, edges = edge_stats(u, params, ps)
     return KernelField(graph=u.graph, offsets=window_offsets(params.window_radius),
-                       W=edge_kernel(fd, d2, edges, params)[0], edge_pos=edges[1])
+                       W=edge_kernel(fd, d2, edges, params)[0], edge_pos=edges.pos)
 
 
 def refresh_duplicates(q: np.ndarray, graph: ColumnGraph) -> np.ndarray:

@@ -4,9 +4,11 @@ the CRF scalars plus a global unary scale."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
+from scipy import sparse
 
 from .crf import (LOGIT_CLAMP, CrfParams, UnaryField, compat_matrix, edge_kernel,
                   edge_stats, meanfield_unroll, softmax)
@@ -37,13 +39,16 @@ class FitConfig:
     trainable: tuple[str, ...] = SCALAR_NAMES
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        """Each error message starts with the name of the field it rejects."""
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         unknown = set(self.trainable) - set(SCALAR_NAMES)
         if unknown:
-            raise ValueError(f"unknown trainable parameters: {sorted(unknown)}")
+            raise ValueError(f"trainable names unknown parameters {sorted(unknown)}")
 
 
 @dataclass
@@ -92,19 +97,6 @@ def _softmax_backward(q, dq):
     return q * (dq - (dq * q).sum(axis=-1, keepdims=True))
 
 
-_EDGE_CHUNK = 1 << 15  # edges per gathered block of the weight gradient
-
-
-def _edge_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """<a[rows[e]], b[cols[e]]> per edge e, in blocks of edges so the
-    gathered (edges, Z) arrays stay bounded."""
-    out = np.empty(rows.size)
-    for lo in range(0, rows.size, _EDGE_CHUNK):
-        sl = slice(lo, lo + _EDGE_CHUNK)
-        out[sl] = np.einsum("ez,ez->e", a[rows[sl]], b[cols[sl]])
-    return out
-
-
 # the stop-gradient kernel inputs per stored entry of W: the squared feature
 # distance, the squared grid distance and the entries' records; held constant
 # by fd_check too
@@ -130,7 +122,15 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
     features treated as constants of the forward pass.  The logit clamp has
     zero derivative where it binds, for the logits and the unary scale.  The
     loss reads only the owning slot of each vertex, so every other slot of
-    ``dlogits`` is 0."""
+    ``dlogits`` is 0.
+
+    The reverse pass multiplies by W itself, which is exactly symmetric.
+    The weight gradient of entry e = (i, j) would be
+    dw_e = sum_t <dQ~_t[i], Q_in,t[j]>; the scalars need only the sums
+    sum_e c_e dw_e with per-entry coefficients c (app d2, app fd, sm, sm d2),
+    and each is the contraction <[dQ~_1 ... dQ~_T], C [Q_in,1 ... Q_in,T]> of
+    (Nv, T Z) stacks with the sparse matrix C = csr((c, cols, indptr)), so no
+    per-entry (edges, Z) array is gathered."""
     graph = u.graph
     logits_raw = u.logits
     if frozen is None:
@@ -148,32 +148,40 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
 
     m = compat_matrix(logits_raw.shape[-1], params.theta_comp)
     op = c["W"]
-    e_rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
     dl = np.zeros_like(c["l"])
     dwp = 0.0
     dm = np.zeros_like(m)
-    dw = np.zeros(op.nnz)
-    for q_in, q_tilde, q_hat, q in reversed(tape):
+    nv, z = dq.shape
+    dq_tilde_stack = np.empty((nv, len(tape), z))  # vertex rows, iterations side by side
+    for t in reversed(range(len(tape))):
+        _, q_tilde, q_hat, q = tape[t]
         ds = _softmax_backward(q, dq)
         dl += ds
         dq_hat = -params.w_p * ds
         dwp += float(-(ds * q_hat).sum())
         dq_tilde = dq_hat @ m.T
         dm += q_tilde.T @ dq_hat
-        dw += _edge_dots(dq_tilde, q_in, e_rows, op.indices)
-        dq = op.T @ dq_tilde
+        dq_tilde_stack[:, t] = dq_tilde
+        dq = op @ dq_tilde
     dl += _softmax_backward(softmax(c["l"]), dq)
     merged_raw = graph.merge(logits_raw)
     dl = np.where(np.abs(unary_scale * merged_raw) <= LOGIT_CLAMP, dl, 0.0)
 
+    dq_stack = dq_tilde_stack.reshape(nv, -1)
+    q_in_stack = np.stack([step[0] for step in tape], axis=1).reshape(nv, -1)
+
+    def weight_sum(coef):
+        """sum_e coef_e dw_e."""
+        cmat = sparse.csr_matrix((coef, op.indices, op.indptr), shape=op.shape)
+        return float(np.einsum("ij,ij->", dq_stack, cmat @ q_in_stack))
+
     app = c["app"]
     sm = c["sm"]
-    d_theta1 = float((dw * app * d2).sum() / params.theta1 ** 3)
-    d_theta2 = float((dw * app * fd).sum() / params.theta2 ** 3)
-    d_w1 = float((dw * sm).sum())
-    d_theta3 = float((dw * params.w1 * sm * d2).sum() / params.theta3 ** 3)
+    d_theta1 = weight_sum(app * d2) / params.theta1 ** 3
+    d_theta2 = weight_sum(app * fd) / params.theta2 ** 3
+    d_w1 = weight_sum(sm)
+    d_theta3 = params.w1 * weight_sum(sm * d2) / params.theta3 ** 3
 
-    z = logits_raw.shape[-1]
     idx = np.arange(z)
     delta2 = (idx[:, None] - idx[None, :]) ** 2
     dmu_dtc = -np.exp(-delta2 / params.theta_comp ** 2) * (2.0 * delta2 / params.theta_comp ** 3)

@@ -188,6 +188,56 @@ class TestConfig:
         message = json.loads(capsys.readouterr().err.split("error: ", 1)[1])["message"]
         assert message.startswith(f"{cfg}: {key} must have the JSON type")
 
+    @pytest.mark.parametrize("key, value", [("phantom.dims", [64, 64]),
+                                            ("phantom.semi_axes_mm", [25.0, 22.0, 25.0, 1.0]),
+                                            ("phantom.spacing", [])])
+    def test_wrong_list_length_names_file_and_key(self, tmp_path, capsys, key, value):
+        section, leaf = key.split(".")
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: {leaf: value}}))
+        rc = cli.main(["phantom", "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        assert rc == 1
+        message = json.loads(capsys.readouterr().err.split("error: ", 1)[1])["message"]
+        assert message.startswith(f"{cfg}: {key} must have 3 entries")
+        with pytest.raises(cli.CliError, match=re.escape(f"overrides: {key} must have 3")):
+            cli.load_config(overrides={key: value})
+
+    def test_trainable_of_any_length(self):
+        for names in ([], ["w_p"], ["theta1", "theta2", "theta3", "w1", "w_p"]):
+            assert cli.load_config(overrides={"fit.trainable": names})["fit"]["trainable"] == names
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"crf": {"window_radius": 0}}', "crf.window_radius"),
+        ('{"crf": {"iterations": 0}}', "crf.iterations"),
+        ('{"crf": {"theta2": NaN}}', "crf.theta2"),
+        ('{"crf": {"theta1": 0.0}}', "crf.theta1"),
+        ('{"crf": {"w1": Infinity}}', "crf.w1"),
+        ('{"crf": {"w_p": -Infinity}}', "crf.w_p"),
+        ('{"crf": {"kernel_variant": "bogus"}}', "crf.kernel_variant"),
+        ('{"fit": {"lr": NaN}}', "fit.lr"),
+        ('{"fit": {"momentum": 1.5}}', "fit.momentum"),
+        ('{"fit": {"epochs": -1}}', "fit.epochs"),
+        ('{"fit": {"trainable": ["w_p", "bogus"]}}', "fit.trainable"),
+    ])
+    def test_out_of_range_named_before_inputs_are_read(self, tmp_path, capsys, text, key):
+        # the case directory does not exist: the config error comes first
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        rc = cli.main(["segment", "--out", str(tmp_path / "missing"), "--config", str(cfg)])
+        assert rc == 1
+        message = json.loads(capsys.readouterr().err.split("error: ", 1)[1])["message"]
+        assert message.startswith(f"{cfg}: {key} ")
+
+    def test_out_of_range_override_named(self):
+        with pytest.raises(cli.CliError, match=r"^overrides: fit\.momentum must"):
+            cli.load_config(overrides={"fit.momentum": 1.0})
+        with pytest.raises(cli.CliError, match=r"^overrides: crf\.theta3 must"):
+            cli.load_config(overrides={"crf.theta3": -1.0})
+
+    def test_negative_w_p_accepted(self):
+        # a fit passes through w_p < 0, and its scalars go back into configs
+        assert cli.load_config(overrides={"crf.w_p": -4.4})["crf"]["w_p"] == -4.4
+
     def test_int_accepted_for_float(self):
         assert cli.load_config(overrides={"crf.w_p": 2})["crf"]["w_p"] == 2
 

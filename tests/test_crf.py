@@ -108,6 +108,17 @@ def ref_pair_edges(graph, mask, offsets):
     return cols, pos, indptr
 
 
+def ref_full_fd(u, params, ps=None):
+    """The squared feature distance of every stored entry (i, j) of W,
+    gathered on both i and j per entry (no mirroring)."""
+    edges = sc.crf.pair_edges(u.graph, window_offsets(params.window_radius))
+    rows = np.repeat(np.arange(u.graph.n_vertices), np.diff(edges.indptr))
+    f = u.graph.merge(sc.crf.kernel_features(u, ps, params))
+    diff = f[rows] - f[edges.cols]
+    diff *= diff
+    return diff.sum(axis=-1)
+
+
 def ref_window_pair_mask(graph, offsets):
     """The key-set form of ref_full_pair_mask: the same dedup, then a record
     survives when its (src gid, dst gid, d2) key and the mirrored key are
@@ -271,15 +282,20 @@ class TestComputeKernel:
             assert abs(table[(b, a)] - w) <= 1e-9
 
     def test_kernel_symmetry_on_quad_sphere(self):
-        # raw random slot logits: the pad slots differ from their owners, as
-        # with an external unary; W reads owner features only, so it stays
-        # exactly symmetric
+        # raw random slot logits and samples: the pad slots differ from
+        # their owners, as with an external unary; W reads owner features
+        # only, so it stays exactly symmetric, which the reverse pass of the
+        # fit relies on (it multiplies by W for W.T)
         graph = build_column_graph(sc.build_quadsphere(2), pad=2)
         rng = np.random.default_rng(8)
         u = sc.unary_from_logits(graph, rng.normal(size=(*graph.shape, 6)))
-        kf = sc.compute_kernel(u, sc.CrfParams(window_radius=2))
-        assert kf.W.nnz > 0
-        assert (kf.W != kf.W.T).nnz == 0
+        ps = SimpleNamespace(samples=rng.normal(size=(*graph.shape, 6)))
+        for radius in range(1, 5):
+            for variant in ("probability", "intensity"):
+                params = sc.CrfParams(window_radius=radius, kernel_variant=variant)
+                kf = sc.compute_kernel(u, params, ps=ps)
+                assert kf.W.nnz > 0
+                assert (kf.W != kf.W.T).nnz == 0
 
     def test_intensity_variant_uses_samples(self):
         from test_patches import synthetic_quadmesh, constant_volume
@@ -345,6 +361,47 @@ class TestPairEdges:
     def test_matches_full_grid_reference_on_toy_graphs(self, shape):
         patches, height, width = shape
         self.assert_matches_full_grid(make_toy_graph(height, width, patches))
+
+    @staticmethod
+    def assert_mirrors(graph):
+        """upper lists the entries (i, j) with i < j and mirror their (j, i):
+        together an involution of the entries that swaps rows and columns at
+        equal d2; fd gathered on the upper entries and mirrored equals the
+        gather over every entry bit for bit."""
+        rng = np.random.default_rng(graph.n_vertices)
+        u = sc.unary_from_logits(graph, rng.normal(size=(*graph.shape, 7)))
+        ps = SimpleNamespace(samples=rng.normal(size=(*graph.shape, 7)))
+        for radius in range(1, 5):
+            offs = window_offsets(radius)
+            edges = sc.crf.pair_edges(graph, offs)
+            nnz = edges.cols.size
+            rows = np.repeat(np.arange(graph.n_vertices), np.diff(edges.indptr))
+            d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2)[edges.pos % len(offs)]
+            for a in (edges.upper, edges.mirror):
+                assert a.dtype == edges.cols.dtype and not a.flags.writeable
+            assert 2 * edges.upper.size == nnz
+            assert (rows[edges.upper] < edges.cols[edges.upper]).all()
+            swap = np.full(nnz, -1)
+            swap[edges.upper] = edges.mirror
+            swap[edges.mirror] = edges.upper
+            assert (swap >= 0).all()
+            assert np.array_equal(swap[swap], np.arange(nnz))
+            assert np.array_equal(rows[swap], edges.cols)
+            assert np.array_equal(edges.cols[swap], rows)
+            assert np.array_equal(d2[swap], d2)
+            for variant in ("probability", "intensity"):
+                params = sc.CrfParams(window_radius=radius, kernel_variant=variant)
+                fd, _, _ = sc.crf.edge_stats(u, params, ps)
+                assert np.array_equal(fd, ref_full_fd(u, params, ps)), (radius, variant)
+
+    @pytest.mark.parametrize("level, pad", QUAD_GRAPHS)
+    def test_mirrors_on_quad_sphere(self, level, pad):
+        self.assert_mirrors(build_column_graph(sc.build_quadsphere(level), pad))
+
+    @pytest.mark.parametrize("shape", TOY_SHAPES)
+    def test_mirrors_on_toy_graphs(self, shape):
+        patches, height, width = shape
+        self.assert_mirrors(make_toy_graph(height, width, patches))
 
 
 class TestMessagePass:
@@ -673,6 +730,20 @@ class TestUnaryField:
             sc.CrfParams(kernel_variant="bogus")
         with pytest.raises(ValueError):
             sc.CrfParams.from_json('{"w_p": 1.0, "nope": 2}')
+
+    @pytest.mark.parametrize("field, value", [
+        ("theta1", 0.0), ("theta2", -0.2), ("theta3", math.inf), ("theta_comp", math.nan),
+        ("theta2", math.nan), ("w1", math.inf), ("w1", -math.inf), ("w_p", math.nan),
+        ("window_radius", 0), ("iterations", 0), ("kernel_variant", "bogus"),
+    ])
+    def test_params_error_names_field(self, field, value):
+        # the CLI puts the section before the message to name the dotted key
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            sc.CrfParams(**{field: value})
+
+    def test_negative_w_p_accepted(self):
+        # a fit may pass through w_p < 0
+        assert sc.CrfParams(w_p=-4.4).w_p == -4.4
 
     def test_paper_presets(self):
         p = sc.prostate_params()

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import surfcrf as sc
-from surfcrf import accel, crf
+from surfcrf import accel, crf, train
 from surfcrf.crf import LOGIT_CLAMP, softmax
 from surfcrf.patches import make_toy_graph
 from surfcrf.train import _softmax_backward, central_difference, relative_error
@@ -100,6 +101,55 @@ def ref_meanfield_grad(u, params, gt, unary_scale=1.0, ps=None):
              "theta_comp": float((dm * dmu_dtc).sum()),
              "unary_scale": float((dl * logits_raw).sum())}
     return loss, grads, unary_scale * dl
+
+
+def ref_edge_grads(u, params, gt, unary_scale=1.0, ps=None):
+    """The vertex-graph reverse pass with the adjoint taken through W.T and
+    the weight gradient formed per stored entry e = (i, j) of W,
+    dw_e = sum_t <dQ~_t[i], Q_in,t[j]>, gathered per entry; then the kernel
+    scalars' gradients as sums over the entries.  Returns the scalar
+    gradients and the logit gradient on the vertices."""
+    graph = u.graph
+    frozen = train.frozen_kernel_stats(
+        sc.unary_from_logits(graph, unary_scale * u.logits), params, ps=ps)
+    fd, d2, _ = frozen
+    tape = []
+    _, c = train._forward(u.logits, unary_scale, graph, frozen, params, gt, tape=tape)
+    q_out = c["q"]
+    rows = np.nonzero(gt.valid)[0]
+    dq = np.zeros_like(q_out)
+    dq[rows, gt.surface_index[rows]] = -1.0 / (len(rows) * q_out[rows, gt.surface_index[rows]])
+    m = sc.compat_matrix(u.z_len, params.theta_comp)
+    op = c["W"]
+    e_rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    dl = np.zeros_like(c["l"])
+    dwp = 0.0
+    dm = np.zeros_like(m)
+    dw = np.zeros(op.nnz)
+    for q_in, q_tilde, q_hat, q in reversed(tape):
+        ds = _softmax_backward(q, dq)
+        dl += ds
+        dq_hat = -params.w_p * ds
+        dwp += float(-(ds * q_hat).sum())
+        dq_tilde = dq_hat @ m.T
+        dm += q_tilde.T @ dq_hat
+        dw += np.einsum("ez,ez->e", dq_tilde[e_rows], q_in[op.indices])
+        dq = op.T @ dq_tilde
+    dl += _softmax_backward(softmax(c["l"]), dq)
+    merged_raw = graph.merge(u.logits)
+    dl = np.where(np.abs(unary_scale * merged_raw) <= LOGIT_CLAMP, dl, 0.0)
+    app, sm = c["app"], c["sm"]
+    idx = np.arange(u.z_len)
+    delta2 = (idx[:, None] - idx[None, :]) ** 2
+    dmu_dtc = -np.exp(-delta2 / params.theta_comp ** 2) * (2.0 * delta2 / params.theta_comp ** 3)
+    grads = {"w_p": dwp,
+             "w1": float((dw * sm).sum()),
+             "theta1": float((dw * app * d2).sum() / params.theta1 ** 3),
+             "theta2": float((dw * app * fd).sum() / params.theta2 ** 3),
+             "theta3": float((dw * params.w1 * sm * d2).sum() / params.theta3 ** 3),
+             "theta_comp": float((dm * dmu_dtc).sum()),
+             "unary_scale": float((dl * merged_raw).sum())}
+    return grads, unary_scale * dl
 
 
 class TestWbce:
@@ -229,6 +279,27 @@ class TestMeanfieldGrad:
             assert np.abs(rep.dlogits - dlogits).max() <= 1e-13 * np.abs(dlogits).max()
             assert (rep.dlogits[~owned_mask(u.graph)] == 0.0).all()
 
+    @pytest.mark.parametrize("iterations", [1, 2, 5])
+    @pytest.mark.parametrize("variant", ["probability", "intensity"])
+    def test_contracted_weight_gradients_match_per_edge(self, iterations, variant):
+        # the four kernel-scalar gradients as sparse products against the
+        # per-entry weight gradient, and the adjoint through W against W.T:
+        # the same sums in another order
+        (ps, u, gt), = phantom_fit_dataset(seeds=[0])
+        rng = np.random.default_rng(iterations)
+        toys = [(SimpleNamespace(samples=rng.normal(size=t[0].logits.shape)), *t)
+                for t in (toy_instance(5, 6, z=7, seed=iterations),
+                          toy_instance(3, 4, z=5, seed=10 + iterations, valid_frac=0.5))]
+        for ps_i, u_i, gt_i in [(ps, u, gt), *toys]:
+            params = sc.prostate_params(iterations=iterations, kernel_variant=variant)
+            for scale in (1.0, 6.0):
+                rep = sc.meanfield_grad(u_i, params, gt_i, unary_scale=scale, ps=ps_i)
+                grads, dl = ref_edge_grads(u_i, params, gt_i, unary_scale=scale, ps=ps_i)
+                for name, g in grads.items():
+                    assert abs(rep.grads[name] - g) <= 1e-13 * abs(g), (name, scale)
+                got = rep.dlogits.reshape(-1, u_i.z_len)[u_i.graph.owner]
+                assert np.abs(got - dl).max() <= 1e-13 * np.abs(dl).max()
+
     def test_fd_on_padded_graph(self):
         # seams, pad duplicates and corner blocks: the picks are owner-slot
         # logits, the only ones the loss reads
@@ -341,6 +412,23 @@ class TestFit:
         with pytest.raises(ValueError):
             sc.fit([], sc.prostate_params(), sc.FitConfig())
 
+    def test_pinned_r3_fit(self):
+        # one r=3 instance, three epochs at the CLI defaults (unary scale 6):
+        # the scalars and curve of this fit, recorded before the weight
+        # gradients became sparse products, so that a change of the gradient
+        # arithmetic shows as a number
+        (ps, u, gt), = phantom_fit_dataset(seeds=[0])
+        res = sc.fit([(ps, u, gt)], sc.CrfParams(),
+                     sc.FitConfig(lr=0.05, epochs=3, momentum=0.9), unary_scale=6.0)
+        want = {"w_p": -1.3443754617710526, "w1": 2.194472700042994,
+                "theta1": 4.977847959080746, "theta2": 0.19740633387647138,
+                "theta3": 2.3056063879486692, "theta_comp": 148.7656113804342}
+        for name, value in want.items():
+            assert getattr(res.params, name) == pytest.approx(value, rel=1e-12, abs=0), name
+        assert res.unary_scale == pytest.approx(6.000083351977018, rel=1e-12, abs=0)
+        curve = [15.236673576299422, 3.0198011611432745, 3.220058449613835, 3.134388441627443]
+        assert res.curve == pytest.approx(curve, rel=1e-12, abs=0)
+
     def test_small_phantom_set_reduces_mce(self):
         dataset = phantom_fit_dataset(3)
         init = sc.prostate_params()
@@ -353,6 +441,14 @@ class TestFit:
             sc.FitConfig(lr=0.0)
         with pytest.raises(ValueError):
             sc.FitConfig(trainable=("nonsense",))
+        # the CLI puts the section before the message to name the dotted key
+        for field, value in [("lr", math.nan), ("lr", math.inf), ("lr", -1.0),
+                             ("epochs", -1), ("momentum", 1.5), ("momentum", 1.0),
+                             ("momentum", -0.1), ("momentum", math.nan),
+                             ("trainable", ("w_p", "bogus"))]:
+            with pytest.raises(ValueError, match=f"^{field} "):
+                sc.FitConfig(**{field: value})
+        assert sc.FitConfig(momentum=0.0).momentum == 0.0
         assert [f.name for f in dataclasses.fields(sc.FitConfig)] == \
             ["lr", "epochs", "momentum", "trainable"]
 
