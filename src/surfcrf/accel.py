@@ -3,22 +3,19 @@
 Geometry: trilinear volume sampling, point location on the mapped sphere,
 ray casting against a triangle soup and the voxel parity fill.  CRF: the
 Gaussian pairwise weights on (P,H,W,Z) patch grids, and the slot-grid window
-message pass, its adjoint and its weight gradient (CSR products over a
-stencil cached per grid shape and window).  Mean field runs on the vertex
-operator of crf.compute_kernel, whose weights come from the owner features
-of each vertex pair, so it is symmetric for every unary; the slot-grid CRF
-kernels (pairwise_weights and the window kernels) remain as its reference in
-the tests and as benchmark probe targets.  Kernels
-that would build a (rays x faces) or (points x faces) array at once work in
-chunks of rays or points, so their transient memory stays bounded.  The
-tests compare every kernel with a scalar-loop reference.
+message pass, its adjoint and its weight gradient, each a plain loop over
+the window offsets.  Mean field runs on the vertex operator of
+crf.compute_kernel, whose weights come from the owner features of each
+vertex pair, so it is symmetric for every unary; the slot-grid CRF kernels
+(pairwise_weights and the window kernels) remain as its reference in the
+tests and as benchmark probe targets.  Kernels that would build a
+(rays x faces) or (points x faces) array at once work in chunks of rays or
+points, so their transient memory stays bounded.  The tests compare every
+kernel with a scalar-loop reference.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
-from scipy import sparse
 
 BACKEND = "numpy"
 
@@ -168,83 +165,43 @@ def raycast_min_abs_t(verts, faces, origins, dirs):
 # CRF window operations on (P,H,W,Z) patch grids
 
 
-@functools.lru_cache(maxsize=16)
-def _window_stencil(shape, offsets, transpose):
-    """CSR pattern of the window message pass on a (P,H,W) slot grid.
-
-    Row i lists the in-grid window entries of slot i in offset order: their
-    column slots ``cols``, the position of each entry's weight in the
-    flattened (P,H,W,K) weight array ``pos``, and the row pointer ``indptr``.
-    Without ``transpose`` slot i receives from i + offset with the weight of
-    i; with it, the adjoint, slot i receives from i - offset with the weight
-    of that source.  ``offsets`` is a tuple of (dy, dx) pairs.  The arrays
-    are int32 where the weights allow it (scipy would otherwise copy int64
-    indices on every product) and read-only.
-    """
-    P, H, W = shape
-    K = len(offsets)
-    itype = np.int32 if P * H * W * K < 2 ** 31 else np.int64
-    slots = np.arange(P * H * W, dtype=itype).reshape(P, H, W)
-    src = np.full((P, H, W, K), -1, dtype=itype)
-    sign = -1 if transpose else 1
-    for k, (dy, dx) in enumerate(offsets):
-        dy, dx = sign * dy, sign * dx
+def _offset_slices(shape, offsets):
+    """Per window offset k = (dy, dx) with an in-grid neighbour: (k, centre,
+    neighbour), the index tuples of the slots (p, y, x) of a (P,H,W,...)
+    grid whose neighbour (p, y+dy, x+dx) lies in the grid, and of those
+    neighbours."""
+    H, W = shape[1:3]
+    for k, (dy, dx) in enumerate(np.asarray(offsets).tolist()):
         ys0, ys1 = max(0, -dy), min(H, H - dy)
         xs0, xs1 = max(0, -dx), min(W, W - dx)
         if ys0 < ys1 and xs0 < xs1:
-            src[:, ys0:ys1, xs0:xs1, k] = slots[:, ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx]
-    src = src.reshape(-1, K)
-    inside = src >= 0
-    cols = src[inside]
-    if transpose:
-        pos = cols * itype(K) + np.nonzero(inside)[1].astype(itype)
-    else:
-        pos = np.flatnonzero(inside).astype(itype)
-    indptr = np.zeros(src.shape[0] + 1, dtype=itype)
-    np.cumsum(inside.sum(axis=1), out=indptr[1:])
-    for a in (cols, pos, indptr):
-        a.flags.writeable = False
-    return cols, pos, indptr
-
-
-def _window_product(x, w, offsets, transpose):
-    """The CSR product of a window stencil filled with ``w`` and ``x`` per slot."""
-    P, H, W, Z = x.shape
-    n = P * H * W
-    key = tuple((int(dy), int(dx)) for dy, dx in offsets)
-    cols, pos, indptr = _window_stencil((P, H, W), key, transpose)
-    op = sparse.csr_matrix((np.ravel(w)[pos], cols, indptr), shape=(n, n))
-    return (op @ x.reshape(n, Z)).reshape(x.shape)
+            yield (k, (slice(None), slice(ys0, ys1), slice(xs0, xs1)),
+                   (slice(None), slice(ys0 + dy, ys1 + dy), slice(xs0 + dx, xs1 + dx)))
 
 
 def window_sum(q, w, offsets):
     """out[p,y,x,:] = sum_k w[p,y,x,k] * q[p, y+dy_k, x+dx_k, :].
 
-    One sparse product; each row adds its in-grid terms in offset order."""
-    return _window_product(q, w, offsets, transpose=False)
+    Each slot adds its in-grid terms in offset order."""
+    out = np.zeros(q.shape, dtype=np.result_type(q, w))
+    for k, c, n in _offset_slices(q.shape, offsets):
+        out[c] += w[c + (k, None)] * q[n]
+    return out
 
 
 def window_sum_adjoint(d_out, w, offsets):
-    """Adjoint of window_sum with respect to q (the transposed stencil)."""
-    return _window_product(d_out, w, offsets, transpose=True)
+    """Adjoint of window_sum with respect to q."""
+    dq = np.zeros(d_out.shape, dtype=np.result_type(d_out, w))
+    for k, c, n in _offset_slices(d_out.shape, offsets):
+        dq[n] += w[c + (k, None)] * d_out[c]
+    return dq
 
 
 def window_weight_grad(d_out, q, offsets):
     """dW[p,y,x,k] = sum_l d_out[p,y,x,l] * q[p, y+dy, x+dx, l]."""
-    P, H, W, Z = q.shape
-    K = offsets.shape[0]
-    dw = np.zeros((P, H, W, K), dtype=q.dtype)
-    for k in range(K):
-        dy, dx = int(offsets[k, 0]), int(offsets[k, 1])
-        ys0, ys1 = max(0, -dy), min(H, H - dy)
-        xs0, xs1 = max(0, -dx), min(W, W - dx)
-        if ys0 >= ys1 or xs0 >= xs1:
-            continue
-        dw[:, ys0:ys1, xs0:xs1, k] = np.einsum(
-            "pyxl,pyxl->pyx",
-            d_out[:, ys0:ys1, xs0:xs1, :],
-            q[:, ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx, :],
-        )
+    dw = np.zeros(q.shape[:3] + (len(offsets),), dtype=q.dtype)
+    for k, c, n in _offset_slices(q.shape, offsets):
+        dw[c + (k,)] = np.einsum("pyxl,pyxl->pyx", d_out[c], q[n])
     return dw
 
 
@@ -252,33 +209,26 @@ def pairwise_weights(feat, valid, offsets, inv2t1, inv2t2, inv2t3, w1):
     """Gaussian pairwise weights per column and window offset.
 
     Returns (w, app, fdist): total weight, the masked appearance term and the
-    squared feature distance (the latter two feed the analytic gradients).
-    Entries are 0 for the self offset, out-of-grid neighbors and columns where
-    either endpoint is invalid.
+    squared feature distance (the latter two serve only the slot-grid kernel
+    reference of the tests, conftest.slot_kernel).  Entries are 0 for the
+    self offset, out-of-grid neighbors and columns where either endpoint is
+    invalid.
     """
-    P, H, W, Z = feat.shape
-    K = offsets.shape[0]
-    w = np.zeros((P, H, W, K), dtype=np.float64)
-    app = np.zeros((P, H, W, K), dtype=np.float64)
-    fd = np.zeros((P, H, W, K), dtype=np.float64)
-    for k in range(K):
-        dy, dx = int(offsets[k, 0]), int(offsets[k, 1])
-        if dy == 0 and dx == 0:
+    shape = feat.shape[:3] + (len(offsets),)
+    w = np.zeros(shape, dtype=np.float64)
+    app = np.zeros(shape, dtype=np.float64)
+    fd = np.zeros(shape, dtype=np.float64)
+    for k, c, n in _offset_slices(feat.shape, offsets):
+        d2 = float(offsets[k][0] ** 2 + offsets[k][1] ** 2)
+        if d2 == 0.0:  # the self offset
             continue
-        d2 = float(dy * dy + dx * dx)
-        ys0, ys1 = max(0, -dy), min(H, H - dy)
-        xs0, xs1 = max(0, -dx), min(W, W - dx)
-        if ys0 >= ys1 or xs0 >= xs1:
-            continue
-        fc = feat[:, ys0:ys1, xs0:xs1, :]
-        fn = feat[:, ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx, :]
-        dist = ((fc - fn) ** 2).sum(axis=-1)
-        mask = valid[:, ys0:ys1, xs0:xs1] & valid[:, ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx]
+        dist = ((feat[c] - feat[n]) ** 2).sum(axis=-1)
+        mask = valid[c] & valid[n]
         a = np.where(mask, np.exp(-d2 * inv2t1 - dist * inv2t2), 0.0)
         s = np.where(mask, np.exp(-d2 * inv2t3), 0.0)
-        w[:, ys0:ys1, xs0:xs1, k] = a + w1 * s
-        app[:, ys0:ys1, xs0:xs1, k] = a
-        fd[:, ys0:ys1, xs0:xs1, k] = np.where(mask, dist, 0.0)
+        w[c + (k,)] = a + w1 * s
+        app[c + (k,)] = a
+        fd[c + (k,)] = np.where(mask, dist, 0.0)
     return w, app, fd
 
 

@@ -369,14 +369,27 @@ def _check_ground_truth(gt: GroundTruth, ps, path) -> None:
                        f"[0, z_len) = [0, {ps.z_len})")
 
 
+def _manifest_runs(path) -> list:
+    """The run directories of the fit manifest at ``path``: a JSON object
+    whose ``runs`` is a non-empty list of strings."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}: not valid JSON: {exc}") from None
+    runs = doc.get("runs") if isinstance(doc, dict) else None
+    if not (isinstance(runs, list) and runs and all(isinstance(r, str) for r in runs)):
+        raise CliError(f"{path}: runs must be a non-empty list of run directories "
+                       f"in a JSON object, got {runs!r}")
+    return runs
+
+
 def cmd_fit(cfg, outdir, manifest_path):
     if cfg["unary"]["mode"] != "gradient":
         raise CliError(f"fit supports unary.mode 'gradient' only, got {cfg['unary']['mode']!r}")
     with _Step("fit", outdir, cfg, [manifest_path]) as step:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
         dataset = []
-        for run_dir in manifest["runs"]:
+        for run_dir in _manifest_runs(manifest_path):
             ps = load_patchset(os.path.join(run_dir, "patches"))
             un = cfg["unary"]
             u = crfmod.gradient_unary(ps, polarity=un["polarity"])
@@ -386,6 +399,8 @@ def cmd_fit(cfg, outdir, manifest_path):
                     gt = GroundTruth.from_json(fh.read())
                 except KeyError as exc:
                     raise CliError(f"{gt_path}: missing field {exc.args[0]!r}") from None
+                except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                    raise CliError(f"{gt_path}: not a ground-truth JSON object: {exc}") from None
             _check_ground_truth(gt, ps, gt_path)
             dataset.append((ps, u, gt))
         result = trainmod.fit(dataset, crfmod.CrfParams(**cfg["crf"]), _fit_config(cfg),

@@ -367,14 +367,10 @@ def compute_kernel(u: UnaryField, params: CrfParams, ps: PatchSet | None = None)
 
 def refresh_duplicates(q: np.ndarray, graph: ColumnGraph) -> np.ndarray:
     """Copy every valid slot's values from its owning slot (pads and unowned
-    seam slots become consistent with their owner).  The slot-grid reference
-    of the vertex operator; inference does not use it."""
-    flat = q.reshape(-1, q.shape[-1])
-    src = graph.dup_src.ravel()
-    ok = src >= 0
-    out = np.zeros_like(flat)
-    out[ok] = flat[src[ok]]
-    return out.reshape(q.shape)
+    seam slots become consistent with their owner); the corner slots become
+    0.  The slot-grid reference of the vertex operator; inference does not
+    use it."""
+    return graph.split(graph.merge(q))
 
 
 def message_pass(q: np.ndarray, kf: KernelField) -> np.ndarray:
@@ -415,7 +411,7 @@ def meanfield_unroll(logits: np.ndarray, W: sparse.csr_matrix, params: CrfParams
 
 def meanfield_infer(u: UnaryField, params: CrfParams, ps: PatchSet | None = None,
                     kf: KernelField | None = None) -> SurfaceLabeling:
-    """params.iterations damped-free mean-field updates (meanfield_unroll) on
+    """params.iterations undamped mean-field updates (meanfield_unroll) on
     the per-vertex unary logits: the marginals and their argmax labels."""
     if kf is None:
         kf = compute_kernel(u, params, ps=ps)

@@ -41,11 +41,6 @@ class ColumnGraph:
         """(P,H,W) bool: slots with real geometry."""
         return self.gid >= 0
 
-    @property
-    def dup_src(self) -> np.ndarray:
-        """(P,H,W) flat index of each valid slot's owning slot, -1 where invalid."""
-        return np.where(self.valid, self.owner[self.gid], -1)
-
     def merge(self, field: np.ndarray) -> np.ndarray:
         """Per-slot field (P,H,W,...) -> per-vertex field (Nv,...)."""
         return field.reshape(-1, *field.shape[3:])[self.owner]

@@ -289,8 +289,8 @@ class TestScalarOracles:
             self.assert_window_ops_match(q, w, offs)
 
     def test_window_ops_alternating_shapes(self, rng):
-        # alternate grid shapes, radii and offset orders so that a stencil
-        # cached under the wrong key would give a wrong or mis-shaped answer
+        # alternate grid shapes and radii, and reverse the offset order (the
+        # only case here whose offsets are not in window_offsets order)
         cases = [((2, 4, 5), window_offsets(1)), ((2, 5, 4), window_offsets(1)),
                  ((2, 4, 5), window_offsets(2)), ((1, 4, 5), window_offsets(1)),
                  ((2, 4, 5), window_offsets(1)[::-1])]

@@ -379,6 +379,32 @@ class TestFitCommand:
         err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
         assert err["message"] == f"{gt_path}: missing field '{field}'"
 
+    @pytest.mark.parametrize("text", ['{"cases": []}', '{"runs": "abc"}', '{"runs": []}',
+                                      '{"runs": ["a", 1]}', '["a"]', "not json"])
+    def test_bad_manifest_named(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        rc = cli.main(["fit", "--out", str(tmp_path / "fit"), "--manifest", str(manifest),
+                       "--epochs", "1"] + FAST)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        what = "not valid JSON" if text == "not json" else "runs must be a non-empty list"
+        assert err["message"].startswith(f"{manifest}: {what}")
+
+    @pytest.mark.parametrize("text", ['{"surface_index": [', "[]",
+                                      '{"surface_index": {}, "valid": []}'])
+    def test_malformed_ground_truth_named(self, fast_run, tmp_path, capsys, text):
+        run = shutil.copytree(fast_run, tmp_path / "run")
+        gt_path = run / "ground_truth.json"
+        gt_path.write_text(text)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"runs": [str(run)]}))
+        rc = cli.main(["fit", "--out", str(tmp_path / "fit"), "--manifest", str(manifest),
+                       "--epochs", "1"] + FAST)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"].startswith(f"{gt_path}: not a ground-truth JSON object")
+
     def test_fit_over_manifest(self, tmp_path):
         runs = []
         for seed in (0, 1):

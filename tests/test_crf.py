@@ -438,6 +438,30 @@ class TestMessagePass:
         assert np.abs(got - expect).max() / denom <= 1e-6
 
 
+class TestRefreshDuplicates:
+    """Every valid slot takes its owner's values, the corner slots 0, in the
+    dtype of the input."""
+
+    @staticmethod
+    def assert_refresh(graph):
+        rng = np.random.default_rng(graph.gid.size)
+        valid = graph.valid
+        owner_of_slot = graph.owner[graph.gid[valid]]
+        for dtype in (np.float32, np.float64):
+            q = rng.normal(size=graph.shape + (3,)).astype(dtype)
+            r = sc.crf.refresh_duplicates(q, graph)
+            assert r.dtype == dtype and r.shape == q.shape
+            assert np.array_equal(r[valid], q.reshape(-1, 3)[owner_of_slot])
+            assert (r[~valid] == 0).all()
+
+    @pytest.mark.parametrize("level, pad", QUAD_GRAPHS)
+    def test_owner_values_on_quad_sphere(self, level, pad):
+        self.assert_refresh(build_column_graph(sc.build_quadsphere(level), pad))
+
+    def test_owner_values_on_toy_graph(self):
+        self.assert_refresh(make_toy_graph(4, 3, 2))
+
+
 class TestVertexOperator:
     """W against its slot-grid reference: the owner rows of a message pass
     over refreshed slots."""

@@ -131,14 +131,12 @@ class TestColumnGraph:
                 arr[(0,) * arr.ndim] = 0
 
     def test_derived_slot_fields(self):
-        # valid and dup_src follow from gid and owner: every valid slot
-        # points at the owning slot of its own vertex
+        # valid and n_vertices follow from gid and owner, and each owning
+        # slot holds its own vertex
         g = build_column_graph(sc.build_quadsphere(2), pad=2)
         assert np.array_equal(g.valid, g.gid >= 0)
-        src = g.dup_src
-        assert (src[~g.valid] == -1).all()
-        assert np.array_equal(g.gid.reshape(-1)[src[g.valid]], g.gid[g.valid])
-        assert np.array_equal(np.unique(src[g.valid]), np.sort(g.owner))
+        assert g.n_vertices == len(g.owner) == g.gid.max() + 1
+        assert np.array_equal(g.gid.reshape(-1)[g.owner], np.arange(g.n_vertices))
 
     def test_pad_exceeding_grid_rejected(self):
         qs = sc.build_quadsphere(1)

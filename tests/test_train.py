@@ -28,10 +28,10 @@ def toy_instance(h=4, w=4, z=8, seed=0, valid_frac=1.0):
 
 def _ref_refresh_adjoint(dr, graph):
     flat = dr.reshape(-1, dr.shape[-1])
-    src = graph.dup_src.ravel()
-    ok = src >= 0
+    gid = graph.gid.ravel()
+    ok = gid >= 0
     out = np.zeros_like(flat)
-    np.add.at(out, src[ok], flat[ok])
+    np.add.at(out, graph.owner[gid[ok]], flat[ok])
     return out.reshape(dr.shape)
 
 
