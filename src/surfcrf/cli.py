@@ -7,6 +7,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -118,9 +119,12 @@ def _fit_config(cfg) -> trainmod.FitConfig:
 
 
 def _check_ranges(cfg, source) -> None:
-    """Build CrfParams and FitConfig from ``cfg``, so a value out of range
-    fails here, before any input is read.  Their errors start with the
-    field's name; the CliError names ``source`` and the dotted key."""
+    """Check unary.scale and build CrfParams and FitConfig from ``cfg``, so a
+    value out of range fails here, before any input is read.  Errors start
+    with the field's name; the CliError names ``source`` and the dotted key."""
+    scale = cfg["unary"]["scale"]
+    if not (math.isfinite(scale) and scale > 0):
+        raise CliError(f"{source}: unary.scale must be a finite number > 0, got {scale!r}")
     for section, build in (("crf", lambda: crfmod.CrfParams(**cfg["crf"])),
                            ("fit", lambda: _fit_config(cfg))):
         try:
@@ -448,9 +452,7 @@ _FLAG_MAP = {
     "window-radius": "crf.window_radius",
     "iterations": "crf.iterations",
     "kernel-variant": "crf.kernel_variant",
-    "lr": "fit.lr",
     "epochs": "fit.epochs",
-    "momentum": "fit.momentum",
 }
 
 

@@ -74,10 +74,11 @@ class CrfParams:
 
     def __post_init__(self):
         """Each error message starts with the name of the field it rejects.
-        A negative w_p is allowed."""
+        w_p = 0 is valid: it switches the pairwise term off."""
         for name in ("w_p", "w1"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            weight = getattr(self, name)
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"{name} must be a finite weight >= 0, got {weight!r}")
         for name in ("theta1", "theta2", "theta3", "theta_comp"):
             width = getattr(self, name)
             if not (math.isfinite(width) and width > 0):
@@ -226,7 +227,7 @@ def window_pair_mask(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
 
 
 # graph -> {window radius: pair_edges records}; they depend on nothing else,
-# and fit rebuilds the kernel of every instance on every epoch.
+# and fit rebuilds the kernel of every instance on every evaluation.
 # build_column_graph returns one graph per (level, pad), so the cache is in
 # effect keyed on (level, pad, radius) and hits across load_patchset calls
 _PAIR_EDGES = weakref.WeakKeyDictionary()

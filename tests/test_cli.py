@@ -154,8 +154,10 @@ class TestConfig:
         assert echo["quad"]["recursion"] == 5
 
     def test_default_config_hash_pinned(self):
-        # every default run records this config_hash in its provenance
-        assert cli._config_hash(cli.load_config()) == "8282a5eb21658470"
+        # every default run records this config_hash in its provenance; it
+        # changes with the default config's keys (8282a5eb21658470 while the
+        # fit section held lr and momentum)
+        assert cli._config_hash(cli.load_config()) == "10c6406f664472e4"
 
     def test_one_flag_per_scalar_leaf(self):
         leaves = {}
@@ -214,8 +216,12 @@ class TestConfig:
         ('{"crf": {"w1": Infinity}}', "crf.w1"),
         ('{"crf": {"w_p": -Infinity}}', "crf.w_p"),
         ('{"crf": {"kernel_variant": "bogus"}}', "crf.kernel_variant"),
-        ('{"fit": {"lr": NaN}}', "fit.lr"),
-        ('{"fit": {"momentum": 1.5}}', "fit.momentum"),
+        ('{"crf": {"w_p": -4.4}}', "crf.w_p"),
+        ('{"crf": {"w1": -0.1}}', "crf.w1"),
+        ('{"unary": {"scale": NaN}}', "unary.scale"),
+        ('{"unary": {"scale": Infinity}}', "unary.scale"),
+        ('{"unary": {"scale": 0}}', "unary.scale"),
+        ('{"unary": {"scale": -6.0}}', "unary.scale"),
         ('{"fit": {"epochs": -1}}', "fit.epochs"),
         ('{"fit": {"trainable": ["w_p", "bogus"]}}', "fit.trainable"),
     ])
@@ -229,14 +235,28 @@ class TestConfig:
         assert message.startswith(f"{cfg}: {key} ")
 
     def test_out_of_range_override_named(self):
-        with pytest.raises(cli.CliError, match=r"^overrides: fit\.momentum must"):
-            cli.load_config(overrides={"fit.momentum": 1.0})
+        with pytest.raises(cli.CliError, match=r"^overrides: fit\.epochs must"):
+            cli.load_config(overrides={"fit.epochs": -1})
         with pytest.raises(cli.CliError, match=r"^overrides: crf\.theta3 must"):
             cli.load_config(overrides={"crf.theta3": -1.0})
+        with pytest.raises(cli.CliError, match=r"^overrides: unary\.scale must"):
+            cli.load_config(overrides={"unary.scale": 0.0})
 
-    def test_negative_w_p_accepted(self):
-        # a fit passes through w_p < 0, and its scalars go back into configs
-        assert cli.load_config(overrides={"crf.w_p": -4.4})["crf"]["w_p"] == -4.4
+    def test_negative_w_p_rejected(self):
+        # the fit bounds w_p >= 0, so no fitted scalars are negative; w_p = 0
+        # switches the pairwise term off
+        with pytest.raises(cli.CliError, match=r"^overrides: crf\.w_p must"):
+            cli.load_config(overrides={"crf.w_p": -4.4})
+        assert cli.load_config(overrides={"crf.w_p": 0.0})["crf"]["w_p"] == 0.0
+
+    def test_unary_scale_flag_named(self, tmp_path, capsys):
+        # before the range check, NaN reached the fit and failed there,
+        # naming neither the flag's key nor its source
+        rc = cli.main(["fit", "--out", str(tmp_path / "fit"), "--manifest",
+                       str(tmp_path / "missing.json"), "--unary-scale", "nan"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"] == "overrides: unary.scale must be a finite number > 0, got nan"
 
     def test_int_accepted_for_float(self):
         assert cli.load_config(overrides={"crf.w_p": 2})["crf"]["w_p"] == 2
@@ -417,6 +437,7 @@ class TestFitCommand:
         assert rc == 0
         doc = json.loads((tmp_path / "fit" / "fit.json").read_text())
         assert len(doc["curve"]) == 4
+        assert doc["stop"] == "budget"
         assert doc["params"]["theta1"] > 0
 
     def test_external_unary_mode_rejected(self, tmp_path, capsys):

@@ -765,9 +765,12 @@ class TestUnaryField:
         with pytest.raises(ValueError, match=f"^{field} must"):
             sc.CrfParams(**{field: value})
 
-    def test_negative_w_p_accepted(self):
-        # a fit may pass through w_p < 0
-        assert sc.CrfParams(w_p=-4.4).w_p == -4.4
+    def test_negative_w_p_rejected(self):
+        # the fit bounds the weights >= 0; w_p = 0 is the w_p=0 identity (A5)
+        for field in ("w_p", "w1"):
+            with pytest.raises(ValueError, match=f"^{field} must be a finite weight >= 0"):
+                sc.CrfParams(**{field: -4.4})
+        assert sc.CrfParams(w_p=0.0, w1=0.0).w_p == 0.0
 
     def test_paper_presets(self):
         p = sc.prostate_params()

@@ -352,45 +352,83 @@ class TestFit:
     def test_zero_epochs_returns_init(self):
         u, gt = toy_instance(seed=20)
         init = sc.prostate_params(window_radius=1, iterations=2)
-        cfg = sc.FitConfig(lr=0.1, epochs=0)
-        res = sc.fit([(None, u, gt)], init, cfg, unary_scale=2.0)
+        res = sc.fit([(None, u, gt)], init, sc.FitConfig(epochs=0), unary_scale=2.0)
         assert res.params == init
         assert res.unary_scale == 2.0
         assert len(res.curve) == 1
+        assert res.stop == "budget"
 
     def test_loss_non_increasing_when_truth_matches_argmax(self):
         u, _ = toy_instance(seed=21)
         gt = sc.GroundTruth(surface_index=u.argmax_labels(),
                             valid=np.ones(u.graph.n_vertices, dtype=bool))
         init = sc.CrfParams(w_p=0.2, window_radius=1, iterations=2)
-        cfg = sc.FitConfig(lr=1e-3, epochs=1, momentum=0.0)
-        res = sc.fit([(None, u, gt)], init, cfg)
+        res = sc.fit([(None, u, gt)], init, sc.FitConfig(epochs=2))
+        assert len(res.curve) == 3
         assert res.curve[1] <= res.curve[0] + 1e-12
 
     def test_widths_stay_positive(self):
         u, gt = toy_instance(seed=22)
         init = sc.CrfParams(theta2=0.05, window_radius=1, iterations=2)
-        cfg = sc.FitConfig(lr=0.5, epochs=25, momentum=0.9)
-        res = sc.fit([(None, u, gt)], init, cfg)
+        res = sc.fit([(None, u, gt)], init, sc.FitConfig(epochs=25))
         for name in ("theta1", "theta2", "theta3", "theta_comp"):
             assert getattr(res.params, name) > 0
 
     def test_deterministic(self):
         u, gt = toy_instance(seed=23)
         init = sc.prostate_params(window_radius=1, iterations=2)
-        cfg = sc.FitConfig(lr=0.05, epochs=5)
+        cfg = sc.FitConfig(epochs=5)
         r1 = sc.fit([(None, u, gt)], init, cfg)
         r2 = sc.fit([(None, u, gt)], init, cfg)
-        assert np.array_equal(r1.curve, r2.curve)
-        assert r1.params == r2.params
+        assert r1.to_json() == r2.to_json()
 
     def test_respects_trainable_flags(self):
         u, gt = toy_instance(seed=24)
         init = sc.prostate_params(window_radius=1, iterations=2)
-        cfg = sc.FitConfig(lr=0.1, epochs=5, trainable=("unary_scale",))
+        cfg = sc.FitConfig(epochs=5, trainable=("unary_scale",))
         res = sc.fit([(None, u, gt)], init, cfg)
         assert res.params == init
         assert res.unary_scale != 1.0
+
+    def test_no_trainable_scalars_evaluates_once(self, monkeypatch):
+        u, gt = toy_instance(seed=24)
+        init = sc.prostate_params(window_radius=1, iterations=2)
+        calls = []
+        grad = train.meanfield_grad
+        monkeypatch.setattr(train, "meanfield_grad",
+                            lambda *a, **k: calls.append(1) or grad(*a, **k))
+        res = sc.fit([(None, u, gt)], init, sc.FitConfig(epochs=5, trainable=()),
+                     unary_scale=2.0)
+        assert len(calls) == 1
+        assert (res.params, res.unary_scale) == (init, 2.0)
+        assert res.curve.tolist() == [res.curve[0]] * 2
+        assert res.stop == "no trainable scalars"
+
+    def test_stops_on_budget(self):
+        u, gt = toy_instance(seed=23)
+        init = sc.prostate_params(window_radius=1, iterations=2)
+        res = sc.fit([(None, u, gt)], init, sc.FitConfig(epochs=4))
+        assert res.stop == "budget"
+        assert len(res.curve) == 5
+        assert res.curve[-1] == res.curve[:-1].min()
+
+    def test_stops_on_convergence(self):
+        # the toy's labels are random, so the fit flattens the unary towards
+        # the uniform column (MCE log 8) and converges well inside the budget
+        u, gt = toy_instance(seed=23)
+        init = sc.prostate_params(window_radius=1, iterations=2)
+        res = sc.fit([(None, u, gt)], init, sc.FitConfig(epochs=200))
+        assert res.stop.startswith("CONVERGENCE")
+        assert len(res.curve) < 201
+        assert res.curve[-1] == res.curve[:-1].min()
+        assert res.curve[-1] < res.curve[0]
+
+    def test_nonpositive_unary_scale_rejected(self):
+        u, gt = toy_instance(seed=23)
+        for scale in (0.0, -6.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^unary_scale must"):
+                sc.fit([(None, u, gt)], sc.CrfParams(), sc.FitConfig(epochs=1),
+                       unary_scale=scale)
 
     def test_pair_mask_built_once_per_instance(self, monkeypatch):
         calls = []
@@ -399,7 +437,7 @@ class TestFit:
                             lambda graph, offsets: calls.append(graph) or build(graph, offsets))
         dataset = [(None, *toy_instance(seed=s)) for s in (25, 26)]
         init = sc.prostate_params(window_radius=1, iterations=2)
-        sc.fit(dataset, init, sc.FitConfig(lr=0.05, epochs=3))
+        sc.fit(dataset, init, sc.FitConfig(epochs=3))
         assert len(calls) == 2
         kf = crf.compute_kernel(dataset[0][1], init)
         assert len(calls) == 2
@@ -413,64 +451,92 @@ class TestFit:
             sc.fit([], sc.prostate_params(), sc.FitConfig())
 
     def test_pinned_r3_fit(self):
-        # one r=3 instance, three epochs at the CLI defaults (unary scale 6):
-        # the scalars and curve of this fit, recorded before the weight
-        # gradients became sparse products, so that a change of the gradient
-        # arithmetic shows as a number
+        # one r=3 instance, three L-BFGS-B evaluations at the CLI defaults
+        # (unary scale 6): the scalars and curve of this fit, so that a
+        # change of the gradient arithmetic or of the optimizer shows as a
+        # number
         (ps, u, gt), = phantom_fit_dataset(seeds=[0])
-        res = sc.fit([(ps, u, gt)], sc.CrfParams(),
-                     sc.FitConfig(lr=0.05, epochs=3, momentum=0.9), unary_scale=6.0)
-        want = {"w_p": -1.3443754617710526, "w1": 2.194472700042994,
-                "theta1": 4.977847959080746, "theta2": 0.19740633387647138,
-                "theta3": 2.3056063879486692, "theta_comp": 148.7656113804342}
+        res = sc.fit([(ps, u, gt)], sc.CrfParams(), sc.FitConfig(epochs=3), unary_scale=6.0)
+        want = {"w_p": 0.9600547801663522, "w1": 2.8759856871707083,
+                "theta1": 4.993274987560955, "theta2": 0.1992135381137941,
+                "theta3": 3.9190222675069126, "theta_comp": 14.251560700209337}
         for name, value in want.items():
             assert getattr(res.params, name) == pytest.approx(value, rel=1e-12, abs=0), name
-        assert res.unary_scale == pytest.approx(6.000083351977018, rel=1e-12, abs=0)
-        curve = [15.236673576299422, 3.0198011611432745, 3.220058449613835, 3.134388441627443]
+        assert res.unary_scale == pytest.approx(6.309892083691611, rel=1e-12, abs=0)
+        curve = [15.236673576299422, 3.588896860416268, 3.294933649542739, 3.294933649542739]
         assert res.curve == pytest.approx(curve, rel=1e-12, abs=0)
+        assert res.stop == "budget"
 
     def test_small_phantom_set_reduces_mce(self):
         dataset = phantom_fit_dataset(3)
         init = sc.prostate_params()
-        cfg = sc.FitConfig(lr=0.05, epochs=30, momentum=0.9)
-        res = sc.fit(dataset, init, cfg, unary_scale=1.0)
+        res = sc.fit(dataset, init, sc.FitConfig(epochs=30), unary_scale=1.0)
         assert res.curve[-1] <= 0.8 * res.curve[0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            sc.FitConfig(lr=0.0)
-        with pytest.raises(ValueError):
             sc.FitConfig(trainable=("nonsense",))
         # the CLI puts the section before the message to name the dotted key
-        for field, value in [("lr", math.nan), ("lr", math.inf), ("lr", -1.0),
-                             ("epochs", -1), ("momentum", 1.5), ("momentum", 1.0),
-                             ("momentum", -0.1), ("momentum", math.nan),
-                             ("trainable", ("w_p", "bogus"))]:
+        for field, value in [("epochs", -1), ("trainable", ("w_p", "bogus"))]:
             with pytest.raises(ValueError, match=f"^{field} "):
                 sc.FitConfig(**{field: value})
-        assert sc.FitConfig(momentum=0.0).momentum == 0.0
-        assert [f.name for f in dataclasses.fields(sc.FitConfig)] == \
-            ["lr", "epochs", "momentum", "trainable"]
+        assert [f.name for f in dataclasses.fields(sc.FitConfig)] == ["epochs", "trainable"]
+
+
+def _fail_on_call(monkeypatch, n, exc=RuntimeError("non-finite gradient for w_p")):
+    """Make train.meanfield_grad raise ``exc`` on its n-th call; returns
+    the list of calls made."""
+    calls = []
+    grad = train.meanfield_grad
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == n:
+            raise exc
+        return grad(*args, **kwargs)
+    monkeypatch.setattr(train, "meanfield_grad", failing)
+    return calls
 
 
 class TestFitDivergence:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_raises_with_epoch(self):
+    def test_divergence_raises_with_epoch(self, monkeypatch):
+        # only a failed first evaluation raises: there is no point to return
         u, gt = toy_instance(seed=30, z=4)
-        init = sc.CrfParams(window_radius=1, iterations=1)
-        cfg = sc.FitConfig(lr=1e9, epochs=10, momentum=0.0, trainable=("w_p",))
-        with pytest.raises(sc.FitDivergedError) as err:
-            sc.fit([(None, u, gt)], init, cfg, unary_scale=1.0)
-        assert err.value.epoch >= 1
+        _fail_on_call(monkeypatch, 1)
+        with pytest.raises(sc.FitDivergedError, match="initial scalars: non-finite gradient"):
+            sc.fit([(None, u, gt)], sc.CrfParams(window_radius=1, iterations=1),
+                   sc.FitConfig(epochs=10), unary_scale=1.0)
 
-    def test_width_underflow_raises(self):
-        # a huge step drives theta1 = theta1 * exp(-lr * g) to exactly 0
+    def test_failed_trial_ends_at_best_point(self, monkeypatch):
         u, gt = toy_instance(seed=30, z=4)
         init = sc.CrfParams(window_radius=1, iterations=1)
-        cfg = sc.FitConfig(lr=1e9, epochs=10, momentum=0.0, trainable=("theta1",))
-        with pytest.raises(sc.FitDivergedError) as err:
-            sc.fit([(None, u, gt)], init, cfg, unary_scale=1.0)
-        assert err.value.epoch == 0
+        want = sc.fit([(None, u, gt)], init, sc.FitConfig(epochs=2), unary_scale=1.0)
+        calls = _fail_on_call(monkeypatch, 3)
+        res = sc.fit([(None, u, gt)], init, sc.FitConfig(epochs=10), unary_scale=1.0)
+        assert len(calls) == 3
+        assert res.stop == "failed trial"
+        assert res.curve.tolist() == want.curve.tolist()
+        assert len(res.curve) == 3 and np.isfinite(res.curve).all()
+        assert res.to_json() == want.to_json().replace('"budget"', '"failed trial"')
+
+    def test_rejected_trial_point_ends_fit(self, monkeypatch):
+        # a trial point CrfParams rejects (a width whose exp under- or
+        # overflows) ends the fit like a non-finite one
+        u, gt = toy_instance(seed=30, z=4)
+        init = sc.CrfParams(window_radius=1, iterations=1)
+        want = sc.fit([(None, u, gt)], init, sc.FitConfig(epochs=2), unary_scale=1.0)
+        built = []
+        check = sc.CrfParams.__post_init__
+
+        def rejecting(self):
+            built.append(1)
+            if len(built) == 2:  # the third point; the first is init itself
+                raise ValueError("theta1 must be a finite width > 0, got 0.0")
+            check(self)
+        monkeypatch.setattr(sc.CrfParams, "__post_init__", rejecting)
+        res = sc.fit([(None, u, gt)], init, sc.FitConfig(epochs=10), unary_scale=1.0)
+        assert res.stop == "failed trial"
+        assert res.curve.tolist() == want.curve.tolist()
 
 
 class TestForwardConsistency:
