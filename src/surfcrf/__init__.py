@@ -17,7 +17,7 @@ from .crf import (UnaryField, CrfParams, KernelField, SurfaceLabeling,
                   compat_transform, meanfield_infer, energy, prostate_params,
                   spleen_params)
 from .train import (LossReport, FitConfig, FitResult, FitDivergedError,
-                    wbce_loss, mce_loss, meanfield_grad, fd_check, fit)
+                    mce_loss, meanfield_grad, fd_check, fit)
 from .metrics import (MetricsReport, voxelize, dsc, sample_surface, hd, asd,
                       compare_surfaces)
 

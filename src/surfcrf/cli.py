@@ -118,14 +118,47 @@ def _fit_config(cfg) -> trainmod.FitConfig:
     return trainmod.FitConfig(**{**cfg["fit"], "trainable": tuple(cfg["fit"]["trainable"])})
 
 
+def _positive(v) -> bool:
+    return math.isfinite(v) and v > 0
+
+
+# (dotted key, test, what the value must be) of the config values that the
+# steps would take out of range silently or reject only once they run
+_RANGES = (
+    ("preseg.smooth_iterations", lambda v: v >= 0, "an integer >= 0"),
+    ("preseg.perturb_amplitude_mm", lambda v: math.isfinite(v) and v >= 0,
+     "a finite number >= 0"),
+    ("preseg.perturb_components", lambda v: v >= 0, "an integer >= 0"),
+    ("spheremap.tol", _positive, "a finite number > 0"),
+    ("spheremap.max_iters", lambda v: v >= 1, "an integer >= 1"),
+    ("spheremap.damping", _positive, "a finite number > 0"),
+    ("quad.recursion", lambda v: v >= 0, "an integer >= 0"),
+    ("patches.column_len", lambda v: v >= 2, "an integer >= 2"),
+    ("patches.column_res_mm", _positive, "a finite number > 0"),
+    ("patches.pad", lambda v: v >= 0, "an integer >= 0"),
+    ("unary.mode", lambda v: v in ("gradient", "external"), "'gradient' or 'external'"),
+    ("unary.polarity", lambda v: v in ("dark_to_bright", "bright_to_dark", "magnitude"),
+     "'dark_to_bright', 'bright_to_dark' or 'magnitude'"),
+    ("unary.scale", _positive, "a finite number > 0"),
+)
+
+
 def _check_ranges(cfg, source) -> None:
-    """Check unary.scale and build CrfParams and FitConfig from ``cfg``, so a
+    """Check the _RANGES keys, patches.pad against the face grid size, and
+    build PhantomSpec (validated), CrfParams and FitConfig from ``cfg``, so a
     value out of range fails here, before any input is read.  Errors start
     with the field's name; the CliError names ``source`` and the dotted key."""
-    scale = cfg["unary"]["scale"]
-    if not (math.isfinite(scale) and scale > 0):
-        raise CliError(f"{source}: unary.scale must be a finite number > 0, got {scale!r}")
-    for section, build in (("crf", lambda: crfmod.CrfParams(**cfg["crf"])),
+    for dotted, ok, what in _RANGES:
+        section, key = dotted.split(".")
+        val = cfg[section][key]
+        if not ok(val):
+            raise CliError(f"{source}: {dotted} must be {what}, got {val!r}")
+    pad, n = cfg["patches"]["pad"], 2 ** cfg["quad"]["recursion"]
+    if pad > n:
+        raise CliError(f"{source}: patches.pad must be at most the face grid size "
+                       f"n = 2**quad.recursion = {n}, got {pad}")
+    for section, build in (("phantom", lambda: _phantom_spec(cfg).validate()),
+                           ("crf", lambda: crfmod.CrfParams(**cfg["crf"])),
                            ("fit", lambda: _fit_config(cfg))):
         try:
             build()
@@ -136,7 +169,7 @@ def _check_ranges(cfg, source) -> None:
 def load_config(path=None, overrides=None) -> dict:
     """DEFAULT_CONFIG with the config file at ``path`` and then the dotted
     ``overrides`` ({"crf.w_p": 0.0, ...}) put in, each checked for keys,
-    types, list lengths and the CRF and fit value ranges."""
+    types, list lengths and value ranges."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         with open(path) as fh:
@@ -293,41 +326,64 @@ def cmd_remesh(cfg, outdir):
 
 
 def cmd_patches(cfg, outdir):
-    with _Step("patches", outdir, cfg, ["volume.svol", "quad.mesh", "quad.npz"]) as step:
+    truth_path = os.path.join(outdir, "truth.mesh")
+    has_truth = os.path.exists(truth_path)
+    inputs = ["volume.svol", "quad.mesh", "quad.npz"] + ["truth.mesh"] * has_truth
+    with _Step("patches", outdir, cfg, inputs) as step:
         pc = cfg["patches"]
         vol = load_svol(os.path.join(outdir, "volume.svol"))
         qm = load_quadmesh(os.path.join(outdir, "quad.mesh"), os.path.join(outdir, "quad.npz"))
         ps = sample_columns(vol, qm, z_len=pc["column_len"], delta=pc["column_res_mm"],
                             pad=pc["pad"])
         save_patchset(ps, step.path("patches"))
-        truth_path = os.path.join(outdir, "truth.mesh")
-        if os.path.exists(truth_path):
+        if has_truth:
             truth = load_mesh(truth_path)
             gt = ground_truth(qm, truth, pc["column_len"], pc["column_res_mm"])
             with open(step.path("ground_truth.json"), "w") as fh:
                 fh.write(gt.to_json())
 
 
+def _external_files(ext) -> list:
+    """The external logit files in ``ext``: the surface channel of faces
+    0-5, then the non-surface channel."""
+    return [os.path.join(ext, f"patch{f}_{name}.svol")
+            for name in ("surface", "nonsurface") for f in range(6)]
+
+
+def _unary_inputs(cfg) -> list:
+    """What _load_unary reads: patches/ and, in external mode, the 12 logit
+    files, in the run directory's external_logits/ or in unary.external_dir
+    as it is given."""
+    if cfg["unary"]["mode"] != "external":
+        return ["patches"]
+    return ["patches"] + _external_files(cfg["unary"]["external_dir"] or "external_logits")
+
+
 def _load_unary(cfg, outdir) -> tuple:
+    """The patch set in ``outdir`` and its (6,H,W,Z) unary logits before
+    unary.scale: gradient_unary's, or the external channels reduced by
+    subtraction."""
     ps = load_patchset(os.path.join(outdir, "patches"))
     un = cfg["unary"]
     if un["mode"] == "gradient":
-        u = crfmod.gradient_unary(ps, polarity=un["polarity"])
-        logits = un["scale"] * u.logits
-    elif un["mode"] == "external":
-        ext = un["external_dir"] or os.path.join(outdir, "external_logits")
-        dims = (*ps.graph.shape[1:], ps.z_len)
-        surf, nons = (load_face_grids(lambda f: os.path.join(ext, f"patch{f}_{name}.svol"), dims)
-                      for name in ("surface", "nonsurface"))
-        logits = un["scale"] * crfmod.channel_reduce(surf, nons)
-    else:
-        raise CliError(f"unknown unary mode {un['mode']!r}")
-    return ps, crfmod.unary_from_logits(ps.graph, logits)
+        return ps, crfmod.gradient_unary(ps, polarity=un["polarity"]).logits
+    files = _external_files(un["external_dir"] or os.path.join(outdir, "external_logits"))
+    dims = (*ps.graph.shape[1:], ps.z_len)
+    surf, nons = (load_face_grids(lambda f: channel[f], dims)
+                  for channel in (files[:6], files[6:]))
+    return ps, crfmod.channel_reduce(surf, nons)
+
+
+def _scaled_unary(cfg, outdir) -> tuple:
+    """The patch set in ``outdir`` and its unary at unary.scale; the logits
+    before the scale are freed on return."""
+    ps, logits = _load_unary(cfg, outdir)
+    return ps, crfmod.unary_from_logits(ps.graph, cfg["unary"]["scale"] * logits)
 
 
 def cmd_unary(cfg, outdir):
-    with _Step("unary", outdir, cfg, ["patches"]) as step:
-        ps, u = _load_unary(cfg, outdir)
+    with _Step("unary", outdir, cfg, _unary_inputs(cfg)) as step:
+        ps, u = _scaled_unary(cfg, outdir)
         save_face_grids(lambda f: step.path(f"unary{f}.svol"), u.logits, ps.delta)
         baseline = u.argmax_labels()
         with open(step.path("unary_argmax.json"), "w") as fh:
@@ -335,8 +391,8 @@ def cmd_unary(cfg, outdir):
 
 
 def cmd_segment(cfg, outdir):
-    with _Step("segment", outdir, cfg, ["patches", "unary"]) as step:
-        ps, u = _load_unary(cfg, outdir)
+    with _Step("segment", outdir, cfg, _unary_inputs(cfg)) as step:
+        ps, u = _scaled_unary(cfg, outdir)
         lab = crfmod.meanfield_infer(u, crfmod.CrfParams(**cfg["crf"]), ps=ps)
         save_face_grids(lambda f: step.path(f"q{f}.svol"), ps.graph.split(lab.q, fill=0.0),
                         ps.delta)
@@ -391,12 +447,13 @@ def _manifest_runs(path) -> list:
 def cmd_fit(cfg, outdir, manifest_path):
     if cfg["unary"]["mode"] != "gradient":
         raise CliError(f"fit supports unary.mode 'gradient' only, got {cfg['unary']['mode']!r}")
-    with _Step("fit", outdir, cfg, [manifest_path]) as step:
+    runs = _manifest_runs(manifest_path)
+    inputs = [manifest_path] + [os.path.join(run_dir, name) for run_dir in runs
+                                for name in ("patches", "ground_truth.json")]
+    with _Step("fit", outdir, cfg, inputs) as step:
         dataset = []
-        for run_dir in _manifest_runs(manifest_path):
-            ps = load_patchset(os.path.join(run_dir, "patches"))
-            un = cfg["unary"]
-            u = crfmod.gradient_unary(ps, polarity=un["polarity"])
+        for run_dir in runs:
+            ps, logits = _load_unary(cfg, run_dir)
             gt_path = os.path.join(run_dir, "ground_truth.json")
             with open(gt_path) as fh:
                 try:
@@ -406,7 +463,7 @@ def cmd_fit(cfg, outdir, manifest_path):
                 except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
                     raise CliError(f"{gt_path}: not a ground-truth JSON object: {exc}") from None
             _check_ground_truth(gt, ps, gt_path)
-            dataset.append((ps, u, gt))
+            dataset.append((ps, crfmod.unary_from_logits(ps.graph, logits), gt))
         result = trainmod.fit(dataset, crfmod.CrfParams(**cfg["crf"]), _fit_config(cfg),
                               unary_scale=cfg["unary"]["scale"])
         with open(step.path("fit.json"), "w") as fh:

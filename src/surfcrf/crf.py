@@ -410,12 +410,11 @@ def meanfield_unroll(logits: np.ndarray, W: sparse.csr_matrix, params: CrfParams
     return q
 
 
-def meanfield_infer(u: UnaryField, params: CrfParams, ps: PatchSet | None = None,
-                    kf: KernelField | None = None) -> SurfaceLabeling:
+def meanfield_infer(u: UnaryField, params: CrfParams,
+                    ps: PatchSet | None = None) -> SurfaceLabeling:
     """params.iterations undamped mean-field updates (meanfield_unroll) on
     the per-vertex unary logits: the marginals and their argmax labels."""
-    if kf is None:
-        kf = compute_kernel(u, params, ps=ps)
+    kf = compute_kernel(u, params, ps=ps)
     q = meanfield_unroll(u.graph.merge(u.logits), kf.W, params)
     return SurfaceLabeling(labels=np.argmax(q, axis=-1).astype(np.int64), q=q)
 

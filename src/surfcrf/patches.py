@@ -13,7 +13,7 @@ import numpy as np
 
 from . import accel
 from .quadsphere import (QuadMesh, QuadSphere, build_quadsphere, checked_array, load_arrays,
-                         padded_gid_grids, save_arrays)
+                         padded_gid_grids, save_arrays, vertex_count)
 from .volume import Volume, load_svol, save_svol
 
 
@@ -253,14 +253,14 @@ def _load_patchset_doc(path) -> dict:
 
 def load_patchset(dirpath) -> PatchSet:
     doc = _load_patchset_doc(os.path.join(dirpath, "patchset.json"))
+    sidecar = os.path.join(dirpath, "geometry.npz")
+    arrays = load_arrays(sidecar)
+    shape = (vertex_count(doc["level"]), 3)
+    positions = checked_array(arrays, sidecar, "positions", shape, np.float64)
+    normals = checked_array(arrays, sidecar, "normals", shape, np.float64)
     qs = build_quadsphere(doc["level"])
     pad = doc["pad"]
     graph = build_column_graph(qs, pad)
-    sidecar = os.path.join(dirpath, "geometry.npz")
-    arrays = load_arrays(sidecar)
-    shape = (graph.n_vertices, 3)
-    positions = checked_array(arrays, sidecar, "positions", shape, np.float64)
-    normals = checked_array(arrays, sidecar, "normals", shape, np.float64)
     z_len = doc["z_len"]
     samples = load_face_grids(lambda f: os.path.join(dirpath, f"patch{f}.svol"),
                               (*graph.shape[1:], z_len))

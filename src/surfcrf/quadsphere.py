@@ -72,6 +72,13 @@ def build_quadsphere(level: int) -> QuadSphere:
     return _cached_quadsphere(level)  # positional, so a keyword call hits too
 
 
+def vertex_count(level: int) -> int:
+    """The vertices of the cube sphere at ``level``, 6 * 4**level + 2, without
+    building it: loaders check a file against it first, because the build
+    time grows about 4x per level."""
+    return 6 * 4 ** level + 2
+
+
 @functools.lru_cache(maxsize=16)
 def _cached_quadsphere(level: int) -> QuadSphere:
     if level < 0:
@@ -259,11 +266,13 @@ def load_quadmesh(mesh_path, sidecar_path) -> QuadMesh:
     verts, quads = load_quad_mesh_records(mesh_path)
     arrays = load_arrays(sidecar_path)
     level = int(checked_array(arrays, sidecar_path, "level", (), np.int64))
-    qs = build_quadsphere(level)
-    V = len(qs.vertices)
+    if level < 0:
+        raise ValueError(f"{sidecar_path}: 'level' must be >= 0, got {level}")
+    V = vertex_count(level)
     if len(verts) != V:
         raise MeshError(
             f"{mesh_path}: quad mesh has {len(verts)} vertices, level {level} implies {V}")
+    qs = build_quadsphere(level)
     _check_quad_records(mesh_path, quads, qs)
     return QuadMesh(sphere=qs, positions=verts,
                     normals=checked_array(arrays, sidecar_path, "normals", (V, 3), np.float64),

@@ -1,7 +1,7 @@
-"""Losses, analytic reverse-mode gradients through the unrolled mean-field
-iterations, finite-difference verification, and fitting of the CRF scalars
-plus a global unary scale by bounded quasi-Newton steps (L-BFGS-B) on those
-gradients."""
+"""The MCE loss, its analytic reverse-mode gradients through the unrolled
+mean-field iterations on (Nv,Z) vertex arrays, finite-difference
+verification, and fitting of the CRF scalars plus a global unary scale by
+bounded quasi-Newton steps (L-BFGS-B) on those gradients."""
 from __future__ import annotations
 
 import json
@@ -62,22 +62,9 @@ class FitResult:
 # losses
 
 
-def wbce_loss(logits, mask, weight: float) -> float:
-    """Mean over voxels of -[w*m*log sigma(l) + (1-m)*log(1-sigma(l))]."""
-    if weight <= 0:
-        raise ValueError("weight must be > 0")
-    l = np.clip(np.asarray(logits, dtype=np.float64), -LOGIT_CLAMP, LOGIT_CLAMP)
-    m = np.asarray(mask, dtype=np.float64)
-    log_sig = -np.logaddexp(0.0, -l)
-    log_one_minus = -np.logaddexp(0.0, l)
-    return float(-(weight * m * log_sig + (1.0 - m) * log_one_minus).mean())
-
-
-def mce_loss(q_or_logits: np.ndarray, gt: GroundTruth, from_logits: bool = False) -> float:
+def mce_loss(q: np.ndarray, gt: GroundTruth) -> float:
     """Mean over valid columns of -log Q_i(g_i)."""
-    q = np.asarray(q_or_logits, dtype=np.float64)
-    if from_logits:
-        q = softmax(q)
+    q = np.asarray(q, dtype=np.float64)
     if not gt.valid.any():
         raise ValueError("no valid ground-truth columns")
     rows = np.nonzero(gt.valid)[0]
@@ -98,26 +85,25 @@ def _softmax_backward(q, dq):
 frozen_kernel_stats = edge_stats
 
 
-def _forward(logits_raw, scale, graph, frozen, params, gt, tape=None):
+def _forward(raw, scale, frozen, params, gt, tape=None):
     """MCE loss of the params.iterations unrolled mean-field iterations
-    (crf.meanfield_unroll) on the clamped, scaled vertex logits, with kernel
-    weights built from the frozen statistics.  Returns the loss and the
-    intermediates of the reverse pass."""
+    (crf.meanfield_unroll) on the clamped, scaled (Nv,Z) vertex logits
+    ``raw``, with kernel weights built from the frozen statistics.  Returns
+    the loss and the intermediates of the reverse pass."""
     op, app, sm = edge_kernel(*frozen, params)
-    l = np.clip(scale * graph.merge(logits_raw), -LOGIT_CLAMP, LOGIT_CLAMP)
+    l = np.clip(scale * raw, -LOGIT_CLAMP, LOGIT_CLAMP)
     q = meanfield_unroll(l, op, params, tape=tape)
     return mce_loss(q, gt), dict(l=l, W=op, app=app, sm=sm, q=q)
 
 
 def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
-                   unary_scale: float = 1.0, ps: PatchSet | None = None,
-                   frozen=None) -> LossReport:
+                   unary_scale: float = 1.0, ps: PatchSet | None = None) -> LossReport:
     """Exact reverse-mode derivatives of the MCE loss after params.iterations
-    mean-field iterations w.r.t. all scalars and all input logits, with the kernel
-    features treated as constants of the forward pass.  The logit clamp has
-    zero derivative where it binds, for the logits and the unary scale.  The
-    loss reads only the owning slot of each vertex, so every other slot of
-    ``dlogits`` is 0.
+    mean-field iterations w.r.t. all scalars and the vertex logits, with the
+    kernel features treated as constants of the forward pass.  The loss reads
+    one logit per vertex and label, the merged (owner-slot) logits of ``u``,
+    so ``dlogits`` is (Nv,Z) like them.  The logit clamp has zero derivative
+    where it binds, for the logits and the unary scale.
 
     The reverse pass multiplies by W itself, which is exactly symmetric.
     The weight gradient of entry e = (i, j) would be
@@ -126,14 +112,12 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
     and each is the contraction <[dQ~_1 ... dQ~_T], C [Q_in,1 ... Q_in,T]> of
     (Nv, T Z) stacks with the sparse matrix C = csr((c, cols, indptr)), so no
     per-entry (edges, Z) array is gathered."""
-    graph = u.graph
-    logits_raw = u.logits
-    if frozen is None:
-        frozen = frozen_kernel_stats(
-            UnaryField(graph=graph, logits=unary_scale * logits_raw), params, ps=ps)
+    raw = u.graph.merge(u.logits)
+    frozen = frozen_kernel_stats(
+        UnaryField(graph=u.graph, logits=unary_scale * u.logits), params, ps=ps)
     fd, d2, _ = frozen
     tape = []
-    loss, c = _forward(logits_raw, unary_scale, graph, frozen, params, gt, tape=tape)
+    loss, c = _forward(raw, unary_scale, frozen, params, gt, tape=tape)
 
     q_out = c["q"]
     rows = np.nonzero(gt.valid)[0]
@@ -141,7 +125,7 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
     g_idx = gt.surface_index[rows]
     dq[rows, g_idx] = -1.0 / (len(rows) * q_out[rows, g_idx])
 
-    m = compat_matrix(logits_raw.shape[-1], params.theta_comp)
+    m = compat_matrix(raw.shape[-1], params.theta_comp)
     op = c["W"]
     dl = np.zeros_like(c["l"])
     dwp = 0.0
@@ -159,8 +143,7 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
         dq_tilde_stack[:, t] = dq_tilde
         dq = op @ dq_tilde
     dl += _softmax_backward(softmax(c["l"]), dq)
-    merged_raw = graph.merge(logits_raw)
-    dl = np.where(np.abs(unary_scale * merged_raw) <= LOGIT_CLAMP, dl, 0.0)
+    dl = np.where(np.abs(unary_scale * raw) <= LOGIT_CLAMP, dl, 0.0)
 
     dq_stack = dq_tilde_stack.reshape(nv, -1)
     q_in_stack = np.stack([step[0] for step in tape], axis=1).reshape(nv, -1)
@@ -182,9 +165,8 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
     dmu_dtc = -np.exp(-delta2 / params.theta_comp ** 2) * (2.0 * delta2 / params.theta_comp ** 3)
     d_theta_comp = float((dm * dmu_dtc).sum())
 
-    d_scale = float((dl * merged_raw).sum())
-    dlogits = np.zeros_like(logits_raw)
-    dlogits.reshape(-1, z)[graph.owner] = unary_scale * dl
+    d_scale = float((dl * raw).sum())
+    dlogits = unary_scale * dl
     grads = {"w_p": dwp, "w1": d_w1, "theta1": d_theta1, "theta2": d_theta2,
              "theta3": d_theta3, "theta_comp": d_theta_comp, "unary_scale": d_scale}
     for name, val in grads.items():
@@ -214,25 +196,25 @@ def fd_check(u: UnaryField, params: CrfParams, gt: GroundTruth, unary_scale: flo
              scalar_step: float = 1e-3, logit_step: float = 1e-2, n_logits: int = 100,
              seed: int = 0, ps: PatchSet | None = None) -> dict:
     """Central-difference check of every trainable scalar plus a random subset
-    of the owner slots' logits, against the analytic gradients; kernel
+    of the (vertex, label) logits, against the analytic gradients; kernel
     features frozen on both sides.  Returns per-parameter relative errors and
     the worst case."""
-    graph = u.graph
     frozen = frozen_kernel_stats(
-        UnaryField(graph=graph, logits=unary_scale * u.logits), params, ps=ps)
-    report = meanfield_grad(u, params, gt, unary_scale=unary_scale, frozen=frozen)
+        UnaryField(graph=u.graph, logits=unary_scale * u.logits), params, ps=ps)
+    report = meanfield_grad(u, params, gt, unary_scale=unary_scale, ps=ps)
+    raw = u.graph.merge(u.logits)
 
     def loss_with(p: CrfParams, scale: float, logits: np.ndarray) -> float:
-        return _forward(logits, scale, graph, frozen, p, gt)[0]
+        return _forward(logits, scale, frozen, p, gt)[0]
 
     errors = {}
     for name in SCALAR_NAMES:
         if name == "unary_scale":
-            fn = lambda x: loss_with(params, x, u.logits)
+            fn = lambda x: loss_with(params, x, raw)
             x0 = unary_scale
         else:
             fn = lambda x, _name=name: loss_with(replace(params, **{_name: x}),
-                                                  unary_scale, u.logits)
+                                                  unary_scale, raw)
             x0 = getattr(params, name)
         step = scalar_step
         if name in _WIDTHS:  # keep the probe positive
@@ -240,13 +222,9 @@ def fd_check(u: UnaryField, params: CrfParams, gt: GroundTruth, unary_scale: flo
         num = central_difference(fn, x0, step)
         errors[name] = relative_error(report.grads[name], num)
 
-    # the loss reads only owner slots; every other slot's derivative is 0 on
-    # both sides, so the picks are drawn from the owner slots' logits
     rng = np.random.default_rng(seed)
-    flat = u.logits.reshape(-1)
-    z = u.z_len
-    owned = (graph.owner[:, None] * z + np.arange(z)).ravel()
-    pick = rng.choice(owned, size=min(n_logits, owned.size), replace=False)
+    flat = raw.reshape(-1)
+    pick = rng.choice(raw.size, size=min(n_logits, raw.size), replace=False)
     worst_logit = 0.0
     for j in pick:
         step = logit_step * max(1.0, abs(flat[j]))
@@ -254,7 +232,7 @@ def fd_check(u: UnaryField, params: CrfParams, gt: GroundTruth, unary_scale: flo
         def fn(x, _j=j):
             pert = flat.copy()
             pert[_j] = x
-            return loss_with(params, unary_scale, pert.reshape(u.logits.shape))
+            return loss_with(params, unary_scale, pert.reshape(raw.shape))
         num = central_difference(fn, float(flat[j]), step)
         worst_logit = max(worst_logit, relative_error(float(report.dlogits.reshape(-1)[j]), num))
     errors["logits"] = worst_logit

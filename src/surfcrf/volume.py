@@ -4,6 +4,7 @@ anisotropic, lattice by patches.sample_columns."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -130,8 +131,19 @@ class PhantomSpec:
         return cls(**{**raw, **triples})
 
     def validate(self) -> None:
+        """Each error message starts with the name of the field it rejects."""
         if self.kind not in ("ellipsoid", "bumpy"):
-            raise ValueError(f"unknown phantom kind {self.kind!r}")
+            raise ValueError(f"kind must be 'ellipsoid' or 'bumpy', got {self.kind!r}")
+        for name in ("noise_sigma", "blur_sigma_mm"):
+            sigma = getattr(self, name)
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {sigma!r}")
+        if self.mesh_subdivisions < 0:
+            raise ValueError(f"mesh_subdivisions must be >= 0, got {self.mesh_subdivisions!r}")
+        if min(self.dims) < 1:
+            raise ValueError(f"dims must all be >= 1, got {list(self.dims)}")
+        if not all(math.isfinite(s) and s > 0 for s in self.spacing):
+            raise ValueError(f"spacing must all be finite and > 0, got {list(self.spacing)}")
         half = (np.asarray(self.dims) - 1) / 2.0 * np.asarray(self.spacing)
         margin = 4.0 * np.asarray(self.spacing)
         if self.kind == "ellipsoid":
@@ -139,8 +151,9 @@ class PhantomSpec:
         else:
             reach = np.full(3, self.radius_mm + abs(self.bump_amplitude_mm))
         if np.any(reach + margin > half):
+            name = "semi_axes_mm" if self.kind == "ellipsoid" else "radius_mm"
             raise ValueError(
-                f"phantom does not fit the volume with a 4-voxel margin: "
+                f"{name} must let the phantom fit the volume with a 4-voxel margin: "
                 f"reach {reach.tolist()} vs half-extent {half.tolist()}")
 
 

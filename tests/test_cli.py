@@ -61,6 +61,45 @@ class TestPipeline:
         assert prov["command"] == "segment"
         assert "config_hash" in prov and "wall_time_s" in prov
 
+    def test_provenance_inputs_name_what_each_step_reads(self, fast_run, tmp_path):
+        # inputs inside the run directory are named relative to it, others
+        # as given; segment recomputes the unary and reads nothing unary wrote
+        out = shutil.copytree(fast_run, tmp_path / "run")
+
+        def inputs(step, where=out):
+            names = json.loads((where / f"{step}.prov.json").read_text())["inputs"]
+            assert all(os.path.exists(os.path.join(where, n)) for n in names), names
+            return names
+
+        assert inputs("patches") == ["volume.svol", "quad.mesh", "quad.npz", "truth.mesh"]
+        assert inputs("unary") == inputs("segment") == ["patches"]
+
+        ps = sc.load_patchset(out / "patches")
+        dims = (*ps.graph.shape[1:], ps.z_len)
+        for ext in (out / "external_logits", tmp_path / "elsewhere"):
+            os.makedirs(ext)
+            for f in range(6):
+                for name in ("surface", "nonsurface"):
+                    sc.save_svol(sc.Volume(dims, (1.0, 1.0, ps.delta), (0.0, 0.0, 0.0),
+                                           np.zeros(dims, dtype=np.float32)),
+                                 ext / f"patch{f}_{name}.svol")
+        for flags, ext in (([], "external_logits"),
+                           (["--external-dir", str(tmp_path / "elsewhere")],
+                            str(tmp_path / "elsewhere"))):
+            files = [os.path.join(ext, f"patch{f}_{name}.svol")
+                     for name in ("surface", "nonsurface") for f in range(6)]
+            for step in ("unary", "segment"):
+                assert cli.main([step, "--out", str(out), "--unary-mode", "external"]
+                                + flags + FAST) == 0
+                assert inputs(step) == ["patches"] + files
+
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"runs": [str(out)]}))
+        assert cli.main(["fit", "--out", str(tmp_path / "fit"), "--manifest", str(manifest),
+                         "--epochs", "1"] + FAST) == 0
+        assert inputs("fit", tmp_path / "fit") == [
+            str(manifest), str(out / "patches"), str(out / "ground_truth.json")]
+
     def test_byte_identical_metrics_for_same_seed(self, tmp_path):
         a = run_pipeline(tmp_path / "a", ["--seed", "3"])
         b = run_pipeline(tmp_path / "b", ["--seed", "3"])
@@ -224,6 +263,30 @@ class TestConfig:
         ('{"unary": {"scale": -6.0}}', "unary.scale"),
         ('{"fit": {"epochs": -1}}', "fit.epochs"),
         ('{"fit": {"trainable": ["w_p", "bogus"]}}', "fit.trainable"),
+        # the sections between phantom and patches: each of these ran to the
+        # end silently or failed in a later step without naming the key
+        ('{"phantom": {"noise_sigma": -0.3}}', "phantom.noise_sigma"),
+        ('{"phantom": {"blur_sigma_mm": -1}}', "phantom.blur_sigma_mm"),
+        ('{"phantom": {"mesh_subdivisions": -1}}', "phantom.mesh_subdivisions"),
+        ('{"phantom": {"kind": "torus"}}', "phantom.kind"),
+        ('{"phantom": {"dims": [0, 64, 64]}}', "phantom.dims"),
+        ('{"phantom": {"spacing": [1.0, 0.0, 1.0]}}', "phantom.spacing"),
+        ('{"phantom": {"semi_axes_mm": [40.0, 22.0, 25.0]}}', "phantom.semi_axes_mm"),
+        ('{"phantom": {"kind": "bumpy", "radius_mm": 30.0}}', "phantom.radius_mm"),
+        ('{"preseg": {"smooth_iterations": -3}}', "preseg.smooth_iterations"),
+        ('{"preseg": {"perturb_amplitude_mm": -3.0}}', "preseg.perturb_amplitude_mm"),
+        ('{"preseg": {"perturb_components": -2}}', "preseg.perturb_components"),
+        ('{"spheremap": {"damping": 0}}', "spheremap.damping"),
+        ('{"spheremap": {"max_iters": 0}}', "spheremap.max_iters"),
+        ('{"spheremap": {"tol": -1}}', "spheremap.tol"),
+        ('{"quad": {"recursion": -1}}', "quad.recursion"),
+        ('{"patches": {"column_len": 1}}', "patches.column_len"),
+        ('{"patches": {"column_res_mm": 0}}', "patches.column_res_mm"),
+        ('{"patches": {"pad": -1}}', "patches.pad"),
+        ('{"patches": {"pad": 99}}', "patches.pad"),
+        ('{"quad": {"recursion": 2}, "patches": {"pad": 5}}', "patches.pad"),
+        ('{"unary": {"mode": "cnn"}}', "unary.mode"),
+        ('{"unary": {"polarity": "up"}}', "unary.polarity"),
     ])
     def test_out_of_range_named_before_inputs_are_read(self, tmp_path, capsys, text, key):
         # the case directory does not exist: the config error comes first

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import surfcrf as sc
-from surfcrf import accel
+from surfcrf import accel, patches
 from surfcrf.patches import build_column_graph
 from surfcrf.quadsphere import padded_gid_grids, save_arrays
 
@@ -380,6 +380,20 @@ class TestPatchSetIO:
         doc = json.loads((path / "patchset.json").read_text())
         (path / "patchset.json").write_text(json.dumps({**doc, "level": 3}))
         with pytest.raises(ValueError, match=r"'positions' has shape \(98, 3\).*\(386, 3\)"):
+            sc.load_patchset(path)
+
+    def test_level_checked_before_the_cube_sphere_is_built(self, saved, monkeypatch):
+        # the build time grows about 4x per level, so an edited level is
+        # caught by the vertex count 6 * 4**level + 2 without building
+        _, path = saved
+        doc = json.loads((path / "patchset.json").read_text())
+        (path / "patchset.json").write_text(json.dumps({**doc, "level": 12}))
+
+        def no_build(level):
+            raise AssertionError(f"built the level-{level} cube sphere")
+        monkeypatch.setattr(patches, "build_quadsphere", no_build)
+        with pytest.raises(ValueError,
+                           match=r"geometry\.npz: 'positions' has shape \(98, 3\).*\(100663298, 3\)"):
             sc.load_patchset(path)
 
     @pytest.mark.parametrize("field", ["level", "z_len", "delta", "pad", "center_index"])

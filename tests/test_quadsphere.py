@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import surfcrf as sc
+from surfcrf import quadsphere
 from surfcrf.quadsphere import LocateError, save_arrays
 
 
@@ -223,6 +224,23 @@ class TestQuadSidecarErrors:
         lines = (tmp_path / "q.mesh").read_text().splitlines(keepends=True)
         (tmp_path / "q.mesh").write_text("".join(lines[:-1]))
         with pytest.raises(sc.MeshError, match=r"q\.mesh: quad mesh has 95 faces, level 2 implies 96"):
+            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+
+    @pytest.mark.parametrize("level, message", [
+        (12, r"q\.mesh: quad mesh has 98 vertices, level 12 implies 100663298"),
+        (-1, r"q\.npz: 'level' must be >= 0, got -1"),
+    ])
+    def test_level_checked_before_the_cube_sphere_is_built(self, saved, monkeypatch,
+                                                           level, message):
+        # the build time grows about 4x per level, so an edited level is
+        # caught by the vertex count 6 * 4**level + 2 without building
+        tmp_path, arrays = saved
+        save_arrays(tmp_path / "q.npz", **{**arrays, "level": np.int64(level)})
+
+        def no_build(level):
+            raise AssertionError(f"built the level-{level} cube sphere")
+        monkeypatch.setattr(quadsphere, "build_quadsphere", no_build)
+        with pytest.raises(ValueError, match=message):
             sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
 
     def test_text_file_is_not_an_archive(self, saved):

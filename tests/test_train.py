@@ -11,7 +11,7 @@ from surfcrf.crf import LOGIT_CLAMP, softmax
 from surfcrf.patches import make_toy_graph
 from surfcrf.train import _softmax_backward, central_difference, relative_error
 
-from conftest import make_pipeline_inputs, owned_mask, slot_kernel
+from conftest import make_pipeline_inputs, slot_kernel
 
 
 def toy_instance(h=4, w=4, z=8, seed=0, valid_frac=1.0):
@@ -114,7 +114,8 @@ def ref_edge_grads(u, params, gt, unary_scale=1.0, ps=None):
         sc.unary_from_logits(graph, unary_scale * u.logits), params, ps=ps)
     fd, d2, _ = frozen
     tape = []
-    _, c = train._forward(u.logits, unary_scale, graph, frozen, params, gt, tape=tape)
+    merged_raw = graph.merge(u.logits)
+    _, c = train._forward(merged_raw, unary_scale, frozen, params, gt, tape=tape)
     q_out = c["q"]
     rows = np.nonzero(gt.valid)[0]
     dq = np.zeros_like(q_out)
@@ -136,7 +137,6 @@ def ref_edge_grads(u, params, gt, unary_scale=1.0, ps=None):
         dw += np.einsum("ez,ez->e", dq_tilde[e_rows], q_in[op.indices])
         dq = op.T @ dq_tilde
     dl += _softmax_backward(softmax(c["l"]), dq)
-    merged_raw = graph.merge(u.logits)
     dl = np.where(np.abs(unary_scale * merged_raw) <= LOGIT_CLAMP, dl, 0.0)
     app, sm = c["app"], c["sm"]
     idx = np.arange(u.z_len)
@@ -150,33 +150,6 @@ def ref_edge_grads(u, params, gt, unary_scale=1.0, ps=None):
              "theta_comp": float((dm * dmu_dtc).sum()),
              "unary_scale": float((dl * merged_raw).sum())}
     return grads, unary_scale * dl
-
-
-class TestWbce:
-    def test_zero_logit_unit_weight(self):
-        assert sc.wbce_loss(np.asarray([0.0]), np.asarray([1.0]), 1.0) == \
-            pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_perfect_logits_vanish(self):
-        logits = np.asarray([30.0, -30.0, 30.0])
-        mask = np.asarray([1.0, 0.0, 1.0])
-        assert sc.wbce_loss(logits, mask, 1.0) < 1e-10
-
-    def test_column_length_weighting(self):
-        # the paper-style weighting: w = column length (64)
-        rng = np.random.default_rng(1)
-        logits = rng.normal(size=(5, 64))
-        mask = np.zeros((5, 64))
-        mask[:, 10] = 1.0
-        w = 64.0
-        got = sc.wbce_loss(logits, mask, w)
-        sig = 1.0 / (1.0 + np.exp(-logits))
-        expect = -(w * mask * np.log(sig) + (1 - mask) * np.log(1 - sig)).mean()
-        assert got == pytest.approx(expect, rel=1e-9)
-
-    def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            sc.wbce_loss(np.zeros(3), np.zeros(3), 0.0)
 
 
 class TestMce:
@@ -206,13 +179,6 @@ class TestMce:
                             valid=np.asarray([True, False]))
         assert sc.mce_loss(q, gt) == pytest.approx(math.log(2.0), abs=1e-9)
 
-    def test_from_logits(self):
-        logits = np.asarray([[2.0, 0.0]])
-        gt = sc.GroundTruth(surface_index=np.asarray([0]), valid=np.asarray([True]))
-        p = softmax(logits)
-        assert sc.mce_loss(logits, gt, from_logits=True) == \
-            pytest.approx(-math.log(p[0, 0]), abs=1e-12)
-
     def test_no_valid_columns(self):
         gt = sc.GroundTruth(surface_index=np.zeros(2, dtype=np.int64),
                             valid=np.zeros(2, dtype=bool))
@@ -225,11 +191,12 @@ class TestMeanfieldGrad:
         u, gt = toy_instance(seed=3)
         params = sc.CrfParams(w_p=0.0, iterations=4, window_radius=2)
         rep = sc.meanfield_grad(u, params, gt)
-        q = softmax(u.logits).reshape(-1, u.z_len)
+        q = u.graph.merge(softmax(u.logits))
         onehot = np.zeros_like(q)
         rows = np.nonzero(gt.valid)[0]
         onehot[rows, gt.surface_index[rows]] = 1.0
-        expect = ((q - onehot) / len(rows)).reshape(u.logits.shape)
+        expect = (q - onehot) / len(rows)
+        assert rep.dlogits.shape == (u.graph.n_vertices, u.z_len)
         assert np.abs(rep.dlogits - expect).max() <= 1e-12
 
     def test_theta_comp_gradient_vanishes_at_infinity(self):
@@ -257,7 +224,7 @@ class TestMeanfieldGrad:
         u, gt = toy_instance(seed=0)
         params = sc.CrfParams(window_radius=2, iterations=2, theta2=0.5)
         rep = sc.meanfield_grad(u, params, gt, unary_scale=20.0)
-        binds = np.abs(20.0 * u.logits) > LOGIT_CLAMP
+        binds = np.abs(20.0 * u.graph.merge(u.logits)) > LOGIT_CLAMP
         assert binds.any()
         assert (rep.dlogits[binds] == 0.0).all()
         assert (rep.dlogits[~binds] != 0.0).any()
@@ -267,7 +234,8 @@ class TestMeanfieldGrad:
     def test_matches_slot_reference_on_phantom(self):
         # the vertex-graph pass against the slot-grid one on a padded r=3
         # instance: the same marginals, so the same loss, and gradients that
-        # differ only by summation order
+        # differ only by summation order; the reference's logit gradient on
+        # the slots, merged, is the per-vertex one
         (ps, u, gt), = phantom_fit_dataset(seeds=[0])
         params = sc.prostate_params()
         for scale in (1.0, 3.0):
@@ -276,8 +244,8 @@ class TestMeanfieldGrad:
             assert rep.loss == loss
             for name, g in grads.items():
                 assert abs(rep.grads[name] - g) <= 1e-13 * abs(g), name
+            dlogits = u.graph.merge(dlogits)
             assert np.abs(rep.dlogits - dlogits).max() <= 1e-13 * np.abs(dlogits).max()
-            assert (rep.dlogits[~owned_mask(u.graph)] == 0.0).all()
 
     @pytest.mark.parametrize("iterations", [1, 2, 5])
     @pytest.mark.parametrize("variant", ["probability", "intensity"])
@@ -297,12 +265,11 @@ class TestMeanfieldGrad:
                 grads, dl = ref_edge_grads(u_i, params, gt_i, unary_scale=scale, ps=ps_i)
                 for name, g in grads.items():
                     assert abs(rep.grads[name] - g) <= 1e-13 * abs(g), (name, scale)
-                got = rep.dlogits.reshape(-1, u_i.z_len)[u_i.graph.owner]
-                assert np.abs(got - dl).max() <= 1e-13 * np.abs(dl).max()
+                assert np.abs(rep.dlogits - dl).max() <= 1e-13 * np.abs(dl).max()
 
     def test_fd_on_padded_graph(self):
-        # seams, pad duplicates and corner blocks: the picks are owner-slot
-        # logits, the only ones the loss reads
+        # seams, pad duplicates and corner blocks: the picks are (vertex,
+        # label) logits, merged from the owner slots
         (ps, u, gt), = phantom_fit_dataset(seeds=[0])
         errs = sc.fd_check(u, sc.prostate_params(iterations=2), gt, n_logits=40, ps=ps)
         assert errs["max"] <= 1e-3

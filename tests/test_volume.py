@@ -147,6 +147,15 @@ class TestPhantom:
         with pytest.raises(ValueError, match="4-voxel margin"):
             sc.make_phantom(spec)
 
+    @pytest.mark.parametrize("field, value", [("noise_sigma", -0.3), ("blur_sigma_mm", -1.0),
+                                              ("mesh_subdivisions", -1),
+                                              ("noise_sigma", float("nan"))])
+    def test_out_of_range_spec_names_the_field(self, field, value):
+        # a negative sigma used to mean no noise or no blur, silently
+        spec = sc.PhantomSpec(**{field: value})
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            sc.make_phantom(spec)
+
     def test_spec_json_round_trip(self):
         spec = sc.PhantomSpec(kind="bumpy", seed=3, bump_freq=2.5)
         back = sc.PhantomSpec.from_json(spec.to_json())
