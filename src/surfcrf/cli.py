@@ -144,7 +144,8 @@ _RANGES = (
 
 
 def _check_ranges(cfg, source) -> None:
-    """Check the _RANGES keys, patches.pad against the face grid size, and
+    """Check the _RANGES keys, patches.column_len against the gradient
+    unary's central differences, patches.pad against the face grid size, and
     build PhantomSpec (validated), CrfParams and FitConfig from ``cfg``, so a
     value out of range fails here, before any input is read.  Errors start
     with the field's name; the CliError names ``source`` and the dotted key."""
@@ -153,6 +154,9 @@ def _check_ranges(cfg, source) -> None:
         val = cfg[section][key]
         if not ok(val):
             raise CliError(f"{source}: {dotted} must be {what}, got {val!r}")
+    if cfg["unary"]["mode"] == "gradient" and cfg["patches"]["column_len"] < 3:
+        raise CliError(f"{source}: patches.column_len must be an integer >= 3 in unary.mode "
+                       f"'gradient', got {cfg['patches']['column_len']!r}")
     pad, n = cfg["patches"]["pad"], 2 ** cfg["quad"]["recursion"]
     if pad > n:
         raise CliError(f"{source}: patches.pad must be at most the face grid size "
@@ -166,18 +170,22 @@ def _check_ranges(cfg, source) -> None:
             raise CliError(f"{source}: {section}.{exc}") from None
 
 
+def _read_json(path):
+    """The JSON document in the file at ``path``; invalid JSON is named."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}: not valid JSON: {exc}") from None
+
+
 def load_config(path=None, overrides=None) -> dict:
     """DEFAULT_CONFIG with the config file at ``path`` and then the dotted
     ``overrides`` ({"crf.w_p": 0.0, ...}) put in, each checked for keys,
     types, list lengths and value ranges."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"{path}: not valid JSON: {exc}") from None
-        _merge_config(cfg, doc, path)
+        _merge_config(cfg, _read_json(path), path)
         _check_ranges(cfg, path)
     nested = {}
     for dotted, value in (overrides or {}).items():
@@ -200,14 +208,15 @@ def _phantom_spec(cfg) -> PhantomSpec:
 
 
 class _Step:
-    """Context manager: tracks written files for the provenance record and
-    removes partial outputs when the step raises."""
+    """Context manager: records the files the step reads (input) and writes
+    (path) for the provenance record, and removes partial outputs when the
+    step raises."""
 
-    def __init__(self, name, outdir, cfg, inputs):
+    def __init__(self, name, outdir, cfg):
         self.name = name
         self.outdir = outdir
         self.cfg = cfg
-        self.inputs = inputs
+        self.inputs = []
         self.written = []
         self.t0 = time.perf_counter()
         os.makedirs(outdir, exist_ok=True)
@@ -221,6 +230,14 @@ class _Step:
             return False
         self._finish()
         return False
+
+    def input(self, path):
+        """``path``, recorded as read: relative to the run directory when it
+        lies inside it, else as given."""
+        rel = os.path.relpath(path, self.outdir)
+        outside = rel == os.pardir or rel.startswith(os.pardir + os.sep)
+        self.inputs.append(path if outside else rel)
+        return path
 
     def path(self, rel):
         p = os.path.join(self.outdir, rel)
@@ -259,7 +276,7 @@ def _echo_config(cfg, outdir):
 
 
 def cmd_phantom(cfg, outdir):
-    with _Step("phantom", outdir, cfg, []) as step:
+    with _Step("phantom", outdir, cfg) as step:
         spec = _phantom_spec(cfg)
         vol, truth = make_phantom(spec)
         labels = phantom_label_volume(spec)
@@ -293,9 +310,9 @@ def perturb_mesh_radially(mesh: TriMesh, amplitude: float, components: int, seed
 
 
 def cmd_presegment(cfg, outdir):
-    with _Step("presegment", outdir, cfg, ["truth.mesh"]) as step:
+    with _Step("presegment", outdir, cfg) as step:
         p = cfg["preseg"]
-        truth = load_mesh(os.path.join(outdir, "truth.mesh"))
+        truth = load_mesh(step.input(os.path.join(outdir, "truth.mesh")))
         smooth = taubin_smooth(truth, p["smooth_iterations"], p["smooth_lambda"], p["smooth_mu"])
         pre = perturb_mesh_radially(smooth, p["perturb_amplitude_mm"],
                                     p["perturb_components"], cfg["seed"] + 1000)
@@ -303,9 +320,9 @@ def cmd_presegment(cfg, outdir):
 
 
 def cmd_spheremap(cfg, outdir):
-    with _Step("spheremap", outdir, cfg, ["preseg.mesh"]) as step:
+    with _Step("spheremap", outdir, cfg) as step:
         s = cfg["spheremap"]
-        pre = load_mesh(os.path.join(outdir, "preseg.mesh"))
+        pre = load_mesh(step.input(os.path.join(outdir, "preseg.mesh")))
         smap = harmonic_sphere_map(pre, tol=s["tol"], max_iters=s["max_iters"],
                                    damping=s["damping"])
         save_mesh(TriMesh(vertices=smap.positions, faces=pre.faces), step.path("sphere.mesh"))
@@ -316,9 +333,9 @@ def cmd_spheremap(cfg, outdir):
 
 
 def cmd_remesh(cfg, outdir):
-    with _Step("remesh", outdir, cfg, ["preseg.mesh", "sphere.mesh"]) as step:
-        pre = load_mesh(os.path.join(outdir, "preseg.mesh"))
-        sphere = load_mesh(os.path.join(outdir, "sphere.mesh"))
+    with _Step("remesh", outdir, cfg) as step:
+        pre = load_mesh(step.input(os.path.join(outdir, "preseg.mesh")))
+        sphere = load_mesh(step.input(os.path.join(outdir, "sphere.mesh")))
         smap = SphereMap(mesh=pre, positions=sphere.vertices)
         qs = build_quadsphere(cfg["quad"]["recursion"])
         qm = remesh(pre, smap, qs)
@@ -326,64 +343,49 @@ def cmd_remesh(cfg, outdir):
 
 
 def cmd_patches(cfg, outdir):
-    truth_path = os.path.join(outdir, "truth.mesh")
-    has_truth = os.path.exists(truth_path)
-    inputs = ["volume.svol", "quad.mesh", "quad.npz"] + ["truth.mesh"] * has_truth
-    with _Step("patches", outdir, cfg, inputs) as step:
+    with _Step("patches", outdir, cfg) as step:
         pc = cfg["patches"]
-        vol = load_svol(os.path.join(outdir, "volume.svol"))
-        qm = load_quadmesh(os.path.join(outdir, "quad.mesh"), os.path.join(outdir, "quad.npz"))
+        vol = load_svol(step.input(os.path.join(outdir, "volume.svol")))
+        qm = load_quadmesh(step.input(os.path.join(outdir, "quad.mesh")),
+                           step.input(os.path.join(outdir, "quad.npz")))
         ps = sample_columns(vol, qm, z_len=pc["column_len"], delta=pc["column_res_mm"],
                             pad=pc["pad"])
         save_patchset(ps, step.path("patches"))
-        if has_truth:
-            truth = load_mesh(truth_path)
+        truth_path = os.path.join(outdir, "truth.mesh")
+        if os.path.exists(truth_path):
+            truth = load_mesh(step.input(truth_path))
             gt = ground_truth(qm, truth, pc["column_len"], pc["column_res_mm"])
             with open(step.path("ground_truth.json"), "w") as fh:
                 fh.write(gt.to_json())
 
 
-def _external_files(ext) -> list:
-    """The external logit files in ``ext``: the surface channel of faces
-    0-5, then the non-surface channel."""
-    return [os.path.join(ext, f"patch{f}_{name}.svol")
-            for name in ("surface", "nonsurface") for f in range(6)]
-
-
-def _unary_inputs(cfg) -> list:
-    """What _load_unary reads: patches/ and, in external mode, the 12 logit
-    files, in the run directory's external_logits/ or in unary.external_dir
-    as it is given."""
-    if cfg["unary"]["mode"] != "external":
-        return ["patches"]
-    return ["patches"] + _external_files(cfg["unary"]["external_dir"] or "external_logits")
-
-
-def _load_unary(cfg, outdir) -> tuple:
-    """The patch set in ``outdir`` and its (6,H,W,Z) unary logits before
-    unary.scale: gradient_unary's, or the external channels reduced by
-    subtraction."""
-    ps = load_patchset(os.path.join(outdir, "patches"))
+def _load_unary(step, cfg, run_dir) -> tuple:
+    """The patch set in ``run_dir`` and its (6,H,W,Z) unary logits before
+    unary.scale: gradient_unary's, or the external channels
+    patch{f}_surface.svol and patch{f}_nonsurface.svol (in the run
+    directory's external_logits/ or in unary.external_dir) reduced by
+    subtraction.  ``step`` records each file as it is opened."""
+    ps = load_patchset(step.input(os.path.join(run_dir, "patches")))
     un = cfg["unary"]
     if un["mode"] == "gradient":
         return ps, crfmod.gradient_unary(ps, polarity=un["polarity"]).logits
-    files = _external_files(un["external_dir"] or os.path.join(outdir, "external_logits"))
+    ext = un["external_dir"] or os.path.join(run_dir, "external_logits")
     dims = (*ps.graph.shape[1:], ps.z_len)
-    surf, nons = (load_face_grids(lambda f: channel[f], dims)
-                  for channel in (files[:6], files[6:]))
+    surf, nons = (load_face_grids(lambda f: step.input(os.path.join(ext, f"patch{f}_{c}.svol")),
+                                  dims) for c in ("surface", "nonsurface"))
     return ps, crfmod.channel_reduce(surf, nons)
 
 
-def _scaled_unary(cfg, outdir) -> tuple:
-    """The patch set in ``outdir`` and its unary at unary.scale; the logits
-    before the scale are freed on return."""
-    ps, logits = _load_unary(cfg, outdir)
+def _scaled_unary(step, cfg) -> tuple:
+    """The patch set in the step's directory and its unary at unary.scale;
+    the logits before the scale are freed on return."""
+    ps, logits = _load_unary(step, cfg, step.outdir)
     return ps, crfmod.unary_from_logits(ps.graph, cfg["unary"]["scale"] * logits)
 
 
 def cmd_unary(cfg, outdir):
-    with _Step("unary", outdir, cfg, _unary_inputs(cfg)) as step:
-        ps, u = _scaled_unary(cfg, outdir)
+    with _Step("unary", outdir, cfg) as step:
+        ps, u = _scaled_unary(step, cfg)
         save_face_grids(lambda f: step.path(f"unary{f}.svol"), u.logits, ps.delta)
         baseline = u.argmax_labels()
         with open(step.path("unary_argmax.json"), "w") as fh:
@@ -391,11 +393,10 @@ def cmd_unary(cfg, outdir):
 
 
 def cmd_segment(cfg, outdir):
-    with _Step("segment", outdir, cfg, _unary_inputs(cfg)) as step:
-        ps, u = _scaled_unary(cfg, outdir)
+    with _Step("segment", outdir, cfg) as step:
+        ps, u = _scaled_unary(step, cfg)
         lab = crfmod.meanfield_infer(u, crfmod.CrfParams(**cfg["crf"]), ps=ps)
-        save_face_grids(lambda f: step.path(f"q{f}.svol"), ps.graph.split(lab.q, fill=0.0),
-                        ps.delta)
+        save_face_grids(lambda f: step.path(f"q{f}.svol"), ps.graph.split(lab.q), ps.delta)
         with open(step.path("labeling.json"), "w") as fh:
             json.dump({"labels": lab.labels.tolist()}, fh)
         verts, faces = labeling_to_world(lab.labels, ps)
@@ -403,12 +404,12 @@ def cmd_segment(cfg, outdir):
 
 
 def cmd_metrics(cfg, outdir):
-    with _Step("metrics", outdir, cfg,
-               ["pred.mesh", "truth.mesh", "labels.svol", "volume.svol"]) as step:
-        pred_verts, pred_faces = load_quad_mesh_records(os.path.join(outdir, "pred.mesh"))
-        truth = load_mesh(os.path.join(outdir, "truth.mesh"))
-        template = load_svol(os.path.join(outdir, "volume.svol"))
-        labels = load_svol(os.path.join(outdir, "labels.svol"))
+    with _Step("metrics", outdir, cfg) as step:
+        pred_verts, pred_faces = load_quad_mesh_records(
+            step.input(os.path.join(outdir, "pred.mesh")))
+        truth = load_mesh(step.input(os.path.join(outdir, "truth.mesh")))
+        labels = load_svol(step.input(os.path.join(outdir, "labels.svol")))
+        template = load_svol(step.input(os.path.join(outdir, "volume.svol")))
         rep = compare_surfaces(pred_verts, pred_faces, truth.vertices, truth.faces,
                                template, labels=labels)
         with open(step.path("metrics.json"), "w") as fh:
@@ -432,11 +433,7 @@ def _check_ground_truth(gt: GroundTruth, ps, path) -> None:
 def _manifest_runs(path) -> list:
     """The run directories of the fit manifest at ``path``: a JSON object
     whose ``runs`` is a non-empty list of strings."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: not valid JSON: {exc}") from None
+    doc = _read_json(path)
     runs = doc.get("runs") if isinstance(doc, dict) else None
     if not (isinstance(runs, list) and runs and all(isinstance(r, str) for r in runs)):
         raise CliError(f"{path}: runs must be a non-empty list of run directories "
@@ -448,19 +445,19 @@ def cmd_fit(cfg, outdir, manifest_path):
     if cfg["unary"]["mode"] != "gradient":
         raise CliError(f"fit supports unary.mode 'gradient' only, got {cfg['unary']['mode']!r}")
     runs = _manifest_runs(manifest_path)
-    inputs = [manifest_path] + [os.path.join(run_dir, name) for run_dir in runs
-                                for name in ("patches", "ground_truth.json")]
-    with _Step("fit", outdir, cfg, inputs) as step:
+    with _Step("fit", outdir, cfg) as step:
+        step.input(manifest_path)
         dataset = []
         for run_dir in runs:
-            ps, logits = _load_unary(cfg, run_dir)
+            ps, logits = _load_unary(step, cfg, run_dir)
             gt_path = os.path.join(run_dir, "ground_truth.json")
-            with open(gt_path) as fh:
+            with open(step.input(gt_path)) as fh:
                 try:
                     gt = GroundTruth.from_json(fh.read())
                 except KeyError as exc:
                     raise CliError(f"{gt_path}: missing field {exc.args[0]!r}") from None
-                except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                # JSONDecodeError is a ValueError; an index past int64 overflows
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise CliError(f"{gt_path}: not a ground-truth JSON object: {exc}") from None
             _check_ground_truth(gt, ps, gt_path)
             dataset.append((ps, crfmod.unary_from_logits(ps.graph, logits), gt))

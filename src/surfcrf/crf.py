@@ -4,10 +4,10 @@ mean-field inference, energy evaluation, and MAP extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+import functools
 import json
 import math
 from typing import NamedTuple
-import weakref
 
 import numpy as np
 from scipy import sparse
@@ -226,19 +226,13 @@ def window_pair_mask(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
     return mask.reshape(*graph.shape, -1)
 
 
-# graph -> {window radius: pair_edges records}; they depend on nothing else,
-# and fit rebuilds the kernel of every instance on every evaluation.
-# build_column_graph returns one graph per (level, pad), so the cache is in
-# effect keyed on (level, pad, radius) and hits across load_patchset calls
-_PAIR_EDGES = weakref.WeakKeyDictionary()
-
-
-def _cached_pair_edges(graph: ColumnGraph, radius: int, offsets: np.ndarray):
-    """The pair_edges records of ``graph`` at window ``radius``."""
-    edges = _PAIR_EDGES.setdefault(graph, {})
-    if radius not in edges:
-        edges[radius] = pair_edges(graph, offsets)
-    return edges[radius]
+@functools.lru_cache(maxsize=16)
+def _cached_pair_edges(graph: ColumnGraph, radius: int) -> PairEdges:
+    """The pair_edges records of ``graph`` at window ``radius``; they depend
+    on nothing else, and fit rebuilds the kernel of every instance on every
+    evaluation.  build_column_graph returns one graph per (level, pad), so
+    the cache hits across load_patchset calls."""
+    return pair_edges(graph, window_offsets(radius))
 
 
 @dataclass(eq=False)
@@ -262,17 +256,14 @@ def channel_reduce(surface_logits: np.ndarray, non_surface_logits: np.ndarray) -
 
 
 def gradient_unary(ps: PatchSet, polarity: str = "dark_to_bright") -> UnaryField:
-    """Hand-crafted unary: per-column central intensity difference, scaled to
-    zero mean / unit variance per column (variance floor guards flats)."""
+    """Hand-crafted unary: per-column central intensity difference (one-sided
+    at the column ends), scaled to zero mean / unit variance per column
+    (variance floor guards flats)."""
     if ps.z_len < 3:
         raise ValueError("gradient unary needs z_len >= 3")
     if polarity not in ("dark_to_bright", "bright_to_dark", "magnitude"):
         raise ValueError(f"unknown polarity {polarity!r}")
-    v = ps.samples.astype(np.float64)
-    d = np.empty_like(v)
-    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / 2.0
-    d[..., 0] = v[..., 1] - v[..., 0]
-    d[..., -1] = v[..., -1] - v[..., -2]
+    d = np.gradient(ps.samples.astype(np.float64), axis=-1)
     if polarity == "bright_to_dark":
         d = -d
     elif polarity == "magnitude":
@@ -327,7 +318,7 @@ def edge_stats(u: UnaryField, params: CrfParams, ps: PatchSet | None = None):
     (f_i - f_j)^2 and (f_j - f_i)^2 are the same floats, so fd is exactly
     symmetric and equal to a gather over every entry."""
     offs = window_offsets(params.window_radius)
-    edges = _cached_pair_edges(u.graph, params.window_radius, offs)
+    edges = _cached_pair_edges(u.graph, params.window_radius)
     cols, upper, mirror = edges.cols, edges.upper, edges.mirror
     f = u.graph.merge(kernel_features(u, ps, params))
     fd = np.empty(cols.size)

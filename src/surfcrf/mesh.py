@@ -126,11 +126,15 @@ class ValidationReport:
     n_faces: int = 0
 
 
+def _triple_products(positions, faces) -> np.ndarray:
+    """a . (b x c) of each triangle (a, b, c): six times the signed volume
+    of its tetrahedron with the origin."""
+    a, b, c = (positions[faces[:, k]] for k in range(3))
+    return np.einsum("ij,ij->i", a, np.cross(b, c))
+
+
 def signed_volume(mesh: TriMesh) -> float:
-    a = mesh.vertices[mesh.faces[:, 0]]
-    b = mesh.vertices[mesh.faces[:, 1]]
-    c = mesh.vertices[mesh.faces[:, 2]]
-    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
+    return float(_triple_products(mesh.vertices, mesh.faces).sum() / 6.0)
 
 
 def _edge_table(faces, n_vertices):
@@ -298,11 +302,7 @@ def _dot3(ax, ay, az, bx, by, bz):
 
 
 def _sphere_flips(positions, faces) -> int:
-    a = positions[faces[:, 0]]
-    b = positions[faces[:, 1]]
-    c = positions[faces[:, 2]]
-    trip = np.einsum("ij,ij->i", a, np.cross(b, c))
-    return int((trip <= 0).sum())
+    return int((_triple_products(positions, faces) <= 0).sum())
 
 
 def _unit_rows(xyz):
@@ -412,7 +412,7 @@ def _sphere_midpoints(verts: list):
     return midpoint
 
 
-def icosphere(subdivisions: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> TriMesh:
+def icosphere(subdivisions: int, radius: float = 1.0) -> TriMesh:
     """Unit icosahedron subdivided ``subdivisions`` times, projected to the
     sphere; 10*4^k + 2 vertices."""
     t = (1.0 + np.sqrt(5.0)) / 2.0
@@ -438,5 +438,4 @@ def icosphere(subdivisions: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) ->
             c = midpoint(k, i)
             new_faces += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
         faces = new_faces
-    v = np.asarray(verts) * radius + np.asarray(center)
-    return TriMesh(vertices=v, faces=np.asarray(faces, dtype=np.int64))
+    return TriMesh(vertices=np.asarray(verts) * radius, faces=np.asarray(faces, dtype=np.int64))

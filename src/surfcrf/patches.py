@@ -45,10 +45,11 @@ class ColumnGraph:
         """Per-slot field (P,H,W,...) -> per-vertex field (Nv,...)."""
         return field.reshape(-1, *field.shape[3:])[self.owner]
 
-    def split(self, field: np.ndarray, fill=0) -> np.ndarray:
-        """Per-vertex field (Nv,...) -> per-slot field (P,H,W,...)."""
+    def split(self, field: np.ndarray) -> np.ndarray:
+        """Per-vertex field (Nv,...) -> per-slot field (P,H,W,...); the
+        corner slots are 0."""
         P, H, W = self.shape
-        out = np.full((P * H * W, *field.shape[1:]), fill, dtype=field.dtype)
+        out = np.zeros((P * H * W, *field.shape[1:]), dtype=field.dtype)
         flat_gid = self.gid.ravel()
         ok = flat_gid >= 0
         out[ok] = field[flat_gid[ok]]
@@ -105,9 +106,18 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, text: str) -> "GroundTruth":
+        """The inverse of to_json: ``surface_index`` must be a flat list of
+        integers and ``valid`` one of booleans; an error names the field."""
         doc = json.loads(text)
-        return cls(surface_index=np.asarray(doc["surface_index"], dtype=np.int64),
-                   valid=np.asarray(doc["valid"], dtype=bool))
+        fields = {}
+        for name, typ, what, dtype in (("surface_index", int, "integers", np.int64),
+                                       ("valid", bool, "booleans", bool)):
+            vals = doc[name]
+            bad = [v for v in vals if type(v) is not typ] if isinstance(vals, list) else [vals]
+            if bad:
+                raise ValueError(f"{name} must be a flat list of {what}, got {bad[0]!r}")
+            fields[name] = np.asarray(vals, dtype=dtype)
+        return cls(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +170,7 @@ def sample_columns(vol: Volume, qm: QuadMesh, z_len: int, delta: float, pad: int
                   normals=qm.normals, z_len=z_len, delta=float(delta), pad=pad)
     vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin), np.asarray(vol.spacing),
                                   ps.column_points().reshape(-1, 3))
-    ps.samples = graph.split(vals.reshape(-1, z_len), fill=0.0).astype(np.float32)
+    ps.samples = graph.split(vals.reshape(-1, z_len)).astype(np.float32)
     return ps
 
 
@@ -200,13 +210,18 @@ def save_face_grids(path_of, grids: np.ndarray, delta: float) -> None:
 
 def load_face_grids(path_of, dims) -> np.ndarray:
     """The six face grids written by save_face_grids, (6, *dims) float32; a
-    file whose dims are not ``dims`` is named in the error."""
+    file whose dims are not ``dims`` or that holds a non-finite value is
+    named in the error."""
     grids = np.empty((6, *dims), dtype=np.float32)
     for f in range(6):
-        vol = load_svol(path_of(f))
+        path = path_of(f)
+        vol = load_svol(path)
         if vol.dims != tuple(dims):
-            raise ValueError(f"{path_of(f)}: dims {list(vol.dims)} do not match the patch "
+            raise ValueError(f"{path}: dims {list(vol.dims)} do not match the patch "
                              f"set's (W, W, z_len) = {list(dims)}")
+        if not np.isfinite(vol.data).all():
+            raise ValueError(f"{path}: face grids must be finite, found "
+                             f"{np.count_nonzero(~np.isfinite(vol.data))} non-finite values")
         grids[f] = vol.data
     return grids
 

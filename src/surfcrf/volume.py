@@ -185,7 +185,7 @@ def _inside_mask(spec: PhantomSpec) -> np.ndarray:
     r = np.linalg.norm(p, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         u = p / np.where(r[..., None] > 0, r[..., None], 1.0)
-    return r <= spec.radius_mm + spec.bump_amplitude_mm * _bump_field(u, spec.bump_freq)
+    return r <= _phantom_radius(spec, u)
 
 
 def phantom_label_volume(spec: PhantomSpec) -> Volume:

@@ -310,8 +310,8 @@ class TestScalarOracles:
             assert np.abs(a - b).max() <= 1e-12
 
     def test_parity(self):
-        ico = sc.icosphere(2, radius=7.0, center=(12.3, 11.7, 12.9))
-        tri = ico.vertices[ico.faces]
+        ico = sc.icosphere(2, radius=7.0)
+        tri = ico.vertices[ico.faces] + (12.3, 11.7, 12.9)
         d1 = accel.parity_diff(tri, np.zeros(3), np.ones(3), (26, 26, 26))
         d2 = ref_parity_diff(tri, np.zeros(3), np.ones(3), (26, 26, 26))
         assert np.array_equal(d1, d2)

@@ -71,8 +71,13 @@ class TestPipeline:
             assert all(os.path.exists(os.path.join(where, n)) for n in names), names
             return names
 
+        assert inputs("phantom") == []
+        assert inputs("presegment") == ["truth.mesh"]
+        assert inputs("spheremap") == ["preseg.mesh"]
+        assert inputs("remesh") == ["preseg.mesh", "sphere.mesh"]
         assert inputs("patches") == ["volume.svol", "quad.mesh", "quad.npz", "truth.mesh"]
         assert inputs("unary") == inputs("segment") == ["patches"]
+        assert inputs("metrics") == ["pred.mesh", "truth.mesh", "labels.svol", "volume.svol"]
 
         ps = sc.load_patchset(out / "patches")
         dims = (*ps.graph.shape[1:], ps.z_len)
@@ -153,7 +158,7 @@ class TestSegmentIdentity:
         build = crfmod.pair_edges
         monkeypatch.setattr(crfmod, "pair_edges",
                             lambda graph, offsets: calls.append(graph) or build(graph, offsets))
-        crfmod._PAIR_EDGES.clear()
+        crfmod._cached_pair_edges.cache_clear()
         for _ in range(2):
             assert cli.main(["segment", "--out", str(out)] + FAST) == 0
         assert len(calls) == 1
@@ -281,6 +286,8 @@ class TestConfig:
         ('{"spheremap": {"tol": -1}}', "spheremap.tol"),
         ('{"quad": {"recursion": -1}}', "quad.recursion"),
         ('{"patches": {"column_len": 1}}', "patches.column_len"),
+        # the gradient unary's central differences need 3 samples a column
+        ('{"patches": {"column_len": 2}}', "patches.column_len"),
         ('{"patches": {"column_res_mm": 0}}', "patches.column_res_mm"),
         ('{"patches": {"pad": -1}}', "patches.pad"),
         ('{"patches": {"pad": 99}}', "patches.pad"),
@@ -296,6 +303,10 @@ class TestConfig:
         assert rc == 1
         message = json.loads(capsys.readouterr().err.split("error: ", 1)[1])["message"]
         assert message.startswith(f"{cfg}: {key} ")
+
+    def test_two_sample_columns_load_in_external_mode(self):
+        cfg = cli.load_config(overrides={"patches.column_len": 2, "unary.mode": "external"})
+        assert cfg["patches"]["column_len"] == 2
 
     def test_out_of_range_override_named(self):
         with pytest.raises(cli.CliError, match=r"^overrides: fit\.epochs must"):
@@ -366,7 +377,7 @@ class TestErrors:
         from surfcrf.cli import _Step
         outdir = tmp_path / "run"
         with pytest.raises(RuntimeError):
-            with _Step("demo", str(outdir), cli.DEFAULT_CONFIG, []) as step:
+            with _Step("demo", str(outdir), cli.DEFAULT_CONFIG) as step:
                 with open(step.path("partial.bin"), "wb") as fh:
                     fh.write(b"half-done")
                 raise RuntimeError("boom")
@@ -417,6 +428,31 @@ class TestExternalUnary:
         cfg = cli.load_config(overrides={"unary.mode": "external"})
         with pytest.raises(ValueError, match=r"patch0_surface\.svol: dims"):
             cli.cmd_unary(cfg, str(out))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("grid", ["external_logits/patch2_surface.svol",
+                                      "patches/patch2.svol"])
+    def test_non_finite_face_grid_named(self, fast_run, tmp_path, capsys, grid, value):
+        # a NaN at an owner slot gave NaN logits, one elsewhere was ignored,
+        # and an inf was clamped to the logit bound, each without an error
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        ps = sc.load_patchset(out / "patches")
+        dims = (*ps.graph.shape[1:], ps.z_len)
+        os.makedirs(out / "external_logits")
+        for f in range(6):
+            for name in ("surface", "nonsurface"):
+                sc.save_svol(sc.Volume(dims, (1.0, 1.0, ps.delta), (0.0, 0.0, 0.0),
+                                       np.zeros(dims, dtype=np.float32)),
+                             out / "external_logits" / f"patch{f}_{name}.svol")
+        vol = sc.load_svol(out / grid)
+        slot = np.unravel_index(ps.graph.owner[100], ps.graph.shape)[1:]
+        vol.data[(*slot, 3)] = value
+        sc.save_svol(vol, out / grid)
+        mode = "external" if grid.startswith("external") else "gradient"
+        rc = cli.main(["unary", "--out", str(out), "--unary-mode", mode] + FAST)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"].startswith(f"{out / grid}: face grids must be finite")
 
 
 def _truncate(doc):
@@ -475,7 +511,8 @@ class TestFitCommand:
         assert err["message"].startswith(f"{manifest}: {what}")
 
     @pytest.mark.parametrize("text", ['{"surface_index": [', "[]",
-                                      '{"surface_index": {}, "valid": []}'])
+                                      '{"surface_index": {}, "valid": []}',
+                                      '{"surface_index": [%d], "valid": [false]}' % 2 ** 63])
     def test_malformed_ground_truth_named(self, fast_run, tmp_path, capsys, text):
         run = shutil.copytree(fast_run, tmp_path / "run")
         gt_path = run / "ground_truth.json"
@@ -487,6 +524,28 @@ class TestFitCommand:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
         assert err["message"].startswith(f"{gt_path}: not a ground-truth JSON object")
+
+    @pytest.mark.parametrize("field, edit", [
+        pytest.param("surface_index", lambda g: g + 0.4, id="fractional-index"),
+        pytest.param("surface_index", lambda g: g == 1, id="boolean-index"),
+        pytest.param("surface_index", lambda g: [g, g], id="nested-index"),
+        pytest.param("valid", lambda v: 2 * v, id="integer-valid"),
+    ])
+    def test_ground_truth_types_named(self, fast_run, tmp_path, capsys, edit, field):
+        # fractional indices were truncated, booleans taken for indices and
+        # integers for booleans, and nested lists failed without a name
+        run = shutil.copytree(fast_run, tmp_path / "run")
+        gt_path = run / "ground_truth.json"
+        doc = json.loads(gt_path.read_text())
+        gt_path.write_text(json.dumps({**doc, field: [edit(x) for x in doc[field]]}))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"runs": [str(run)]}))
+        rc = cli.main(["fit", "--out", str(tmp_path / "fit"), "--manifest", str(manifest),
+                       "--epochs", "1"] + FAST)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"].startswith(f"{gt_path}: not a ground-truth JSON object: "
+                                         f"{field} must be a flat list of")
 
     def test_fit_over_manifest(self, tmp_path):
         runs = []

@@ -63,13 +63,15 @@ class TestVoxelize:
 
     def test_sphere_count(self):
         r = 10.0
-        ico = sc.icosphere(3, radius=r, center=(15.5, 15.5, 15.5))
+        ico = sc.icosphere(3, radius=r)
+        ico.vertices += 15.5
         lab = sc.voxelize(ico.vertices, ico.faces, template())
         expect = 4.0 / 3.0 * np.pi * r ** 3
         assert abs(lab.data.sum() - expect) / expect < 0.05
 
     def test_mesh_outside_template_all_zero(self):
-        ico = sc.icosphere(2, radius=5.0, center=(200.0, 0.0, 0.0))
+        ico = sc.icosphere(2, radius=5.0)
+        ico.vertices += (200.0, 0.0, 0.0)
         lab = sc.voxelize(ico.vertices, ico.faces, template())
         assert (lab.data == 0).all()
 
@@ -83,7 +85,8 @@ class TestVoxelize:
     def test_axis_aligned_pole_vertices_robust(self):
         # icosphere poles align exactly with voxel-center columns; the fixed
         # jitter keeps the parity count consistent
-        ico = sc.icosphere(3, radius=10.0, center=(16.0, 16.0, 16.0))
+        ico = sc.icosphere(3, radius=10.0)
+        ico.vertices += 16.0
         lab = sc.voxelize(ico.vertices, ico.faces, template())
         from surfcrf.mesh import signed_volume
         poly = signed_volume(ico)
@@ -300,7 +303,8 @@ class TestRigidMotion:
     @given(steps=st.tuples(*[st.integers(-40, 40)] * 3))
     def test_dsc_invariant_under_whole_voxel_shift(self, steps):
         spacing = (0.8, 1.1, 1.3)
-        truth = sc.icosphere(3, radius=8.0, center=(13.0, 14.0, 15.0))
+        truth = sc.icosphere(3, radius=8.0)
+        truth.vertices += (13.0, 14.0, 15.0)
         pred_verts = (truth.vertices - truth.vertices.mean(axis=0)) * (1.1, 0.9, 1.0) \
             + (13.5, 13.8, 15.2)
         base = template(dims=(32, 28, 24), spacing=spacing)

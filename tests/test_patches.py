@@ -204,7 +204,7 @@ class TestSampleColumns:
         # every padded slot's points with the corner pad blocks zeroed
         vol, qm = ellipsoid_run["vol"], ellipsoid_run["qm"]
         ps = sc.sample_columns(vol, qm, z_len=12, delta=0.75, pad=3)
-        slot_points = ps.graph.split(ps.column_points(), fill=0.0)
+        slot_points = ps.graph.split(ps.column_points())
         vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin), np.asarray(vol.spacing),
                                       slot_points.reshape(-1, 3))
         want = vals.reshape(ps.samples.shape).astype(np.float32)
@@ -275,7 +275,8 @@ class TestGroundTruth:
         assert (longer.surface_index == 3 + 2).mean() > 0.99
 
     def test_miss_is_flagged_invalid(self):
-        tiny = sc.icosphere(1, radius=0.5, center=(50.0, 0.0, 0.0))
+        tiny = sc.icosphere(1, radius=0.5)
+        tiny.vertices += (50.0, 0.0, 0.0)
         qm = synthetic_quadmesh(level=2, radius=10.0, center=(0, 0, 0))
         gt = sc.ground_truth(qm, tiny, 16, 0.5)
         assert not gt.valid.all()

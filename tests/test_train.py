@@ -408,7 +408,7 @@ class TestFit:
         assert len(calls) == 2
         kf = crf.compute_kernel(dataset[0][1], init)
         assert len(calls) == 2
-        edges = crf._cached_pair_edges(kf.graph, init.window_radius, kf.offsets)
+        edges = crf._cached_pair_edges(kf.graph, init.window_radius)
         assert kf.edge_pos is edges[1]
         for arr in edges:
             assert arr.dtype == np.int32 and not arr.flags.writeable
