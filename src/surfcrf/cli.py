@@ -1,5 +1,5 @@
 """Pipeline orchestration: phantom -> presegment -> spheremap -> remesh ->
-patches -> unary -> segment -> metrics, plus fit; every subcommand writes its
+patches -> unary -> segment -> metrics, plus fit; every command writes its
 artifacts and a provenance record, and all randomness flows from one seed."""
 from __future__ import annotations
 
@@ -182,11 +182,13 @@ def _read_json(path):
 def load_config(path=None, overrides=None) -> dict:
     """DEFAULT_CONFIG with the config file at ``path`` and then the dotted
     ``overrides`` ({"crf.w_p": 0.0, ...}) put in, each checked for keys,
-    types, list lengths and value ranges."""
+    types and list lengths; the value ranges are checked once, on the merged
+    config, and an error names the sources merged."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
+    sources = []
     if path:
         _merge_config(cfg, _read_json(path), path)
-        _check_ranges(cfg, path)
+        sources.append(str(path))
     nested = {}
     for dotted, value in (overrides or {}).items():
         *sections, key = dotted.split(".")
@@ -195,7 +197,9 @@ def load_config(path=None, overrides=None) -> dict:
             node = node.setdefault(section, {})
         node[key] = value
     _merge_config(cfg, nested, "overrides")
-    _check_ranges(cfg, "overrides")
+    if overrides:
+        sources.append("overrides")
+    _check_ranges(cfg, " + ".join(sources))
     return cfg
 
 
@@ -335,19 +339,24 @@ def cmd_spheremap(cfg, outdir):
 def cmd_remesh(cfg, outdir):
     with _Step("remesh", outdir, cfg) as step:
         pre = load_mesh(step.input(os.path.join(outdir, "preseg.mesh")))
-        sphere = load_mesh(step.input(os.path.join(outdir, "sphere.mesh")))
+        sphere_path = step.input(os.path.join(outdir, "sphere.mesh"))
+        sphere = load_mesh(sphere_path)
+        if len(sphere.vertices) != len(pre.vertices):
+            raise CliError(f"{sphere_path}: {len(sphere.vertices)} vertices, preseg.mesh "
+                           f"has {len(pre.vertices)}")
+        if not np.array_equal(sphere.faces, pre.faces):
+            raise CliError(f"{sphere_path}: face records differ from preseg.mesh's")
         smap = SphereMap(mesh=pre, positions=sphere.vertices)
         qs = build_quadsphere(cfg["quad"]["recursion"])
         qm = remesh(pre, smap, qs)
-        save_quadmesh(qm, step.path("quad.mesh"), step.path("quad.npz"))
+        save_quadmesh(qm, step.path("quad.npz"))
 
 
 def cmd_patches(cfg, outdir):
     with _Step("patches", outdir, cfg) as step:
         pc = cfg["patches"]
         vol = load_svol(step.input(os.path.join(outdir, "volume.svol")))
-        qm = load_quadmesh(step.input(os.path.join(outdir, "quad.mesh")),
-                           step.input(os.path.join(outdir, "quad.npz")))
+        qm = load_quadmesh(step.input(os.path.join(outdir, "quad.npz")))
         ps = sample_columns(vol, qm, z_len=pc["column_len"], delta=pc["column_res_mm"],
                             pad=pc["pad"])
         save_patchset(ps, step.path("patches"))
@@ -468,7 +477,6 @@ def cmd_fit(cfg, outdir, manifest_path):
 
 
 def cmd_pipeline(cfg, outdir):
-    _echo_config(cfg, outdir)
     cmd_phantom(cfg, outdir)
     cmd_presegment(cfg, outdir)
     cmd_spheremap(cfg, outdir)
@@ -531,38 +539,33 @@ def _generated_flags():
 def _build_parser():
     parser = argparse.ArgumentParser(prog="surfcrf",
                                      description="surface CRF segmentation pipeline")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = ("phantom", "presegment", "spheremap", "remesh", "patches",
-                "unary", "segment", "fit", "metrics", "pipeline")
-    flags = _generated_flags()
-    for name in commands:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="RunConfig JSON path")
-        p.add_argument("--out", required=True, help="output directory")
-        if name == "fit":
-            p.add_argument("--manifest", required=True,
-                           help="JSON manifest with a 'runs' list of pipeline dirs")
-        for flag, (dotted, typ) in flags.items():
-            p.add_argument(f"--{flag}", dest=dotted, type=typ, default=None)
+    parser.add_argument("command", choices=("phantom", "presegment", "spheremap", "remesh",
+                                            "patches", "unary", "segment", "fit", "metrics",
+                                            "pipeline"))
+    parser.add_argument("--config", default=None, help="RunConfig JSON path")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--manifest", default=None,
+                        help="fit only: JSON manifest with a 'runs' list of pipeline dirs")
+    for flag, (dotted, typ) in _generated_flags().items():
+        parser.add_argument(f"--{flag}", dest=dotted, type=typ, default=None)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if (args.command == "fit") != (args.manifest is not None):
+        parser.error("--manifest is required by fit and taken by no other command")
     skip = {"command", "config", "out", "manifest"}
     overrides = {k: v for k, v in vars(args).items()
                  if k not in skip and v is not None}
     try:
         cfg = load_config(args.config, overrides)
-        outdir = args.out
-        if args.command == "pipeline":
-            cmd_pipeline(cfg, outdir)
-        elif args.command == "fit":
-            cmd_fit(cfg, outdir, args.manifest)
+        _echo_config(cfg, args.out)
+        if args.command == "fit":
+            cmd_fit(cfg, args.out, args.manifest)
         else:
-            _echo_config(cfg, outdir)
-            globals()[f"cmd_{args.command}"](cfg, outdir)
+            globals()[f"cmd_{args.command}"](cfg, args.out)
     except Exception as exc:  # single-line machine-parsable error
         print("error: " + json.dumps({"command": args.command, "message": str(exc)}),
               file=sys.stderr)

@@ -102,7 +102,7 @@ def load_mesh(path) -> TriMesh:
 
 
 def load_quad_mesh_records(path):
-    """Loader variant for quad-face mesh files (used by the quadsphere module)."""
+    """Loader variant for quad-face mesh files (the segmented surface pred.mesh)."""
     verts, tris, quads = _parse_mesh_records(path, allow_quads=True)
     if tris:
         raise MeshError(f"{path}: expected quad faces only")

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .mesh import (MeshError, SphereMap, TriMesh, _edge_table, _sphere_midpoints,
-                   load_quad_mesh_records, save_quad_mesh_records, vertex_normals)
+from .mesh import MeshError, SphereMap, TriMesh, _edge_table, _sphere_midpoints, vertex_normals
 
 
 class LocateError(ValueError):
@@ -240,41 +239,23 @@ def checked_array(arrays: dict, path, name: str, shape: tuple, dtype) -> np.ndar
     return arr
 
 
-def save_quadmesh(qm: QuadMesh, mesh_path, sidecar_path) -> None:
-    """Positions to the text quad mesh; level, barycentric records and
-    normals to the .npz sidecar.  The topology is rebuilt from the level."""
-    save_quad_mesh_records(mesh_path, qm.positions, qm.sphere.faces)
-    save_arrays(sidecar_path, level=np.int64(qm.sphere.level), bary_face=qm.bary_face,
-                bary=qm.bary, normals=qm.normals)
+def save_quadmesh(qm: QuadMesh, path) -> None:
+    """The level and the per-vertex arrays to the .npz file at ``path``; the
+    topology is rebuilt from the level."""
+    save_arrays(path, level=np.int64(qm.sphere.level), positions=qm.positions,
+                normals=qm.normals, bary_face=qm.bary_face, bary=qm.bary)
 
 
-def _check_quad_records(mesh_path, quads, qs: QuadSphere) -> None:
-    """The face records of a quad mesh file must be the faces of its level."""
-    want = qs.faces
-    if len(quads) != len(want):
-        raise MeshError(f"{mesh_path}: quad mesh has {len(quads)} faces, "
-                        f"level {qs.level} implies {len(want)}")
-    bad = np.nonzero((quads != want).any(axis=1))[0]
-    if bad.size:
-        k = int(bad[0])
-        got, exp = (" ".join(map(str, (f + 1).tolist())) for f in (quads[k], want[k]))
-        raise MeshError(f"{mesh_path}: face record {k + 1} is 'f {got}', "
-                        f"level {qs.level} implies 'f {exp}'")
-
-
-def load_quadmesh(mesh_path, sidecar_path) -> QuadMesh:
-    verts, quads = load_quad_mesh_records(mesh_path)
-    arrays = load_arrays(sidecar_path)
-    level = int(checked_array(arrays, sidecar_path, "level", (), np.int64))
+def load_quadmesh(path) -> QuadMesh:
+    arrays = load_arrays(path)
+    level = int(checked_array(arrays, path, "level", (), np.int64))
     if level < 0:
-        raise ValueError(f"{sidecar_path}: 'level' must be >= 0, got {level}")
+        raise ValueError(f"{path}: 'level' must be >= 0, got {level}")
     V = vertex_count(level)
-    if len(verts) != V:
-        raise MeshError(
-            f"{mesh_path}: quad mesh has {len(verts)} vertices, level {level} implies {V}")
-    qs = build_quadsphere(level)
-    _check_quad_records(mesh_path, quads, qs)
-    return QuadMesh(sphere=qs, positions=verts,
-                    normals=checked_array(arrays, sidecar_path, "normals", (V, 3), np.float64),
-                    bary_face=checked_array(arrays, sidecar_path, "bary_face", (V,), np.int64),
-                    bary=checked_array(arrays, sidecar_path, "bary", (V, 3), np.float64))
+    positions = checked_array(arrays, path, "positions", (V, 3), np.float64)
+    if not np.isfinite(positions).all():
+        raise ValueError(f"{path}: 'positions' must be finite")
+    return QuadMesh(sphere=build_quadsphere(level), positions=positions,
+                    normals=checked_array(arrays, path, "normals", (V, 3), np.float64),
+                    bary_face=checked_array(arrays, path, "bary_face", (V,), np.int64),
+                    bary=checked_array(arrays, path, "bary", (V, 3), np.float64))

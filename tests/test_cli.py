@@ -32,7 +32,7 @@ class TestPipeline:
     def test_emits_all_artifacts(self, tmp_path):
         out = run_pipeline(tmp_path / "run")
         for name in ("volume.svol", "labels.svol", "truth.mesh", "preseg.mesh",
-                     "sphere.mesh", "quad.mesh", "quad.npz", "patches",
+                     "sphere.mesh", "quad.npz", "patches",
                      "pred.mesh", "labeling.json", "metrics.json",
                      "config.echo.json", "ground_truth.json"):
             assert (out / name).exists(), name
@@ -75,7 +75,7 @@ class TestPipeline:
         assert inputs("presegment") == ["truth.mesh"]
         assert inputs("spheremap") == ["preseg.mesh"]
         assert inputs("remesh") == ["preseg.mesh", "sphere.mesh"]
-        assert inputs("patches") == ["volume.svol", "quad.mesh", "quad.npz", "truth.mesh"]
+        assert inputs("patches") == ["volume.svol", "quad.npz", "truth.mesh"]
         assert inputs("unary") == inputs("segment") == ["patches"]
         assert inputs("metrics") == ["pred.mesh", "truth.mesh", "labels.svol", "volume.svol"]
 
@@ -139,6 +139,25 @@ class TestPipeline:
         rc = cli.main(["metrics", "--out", str(out)] + FAST)
         assert rc == 0
         assert (out / "metrics.json").read_bytes() == first
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda pre: sc.icosphere(2), "162 vertices, preseg.mesh has 642",
+                     id="icosphere2"),
+        pytest.param(lambda pre: sc.icosphere(4), "2562 vertices, preseg.mesh has 642",
+                     id="icosphere4"),
+        pytest.param(lambda pre: sc.TriMesh(vertices=pre.vertices, faces=np.vstack(
+                         [pre.faces[:1, [1, 0, 2]], pre.faces[1:]])),
+                     "face records differ from preseg.mesh's", id="reordered-face"),
+    ])
+    def test_remesh_rejects_sphere_map_of_another_mesh(self, fast_run, tmp_path, edit, message):
+        # remesh reads its topology from preseg.mesh and its positions from
+        # sphere.mesh: a sphere map of another mesh failed with an unnamed
+        # IndexError or was remeshed from the wrong positions
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        sc.save_mesh(edit(sc.load_mesh(out / "preseg.mesh")), out / "sphere.mesh")
+        cfg = cli.load_config(overrides={"quad.recursion": 3})
+        with pytest.raises(cli.CliError, match=re.escape(f"{out / 'sphere.mesh'}: {message}")):
+            cli.cmd_remesh(cfg, str(out))
 
 
 class TestSegmentIdentity:
@@ -308,6 +327,25 @@ class TestConfig:
         cfg = cli.load_config(overrides={"patches.column_len": 2, "unary.mode": "external"})
         assert cfg["patches"]["column_len"] == 2
 
+    @pytest.mark.parametrize("doc, overrides", [
+        ({"patches": {"column_len": 2}}, {"unary.mode": "external"}),
+        ({"quad": {"recursion": 1}}, {"patches.pad": 1}),
+    ])
+    def test_ranges_checked_after_the_overrides(self, tmp_path, doc, overrides):
+        # a file value that only the overrides make valid loads
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        loaded = cli.load_config(str(cfg), overrides)
+        for dotted, value in overrides.items():
+            section, key = dotted.split(".")
+            assert loaded[section][key] == value
+
+    def test_range_error_names_file_and_overrides(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"quad": {"recursion": 1}}')
+        with pytest.raises(cli.CliError, match="^" + re.escape(f"{cfg} + overrides: patches.pad ")):
+            cli.load_config(str(cfg), {"patches.pad": 3})
+
     def test_out_of_range_override_named(self):
         with pytest.raises(cli.CliError, match=r"^overrides: fit\.epochs must"):
             cli.load_config(overrides={"fit.epochs": -1})
@@ -353,6 +391,23 @@ class TestConfig:
             cli.load_config(str(cfg))
         with pytest.raises(cli.CliError, match="overrides: crf must be a section"):
             cli.load_config(overrides={"crf": 3})
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", ["phantom", "presegment", "spheremap", "remesh",
+                                         "patches", "unary", "segment", "fit", "metrics",
+                                         "pipeline"])
+    def test_every_command_parses(self, command):
+        args = cli._build_parser().parse_args([command, "--out", "o", "--w-p", "0.5"])
+        assert (args.command, args.out, getattr(args, "crf.w_p")) == (command, "o", 0.5)
+
+    @pytest.mark.parametrize("argv", [["fit", "--out", "o"],
+                                      ["segment", "--out", "o", "--manifest", "m.json"]])
+    def test_manifest_with_fit_only(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--manifest" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -561,6 +616,16 @@ class TestFitCommand:
         assert len(doc["curve"]) == 4
         assert doc["stop"] == "budget"
         assert doc["params"]["theta1"] > 0
+
+    def test_fit_echoes_its_config(self, fast_run, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"runs": [str(fast_run)]}))
+        assert cli.main(["fit", "--out", str(tmp_path / "fit"), "--manifest", str(manifest),
+                         "--epochs", "1"] + FAST) == 0
+        echo = json.loads((tmp_path / "fit" / "config.echo.json").read_text())
+        assert echo == cli.load_config(overrides={
+            "fit.epochs": 1, "quad.recursion": 3, "patches.column_len": 16,
+            "patches.column_res_mm": 1.25, "patches.pad": 2, "crf.window_radius": 2})
 
     def test_external_unary_mode_rejected(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

@@ -164,10 +164,10 @@ class TestRemesh:
 
     def test_quadmesh_serialization_round_trip(self, ico_map, tmp_path):
         qm = sc.remesh(ico_map.mesh, ico_map, sc.build_quadsphere(2))
-        sc.save_quadmesh(qm, tmp_path / "q.mesh", tmp_path / "q.npz")
-        back = sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+        sc.save_quadmesh(qm, tmp_path / "q.npz")
+        back = sc.load_quadmesh(tmp_path / "q.npz")
         assert back.sphere is qm.sphere
-        assert np.allclose(back.positions, qm.positions, atol=1e-12)
+        assert np.array_equal(back.positions, qm.positions)
         assert np.array_equal(back.bary_face, qm.bary_face)
         assert np.array_equal(back.bary, qm.bary)
         assert np.array_equal(back.normals, qm.normals)
@@ -177,7 +177,7 @@ class TestQuadSidecarErrors:
     @pytest.fixture
     def saved(self, ico_map, tmp_path):
         qm = sc.remesh(ico_map.mesh, ico_map, sc.build_quadsphere(2))
-        sc.save_quadmesh(qm, tmp_path / "q.mesh", tmp_path / "q.npz")
+        sc.save_quadmesh(qm, tmp_path / "q.npz")
         arrays = dict(np.load(tmp_path / "q.npz"))
         return tmp_path, arrays
 
@@ -185,18 +185,19 @@ class TestQuadSidecarErrors:
         tmp_path, _ = saved
         os.remove(tmp_path / "q.npz")
         with pytest.raises(FileNotFoundError, match=r"q\.npz"):
-            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+            sc.load_quadmesh(tmp_path / "q.npz")
 
-    @pytest.mark.parametrize("field", ["level", "bary_face", "bary", "normals"])
+    @pytest.mark.parametrize("field", ["level", "positions", "bary_face", "bary", "normals"])
     def test_missing_array_names_file_and_field(self, saved, field):
         tmp_path, arrays = saved
         del arrays[field]
         save_arrays(tmp_path / "q.npz", **arrays)
         with pytest.raises(ValueError, match=rf"q\.npz: missing array '{field}'"):
-            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+            sc.load_quadmesh(tmp_path / "q.npz")
 
     @pytest.mark.parametrize("field, bad", [
         ("level", lambda a: a.reshape(1)),
+        ("positions", lambda a: a[:-1]),
         ("bary_face", lambda a: a[:-1]),
         ("bary", lambda a: a.astype(np.float32)),
         ("normals", lambda a: a[:, :2]),
@@ -206,28 +207,17 @@ class TestQuadSidecarErrors:
         arrays[field] = bad(arrays[field])
         save_arrays(tmp_path / "q.npz", **arrays)
         with pytest.raises(ValueError, match=rf"q\.npz: '{field}' has shape"):
-            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+            sc.load_quadmesh(tmp_path / "q.npz")
 
-    def test_edited_face_record_names_file_and_record(self, saved):
-        tmp_path, _ = saved
-        text = (tmp_path / "q.mesh").read_text()
-        first = next(line for line in text.splitlines() if line.startswith("f "))
-        a, b, *rest = first.split()[1:]
-        swapped = " ".join(["f", b, a, *rest])
-        (tmp_path / "q.mesh").write_text(text.replace(first + "\n", swapped + "\n", 1))
-        with pytest.raises(sc.MeshError,
-                           match=rf"q\.mesh: face record 1 is '{swapped}', level 2 implies '{first}'"):
-            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
-
-    def test_missing_face_record_names_file(self, saved):
-        tmp_path, _ = saved
-        lines = (tmp_path / "q.mesh").read_text().splitlines(keepends=True)
-        (tmp_path / "q.mesh").write_text("".join(lines[:-1]))
-        with pytest.raises(sc.MeshError, match=r"q\.mesh: quad mesh has 95 faces, level 2 implies 96"):
-            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+    def test_non_finite_positions_named(self, saved):
+        tmp_path, arrays = saved
+        arrays["positions"][5, 1] = np.nan
+        save_arrays(tmp_path / "q.npz", **arrays)
+        with pytest.raises(ValueError, match=r"q\.npz: 'positions' must be finite"):
+            sc.load_quadmesh(tmp_path / "q.npz")
 
     @pytest.mark.parametrize("level, message", [
-        (12, r"q\.mesh: quad mesh has 98 vertices, level 12 implies 100663298"),
+        (12, r"q\.npz: 'positions' has shape \(98, 3\) .* expected \(100663298, 3\)"),
         (-1, r"q\.npz: 'level' must be >= 0, got -1"),
     ])
     def test_level_checked_before_the_cube_sphere_is_built(self, saved, monkeypatch,
@@ -241,10 +231,10 @@ class TestQuadSidecarErrors:
             raise AssertionError(f"built the level-{level} cube sphere")
         monkeypatch.setattr(quadsphere, "build_quadsphere", no_build)
         with pytest.raises(ValueError, match=message):
-            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+            sc.load_quadmesh(tmp_path / "q.npz")
 
     def test_text_file_is_not_an_archive(self, saved):
         tmp_path, _ = saved
         (tmp_path / "q.npz").write_text('{"level": 2}')
         with pytest.raises(ValueError, match=r"q\.npz: not an \.npz archive"):
-            sc.load_quadmesh(tmp_path / "q.mesh", tmp_path / "q.npz")
+            sc.load_quadmesh(tmp_path / "q.npz")
