@@ -17,31 +17,21 @@ import numpy as np
 
 from . import crf as crfmod
 from . import train as trainmod
-from .mesh import (SphereMap, TriMesh, harmonic_sphere_map, load_mesh, load_quad_mesh_records,
-                   save_mesh, save_quad_mesh_records, taubin_smooth)
+from .mesh import (MeshError, SphereMap, TriMesh, harmonic_sphere_map, load_mesh,
+                   load_quad_mesh_records, save_mesh, save_quad_mesh_records, taubin_smooth)
 from .metrics import compare_surfaces
 from .patches import (GroundTruth, ground_truth, labeling_to_world, load_face_grids, load_patchset,
                       sample_columns, save_face_grids, save_patchset)
-from .quadsphere import build_quadsphere, load_quadmesh, remesh, save_quadmesh
+from .quadsphere import (build_quadsphere, checked_array, load_arrays, load_quadmesh, remesh,
+                         save_arrays, save_quadmesh)
 from .volume import PhantomSpec, load_svol, make_phantom, phantom_label_volume, save_svol
 
 
 DEFAULT_CONFIG = {
     "seed": 0,
-    "phantom": {
-        "kind": "ellipsoid",
-        "semi_axes_mm": [25.0, 22.0, 25.0],
-        "radius_mm": 24.0,
-        "bump_amplitude_mm": 2.0,
-        "bump_freq": 3.0,
-        "inside_value": 1.0,
-        "outside_value": 0.0,
-        "noise_sigma": 0.3,
-        "blur_sigma_mm": 1.0,
-        "dims": [64, 64, 64],
-        "spacing": [1.0, 1.0, 1.0],
-        "mesh_subdivisions": 3,
-    },
+    "phantom": {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(PhantomSpec(noise_sigma=0.3, blur_sigma_mm=1.0,
+                                               mesh_subdivisions=3)).items() if k != "seed"},
     "preseg": {
         "smooth_iterations": 10,
         "smooth_lambda": 0.5,
@@ -326,10 +316,14 @@ def cmd_presegment(cfg, outdir):
 def cmd_spheremap(cfg, outdir):
     with _Step("spheremap", outdir, cfg) as step:
         s = cfg["spheremap"]
-        pre = load_mesh(step.input(os.path.join(outdir, "preseg.mesh")))
-        smap = harmonic_sphere_map(pre, tol=s["tol"], max_iters=s["max_iters"],
-                                   damping=s["damping"])
-        save_mesh(TriMesh(vertices=smap.positions, faces=pre.faces), step.path("sphere.mesh"))
+        pre_path = step.input(os.path.join(outdir, "preseg.mesh"))
+        pre = load_mesh(pre_path)
+        try:
+            smap = harmonic_sphere_map(pre, tol=s["tol"], max_iters=s["max_iters"],
+                                       damping=s["damping"])
+        except MeshError as exc:
+            raise CliError(f"{pre_path}: {exc}") from None
+        save_arrays(step.path("sphere.npz"), positions=smap.positions)
         with open(step.path("spheremap.report.json"), "w") as fh:
             json.dump({"iterations": smap.iterations, "converged": smap.converged,
                        "clamped_weights": smap.clamped_weights,
@@ -339,14 +333,12 @@ def cmd_spheremap(cfg, outdir):
 def cmd_remesh(cfg, outdir):
     with _Step("remesh", outdir, cfg) as step:
         pre = load_mesh(step.input(os.path.join(outdir, "preseg.mesh")))
-        sphere_path = step.input(os.path.join(outdir, "sphere.mesh"))
-        sphere = load_mesh(sphere_path)
-        if len(sphere.vertices) != len(pre.vertices):
-            raise CliError(f"{sphere_path}: {len(sphere.vertices)} vertices, preseg.mesh "
-                           f"has {len(pre.vertices)}")
-        if not np.array_equal(sphere.faces, pre.faces):
-            raise CliError(f"{sphere_path}: face records differ from preseg.mesh's")
-        smap = SphereMap(mesh=pre, positions=sphere.vertices)
+        sphere_path = step.input(os.path.join(outdir, "sphere.npz"))
+        positions = checked_array(load_arrays(sphere_path), sphere_path, "positions",
+                                  (len(pre.vertices), 3), np.float64)
+        if not np.isfinite(positions).all():
+            raise CliError(f"{sphere_path}: 'positions' must be finite")
+        smap = SphereMap(mesh=pre, positions=positions)
         qs = build_quadsphere(cfg["quad"]["recursion"])
         qm = remesh(pre, smap, qs)
         save_quadmesh(qm, step.path("quad.npz"))
@@ -417,10 +409,12 @@ def cmd_metrics(cfg, outdir):
         pred_verts, pred_faces = load_quad_mesh_records(
             step.input(os.path.join(outdir, "pred.mesh")))
         truth = load_mesh(step.input(os.path.join(outdir, "truth.mesh")))
-        labels = load_svol(step.input(os.path.join(outdir, "labels.svol")))
-        template = load_svol(step.input(os.path.join(outdir, "volume.svol")))
+        labels_path = step.input(os.path.join(outdir, "labels.svol"))
+        labels = load_svol(labels_path)
+        if not np.isin(labels.data, (0.0, 1.0)).all():
+            raise CliError(f"{labels_path}: not a binary label volume")
         rep = compare_surfaces(pred_verts, pred_faces, truth.vertices, truth.faces,
-                               template, labels=labels)
+                               labels, labels=labels)
         with open(step.path("metrics.json"), "w") as fh:
             fh.write(rep.to_json())
 

@@ -3,9 +3,8 @@ intensity feature variants), parameterized label compatibility, convolutional
 mean-field inference, energy evaluation, and MAP extraction."""
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 import functools
-import json
 import math
 from typing import NamedTuple
 
@@ -90,17 +89,6 @@ class CrfParams:
         if self.kernel_variant not in ("probability", "intensity"):
             raise ValueError(f"kernel_variant must be 'probability' or 'intensity', "
                              f"got {self.kernel_variant!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CrfParams":
-        raw = json.loads(text)
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown CrfParams keys: {sorted(unknown)}")
-        return cls(**raw)
 
 
 def prostate_params(**overrides) -> CrfParams:

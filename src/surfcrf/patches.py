@@ -234,7 +234,6 @@ def save_patchset(ps: PatchSet, dirpath) -> None:
         "z_len": ps.z_len,
         "delta": ps.delta,
         "pad": ps.pad,
-        "center_index": ps.center_index,
     }
     with open(os.path.join(dirpath, "patchset.json"), "w") as fh:
         json.dump(doc, fh)
@@ -243,10 +242,13 @@ def save_patchset(ps: PatchSet, dirpath) -> None:
 
 
 def _load_patchset_doc(path) -> dict:
-    """The scalars of patchset.json, each present and consistent."""
+    """The scalars of patchset.json, each present and in range."""
     with open(path) as fh:
-        doc = json.load(fh)
-    for key in ("level", "z_len", "delta", "pad", "center_index"):
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    for key in ("level", "z_len", "delta", "pad"):
         if key not in doc:
             raise ValueError(f"{path}: missing field {key!r}")
     for key in ("level", "pad", "z_len"):
@@ -260,9 +262,6 @@ def _load_patchset_doc(path) -> dict:
                          f"n = 2**level = {2 ** doc['level']}")
     if doc["z_len"] < 2:
         raise ValueError(f"{path}: 'z_len' must be >= 2, got {doc['z_len']}")
-    if doc["center_index"] != doc["z_len"] // 2:
-        raise ValueError(f"{path}: 'center_index' is {doc['center_index']!r}, "
-                         f"expected z_len // 2 = {doc['z_len'] // 2}")
     return doc
 
 

@@ -32,7 +32,7 @@ class TestPipeline:
     def test_emits_all_artifacts(self, tmp_path):
         out = run_pipeline(tmp_path / "run")
         for name in ("volume.svol", "labels.svol", "truth.mesh", "preseg.mesh",
-                     "sphere.mesh", "quad.npz", "patches",
+                     "sphere.npz", "quad.npz", "patches",
                      "pred.mesh", "labeling.json", "metrics.json",
                      "config.echo.json", "ground_truth.json"):
             assert (out / name).exists(), name
@@ -74,10 +74,10 @@ class TestPipeline:
         assert inputs("phantom") == []
         assert inputs("presegment") == ["truth.mesh"]
         assert inputs("spheremap") == ["preseg.mesh"]
-        assert inputs("remesh") == ["preseg.mesh", "sphere.mesh"]
+        assert inputs("remesh") == ["preseg.mesh", "sphere.npz"]
         assert inputs("patches") == ["volume.svol", "quad.npz", "truth.mesh"]
         assert inputs("unary") == inputs("segment") == ["patches"]
-        assert inputs("metrics") == ["pred.mesh", "truth.mesh", "labels.svol", "volume.svol"]
+        assert inputs("metrics") == ["pred.mesh", "truth.mesh", "labels.svol"]
 
         ps = sc.load_patchset(out / "patches")
         dims = (*ps.graph.shape[1:], ps.z_len)
@@ -140,24 +140,64 @@ class TestPipeline:
         assert rc == 0
         assert (out / "metrics.json").read_bytes() == first
 
-    @pytest.mark.parametrize("edit, message", [
-        pytest.param(lambda pre: sc.icosphere(2), "162 vertices, preseg.mesh has 642",
-                     id="icosphere2"),
-        pytest.param(lambda pre: sc.icosphere(4), "2562 vertices, preseg.mesh has 642",
-                     id="icosphere4"),
-        pytest.param(lambda pre: sc.TriMesh(vertices=pre.vertices, faces=np.vstack(
-                         [pre.faces[:1, [1, 0, 2]], pre.faces[1:]])),
-                     "face records differ from preseg.mesh's", id="reordered-face"),
-    ])
-    def test_remesh_rejects_sphere_map_of_another_mesh(self, fast_run, tmp_path, edit, message):
-        # remesh reads its topology from preseg.mesh and its positions from
-        # sphere.mesh: a sphere map of another mesh failed with an unnamed
-        # IndexError or was remeshed from the wrong positions
+    def test_metrics_read_the_grid_of_labels_svol(self, fast_run, tmp_path):
+        # metrics.json from labels.svol's grid equals the one from volume.svol's
         out = shutil.copytree(fast_run, tmp_path / "run")
-        sc.save_mesh(edit(sc.load_mesh(out / "preseg.mesh")), out / "sphere.mesh")
-        cfg = cli.load_config(overrides={"quad.recursion": 3})
-        with pytest.raises(cli.CliError, match=re.escape(f"{out / 'sphere.mesh'}: {message}")):
-            cli.cmd_remesh(cfg, str(out))
+        os.remove(out / "volume.svol")
+        assert cli.main(["metrics", "--out", str(out)] + FAST) == 0
+        assert (out / "metrics.json").read_bytes() == (fast_run / "metrics.json").read_bytes()
+
+    def test_non_binary_labels_named(self, fast_run, tmp_path, capsys):
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        labels = sc.load_svol(out / "labels.svol")
+        labels.data[0, 0, 0] = 0.5
+        sc.save_svol(labels, out / "labels.svol")
+        assert cli.main(["metrics", "--out", str(out)] + FAST) == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"] == f"{out / 'labels.svol'}: not a binary label volume"
+
+    def test_open_preseg_mesh_named(self, fast_run, tmp_path, capsys):
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        pre = sc.load_mesh(out / "preseg.mesh")
+        sc.save_mesh(sc.TriMesh(vertices=pre.vertices, faces=pre.faces[1:]), out / "preseg.mesh")
+        assert cli.main(["spheremap", "--out", str(out)] + FAST) == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"].startswith(f"{out / 'preseg.mesh'}: harmonic_sphere_map requires "
+                                         f"a closed genus-0 mesh")
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda pos: sc.icosphere(2).vertices,
+                     "'positions' has shape (162, 3) and dtype float64, expected (642, 3)",
+                     id="icosphere2"),
+        pytest.param(lambda pos: sc.icosphere(4).vertices,
+                     "'positions' has shape (2562, 3) and dtype float64, expected (642, 3)",
+                     id="icosphere4"),
+        pytest.param(lambda pos: np.where(np.arange(len(pos))[:, None] == 7, np.nan, pos),
+                     "'positions' must be finite", id="non-finite"),
+    ])
+    def test_remesh_rejects_sphere_map_of_another_mesh(self, fast_run, tmp_path, capsys, edit,
+                                                       message):
+        # remesh reads its topology from preseg.mesh and its positions from
+        # sphere.npz: a sphere map of another mesh failed with an unnamed
+        # IndexError or was remeshed from the wrong positions; NaN positions
+        # would reach quad.npz
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        np.savez(out / "sphere.npz", positions=edit(np.load(out / "sphere.npz")["positions"]))
+        assert cli.main(["remesh", "--out", str(out)] + FAST) == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"].startswith(f"{out / 'sphere.npz'}: {message}")
+
+    @pytest.mark.parametrize("command", ["unary", "segment", "fit"])
+    def test_invalid_patchset_json_named(self, fast_run, tmp_path, capsys, command):
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        (out / "patches" / "patchset.json").write_text("{level: 3}")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"runs": [str(out)]}))
+        extra = ["--manifest", str(manifest), "--epochs", "1"] if command == "fit" else []
+        dest = tmp_path / "fit" if command == "fit" else out
+        assert cli.main([command, "--out", str(dest)] + extra + FAST) == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"].startswith(f"{out / 'patches' / 'patchset.json'}: not valid JSON")
 
 
 class TestSegmentIdentity:

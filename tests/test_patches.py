@@ -346,7 +346,16 @@ class TestPatchSetIO:
     def test_json_holds_scalars_only(self, saved):
         _, path = saved
         doc = json.loads((path / "patchset.json").read_text())
-        assert sorted(doc) == ["center_index", "delta", "level", "pad", "z_len"]
+        assert sorted(doc) == ["delta", "level", "pad", "z_len"]
+
+    def test_loads_with_a_stored_center_index(self, saved):
+        # patchset.json files of earlier versions also stored z_len // 2
+        ps, path = saved
+        doc = json.loads((path / "patchset.json").read_text())
+        (path / "patchset.json").write_text(json.dumps({**doc, "center_index": ps.z_len // 2}))
+        back = sc.load_patchset(path)
+        assert back.center_index == ps.center_index
+        assert np.array_equal(back.samples, ps.samples)
 
     def test_missing_sidecar_names_file(self, saved):
         _, path = saved
@@ -397,7 +406,7 @@ class TestPatchSetIO:
                            match=r"geometry\.npz: 'positions' has shape \(98, 3\).*\(100663298, 3\)"):
             sc.load_patchset(path)
 
-    @pytest.mark.parametrize("field", ["level", "z_len", "delta", "pad", "center_index"])
+    @pytest.mark.parametrize("field", ["level", "z_len", "delta", "pad"])
     def test_missing_scalar_names_file_and_field(self, saved, field):
         _, path = saved
         doc = json.loads((path / "patchset.json").read_text())
@@ -418,8 +427,7 @@ class TestPatchSetIO:
         ({"delta": float("inf")}, r"'delta' must be finite and > 0, got inf"),
         ({"delta": "0.5"}, r"'delta' must be finite and > 0, got '0\.5'"),
         ({"pad": 5}, r"'pad' 5 exceeds the face grid size n = 2\*\*level = 4"),
-        ({"z_len": 1, "center_index": 0}, r"'z_len' must be >= 2, got 1"),
-        ({"center_index": 3}, r"'center_index' is 3, expected z_len // 2 = 4"),
+        ({"z_len": 1}, r"'z_len' must be >= 2, got 1"),
     ])
     def test_bad_scalar_names_file_and_field(self, saved, edit, message):
         # a negative delta would load and mirror every column about its centre
