@@ -8,10 +8,13 @@ the window offsets.  Mean field runs on the vertex operator of
 crf.compute_kernel, whose weights come from the owner features of each
 vertex pair, so it is symmetric for every unary; the slot-grid CRF kernels
 (pairwise_weights and the window kernels) remain as its reference in the
-tests and as benchmark probe targets.  Kernels that would build a
-(rays x faces) or (points x faces) array at once work in chunks of rays or
-points, so their transient memory stays bounded.  The tests compare every
-kernel with a scalar-loop reference.
+tests and as benchmark probe targets.  The per-point geometry kernels work
+in blocks, so their transient memory stays bounded whatever the input size:
+ray casting takes _RAY_CHUNK = 64 rays per (rays x faces) block, point
+location _LOCATE_CHUNK = 256 points per (points x faces) prefilter block,
+and trilinear sampling _GATHER_CHUNK = 2**14 points per block, whose thirty
+or so temporaries then take about 4 MiB, written into one output array.  The
+tests compare every kernel with a scalar-loop reference.
 """
 from __future__ import annotations
 
@@ -19,8 +22,9 @@ import numpy as np
 
 BACKEND = "numpy"
 
-_LOCATE_CHUNK = 256  # query points per centroid prefilter block
-_RAY_CHUNK = 64      # rays per (rays x faces) block
+_LOCATE_CHUNK = 256      # query points per centroid prefilter block
+_RAY_CHUNK = 64          # rays per (rays x faces) block
+_GATHER_CHUNK = 2 ** 14  # points per trilinear interpolation block
 
 
 # ---------------------------------------------------------------------------
@@ -32,45 +36,40 @@ def trilinear_gather(data, origin, spacing, pts):
 
     Continuous coordinates are clamped to the voxel-center lattice, so points
     outside the volume take the nearest border value.  The eight corners are
-    read with flat takes at (i*Y + j)*Z + k.
+    read with flat takes at (i*Y + j)*Z + k.  Points are interpolated in
+    blocks of _GATHER_CHUNK into one output array, so the temporaries of a
+    block stay small whatever the point count.
     """
     data = np.asarray(data, dtype=np.float64)
     X, Y, Z = data.shape
     flat = data.ravel()
-    u = (pts[:, 0] - origin[0]) / spacing[0]
-    v = (pts[:, 1] - origin[1]) / spacing[1]
-    w = (pts[:, 2] - origin[2]) / spacing[2]
-    u = np.clip(u, 0.0, X - 1.0)
-    v = np.clip(v, 0.0, Y - 1.0)
-    w = np.clip(w, 0.0, Z - 1.0)
-    i0 = np.minimum(u.astype(np.int64), max(X - 2, 0))
-    j0 = np.minimum(v.astype(np.int64), max(Y - 2, 0))
-    k0 = np.minimum(w.astype(np.int64), max(Z - 2, 0))
-    i1 = np.minimum(i0 + 1, X - 1)
-    j1 = np.minimum(j0 + 1, Y - 1)
-    k1 = np.minimum(k0 + 1, Z - 1)
-    fu = u - i0
-    fv = v - j0
-    fw = w - k0
-    r00 = (i0 * Y + j0) * Z
-    r10 = (i1 * Y + j0) * Z
-    r01 = (i0 * Y + j1) * Z
-    r11 = (i1 * Y + j1) * Z
-    c000 = flat.take(r00 + k0)
-    c100 = flat.take(r10 + k0)
-    c010 = flat.take(r01 + k0)
-    c110 = flat.take(r11 + k0)
-    c001 = flat.take(r00 + k1)
-    c101 = flat.take(r10 + k1)
-    c011 = flat.take(r01 + k1)
-    c111 = flat.take(r11 + k1)
-    c00 = c000 * (1 - fu) + c100 * fu
-    c10 = c010 * (1 - fu) + c110 * fu
-    c01 = c001 * (1 - fu) + c101 * fu
-    c11 = c011 * (1 - fu) + c111 * fu
-    c0 = c00 * (1 - fv) + c10 * fv
-    c1 = c01 * (1 - fv) + c11 * fv
-    return c0 * (1 - fw) + c1 * fw
+    out = np.empty(pts.shape[0], dtype=np.float64)
+    for lo in range(0, pts.shape[0], _GATHER_CHUNK):
+        block = pts[lo:lo + _GATHER_CHUNK]
+        u = np.clip((block[:, 0] - origin[0]) / spacing[0], 0.0, X - 1.0)
+        v = np.clip((block[:, 1] - origin[1]) / spacing[1], 0.0, Y - 1.0)
+        w = np.clip((block[:, 2] - origin[2]) / spacing[2], 0.0, Z - 1.0)
+        i0 = np.minimum(u.astype(np.int64), max(X - 2, 0))
+        j0 = np.minimum(v.astype(np.int64), max(Y - 2, 0))
+        k0 = np.minimum(w.astype(np.int64), max(Z - 2, 0))
+        i1 = np.minimum(i0 + 1, X - 1)
+        j1 = np.minimum(j0 + 1, Y - 1)
+        k1 = np.minimum(k0 + 1, Z - 1)
+        fu = u - i0
+        fv = v - j0
+        fw = w - k0
+        r00 = (i0 * Y + j0) * Z
+        r10 = (i1 * Y + j0) * Z
+        r01 = (i0 * Y + j1) * Z
+        r11 = (i1 * Y + j1) * Z
+        c00 = flat.take(r00 + k0) * (1 - fu) + flat.take(r10 + k0) * fu
+        c10 = flat.take(r01 + k0) * (1 - fu) + flat.take(r11 + k0) * fu
+        c01 = flat.take(r00 + k1) * (1 - fu) + flat.take(r10 + k1) * fu
+        c11 = flat.take(r01 + k1) * (1 - fu) + flat.take(r11 + k1) * fu
+        c0 = c00 * (1 - fv) + c10 * fv
+        c1 = c01 * (1 - fv) + c11 * fv
+        out[lo:lo + _GATHER_CHUNK] = c0 * (1 - fw) + c1 * fw
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -179,15 +179,20 @@ def pair_edges(graph: ColumnGraph, offsets: np.ndarray) -> PairEdges:
     pair = rows * nv + cols
     key = pair * stride + d2[ks]
     order = np.argsort(key * K + ks)  # by (i, j), then (d2, k)
+    pair = pair[order]
     first = np.ones(order.size, dtype=bool)
-    first[1:] = pair[order[1:]] != pair[order[:-1]]
+    first[1:] = pair[1:] != pair[:-1]
+    del pair  # drop each (records,) intermediate at its last use, to lower the peak
     kept = order[first]  # one record per (i, j), in (i, j) order
+    del order, first
     kept_key = key[kept]
+    del key
     mirror_key = (cols[kept] * nv + rows[kept]) * stride + d2[ks[kept]]
     loc = np.searchsorted(kept_key, mirror_key)
     found = loc < kept.size
     found[found] = kept_key[loc[found]] == mirror_key[found]
-    keep = np.zeros(order.size, dtype=bool)
+    del kept_key, mirror_key
+    keep = np.zeros(rows.size, dtype=bool)
     keep[kept[found]] = True
     at = np.cumsum(keep) - 1  # CSR position of each kept record
     upper = found & (rows[kept] < cols[kept])

@@ -15,7 +15,8 @@ from .volume import Volume
 # fixed sub-voxel-scale irrational shift so axis rays never hit mesh edges or
 # vertices exactly (symmetric phantoms put icosphere poles on voxel columns)
 _JITTER = np.array([1.2345678901e-7, 2.3456789012e-7, 0.0])
-_KD_LEAFSIZE = 64  # points per KD leaf in the surface-distance trees
+_KD_LEAFSIZE = 64          # points per KD leaf in the surface-distance trees
+_KD_QUERY_CHUNK = 2 ** 16  # query points per surface-distance query block
 
 
 @dataclass
@@ -115,11 +116,16 @@ def sample_surface(vertices: np.ndarray, faces: np.ndarray, max_edge: float) -> 
     while big.any():
         depth[big] += 1
         big &= np.ldexp(longest, -depth) > max_edge
-    out = [verts]
+    out = np.empty((len(verts) + int((4 ** depth).sum()), 3))
+    out[:len(verts)] = verts
+    at = len(verts)
     for k in np.unique(depth):
-        out.append(np.einsum("sw,fwc->fsc", _centroid_lattice(int(k)),
-                             corners[depth == k]).reshape(-1, 3))
-    return np.concatenate(out)
+        lattice = _centroid_lattice(int(k))
+        leaf = corners[depth == k]
+        n = len(leaf) * len(lattice)
+        np.einsum("sw,fwc->fsc", lattice, leaf, out=out[at:at + n].reshape(len(leaf), -1, 3))
+        at += n
+    return out
 
 
 def _bidirectional_distances(s1: np.ndarray, s2: np.ndarray):
@@ -128,9 +134,11 @@ def _bidirectional_distances(s1: np.ndarray, s2: np.ndarray):
 
     Each set is queried in the leaf order of its own tree, so consecutive
     queries are spatial neighbours and walk the other tree along the same
-    paths; the distances are scattered back to the input order.  Leaves of
-    _KD_LEAFSIZE points cut the tree depth, which the dense surface samples
-    gain more from than they lose to longer leaf scans."""
+    paths; the distances are scattered back to the input order.  The leaf
+    order is walked in blocks of _KD_QUERY_CHUNK points, so no copy of a
+    whole set is made.  Leaves of _KD_LEAFSIZE points cut the tree depth,
+    which the dense surface samples gain more from than they lose to longer
+    leaf scans."""
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
     if s1.size == 0 or s2.size == 0:
@@ -139,8 +147,10 @@ def _bidirectional_distances(s1: np.ndarray, s2: np.ndarray):
     t2 = cKDTree(s2, leafsize=_KD_LEAFSIZE, balanced_tree=False, compact_nodes=False)
     d12 = np.empty(len(s1))
     d21 = np.empty(len(s2))
-    d12[t1.indices], _ = t2.query(s1[t1.indices], workers=-1)
-    d21[t2.indices], _ = t1.query(s2[t2.indices], workers=-1)
+    for pts, own, other, dist in ((s1, t1, t2, d12), (s2, t2, t1, d21)):
+        for lo in range(0, len(pts), _KD_QUERY_CHUNK):
+            ids = own.indices[lo:lo + _KD_QUERY_CHUNK]
+            dist[ids] = other.query(pts[ids], workers=-1)[0]
     return d12, d21
 
 

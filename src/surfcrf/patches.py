@@ -248,6 +248,8 @@ def _load_patchset_doc(path) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object, got {doc!r}")
     for key in ("level", "z_len", "delta", "pad"):
         if key not in doc:
             raise ValueError(f"{path}: missing field {key!r}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,19 @@ def make_pipeline_inputs(seed=0, recursion=4, z_len=32, delta=1.0, pad=3,
     gt = sc.ground_truth(qm, truth, z_len, delta)
     return dict(spec=spec, vol=vol, truth=truth, labels=labels, pre=pre,
                 smap=smap, qm=qm, ps=ps, gt=gt)
+
+
+def traced_peak_mib(fn, *args):
+    """(fn(*args), the peak of the memory traced while it ran, in MiB).
+    numpy reports its buffers to tracemalloc, so the peak counts every
+    array fn allocates, its result included."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2 ** 20
 
 
 def owned_mask(graph):

@@ -15,6 +15,8 @@ from surfcrf.crf import window_offsets
 from surfcrf.metrics import _JITTER
 from surfcrf.quadsphere import _location_tables
 
+from conftest import traced_peak_mib
+
 
 # ---------------------------------------------------------------------------
 # scalar reference loops
@@ -219,6 +221,27 @@ class TestScalarOracles:
         a = accel.trilinear_gather(data, origin, spacing, pts)
         b = ref_trilinear_gather(data, origin, spacing, pts)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 50])
+    def test_trilinear_across_blocks(self, monkeypatch, n):
+        monkeypatch.setattr(accel, "_GATHER_CHUNK", 7)
+        rng = np.random.default_rng(n)
+        data = rng.random((12, 10, 9))
+        pts = rng.uniform(-4, 14, size=(n, 3))
+        origin = np.asarray([0.5, -1.0, 2.0])
+        spacing = np.asarray([1.0, 0.8, 1.2])
+        a = accel.trilinear_gather(data, origin, spacing, pts)
+        assert np.array_equal(a, ref_trilinear_gather(data, origin, spacing, pts))
+
+    def test_trilinear_memory_bounded(self):
+        # the column points of the default r=5 case: 6146 vertices x 48
+        # samples in a 64^3 volume; interpolating them all in one block
+        # traces about 74 MiB
+        rng = np.random.default_rng(0)
+        data = rng.random((64, 64, 64), dtype=np.float32)
+        pts = rng.uniform(-2.0, 66.0, size=(6146 * 48, 3))
+        _, peak = traced_peak_mib(accel.trilinear_gather, data, np.zeros(3), np.ones(3), pts)
+        assert peak < 20.0
 
     def test_locate(self, rng):
         smap = sc.harmonic_sphere_map(sc.icosphere(2))

@@ -10,7 +10,7 @@ from scipy import sparse
 from surfcrf.crf import LOGIT_CLAMP, softmax, window_offsets, window_pair_mask
 from surfcrf.patches import build_column_graph, make_toy_graph
 
-from conftest import owned_mask, slot_kernel
+from conftest import owned_mask, slot_kernel, traced_peak_mib
 
 
 def toy_unary(height, width, z_len, seed=0, sigma=1.5, patches=1):
@@ -417,6 +417,15 @@ class TestPairEdges:
     def test_mirrors_on_toy_graphs(self, shape):
         patches, height, width = shape
         self.assert_mirrors(make_toy_graph(height, width, patches))
+
+    def test_memory_bounded(self):
+        # the default r=5, pad 3 graph at radius 4: 486,828 window records;
+        # holding every sort and mirror intermediate to the end traces about
+        # 52 MiB
+        graph = build_column_graph(sc.build_quadsphere(5), 3)
+        edges, peak = traced_peak_mib(sc.crf.pair_edges, graph, window_offsets(4))
+        assert edges.cols.size > 480_000
+        assert peak < 42.0
 
 
 class TestMessagePass:

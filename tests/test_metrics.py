@@ -5,9 +5,10 @@ from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 import surfcrf as sc
-from surfcrf.metrics import _as_triangles, _bidirectional_distances
+from surfcrf import metrics
+from surfcrf.metrics import _as_triangles, _bidirectional_distances, _centroid_lattice
 
-from conftest import cube_mesh, stretched_noisy_icosphere
+from conftest import cube_mesh, stretched_noisy_icosphere, traced_peak_mib
 
 
 def ref_sample_surface(vertices, faces, max_edge):
@@ -250,6 +251,19 @@ class TestSamplerOracle:
         assert np.array_equal(got[:len(verts)], verts)
         assert np.abs(sorted_rows(got) - sorted_rows(want)).max() <= 1e-12
 
+    @pytest.mark.parametrize("verts,faces,max_edge", SAMPLER_CASES)
+    def test_equals_concatenated_depth_blocks(self, verts, faces, max_edge):
+        # the samples as a concatenation of the vertices and one lattice
+        # block per subdivision depth, in increasing depth
+        corners = np.asarray(verts, dtype=np.float64)[_as_triangles(faces)]
+        longest = np.linalg.norm(corners - corners[:, (1, 2, 0)], axis=2).max(axis=1)
+        depth = np.array([next(k for k in range(64) if np.ldexp(e, -k) <= max_edge)
+                          for e in longest], dtype=np.int64)
+        want = np.concatenate([verts] + [
+            np.einsum("sw,fwc->fsc", _centroid_lattice(int(k)), corners[depth == k]).reshape(-1, 3)
+            for k in np.unique(depth)])
+        assert np.array_equal(sc.sample_surface(verts, faces, max_edge), want)
+
 
 class TestBidirectionalDistances:
     @pytest.mark.parametrize("seed", range(12))
@@ -267,6 +281,27 @@ class TestBidirectionalDistances:
         d12, d21 = _bidirectional_distances(s1, s2)
         assert np.array_equal(d12, cKDTree(s2).query(s1)[0])
         assert np.array_equal(d21, cKDTree(s1).query(s2)[0])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_to_plain_kd_queries_across_blocks(self, monkeypatch, seed):
+        monkeypatch.setattr(metrics, "_KD_QUERY_CHUNK", 7)
+        rng = np.random.default_rng(seed)
+        s1 = rng.normal(size=(50 + 30 * seed, 3))
+        s2 = np.round(rng.normal(size=(64, 3)) * 3.0)  # ties between lattice points
+        d12, d21 = _bidirectional_distances(s1, s2)
+        assert np.array_equal(d12, cKDTree(s2).query(s1)[0])
+        assert np.array_equal(d21, cKDTree(s1).query(s2)[0])
+
+    def test_memory_bounded(self):
+        # the sample counts of the seed-0 default case (prediction, truth);
+        # querying all of each set at once traces about 24 MiB
+        rng = np.random.default_rng(0)
+        s1, s2 = (r * v / np.linalg.norm(v, axis=1)[:, None] + 32.0
+                  for r, v in ((22.0, rng.normal(size=(407_330, 3))),
+                               (23.0, rng.normal(size=(136_322, 3)))))
+        (d12, d21), peak = traced_peak_mib(_bidirectional_distances, s1, s2)
+        assert d12.shape == (407_330,) and d21.shape == (136_322,)
+        assert peak < 16.0
 
     def test_hd_and_asd_use_the_same_distances(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from surfcrf import accel, patches
 from surfcrf.patches import build_column_graph
 from surfcrf.quadsphere import padded_gid_grids, save_arrays
 
-from conftest import owned_mask
+from conftest import owned_mask, traced_peak_mib
 
 
 def synthetic_quadmesh(level=2, radius=10.0, center=(16.0, 16.0, 16.0)):
@@ -212,6 +213,17 @@ class TestSampleColumns:
         assert ps.samples.dtype == np.float32
         assert np.array_equal(ps.samples, want)
 
+    def test_memory_bounded(self):
+        # the default r=5 case: Z=48 at 0.625 mm, pad 3, a 64^3 volume, so
+        # 295,008 column points; gathering them in one block traces about
+        # 81 MiB
+        qm = synthetic_quadmesh(level=5, radius=22.0, center=(32.0, 32.0, 32.0))
+        vol = constant_volume(dims=(64, 64, 64))
+        build_column_graph(qm.sphere, 3)  # built once per process, outside the bound
+        ps, peak = traced_peak_mib(sc.sample_columns, vol, qm, 48, 0.625, 3)
+        assert ps.graph.n_vertices * ps.z_len == 295_008
+        assert peak < 24.0
+
     def test_parameter_validation(self):
         qm = synthetic_quadmesh()
         vol = constant_volume()
@@ -404,6 +416,17 @@ class TestPatchSetIO:
         monkeypatch.setattr(patches, "build_quadsphere", no_build)
         with pytest.raises(ValueError,
                            match=r"geometry\.npz: 'positions' has shape \(98, 3\).*\(100663298, 3\)"):
+            sc.load_patchset(path)
+
+    @pytest.mark.parametrize("text, got", [("5", "5"),
+                                           ('"level z_len delta pad"', "'level z_len delta pad'"),
+                                           ("null", "None")])
+    def test_non_object_names_file(self, saved, text, got):
+        # a string that holds every field name would pass a presence check
+        _, path = saved
+        (path / "patchset.json").write_text(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path / 'patchset.json'}: not a JSON object, got {got}")):
             sc.load_patchset(path)
 
     @pytest.mark.parametrize("field", ["level", "z_len", "delta", "pad"])
