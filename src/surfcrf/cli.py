@@ -22,7 +22,7 @@ from .mesh import (MeshError, SphereMap, TriMesh, harmonic_sphere_map, load_mesh
 from .metrics import compare_surfaces
 from .patches import (GroundTruth, ground_truth, labeling_to_world, load_face_grids, load_patchset,
                       sample_columns, save_face_grids, save_patchset)
-from .quadsphere import (build_quadsphere, checked_array, load_arrays, load_quadmesh, remesh,
+from .quadsphere import (build_quadsphere, checked_unit_rows, load_arrays, load_quadmesh, remesh,
                          save_arrays, save_quadmesh)
 from .volume import PhantomSpec, load_svol, make_phantom, phantom_label_volume, save_svol
 
@@ -334,10 +334,8 @@ def cmd_remesh(cfg, outdir):
     with _Step("remesh", outdir, cfg) as step:
         pre = load_mesh(step.input(os.path.join(outdir, "preseg.mesh")))
         sphere_path = step.input(os.path.join(outdir, "sphere.npz"))
-        positions = checked_array(load_arrays(sphere_path), sphere_path, "positions",
-                                  (len(pre.vertices), 3), np.float64)
-        if not np.isfinite(positions).all():
-            raise CliError(f"{sphere_path}: 'positions' must be finite")
+        positions = checked_unit_rows(load_arrays(sphere_path), sphere_path, "positions",
+                                      len(pre.vertices))
         smap = SphereMap(mesh=pre, positions=positions)
         qs = build_quadsphere(cfg["quad"]["recursion"])
         qm = remesh(pre, smap, qs)

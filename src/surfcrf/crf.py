@@ -132,13 +132,11 @@ class KernelField:
 def _window_records(graph: ColumnGraph, offsets: np.ndarray):
     """(i, k, j) for every window entry k of vertex i's owning slot that
     shows another valid vertex j, in (i, k) order."""
-    _, H, W = graph.shape
-    slot = graph.owner
-    ny = (slot // W % H)[:, None] + offsets[:, 0]
-    nx = (slot % W)[:, None] + offsets[:, 1]
-    inside = (ny >= 0) & (ny < H) & (nx >= 0) & (nx < W)
-    nbr = slot[:, None] + offsets[:, 0] * W + offsets[:, 1]
-    gwin = np.where(inside, graph.gid.reshape(-1)[np.where(inside, nbr, 0)], -1)
+    r = int(np.abs(offsets).max())  # pad by the radius: entries past the edge read -1
+    gid = np.pad(graph.gid, ((0, 0), (r, r), (r, r)), constant_values=-1)
+    p, y, x = np.unravel_index(graph.owner, graph.shape)
+    slot = np.ravel_multi_index((p, y + r, x + r), gid.shape)
+    gwin = gid.reshape(-1)[slot[:, None] + offsets @ [gid.shape[2], 1]]
     # drop self: the centre offset, and any pad that shows the vertex again
     rows, ks = np.nonzero((gwin >= 0) & (gwin != np.arange(len(slot))[:, None]))
     return rows, ks, gwin[rows, ks]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .quadsphere import (QuadMesh, QuadSphere, build_quadsphere, checked_array, load_arrays,
-                         padded_gid_grids, save_arrays, vertex_count)
+from .quadsphere import (QuadMesh, QuadSphere, build_quadsphere, checked_array, checked_unit_rows,
+                         load_arrays, padded_gid_grids, save_arrays, vertex_count)
 from .volume import Volume, load_svol, save_svol
 
 
@@ -210,8 +210,7 @@ def save_face_grids(path_of, grids: np.ndarray, delta: float) -> None:
 
 def load_face_grids(path_of, dims) -> np.ndarray:
     """The six face grids written by save_face_grids, (6, *dims) float32; a
-    file whose dims are not ``dims`` or that holds a non-finite value is
-    named in the error."""
+    file whose dims are not ``dims`` is named in the error."""
     grids = np.empty((6, *dims), dtype=np.float32)
     for f in range(6):
         path = path_of(f)
@@ -219,9 +218,6 @@ def load_face_grids(path_of, dims) -> np.ndarray:
         if vol.dims != tuple(dims):
             raise ValueError(f"{path}: dims {list(vol.dims)} do not match the patch "
                              f"set's (W, W, z_len) = {list(dims)}")
-        if not np.isfinite(vol.data).all():
-            raise ValueError(f"{path}: face grids must be finite, found "
-                             f"{np.count_nonzero(~np.isfinite(vol.data))} non-finite values")
         grids[f] = vol.data
     return grids
 
@@ -271,9 +267,9 @@ def load_patchset(dirpath) -> PatchSet:
     doc = _load_patchset_doc(os.path.join(dirpath, "patchset.json"))
     sidecar = os.path.join(dirpath, "geometry.npz")
     arrays = load_arrays(sidecar)
-    shape = (vertex_count(doc["level"]), 3)
-    positions = checked_array(arrays, sidecar, "positions", shape, np.float64)
-    normals = checked_array(arrays, sidecar, "normals", shape, np.float64)
+    nv = vertex_count(doc["level"])
+    positions = checked_array(arrays, sidecar, "positions", (nv, 3), np.float64)
+    normals = checked_unit_rows(arrays, sidecar, "normals", nv)
     qs = build_quadsphere(doc["level"])
     pad = doc["pad"]
     graph = build_column_graph(qs, pad)

@@ -191,8 +191,6 @@ class QuadMesh:
     sphere: QuadSphere
     positions: np.ndarray  # (V,3) float64 mm
     normals: np.ndarray    # (V,3) float64 unit
-    bary_face: np.ndarray  # (V,) int64: triangle of the source TriMesh
-    bary: np.ndarray       # (V,3) float64, sums to 1
 
 
 def remesh(mesh: TriMesh, smap: SphereMap, qs: QuadSphere) -> QuadMesh:
@@ -206,8 +204,7 @@ def remesh(mesh: TriMesh, smap: SphereMap, qs: QuadSphere) -> QuadMesh:
     norms = np.linalg.norm(nrm, axis=1)
     if np.any(norms <= 0):
         raise MeshError("degenerate interpolated normal in remesh")
-    return QuadMesh(sphere=qs, positions=pos, normals=nrm / norms[:, None],
-                    bary_face=face, bary=bary)
+    return QuadMesh(sphere=qs, positions=pos, normals=nrm / norms[:, None])
 
 
 def save_arrays(path, **arrays) -> None:
@@ -229,13 +226,25 @@ def load_arrays(path) -> dict:
 
 
 def checked_array(arrays: dict, path, name: str, shape: tuple, dtype) -> np.ndarray:
-    """arrays[name], which must have exactly this shape and dtype."""
+    """arrays[name], which must have exactly this shape and dtype and, if
+    floating-point, hold finite values only."""
     if name not in arrays:
         raise ValueError(f"{path}: missing array {name!r}")
     arr = arrays[name]
     if arr.shape != shape or arr.dtype != np.dtype(dtype):
         raise ValueError(f"{path}: {name!r} has shape {arr.shape} and dtype {arr.dtype}, "
                          f"expected {shape} and {np.dtype(dtype)}")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValueError(f"{path}: {name!r} must be finite")
+    return arr
+
+
+def checked_unit_rows(arrays: dict, path, name: str, rows: int) -> np.ndarray:
+    """checked_array's (rows, 3) float64 arrays[name], each row of unit length."""
+    arr = checked_array(arrays, path, name, (rows, 3), np.float64)
+    off = np.abs(np.linalg.norm(arr, axis=1) - 1.0).max()
+    if off > 1e-9:
+        raise ValueError(f"{path}: {name!r} rows must have unit length, one is off by {off:.3g}")
     return arr
 
 
@@ -243,7 +252,7 @@ def save_quadmesh(qm: QuadMesh, path) -> None:
     """The level and the per-vertex arrays to the .npz file at ``path``; the
     topology is rebuilt from the level."""
     save_arrays(path, level=np.int64(qm.sphere.level), positions=qm.positions,
-                normals=qm.normals, bary_face=qm.bary_face, bary=qm.bary)
+                normals=qm.normals)
 
 
 def load_quadmesh(path) -> QuadMesh:
@@ -253,9 +262,5 @@ def load_quadmesh(path) -> QuadMesh:
         raise ValueError(f"{path}: 'level' must be >= 0, got {level}")
     V = vertex_count(level)
     positions = checked_array(arrays, path, "positions", (V, 3), np.float64)
-    if not np.isfinite(positions).all():
-        raise ValueError(f"{path}: 'positions' must be finite")
     return QuadMesh(sphere=build_quadsphere(level), positions=positions,
-                    normals=checked_array(arrays, path, "normals", (V, 3), np.float64),
-                    bary_face=checked_array(arrays, path, "bary_face", (V,), np.int64),
-                    bary=checked_array(arrays, path, "bary", (V, 3), np.float64))
+                    normals=checked_unit_rows(arrays, path, "normals", V))

@@ -88,6 +88,9 @@ def load_svol(path) -> Volume:
         raise SvolError(
             f"length mismatch in {path}: header implies {expect} data bytes, found {len(raw)}")
     data = np.frombuffer(raw, dtype="<f4").reshape(dims, order="F").copy()
+    if not np.isfinite(data).all():
+        raise SvolError(f"{path}: data must be finite, found "
+                        f"{np.count_nonzero(~np.isfinite(data))} non-finite values")
     return Volume(dims=dims, spacing=tuple(float(s) for s in spacing),
                   origin=tuple(float(o) for o in origin), data=data)
 

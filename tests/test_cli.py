@@ -11,6 +11,7 @@ import pytest
 import surfcrf as sc
 from surfcrf import cli
 from surfcrf import crf as crfmod
+from surfcrf.quadsphere import save_arrays
 
 FAST = ["--recursion", "3", "--column-len", "16", "--column-res-mm", "1.25",
         "--pad", "2", "--window-radius", "2"]
@@ -174,6 +175,8 @@ class TestPipeline:
                      id="icosphere4"),
         pytest.param(lambda pos: np.where(np.arange(len(pos))[:, None] == 7, np.nan, pos),
                      "'positions' must be finite", id="non-finite"),
+        pytest.param(lambda pos: pos * np.random.default_rng(0).uniform(1, 2, (len(pos), 1)),
+                     "'positions' rows must have unit length", id="scaled"),
     ])
     def test_remesh_rejects_sphere_map_of_another_mesh(self, fast_run, tmp_path, capsys, edit,
                                                        message):
@@ -186,6 +189,41 @@ class TestPipeline:
         assert cli.main(["remesh", "--out", str(out)] + FAST) == 1
         err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
         assert err["message"].startswith(f"{out / 'sphere.npz'}: {message}")
+
+    @pytest.mark.parametrize("name, command, edit, message", [
+        pytest.param("quad.npz", "patches",
+                     lambda a: np.where(np.arange(len(a))[:, None] == 40, np.nan, a),
+                     "'normals' must be finite", id="quad-nan-normal"),
+        pytest.param("quad.npz", "patches", lambda a: 2.0 * a,
+                     "'normals' rows must have unit length", id="quad-doubled-normals"),
+        pytest.param("patches/geometry.npz", "segment",
+                     lambda a: np.where(np.arange(len(a))[:, None] == 40, np.nan, a),
+                     "'normals' must be finite", id="geometry-nan-normal"),
+    ])
+    def test_bad_normals_named_by_the_step_that_reads_them(self, fast_run, tmp_path, capsys,
+                                                           name, command, edit, message):
+        # a NaN quad normal failed in patches with an unnamed IndexError, a
+        # NaN geometry row reached pred.mesh, and doubled normals sampled the
+        # columns at twice the spacing without an error
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        arrays = dict(np.load(out / name))
+        arrays["normals"] = edit(arrays["normals"])
+        save_arrays(out / name, **arrays)
+        assert cli.main([command, "--out", str(out)] + FAST) == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"].startswith(f"{out / name}: {message}")
+
+    def test_non_finite_volume_named_by_patches(self, fast_run, tmp_path, capsys):
+        # NaN voxels near the surface were sampled into the face grids and
+        # blamed on patches/patch*.svol by the next step
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        vol = sc.load_svol(out / "volume.svol")
+        vol.data[54:58, 30:34, 30:34] = np.nan
+        sc.save_svol(vol, out / "volume.svol")
+        assert cli.main(["patches", "--out", str(out)] + FAST) == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"] == (f"{out / 'volume.svol'}: data must be finite, "
+                                  f"found 64 non-finite values")
 
     @pytest.mark.parametrize("command", ["unary", "segment", "fit"])
     def test_invalid_patchset_json_named(self, fast_run, tmp_path, capsys, command):
@@ -547,7 +585,7 @@ class TestExternalUnary:
         rc = cli.main(["unary", "--out", str(out), "--unary-mode", mode] + FAST)
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
-        assert err["message"].startswith(f"{out / grid}: face grids must be finite")
+        assert err["message"].startswith(f"{out / grid}: data must be finite")
 
 
 def _truncate(doc):

@@ -427,6 +427,15 @@ class TestPairEdges:
         assert edges.cols.size > 480_000
         assert peak < 42.0
 
+    def test_window_records_memory_bounded(self):
+        # the same records read from a grid with one (Nv, K) index array
+        # and one (Nv, K) id array; clipping the window to the grid with
+        # row and column masks traces about 27 MiB
+        graph = build_column_graph(sc.build_quadsphere(5), 3)
+        (rows, _, _), peak = traced_peak_mib(sc.crf._window_records, graph, window_offsets(4))
+        assert rows.size > 480_000
+        assert peak < 20.0
+
 
 class TestMessagePass:
     def test_isolated_column_zero(self):

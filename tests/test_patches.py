@@ -17,9 +17,7 @@ def synthetic_quadmesh(level=2, radius=10.0, center=(16.0, 16.0, 16.0)):
     """QuadMesh with exactly radial normals (sphere of the given radius)."""
     qs = sc.build_quadsphere(level)
     return sc.QuadMesh(sphere=qs, positions=qs.vertices * radius + np.asarray(center),
-                       normals=qs.vertices.copy(),
-                       bary_face=np.zeros(len(qs.vertices), dtype=np.int64),
-                       bary=np.full((len(qs.vertices), 3), 1 / 3))
+                       normals=qs.vertices.copy())
 
 
 def ref_padded_gid_grids(qs, pad):
@@ -394,6 +392,24 @@ class TestPatchSetIO:
         arrays[field] = bad(arrays[field])
         save_arrays(path / "geometry.npz", **arrays)
         with pytest.raises(ValueError, match=rf"geometry\.npz: '{field}' has shape"):
+            sc.load_patchset(path)
+
+    @pytest.mark.parametrize("field", ["positions", "normals"])
+    def test_non_finite_geometry_names_file_and_field(self, saved, field):
+        _, path = saved
+        arrays = dict(np.load(path / "geometry.npz"))
+        arrays[field][7] = np.nan
+        save_arrays(path / "geometry.npz", **arrays)
+        with pytest.raises(ValueError, match=rf"geometry\.npz: '{field}' must be finite$"):
+            sc.load_patchset(path)
+
+    def test_non_unit_normals_names_file(self, saved):
+        _, path = saved
+        arrays = dict(np.load(path / "geometry.npz"))
+        arrays["normals"] *= 2.0
+        save_arrays(path / "geometry.npz", **arrays)
+        with pytest.raises(ValueError,
+                           match=r"geometry\.npz: 'normals' rows must have unit length"):
             sc.load_patchset(path)
 
     def test_level_mismatch_names_the_vertex_count(self, saved):

@@ -138,9 +138,13 @@ class TestRemesh:
         assert np.abs(implicit - 1.0).max() <= 0.02
 
     def test_barycentric_invariants(self, ico_map):
-        qm = sc.remesh(ico_map.mesh, ico_map, sc.build_quadsphere(3))
-        assert np.abs(qm.bary.sum(axis=1) - 1.0).max() <= 1e-9
-        assert qm.bary.min() >= -1e-9
+        # remesh pulls back the records that locate_on_sphere gives the
+        # cube-sphere vertices
+        qs = sc.build_quadsphere(3)
+        _, bary = sc.locate_on_sphere(qs.vertices, ico_map)
+        assert np.abs(bary.sum(axis=1) - 1.0).max() <= 1e-9
+        assert bary.min() >= -1e-9
+        qm = sc.remesh(ico_map.mesh, ico_map, qs)
         assert np.abs(np.linalg.norm(qm.normals, axis=1) - 1.0).max() <= 1e-9
 
     def test_injective_on_phantom(self):
@@ -168,8 +172,20 @@ class TestRemesh:
         back = sc.load_quadmesh(tmp_path / "q.npz")
         assert back.sphere is qm.sphere
         assert np.array_equal(back.positions, qm.positions)
-        assert np.array_equal(back.bary_face, qm.bary_face)
-        assert np.array_equal(back.bary, qm.bary)
+        assert np.array_equal(back.normals, qm.normals)
+        assert sorted(np.load(tmp_path / "q.npz").files) == ["level", "normals", "positions"]
+
+    def test_loads_a_quad_file_with_barycentric_records(self, ico_map, tmp_path):
+        # earlier quad.npz files also stored each vertex's source triangle
+        # and barycentric weights; nothing reads them, and such a file loads
+        qs = sc.build_quadsphere(2)
+        qm = sc.remesh(ico_map.mesh, ico_map, qs)
+        face, bary = sc.locate_on_sphere(qs.vertices, ico_map)
+        save_arrays(tmp_path / "q.npz", level=np.int64(2), positions=qm.positions,
+                    normals=qm.normals, bary_face=face, bary=bary)
+        back = sc.load_quadmesh(tmp_path / "q.npz")
+        assert back.sphere is qs
+        assert np.array_equal(back.positions, qm.positions)
         assert np.array_equal(back.normals, qm.normals)
 
 
@@ -187,7 +203,7 @@ class TestQuadSidecarErrors:
         with pytest.raises(FileNotFoundError, match=r"q\.npz"):
             sc.load_quadmesh(tmp_path / "q.npz")
 
-    @pytest.mark.parametrize("field", ["level", "positions", "bary_face", "bary", "normals"])
+    @pytest.mark.parametrize("field", ["level", "positions", "normals"])
     def test_missing_array_names_file_and_field(self, saved, field):
         tmp_path, arrays = saved
         del arrays[field]
@@ -198,8 +214,6 @@ class TestQuadSidecarErrors:
     @pytest.mark.parametrize("field, bad", [
         ("level", lambda a: a.reshape(1)),
         ("positions", lambda a: a[:-1]),
-        ("bary_face", lambda a: a[:-1]),
-        ("bary", lambda a: a.astype(np.float32)),
         ("normals", lambda a: a[:, :2]),
     ])
     def test_wrong_shape_or_dtype_names_file_and_field(self, saved, field, bad):
@@ -214,6 +228,22 @@ class TestQuadSidecarErrors:
         arrays["positions"][5, 1] = np.nan
         save_arrays(tmp_path / "q.npz", **arrays)
         with pytest.raises(ValueError, match=r"q\.npz: 'positions' must be finite"):
+            sc.load_quadmesh(tmp_path / "q.npz")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_normals_named(self, saved, value):
+        tmp_path, arrays = saved
+        arrays["normals"][5, 1] = value
+        save_arrays(tmp_path / "q.npz", **arrays)
+        with pytest.raises(ValueError, match=r"q\.npz: 'normals' must be finite$"):
+            sc.load_quadmesh(tmp_path / "q.npz")
+
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-8, 1.0 - 1e-8])
+    def test_non_unit_normals_named(self, saved, scale):
+        tmp_path, arrays = saved
+        arrays["normals"][5] *= scale
+        save_arrays(tmp_path / "q.npz", **arrays)
+        with pytest.raises(ValueError, match=r"q\.npz: 'normals' rows must have unit length"):
             sc.load_quadmesh(tmp_path / "q.npz")
 
     @pytest.mark.parametrize("level, message", [

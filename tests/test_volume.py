@@ -62,6 +62,16 @@ class TestSvolIO:
         with pytest.raises(SvolError, match="length mismatch"):
             sc.load_svol(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_names_file(self, tmp_path, bad):
+        data = np.zeros((4, 4, 4), dtype=np.float32)
+        data[1, 2, 3] = data[3, 0, 0] = bad
+        path = tmp_path / "n.svol"
+        sc.save_svol(small_volume(data), path)
+        with pytest.raises(SvolError) as err:
+            sc.load_svol(path)
+        assert str(err.value) == f"{path}: data must be finite, found 2 non-finite values"
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "junk.svol"
         path.write_bytes(b"not json at all\n\x00\x01")
