@@ -33,11 +33,7 @@ DEFAULT_CONFIG = {
                 for k, v in asdict(PhantomSpec(noise_sigma=0.3, blur_sigma_mm=1.0,
                                                mesh_subdivisions=3)).items() if k != "seed"},
     "preseg": {
-        "smooth_iterations": 10,
-        "smooth_lambda": 0.5,
-        "smooth_mu": -0.53,
         "perturb_amplitude_mm": 3.0,
-        "perturb_components": 6,
     },
     "spheremap": {
         "tol": 1e-6,
@@ -115,10 +111,9 @@ def _positive(v) -> bool:
 # (dotted key, test, what the value must be) of the config values that the
 # steps would take out of range silently or reject only once they run
 _RANGES = (
-    ("preseg.smooth_iterations", lambda v: v >= 0, "an integer >= 0"),
+    ("seed", lambda v: v >= 0, "an integer >= 0"),
     ("preseg.perturb_amplitude_mm", lambda v: math.isfinite(v) and v >= 0,
      "a finite number >= 0"),
-    ("preseg.perturb_components", lambda v: v >= 0, "an integer >= 0"),
     ("spheremap.tol", _positive, "a finite number > 0"),
     ("spheremap.max_iters", lambda v: v >= 1, "an integer >= 1"),
     ("spheremap.damping", _positive, "a finite number > 0"),
@@ -140,8 +135,9 @@ def _check_ranges(cfg, source) -> None:
     value out of range fails here, before any input is read.  Errors start
     with the field's name; the CliError names ``source`` and the dotted key."""
     for dotted, ok, what in _RANGES:
-        section, key = dotted.split(".")
-        val = cfg[section][key]
+        val = cfg
+        for key in dotted.split("."):
+            val = val[key]
         if not ok(val):
             raise CliError(f"{source}: {dotted} must be {what}, got {val!r}")
     if cfg["unary"]["mode"] == "gradient" and cfg["patches"]["column_len"] < 3:
@@ -281,35 +277,37 @@ def cmd_phantom(cfg, outdir):
             fh.write(spec.to_json())
 
 
-def perturb_mesh_radially(mesh: TriMesh, amplitude: float, components: int, seed: int) -> TriMesh:
-    """Seeded smooth radial displacement field, standardized to the requested
-    RMS amplitude (emulates an imperfect pre-segmentation)."""
+def perturb_mesh_radially(mesh: TriMesh, amplitude: float, seed: int) -> TriMesh:
+    """Seeded smooth radial displacement field of six sine components,
+    standardized to the requested RMS amplitude (emulates an imperfect
+    pre-segmentation)."""
     rng = np.random.default_rng(seed)
     c = mesh.vertices.mean(axis=0)
     d = mesh.vertices - c
     r = np.linalg.norm(d, axis=1)
     u = d / r[:, None]
-    dirs = rng.normal(size=(components, 3))
+    dirs = rng.normal(size=(6, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    freqs = rng.uniform(1.5, 3.0, components)
-    phases = rng.uniform(0, 2 * np.pi, components)
+    freqs = rng.uniform(1.5, 3.0, 6)
+    phases = rng.uniform(0, 2 * np.pi, 6)
     field = np.zeros(len(u))
-    for k in range(components):
+    for k in range(6):
         field += np.sin(freqs[k] * (u @ dirs[k]) * np.pi + phases[k])
-    if amplitude > 0:
-        field = (field - field.mean()) / (field.std() + 1e-12) * amplitude
-    else:
-        field = np.zeros_like(field)
+    field = (field - field.mean()) / (field.std() + 1e-12) * amplitude
     return TriMesh(vertices=c + (r + field)[:, None] * u, faces=mesh.faces.copy())
+
+
+def presegment(truth: TriMesh, amplitude: float, seed: int) -> TriMesh:
+    """The emulated coarse pre-segmentation of ``truth``: 10 Taubin steps
+    (lambda 0.5, mu -0.53), then perturb_mesh_radially at RMS ``amplitude``
+    with seed + 1000."""
+    return perturb_mesh_radially(taubin_smooth(truth, 10), amplitude, seed + 1000)
 
 
 def cmd_presegment(cfg, outdir):
     with _Step("presegment", outdir, cfg) as step:
-        p = cfg["preseg"]
         truth = load_mesh(step.input(os.path.join(outdir, "truth.mesh")))
-        smooth = taubin_smooth(truth, p["smooth_iterations"], p["smooth_lambda"], p["smooth_mu"])
-        pre = perturb_mesh_radially(smooth, p["perturb_amplitude_mm"],
-                                    p["perturb_components"], cfg["seed"] + 1000)
+        pre = presegment(truth, cfg["preseg"]["perturb_amplitude_mm"], cfg["seed"])
         save_mesh(pre, step.path("preseg.mesh"))
 
 

@@ -108,8 +108,6 @@ class PhantomSpec:
     radius_mm: float = 24.0
     bump_amplitude_mm: float = 2.0
     bump_freq: float = 3.0
-    inside_value: float = 1.0
-    outside_value: float = 0.0
     noise_sigma: float = 0.0
     blur_sigma_mm: float = 0.0
     dims: tuple[int, int, int] = (64, 64, 64)
@@ -141,6 +139,19 @@ class PhantomSpec:
             sigma = getattr(self, name)
             if not (math.isfinite(sigma) and sigma >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {sigma!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not all(math.isfinite(a) and a > 0 for a in self.semi_axes_mm):
+            raise ValueError(f"semi_axes_mm must all be finite and > 0, "
+                             f"got {list(self.semi_axes_mm)}")
+        for name in ("bump_amplitude_mm", "bump_freq"):
+            val = getattr(self, name)
+            if not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val!r}")
+        # a positive radius in every direction: the bump field lies in [-1, 1]
+        if not (math.isfinite(self.radius_mm) and self.radius_mm > abs(self.bump_amplitude_mm)):
+            raise ValueError(f"radius_mm must be finite, > 0 and > |bump_amplitude_mm| = "
+                             f"{abs(self.bump_amplitude_mm)!r}, got {self.radius_mm!r}")
         if self.mesh_subdivisions < 0:
             raise ValueError(f"mesh_subdivisions must be >= 0, got {self.mesh_subdivisions!r}")
         if min(self.dims) < 1:
@@ -205,8 +216,7 @@ def make_phantom(spec: PhantomSpec):
     from . import mesh as meshmod
 
     spec.validate()
-    inside = _inside_mask(spec)
-    data = np.where(inside, np.float64(spec.inside_value), np.float64(spec.outside_value))
+    data = _inside_mask(spec).astype(np.float64)
     if spec.blur_sigma_mm > 0:
         sig = [spec.blur_sigma_mm / s for s in spec.spacing]
         data = ndimage.gaussian_filter(data, sigma=sig)

@@ -5,7 +5,7 @@ import pytest
 
 import surfcrf as sc
 from surfcrf import accel, crf
-from surfcrf.cli import perturb_mesh_radially
+from surfcrf.cli import presegment
 
 
 def make_pipeline_inputs(seed=0, recursion=4, z_len=32, delta=1.0, pad=3,
@@ -18,7 +18,7 @@ def make_pipeline_inputs(seed=0, recursion=4, z_len=32, delta=1.0, pad=3,
                           mesh_subdivisions=subdivisions)
     vol, truth = sc.make_phantom(spec)
     labels = sc.phantom_label_volume(spec)
-    pre = perturb_mesh_radially(sc.taubin_smooth(truth, 10), perturb, 6, seed + 1000)
+    pre = presegment(truth, perturb, seed)
     smap = sc.harmonic_sphere_map(pre)
     qm = sc.remesh(pre, smap, sc.build_quadsphere(recursion))
     ps = sc.sample_columns(vol, qm, z_len=z_len, delta=delta, pad=pad)

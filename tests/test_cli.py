@@ -23,6 +23,23 @@ def run_pipeline(outdir, extra=()):
     return outdir
 
 
+def _numeric_leaf_cases(node=cli.DEFAULT_CONFIG, where=""):
+    """(id, dotted key, bad value) per numeric config leaf and per element of
+    a numeric list leaf: NaN for a float, -1 for an integer.  Strings,
+    booleans and string lists are closed sets or paths and have no case."""
+    bad = {float: float("nan"), int: -1}
+    for key, val in node.items():
+        dotted = f"{where}.{key}" if where else key
+        if isinstance(val, dict):
+            yield from _numeric_leaf_cases(val, dotted)
+        elif isinstance(val, list):
+            for i, v in enumerate(val):
+                if type(v) in bad:
+                    yield f"{dotted}[{i}]", dotted, val[:i] + [bad[type(v)]] + val[i + 1:]
+        elif type(val) in bad:
+            yield dotted, dotted, bad[type(val)]
+
+
 @pytest.fixture(scope="module")
 def fast_run(tmp_path_factory):
     """One FAST pipeline run; tests that write into a run copy it first."""
@@ -128,6 +145,12 @@ class TestPipeline:
             assert cli.main([step, "--out", out]) == 0
         rep = json.loads((tmp_path / "run" / "spheremap.report.json").read_text())
         assert (rep["iterations"], rep["converged"], rep["clamped_weights"]) == (1326, True, 24)
+
+    def test_presegment_step_writes_presegment(self, fast_run, tmp_path):
+        # the step and conftest.make_pipeline_inputs build the same mesh
+        truth = sc.load_mesh(fast_run / "truth.mesh")
+        sc.save_mesh(cli.presegment(truth, 3.0, 0), tmp_path / "preseg.mesh")
+        assert (tmp_path / "preseg.mesh").read_bytes() == (fast_run / "preseg.mesh").read_bytes()
 
     def test_different_seed_changes_volume(self, tmp_path):
         a = run_pipeline(tmp_path / "a", ["--seed", "1"])
@@ -297,8 +320,10 @@ class TestConfig:
     def test_default_config_hash_pinned(self):
         # every default run records this config_hash in its provenance; it
         # changes with the default config's keys (8282a5eb21658470 while the
-        # fit section held lr and momentum)
-        assert cli._config_hash(cli.load_config()) == "10c6406f664472e4"
+        # fit section held lr and momentum, 10c6406f664472e4 while the
+        # phantom section held the contrast and the preseg section the
+        # smoothing and perturbation constants)
+        assert cli._config_hash(cli.load_config()) == "ae7f63d21e4b72fa"
 
     def test_one_flag_per_scalar_leaf(self):
         leaves = {}
@@ -375,9 +400,7 @@ class TestConfig:
         ('{"phantom": {"spacing": [1.0, 0.0, 1.0]}}', "phantom.spacing"),
         ('{"phantom": {"semi_axes_mm": [40.0, 22.0, 25.0]}}', "phantom.semi_axes_mm"),
         ('{"phantom": {"kind": "bumpy", "radius_mm": 30.0}}', "phantom.radius_mm"),
-        ('{"preseg": {"smooth_iterations": -3}}', "preseg.smooth_iterations"),
         ('{"preseg": {"perturb_amplitude_mm": -3.0}}', "preseg.perturb_amplitude_mm"),
-        ('{"preseg": {"perturb_components": -2}}', "preseg.perturb_components"),
         ('{"spheremap": {"damping": 0}}', "spheremap.damping"),
         ('{"spheremap": {"max_iters": 0}}', "spheremap.max_iters"),
         ('{"spheremap": {"tol": -1}}', "spheremap.tol"),
@@ -400,6 +423,29 @@ class TestConfig:
         assert rc == 1
         message = json.loads(capsys.readouterr().err.split("error: ", 1)[1])["message"]
         assert message.startswith(f"{cfg}: {key} ")
+
+    @pytest.mark.parametrize("dotted, value",
+                             [pytest.param(d, v, id=i) for i, d, v in _numeric_leaf_cases()])
+    def test_every_numeric_leaf_checked_at_load(self, dotted, value):
+        # seed and the phantom's shape fields used to load and then fail in
+        # a later step, or not at all, naming no key
+        with pytest.raises(cli.CliError, match="^" + re.escape(f"overrides: {dotted} must")):
+            cli.load_config(overrides={dotted: value})
+
+    @pytest.mark.parametrize("dotted, value", [
+        ("phantom.inside_value", 1.0), ("phantom.outside_value", 0.0),
+        ("preseg.smooth_iterations", -3), ("preseg.smooth_lambda", 0.5),
+        ("preseg.smooth_mu", -0.53), ("preseg.perturb_components", -2)])
+    def test_retired_key_unknown(self, tmp_path, capsys, dotted, value):
+        # the Taubin steps, the perturbation components and the phantom
+        # contrast are constants; a config that sets them fails at load
+        section, key = dotted.split(".")
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        rc = cli.main(["segment", "--out", str(tmp_path / "missing"), "--config", str(cfg)])
+        assert rc == 1
+        message = json.loads(capsys.readouterr().err.split("error: ", 1)[1])["message"]
+        assert message == f"{cfg}: unknown config key {dotted}"
 
     def test_two_sample_columns_load_in_external_mode(self):
         cfg = cli.load_config(overrides={"patches.column_len": 2, "unary.mode": "external"})
@@ -486,6 +532,12 @@ class TestParser:
             cli.main(argv)
         assert exc.value.code == 2
         assert "--manifest" in capsys.readouterr().err
+
+    def test_retired_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["presegment", "--out", "o", "--preseg-smooth-mu", "-0.53"])
+        assert exc.value.code == 2
+        assert "--preseg-smooth-mu" in capsys.readouterr().err
 
 
 class TestErrors:

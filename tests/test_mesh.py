@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import surfcrf as sc
 from surfcrf import mesh as mesh_mod
-from surfcrf.cli import perturb_mesh_radially
+from surfcrf.cli import perturb_mesh_radially, presegment
 from surfcrf.mesh import (MeshError, cotangent_edge_weights, load_quad_mesh_records,
                           signed_volume)
 
@@ -136,7 +136,7 @@ _ELLIPSOID = sc.TriMesh(vertices=_ICO3.vertices * np.array([25.0, 22.0, 25.0]), 
 SPHERE_MAP_MESHES = [pytest.param(_ICO3, id="icosphere3"),
                      pytest.param(_ELLIPSOID, id="ellipsoid"),
                      pytest.param(stretched_noisy_icosphere(), id="stretched"),
-                     pytest.param(perturb_mesh_radially(_ELLIPSOID, 3.0, 6, 1000), id="preseg")]
+                     pytest.param(perturb_mesh_radially(_ELLIPSOID, 3.0, 1000), id="preseg")]
 
 # loader fuzz: a well-formed file, then up to two inserted lines, each a bad
 # number, a wrong count, an out-of-range index, a comment or free text
@@ -389,6 +389,16 @@ class TestTaubin:
     def test_matches_reference(self, mesh):
         out = sc.taubin_smooth(mesh, 5)
         assert np.abs(out.vertices - ref_taubin_smooth(mesh, 5)).max() <= 1e-12
+
+    def test_presegment_without_perturbation_is_the_smoothed_mesh(self):
+        # at amplitude 0 the field is +-0.0 and each vertex is rebuilt
+        # exactly from its centre offset, radius and direction
+        smooth = sc.taubin_smooth(_ELLIPSOID, 10).vertices
+        c = smooth.mean(axis=0)
+        r = np.linalg.norm(smooth - c, axis=1)[:, None]
+        pre = presegment(_ELLIPSOID, 0.0, 0).vertices
+        assert np.array_equal(pre, c + r * ((smooth - c) / r))
+        assert np.abs(pre - smooth).max() <= 1e-12
 
 
 class TestHarmonicMap:

@@ -125,7 +125,7 @@ class TestPhantom:
         spec = sc.PhantomSpec(kind="ellipsoid", noise_sigma=0.0, blur_sigma_mm=0.0, seed=0)
         vol, _ = sc.make_phantom(spec)
         labels = sc.phantom_label_volume(spec)
-        rendered = vol.data == spec.inside_value
+        rendered = vol.data == 1.0
         assert np.array_equal(rendered, labels.data > 0.5)
 
     def test_seed_determinism(self):
@@ -164,6 +164,17 @@ class TestPhantom:
         # a negative sigma used to mean no noise or no blur, silently
         spec = sc.PhantomSpec(**{field: value})
         with pytest.raises(ValueError, match=rf"^{field} must be"):
+            sc.make_phantom(spec)
+
+    @pytest.mark.parametrize("kind", ["ellipsoid", "bumpy"])
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -5), ("semi_axes_mm", (0.0, 22.0, 25.0)), ("radius_mm", -24.0),
+        ("radius_mm", 1.5), ("bump_amplitude_mm", float("nan")), ("bump_freq", float("nan"))])
+    def test_every_field_checked_whatever_the_kind(self, kind, field, value):
+        # each of these used to render a collapsed or non-finite truth.mesh,
+        # or fail later without naming the field
+        spec = sc.PhantomSpec(kind=kind, **{field: value})
+        with pytest.raises(ValueError, match=rf"^{field} must "):
             sc.make_phantom(spec)
 
     def test_spec_json_round_trip(self):
