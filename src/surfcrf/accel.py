@@ -23,6 +23,8 @@ import numpy as np
 BACKEND = "numpy"
 
 _LOCATE_CHUNK = 256      # query points per centroid prefilter block
+_LOCATE_TOL = 1e-10      # least barycentric min-fraction of a containing face
+_LOCATE_FALLBACK = 1e-6  # least min-fraction of a nearest-face fallback
 _RAY_CHUNK = 64          # rays per (rays x faces) block
 _GATHER_CHUNK = 2 ** 14  # points per trilinear interpolation block
 
@@ -76,7 +78,7 @@ def trilinear_gather(data, origin, spacing, pts):
 # point location on the mapped sphere (gnomonic ray-triangle containment)
 
 
-def locate_points(inv_mats, centroids, cos_bound, pts, tol=1e-10, fallback_tol=1e-6):
+def locate_points(inv_mats, centroids, cos_bound, pts):
     """Find, per unit query point, the spherical triangle containing it.
 
     inv_mats (F,3,3) are the inverses of the per-face vertex matrices; alpha =
@@ -86,7 +88,7 @@ def locate_points(inv_mats, centroids, cos_bound, pts, tol=1e-10, fallback_tol=1
     (point, face) candidate pairs, ordered by point and then by face id: per
     point the first containing face wins, so exact-edge ties go to the lowest
     id; without one, the first face of largest min-fraction is taken if it is
-    within ``fallback_tol``.  Points with neither get face -1.
+    within _LOCATE_FALLBACK.  Points with neither get face -1.
     """
     nq = pts.shape[0]
     face_out = np.full(nq, -1, dtype=np.int64)
@@ -103,13 +105,13 @@ def locate_points(inv_mats, centroids, cos_bound, pts, tol=1e-10, fallback_tol=1
             minfrac = np.where(sums > 0, alphas.min(axis=1) / sums, -np.inf)
         # a containing face outranks every fallback; the first maximum per
         # point is then its lowest containing face, or its best fallback
-        score = np.where(minfrac >= -tol, np.inf, minfrac)
+        score = np.where(minfrac >= -_LOCATE_TOL, np.inf, minfrac)
         starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
         best = np.full(block.shape[0], -np.inf)
         best[qi[starts]] = np.maximum.reduceat(score, starts)
         pair = np.arange(qi.size)
         first = np.minimum.reduceat(np.where(score == best[qi], pair, qi.size), starts)
-        first = first[best[qi[first]] >= -fallback_tol]
+        first = first[best[qi[first]] >= -_LOCATE_FALLBACK]
         t = alphas[first] / sums[first, None]
         face_out[lo + qi[first]] = cand[first]
         bary_out[lo + qi[first]] = t / t.sum(axis=1)[:, None]

@@ -22,8 +22,8 @@ from .mesh import (MeshError, SphereMap, TriMesh, harmonic_sphere_map, load_mesh
 from .metrics import compare_surfaces
 from .patches import (GroundTruth, ground_truth, labeling_to_world, load_face_grids, load_patchset,
                       sample_columns, save_face_grids, save_patchset)
-from .quadsphere import (build_quadsphere, checked_unit_rows, load_arrays, load_quadmesh, remesh,
-                         save_arrays, save_quadmesh)
+from .quadsphere import (MAX_LEVEL, build_quadsphere, checked_unit_rows, load_arrays, load_quadmesh,
+                         remesh, save_arrays, save_quadmesh)
 from .volume import PhantomSpec, load_svol, make_phantom, phantom_label_volume, save_svol
 
 
@@ -117,7 +117,7 @@ _RANGES = (
     ("spheremap.tol", _positive, "a finite number > 0"),
     ("spheremap.max_iters", lambda v: v >= 1, "an integer >= 1"),
     ("spheremap.damping", _positive, "a finite number > 0"),
-    ("quad.recursion", lambda v: v >= 0, "an integer >= 0"),
+    ("quad.recursion", lambda v: 0 <= v <= MAX_LEVEL, f"an integer in 0..{MAX_LEVEL}"),
     ("patches.column_len", lambda v: v >= 2, "an integer >= 2"),
     ("patches.column_res_mm", _positive, "a finite number > 0"),
     ("patches.pad", lambda v: v >= 0, "an integer >= 0"),

@@ -246,7 +246,7 @@ def channel_reduce(surface_logits: np.ndarray, non_surface_logits: np.ndarray) -
     return a - b
 
 
-def gradient_unary(ps: PatchSet, polarity: str = "dark_to_bright") -> UnaryField:
+def gradient_unary(ps: PatchSet, polarity: str) -> UnaryField:
     """Hand-crafted unary: per-column central intensity difference (one-sided
     at the column ends), scaled to zero mean / unit variance per column
     (variance floor guards flats)."""

@@ -64,8 +64,8 @@ def _check_binary(vol: Volume, name: str) -> np.ndarray:
 
 def _voxel_counts(a: Volume, b: Volume, name_a: str, name_b: str) -> tuple[int, int, int]:
     """(|A|, |B|, |A&B|) of two binary label volumes on one grid."""
-    if a.dims != b.dims or a.spacing != b.spacing:
-        raise ValueError("label volumes must share dims and spacing")
+    if a.dims != b.dims or a.spacing != b.spacing or a.origin != b.origin:
+        raise ValueError("label volumes must share dims, spacing and origin")
     ma = _check_binary(a, name_a)
     mb = _check_binary(b, name_b)
     return int(ma.sum()), int(mb.sum()), int((ma & mb).sum())

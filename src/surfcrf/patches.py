@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accel
-from .quadsphere import (QuadMesh, QuadSphere, build_quadsphere, checked_array, checked_unit_rows,
-                         load_arrays, padded_gid_grids, save_arrays, vertex_count)
+from .quadsphere import QuadMesh, QuadSphere, load_quadmesh, padded_gid_grids, save_quadmesh
 from .volume import Volume, load_svol, save_svol
 
 
@@ -65,17 +64,15 @@ def make_toy_graph(height: int, width: int, patches: int = 1) -> ColumnGraph:
 
 @dataclass(eq=False)
 class PatchSet:
-    """6 padded (W,W,Z) intensity grids plus per-vertex column geometry.
+    """6 padded (W,W,Z) intensity grids plus the quad mesh of their columns.
 
     Sample i of vertex v's column sits at
-    positions[v] + (i - center_index)*delta*normals[v], so the center sample
-    lies on the pre-segmentation vertex.
+    quad.positions[v] + (i - center_index)*delta*quad.normals[v], so the
+    center sample lies on the pre-segmentation vertex.
     """
-    sphere: QuadSphere
+    quad: QuadMesh
     graph: ColumnGraph
     samples: np.ndarray    # (6,W,W,Z) float32
-    positions: np.ndarray  # (Nv,3) float64
-    normals: np.ndarray    # (Nv,3) float64
     z_len: int
     delta: float
     pad: int
@@ -91,7 +88,7 @@ class PatchSet:
     def column_points(self) -> np.ndarray:
         """World sample points of every vertex column, (Nv,Z,3)."""
         offs = self.sample_offsets()
-        return self.positions[:, None, :] + offs[None, :, None] * self.normals[:, None, :]
+        return self.quad.positions[:, None, :] + offs[None, :, None] * self.quad.normals[:, None, :]
 
 
 @dataclass
@@ -164,10 +161,8 @@ def sample_columns(vol: Volume, qm: QuadMesh, z_len: int, delta: float, pad: int
         raise ValueError("delta must be > 0")
     if pad < 0:
         raise ValueError("pad must be >= 0")
-    qs = qm.sphere
-    graph = build_column_graph(qs, pad)
-    ps = PatchSet(sphere=qs, graph=graph, samples=None, positions=qm.positions,
-                  normals=qm.normals, z_len=z_len, delta=float(delta), pad=pad)
+    graph = build_column_graph(qm.sphere, pad)
+    ps = PatchSet(quad=qm, graph=graph, samples=None, z_len=z_len, delta=float(delta), pad=pad)
     vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin), np.asarray(vol.spacing),
                                   ps.column_points().reshape(-1, 3))
     ps.samples = graph.split(vals.reshape(-1, z_len)).astype(np.float32)
@@ -190,14 +185,14 @@ def labeling_to_world(labels: np.ndarray, ps: PatchSet):
     if len(labels) != ps.graph.n_vertices:
         raise ValueError("labeling does not cover all interior columns")
     offs = (np.asarray(labels, dtype=np.float64) - ps.center_index) * ps.delta
-    verts = ps.positions + offs[:, None] * ps.normals
-    return verts, ps.sphere.faces
+    verts = ps.quad.positions + offs[:, None] * ps.quad.normals
+    return verts, ps.quad.sphere.faces
 
 
 # ---------------------------------------------------------------------------
 # serialization: one .svol per face grid, scalars in patchset.json and the
-# per-vertex geometry in an .npz sidecar; the topology is rebuilt from level
-# and pad, never stored
+# quad mesh in quad.npz (quadsphere.save_quadmesh); the topology is rebuilt
+# from the quad mesh's level and pad, never stored
 
 
 def save_face_grids(path_of, grids: np.ndarray, delta: float) -> None:
@@ -226,15 +221,13 @@ def save_patchset(ps: PatchSet, dirpath) -> None:
     os.makedirs(dirpath, exist_ok=True)
     save_face_grids(lambda f: os.path.join(dirpath, f"patch{f}.svol"), ps.samples, ps.delta)
     doc = {
-        "level": ps.sphere.level,
         "z_len": ps.z_len,
         "delta": ps.delta,
         "pad": ps.pad,
     }
     with open(os.path.join(dirpath, "patchset.json"), "w") as fh:
         json.dump(doc, fh)
-    save_arrays(os.path.join(dirpath, "geometry.npz"), positions=ps.positions,
-                normals=ps.normals)
+    save_quadmesh(ps.quad, os.path.join(dirpath, "quad.npz"))
 
 
 def _load_patchset_doc(path) -> dict:
@@ -246,35 +239,32 @@ def _load_patchset_doc(path) -> dict:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a JSON object, got {doc!r}")
-    for key in ("level", "z_len", "delta", "pad"):
+    for key in ("z_len", "delta", "pad"):
         if key not in doc:
             raise ValueError(f"{path}: missing field {key!r}")
-    for key in ("level", "pad", "z_len"):
+    for key in ("pad", "z_len"):
         if type(doc[key]) is not int or doc[key] < 0:
             raise ValueError(f"{path}: {key!r} must be an integer >= 0, got {doc[key]!r}")
     delta = doc["delta"]
     if type(delta) not in (int, float) or not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"{path}: 'delta' must be finite and > 0, got {delta!r}")
-    if doc["pad"] > 2 ** doc["level"]:
-        raise ValueError(f"{path}: 'pad' {doc['pad']} exceeds the face grid size "
-                         f"n = 2**level = {2 ** doc['level']}")
     if doc["z_len"] < 2:
         raise ValueError(f"{path}: 'z_len' must be >= 2, got {doc['z_len']}")
     return doc
 
 
 def load_patchset(dirpath) -> PatchSet:
-    doc = _load_patchset_doc(os.path.join(dirpath, "patchset.json"))
-    sidecar = os.path.join(dirpath, "geometry.npz")
-    arrays = load_arrays(sidecar)
-    nv = vertex_count(doc["level"])
-    positions = checked_array(arrays, sidecar, "positions", (nv, 3), np.float64)
-    normals = checked_unit_rows(arrays, sidecar, "normals", nv)
-    qs = build_quadsphere(doc["level"])
+    doc_path = os.path.join(dirpath, "patchset.json")
+    quad_path = os.path.join(dirpath, "quad.npz")
+    doc = _load_patchset_doc(doc_path)
+    qm = load_quadmesh(quad_path)
     pad = doc["pad"]
-    graph = build_column_graph(qs, pad)
+    if pad > qm.sphere.n:
+        raise ValueError(f"{doc_path}: 'pad' {pad} exceeds the face grid size "
+                         f"n = 2**level = {qm.sphere.n} of {quad_path}")
+    graph = build_column_graph(qm.sphere, pad)
     z_len = doc["z_len"]
     samples = load_face_grids(lambda f: os.path.join(dirpath, f"patch{f}.svol"),
                               (*graph.shape[1:], z_len))
-    return PatchSet(sphere=qs, graph=graph, samples=samples, positions=positions,
-                    normals=normals, z_len=z_len, delta=float(doc["delta"]), pad=pad)
+    return PatchSet(quad=qm, graph=graph, samples=samples, z_len=z_len,
+                    delta=float(doc["delta"]), pad=pad)

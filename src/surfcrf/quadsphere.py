@@ -71,10 +71,14 @@ def build_quadsphere(level: int) -> QuadSphere:
     return _cached_quadsphere(level)  # positional, so a keyword call hits too
 
 
+# the largest level whose 6 * 4**level + 2 vertices an int64 can index
+MAX_LEVEL = 30
+
+
 def vertex_count(level: int) -> int:
     """The vertices of the cube sphere at ``level``, 6 * 4**level + 2, without
-    building it: loaders check a file against it first, because the build
-    time grows about 4x per level."""
+    building it: load_quadmesh checks a file against it first, because the
+    build time grows about 4x per level."""
     return 6 * 4 ** level + 2
 
 
@@ -258,8 +262,8 @@ def save_quadmesh(qm: QuadMesh, path) -> None:
 def load_quadmesh(path) -> QuadMesh:
     arrays = load_arrays(path)
     level = int(checked_array(arrays, path, "level", (), np.int64))
-    if level < 0:
-        raise ValueError(f"{path}: 'level' must be >= 0, got {level}")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"{path}: 'level' must be in 0..{MAX_LEVEL}, got {level}")
     V = vertex_count(level)
     positions = checked_array(arrays, path, "positions", (V, 3), np.float64)
     return QuadMesh(sphere=build_quadsphere(level), positions=positions,

@@ -219,9 +219,9 @@ class TestPipeline:
                      "'normals' must be finite", id="quad-nan-normal"),
         pytest.param("quad.npz", "patches", lambda a: 2.0 * a,
                      "'normals' rows must have unit length", id="quad-doubled-normals"),
-        pytest.param("patches/geometry.npz", "segment",
+        pytest.param("patches/quad.npz", "segment",
                      lambda a: np.where(np.arange(len(a))[:, None] == 40, np.nan, a),
-                     "'normals' must be finite", id="geometry-nan-normal"),
+                     "'normals' must be finite", id="patches-quad-nan-normal"),
     ])
     def test_bad_normals_named_by_the_step_that_reads_them(self, fast_run, tmp_path, capsys,
                                                            name, command, edit, message):
@@ -235,6 +235,26 @@ class TestPipeline:
         assert cli.main([command, "--out", str(out)] + FAST) == 1
         err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
         assert err["message"].startswith(f"{out / name}: {message}")
+
+    def test_patch_set_stores_the_run_quad_mesh(self, fast_run):
+        # the patch set keeps the remesh it sampled in the quad-mesh format
+        assert (fast_run / "patches" / "quad.npz").read_bytes() == \
+            (fast_run / "quad.npz").read_bytes()
+
+    @pytest.mark.parametrize("level", [31, 100000])
+    @pytest.mark.parametrize("name, command", [("quad.npz", "patches"),
+                                               ("patches/quad.npz", "segment")])
+    def test_level_bound_named_by_the_step_that_reads_it(self, fast_run, tmp_path, capsys,
+                                                         name, command, level):
+        # 6 * 4**31 + 2 vertices overflow an int64 index; level 100000 failed
+        # converting 4**100000 to text, an error that named no file or field
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        arrays = dict(np.load(out / name))
+        arrays["level"] = np.int64(level)
+        save_arrays(out / name, **arrays)
+        assert cli.main([command, "--out", str(out)] + FAST) == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"] == f"{out / name}: 'level' must be in 0..30, got {level}"
 
     def test_non_finite_volume_named_by_patches(self, fast_run, tmp_path, capsys):
         # NaN voxels near the surface were sampled into the face grids and
@@ -405,6 +425,9 @@ class TestConfig:
         ('{"spheremap": {"max_iters": 0}}', "spheremap.max_iters"),
         ('{"spheremap": {"tol": -1}}', "spheremap.tol"),
         ('{"quad": {"recursion": -1}}', "quad.recursion"),
+        # 2**recursion faces a side; past 30 the vertex ids overflow an int64
+        ('{"quad": {"recursion": 31}}', "quad.recursion"),
+        ('{"quad": {"recursion": 100000}}', "quad.recursion"),
         ('{"patches": {"column_len": 1}}', "patches.column_len"),
         # the gradient unary's central differences need 3 samples a column
         ('{"patches": {"column_len": 2}}', "patches.column_len"),

@@ -201,7 +201,7 @@ class TestGradientUnary:
 
     def test_constant_column_zero_logits(self):
         ps = self._patchset(np.full((32, 32, 32), 2.0))
-        u = sc.gradient_unary(ps)
+        u = sc.gradient_unary(ps, polarity="dark_to_bright")
         assert (u.logits == 0).all()
 
     def test_polarity_flip_negates(self):
@@ -214,7 +214,7 @@ class TestGradientUnary:
     def test_needs_three_samples(self):
         ps = self._patchset(np.zeros((32, 32, 32)), z_len=2)
         with pytest.raises(ValueError):
-            sc.gradient_unary(ps)
+            sc.gradient_unary(ps, polarity="dark_to_bright")
 
 
 class TestCompatibility:
@@ -301,7 +301,7 @@ class TestComputeKernel:
         from test_patches import synthetic_quadmesh, constant_volume
         qm = synthetic_quadmesh()
         ps = sc.sample_columns(constant_volume(2.0), qm, z_len=8, delta=0.5, pad=1)
-        u = sc.gradient_unary(ps)
+        u = sc.gradient_unary(ps, polarity="dark_to_bright")
         params = sc.CrfParams(kernel_variant="intensity", window_radius=1)
         kf = sc.compute_kernel(u, params, ps=ps)
         w, _, fdist, mask = slot_kernel(u, params, ps=ps)
@@ -815,7 +815,7 @@ class TestIntensityVariantInference:
                         rng.random((32, 32, 32)).astype(np.float32))
         qm = synthetic_quadmesh(level=2, radius=8.0, center=(15.5, 15.5, 15.5))
         ps = sc.sample_columns(vol, qm, z_len=8, delta=0.5, pad=2)
-        u = sc.gradient_unary(ps)
+        u = sc.gradient_unary(ps, polarity="dark_to_bright")
         params = sc.CrfParams(kernel_variant="intensity", theta2=2.0,
                               window_radius=2, iterations=3)
         lab = sc.meanfield_infer(u, params, ps=ps)

@@ -128,6 +128,15 @@ class TestDsc:
         with pytest.raises(ValueError):
             sc.dsc(label_volume(np.zeros((4, 4, 4))), label_volume(np.zeros((5, 4, 4))))
 
+    def test_origin_mismatch(self):
+        # the same 3^3 cube on grids 3 mm apart does not overlap in space;
+        # comparing the voxel arrays alone gave DSC 1
+        cube = np.zeros((8, 8, 8), dtype=np.float32)
+        cube[:3, :3, :3] = 1
+        moved = sc.Volume(cube.shape, (1.0, 1.0, 1.0), (3.0, 0.0, 0.0), cube)
+        with pytest.raises(ValueError, match="origin"):
+            sc.dsc(label_volume(cube), moved)
+
     def test_non_binary_rejected(self):
         bad = label_volume(np.full((4, 4, 4), 0.5))
         with pytest.raises(ValueError, match="binary"):

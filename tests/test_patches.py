@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import surfcrf as sc
-from surfcrf import accel, patches
+from surfcrf import accel, quadsphere
 from surfcrf.patches import build_column_graph
 from surfcrf.quadsphere import padded_gid_grids, save_arrays
 
@@ -18,6 +18,12 @@ def synthetic_quadmesh(level=2, radius=10.0, center=(16.0, 16.0, 16.0)):
     qs = sc.build_quadsphere(level)
     return sc.QuadMesh(sphere=qs, positions=qs.vertices * radius + np.asarray(center),
                        normals=qs.vertices.copy())
+
+
+def quad_error(path, message):
+    """The regex of an error that names the quad.npz of the patch set at
+    ``path``, followed by ``message``."""
+    return re.escape(f"{path / 'quad.npz'}: ") + message
 
 
 def ref_padded_gid_grids(qs, pad):
@@ -167,7 +173,7 @@ class TestSampleColumns:
         ps = sc.sample_columns(vol, qm, z_len=64, delta=0.625, pad=0)
         assert ps.center_index == 32
         base_vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin),
-                                           np.asarray(vol.spacing), ps.positions)
+                                           np.asarray(vol.spacing), ps.quad.positions)
         center_vals = ps.graph.merge(ps.samples)[:, 32]
         assert np.allclose(center_vals, base_vals, atol=1e-5)
 
@@ -181,7 +187,7 @@ class TestSampleColumns:
         ps = sc.sample_columns(vol, qm, z_len=10, delta=delta, pad=0)
         cols = ps.graph.merge(ps.samples).astype(np.float64)
         slopes = np.diff(cols, axis=1)
-        nz = ps.normals[:, 2]
+        nz = ps.quad.normals[:, 2]
         # columns fully inside the volume follow the analytic slope
         pts = ps.column_points()
         inside = (pts[..., 2].min(axis=1) > 0.5) & (pts[..., 2].max(axis=1) < 30.5)
@@ -193,8 +199,8 @@ class TestSampleColumns:
         ps = sc.sample_columns(constant_volume(), qm, z_len=8, delta=0.25, pad=1)
         pts = ps.column_points()
         c = ps.center_index
-        recon = ps.positions[:, None, :] + \
-            (np.arange(8) - c)[None, :, None] * 0.25 * ps.normals[:, None, :]
+        recon = ps.quad.positions[:, None, :] + \
+            (np.arange(8) - c)[None, :, None] * 0.25 * ps.quad.normals[:, None, :]
         assert pts.shape == (ps.graph.n_vertices, 8, 3)
         assert np.allclose(pts, recon, atol=1e-12)
 
@@ -349,14 +355,25 @@ class TestPatchSetIO:
         assert back.pad == ps.pad
         assert back.delta == ps.delta
         assert np.array_equal(back.samples, ps.samples)
-        assert np.array_equal(back.positions, ps.positions)
-        assert np.array_equal(back.normals, ps.normals)
+        assert back.quad.sphere is ps.quad.sphere
+        assert np.array_equal(back.quad.positions, ps.quad.positions)
+        assert np.array_equal(back.quad.normals, ps.quad.normals)
         assert back.graph is ps.graph is sc.load_patchset(path).graph
+
+    def test_geometry_is_a_quad_mesh_file(self, saved):
+        # the face grids, the scalars and the quad mesh, each stored once
+        ps, path = saved
+        assert sorted(os.listdir(path)) == sorted(
+            [f"patch{f}.svol" for f in range(6)] + ["patchset.json", "quad.npz"])
+        qm = sc.load_quadmesh(path / "quad.npz")
+        assert qm.sphere is ps.quad.sphere
+        assert np.array_equal(qm.positions, ps.quad.positions)
+        assert np.array_equal(qm.normals, ps.quad.normals)
 
     def test_json_holds_scalars_only(self, saved):
         _, path = saved
         doc = json.loads((path / "patchset.json").read_text())
-        assert sorted(doc) == ["delta", "level", "pad", "z_len"]
+        assert sorted(doc) == ["delta", "pad", "z_len"]
 
     def test_loads_with_a_stored_center_index(self, saved):
         # patchset.json files of earlier versions also stored z_len // 2
@@ -369,17 +386,20 @@ class TestPatchSetIO:
 
     def test_missing_sidecar_names_file(self, saved):
         _, path = saved
-        os.remove(path / "geometry.npz")
-        with pytest.raises(FileNotFoundError, match=r"geometry\.npz"):
+        os.remove(path / "quad.npz")
+        with pytest.raises(FileNotFoundError, match=re.escape(str(path / "quad.npz"))):
             sc.load_patchset(path)
+
+    # the geometry errors of load_quadmesh (tested in test_quadsphere) reach
+    # the caller of load_patchset naming the patch set's own quad.npz
 
     @pytest.mark.parametrize("field", ["positions", "normals"])
     def test_missing_array_names_file_and_field(self, saved, field):
         _, path = saved
-        arrays = dict(np.load(path / "geometry.npz"))
+        arrays = dict(np.load(path / "quad.npz"))
         del arrays[field]
-        save_arrays(path / "geometry.npz", **arrays)
-        with pytest.raises(ValueError, match=rf"geometry\.npz: missing array '{field}'"):
+        save_arrays(path / "quad.npz", **arrays)
+        with pytest.raises(ValueError, match=quad_error(path, f"missing array '{field}'")):
             sc.load_patchset(path)
 
     @pytest.mark.parametrize("field, bad", [
@@ -388,50 +408,51 @@ class TestPatchSetIO:
     ])
     def test_wrong_shape_or_dtype_names_file_and_field(self, saved, field, bad):
         _, path = saved
-        arrays = dict(np.load(path / "geometry.npz"))
+        arrays = dict(np.load(path / "quad.npz"))
         arrays[field] = bad(arrays[field])
-        save_arrays(path / "geometry.npz", **arrays)
-        with pytest.raises(ValueError, match=rf"geometry\.npz: '{field}' has shape"):
+        save_arrays(path / "quad.npz", **arrays)
+        with pytest.raises(ValueError, match=quad_error(path, f"'{field}' has shape")):
             sc.load_patchset(path)
 
     @pytest.mark.parametrize("field", ["positions", "normals"])
     def test_non_finite_geometry_names_file_and_field(self, saved, field):
         _, path = saved
-        arrays = dict(np.load(path / "geometry.npz"))
+        arrays = dict(np.load(path / "quad.npz"))
         arrays[field][7] = np.nan
-        save_arrays(path / "geometry.npz", **arrays)
-        with pytest.raises(ValueError, match=rf"geometry\.npz: '{field}' must be finite$"):
+        save_arrays(path / "quad.npz", **arrays)
+        with pytest.raises(ValueError, match=quad_error(path, f"'{field}' must be finite$")):
             sc.load_patchset(path)
 
     def test_non_unit_normals_names_file(self, saved):
         _, path = saved
-        arrays = dict(np.load(path / "geometry.npz"))
+        arrays = dict(np.load(path / "quad.npz"))
         arrays["normals"] *= 2.0
-        save_arrays(path / "geometry.npz", **arrays)
+        save_arrays(path / "quad.npz", **arrays)
         with pytest.raises(ValueError,
-                           match=r"geometry\.npz: 'normals' rows must have unit length"):
+                           match=quad_error(path, "'normals' rows must have unit length")):
             sc.load_patchset(path)
 
     def test_level_mismatch_names_the_vertex_count(self, saved):
-        # positions for level 2 under a patchset.json that claims level 3
+        # level-2 arrays under a quad.npz level of 3
         _, path = saved
-        doc = json.loads((path / "patchset.json").read_text())
-        (path / "patchset.json").write_text(json.dumps({**doc, "level": 3}))
-        with pytest.raises(ValueError, match=r"'positions' has shape \(98, 3\).*\(386, 3\)"):
+        arrays = dict(np.load(path / "quad.npz"))
+        save_arrays(path / "quad.npz", **{**arrays, "level": np.int64(3)})
+        with pytest.raises(ValueError,
+                           match=quad_error(path, r"'positions' has shape \(98, 3\).*\(386, 3\)")):
             sc.load_patchset(path)
 
     def test_level_checked_before_the_cube_sphere_is_built(self, saved, monkeypatch):
         # the build time grows about 4x per level, so an edited level is
         # caught by the vertex count 6 * 4**level + 2 without building
         _, path = saved
-        doc = json.loads((path / "patchset.json").read_text())
-        (path / "patchset.json").write_text(json.dumps({**doc, "level": 12}))
+        arrays = dict(np.load(path / "quad.npz"))
+        save_arrays(path / "quad.npz", **{**arrays, "level": np.int64(12)})
 
         def no_build(level):
             raise AssertionError(f"built the level-{level} cube sphere")
-        monkeypatch.setattr(patches, "build_quadsphere", no_build)
-        with pytest.raises(ValueError,
-                           match=r"geometry\.npz: 'positions' has shape \(98, 3\).*\(100663298, 3\)"):
+        monkeypatch.setattr(quadsphere, "build_quadsphere", no_build)
+        with pytest.raises(ValueError, match=quad_error(
+                path, r"'positions' has shape \(98, 3\).*\(100663298, 3\)")):
             sc.load_patchset(path)
 
     @pytest.mark.parametrize("text, got", [("5", "5"),
@@ -445,7 +466,7 @@ class TestPatchSetIO:
                 f"{path / 'patchset.json'}: not a JSON object, got {got}")):
             sc.load_patchset(path)
 
-    @pytest.mark.parametrize("field", ["level", "z_len", "delta", "pad"])
+    @pytest.mark.parametrize("field", ["z_len", "delta", "pad"])
     def test_missing_scalar_names_file_and_field(self, saved, field):
         _, path = saved
         doc = json.loads((path / "patchset.json").read_text())
@@ -455,8 +476,8 @@ class TestPatchSetIO:
             sc.load_patchset(path)
 
     @pytest.mark.parametrize("edit, message", [
-        ({"level": "2"}, r"'level' must be an integer >= 0, got '2'"),
-        ({"level": 2.0}, r"'level' must be an integer >= 0, got 2\.0"),
+        ({"pad": True}, r"'pad' must be an integer >= 0, got True"),
+        ({"delta": True}, r"'delta' must be finite and > 0, got True"),
         ({"pad": 1.5}, r"'pad' must be an integer >= 0, got 1\.5"),
         ({"pad": -1}, r"'pad' must be an integer >= 0, got -1"),
         ({"z_len": True}, r"'z_len' must be an integer >= 0, got True"),
@@ -465,7 +486,7 @@ class TestPatchSetIO:
         ({"delta": float("nan")}, r"'delta' must be finite and > 0, got nan"),
         ({"delta": float("inf")}, r"'delta' must be finite and > 0, got inf"),
         ({"delta": "0.5"}, r"'delta' must be finite and > 0, got '0\.5'"),
-        ({"pad": 5}, r"'pad' 5 exceeds the face grid size n = 2\*\*level = 4"),
+        ({"pad": 5}, r"'pad' 5 exceeds the face grid size n = 2\*\*level = 4 of \S*quad\.npz$"),
         ({"z_len": 1}, r"'z_len' must be >= 2, got 1"),
     ])
     def test_bad_scalar_names_file_and_field(self, saved, edit, message):

@@ -248,7 +248,7 @@ class TestQuadSidecarErrors:
 
     @pytest.mark.parametrize("level, message", [
         (12, r"q\.npz: 'positions' has shape \(98, 3\) .* expected \(100663298, 3\)"),
-        (-1, r"q\.npz: 'level' must be >= 0, got -1"),
+        (-1, r"q\.npz: 'level' must be in 0\.\.30, got -1"),
     ])
     def test_level_checked_before_the_cube_sphere_is_built(self, saved, monkeypatch,
                                                            level, message):
@@ -262,6 +262,10 @@ class TestQuadSidecarErrors:
         monkeypatch.setattr(quadsphere, "build_quadsphere", no_build)
         with pytest.raises(ValueError, match=message):
             sc.load_quadmesh(tmp_path / "q.npz")
+
+    def test_max_level_is_the_last_with_int64_vertex_ids(self):
+        assert quadsphere.vertex_count(quadsphere.MAX_LEVEL) < 2 ** 63
+        assert quadsphere.vertex_count(quadsphere.MAX_LEVEL + 1) >= 2 ** 63
 
     def test_text_file_is_not_an_archive(self, saved):
         tmp_path, _ = saved
