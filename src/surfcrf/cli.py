@@ -386,16 +386,17 @@ def cmd_unary(cfg, outdir):
         save_face_grids(lambda f: step.path(f"unary{f}.svol"), u.logits, ps.delta)
         baseline = u.argmax_labels()
         with open(step.path("unary_argmax.json"), "w") as fh:
-            json.dump({"labels": baseline.tolist()}, fh)
+            fh.write(json.dumps({"labels": baseline.tolist()}))  # json.dump encodes in Python
 
 
 def cmd_segment(cfg, outdir):
     with _Step("segment", outdir, cfg) as step:
         ps, u = _scaled_unary(step, cfg)
         lab = crfmod.meanfield_infer(u, crfmod.CrfParams(**cfg["crf"]), ps=ps)
-        save_face_grids(lambda f: step.path(f"q{f}.svol"), ps.graph.split(lab.q), ps.delta)
+        save_face_grids(lambda f: step.path(f"q{f}.svol"),
+                        ps.graph.split(lab.q.astype(np.float32)), ps.delta)
         with open(step.path("labeling.json"), "w") as fh:
-            json.dump({"labels": lab.labels.tolist()}, fh)
+            fh.write(json.dumps({"labels": lab.labels.tolist()}))  # json.dump encodes in Python
         verts, faces = labeling_to_world(lab.labels, ps)
         save_quad_mesh_records(step.path("pred.mesh"), verts, faces)
 

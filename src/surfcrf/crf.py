@@ -18,9 +18,11 @@ LOGIT_CLAMP = 30.0
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    """exp(l - max) / sum along the last axis, in one full-size array."""
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -296,25 +298,32 @@ def kernel_features(u: UnaryField, ps: PatchSet | None, params: CrfParams) -> np
     return ps.samples.astype(np.float64)
 
 
-_EDGE_BLOCK = 1 << 14  # pairs per gathered block of the feature distance
+_EDGE_BLOCK = 1 << 16  # elements (pairs x Z) per gathered block of the feature distance
 
 
 def edge_stats(u: UnaryField, params: CrfParams, ps: PatchSet | None = None):
     """The kernel inputs per stored entry (i, j) of W, from the owner
     (merged) kernel features f: the squared feature distance
     fd = sum_z (f_i - f_j)^2, the squared grid distance d2 of the entry's
-    window offset, and the entries' cached PairEdges records.  fd is
-    gathered on the upper entries (i < j) only, in blocks of pairs so the
-    (pairs, Z) arrays stay bounded, and copied to their mirrors (j, i):
-    (f_i - f_j)^2 and (f_j - f_i)^2 are the same floats, so fd is exactly
-    symmetric and equal to a gather over every entry."""
+    window offset, and the entries' cached PairEdges records.  The
+    probability features are the softmax of the merged logits: softmax
+    works row by row, so they are the merged kernel_features, from fewer
+    rows.  fd is gathered on the upper entries (i < j) only, in blocks of
+    _EDGE_BLOCK elements so the (pairs, Z) arrays stay bounded, and copied
+    to their mirrors (j, i): (f_i - f_j)^2 and (f_j - f_i)^2 are the same
+    floats, so fd is exactly symmetric and equal to a gather over every
+    entry."""
     offs = window_offsets(params.window_radius)
     edges = _cached_pair_edges(u.graph, params.window_radius)
     cols, upper, mirror = edges.cols, edges.upper, edges.mirror
-    f = u.graph.merge(kernel_features(u, ps, params))
+    if params.kernel_variant == "probability":
+        f = softmax(u.graph.merge(u.logits))
+    else:
+        f = u.graph.merge(kernel_features(u, ps, params))
     fd = np.empty(cols.size)
-    for lo in range(0, upper.size, _EDGE_BLOCK):
-        up, mi = upper[lo:lo + _EDGE_BLOCK], mirror[lo:lo + _EDGE_BLOCK]
+    block = max(1, _EDGE_BLOCK // f.shape[-1])
+    for lo in range(0, upper.size, block):
+        up, mi = upper[lo:lo + block], mirror[lo:lo + block]
         diff = f.take(cols[mi], axis=0)  # the row i of (i, j) is the column of (j, i)
         diff -= f.take(cols[up], axis=0)
         diff *= diff
@@ -370,6 +379,12 @@ def compat_transform(q_tilde: np.ndarray, theta_comp: float) -> np.ndarray:
     return q_tilde @ m
 
 
+def _finite(q: np.ndarray) -> np.ndarray:
+    if not np.isfinite(q).all():
+        raise RuntimeError("non-finite mean-field marginals")
+    return q
+
+
 def meanfield_unroll(logits: np.ndarray, W: sparse.csr_matrix, params: CrfParams,
                      tape: list | None = None) -> np.ndarray:
     """The unrolled mean-field loop shared by inference and fitting, on
@@ -384,9 +399,7 @@ def meanfield_unroll(logits: np.ndarray, W: sparse.csr_matrix, params: CrfParams
         q_in = q
         q_tilde = W @ q_in
         q_hat = compat_transform(q_tilde, params.theta_comp)
-        q = softmax(logits - params.w_p * q_hat)
-        if not np.isfinite(q).all():
-            raise RuntimeError("non-finite mean-field marginals")
+        q = _finite(softmax(logits - params.w_p * q_hat))
         if tape is not None:
             tape.append((q_in, q_tilde, q_hat, q))
     return q
@@ -395,9 +408,17 @@ def meanfield_unroll(logits: np.ndarray, W: sparse.csr_matrix, params: CrfParams
 def meanfield_infer(u: UnaryField, params: CrfParams,
                     ps: PatchSet | None = None) -> SurfaceLabeling:
     """params.iterations undamped mean-field updates (meanfield_unroll) on
-    the per-vertex unary logits: the marginals and their argmax labels."""
-    kf = compute_kernel(u, params, ps=ps)
-    q = meanfield_unroll(u.graph.merge(u.logits), kf.W, params)
+    the per-vertex unary logits: the marginals and their argmax labels.
+
+    At w_p = 0 every iteration returns softmax(l - 0 * q_hat), the same
+    floats as softmax(l) (a signed zero moves no bit of a softmax), so no
+    kernel is built and no iteration runs.  The intensity variant without
+    a PatchSet still goes to compute_kernel, which rejects it."""
+    logits = u.graph.merge(u.logits)
+    if params.w_p == 0 and (params.kernel_variant == "probability" or ps is not None):
+        q = _finite(softmax(logits))
+    else:
+        q = meanfield_unroll(logits, compute_kernel(u, params, ps=ps).W, params)
     return SurfaceLabeling(labels=np.argmax(q, axis=-1).astype(np.int64), q=q)
 
 

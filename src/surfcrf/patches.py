@@ -200,7 +200,7 @@ def save_face_grids(path_of, grids: np.ndarray, delta: float) -> None:
     float32 .svol files with spacing (1, 1, delta)."""
     for f in range(6):
         save_svol(Volume(dims=grids[f].shape, spacing=(1.0, 1.0, delta), origin=(0.0, 0.0, 0.0),
-                         data=grids[f].astype(np.float32)), path_of(f))
+                         data=grids[f].astype(np.float32, copy=False)), path_of(f))
 
 
 def load_face_grids(path_of, dims) -> np.ndarray:

@@ -30,11 +30,15 @@ class Volume:
     data: np.ndarray
 
     def __post_init__(self):
+        # tuples, so grids given as lists and as tuples compare equal; the
+        # elements are kept as given
+        for name in ("dims", "spacing", "origin"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if any(d < 1 for d in self.dims):
             raise ValueError(f"dims must all be >= 1, got {self.dims}")
         if any(s <= 0 for s in self.spacing):
             raise ValueError(f"spacing must all be > 0, got {self.spacing}")
-        if self.data.shape != tuple(self.dims):
+        if self.data.shape != self.dims:
             raise ValueError(f"data shape {self.data.shape} != dims {self.dims}")
 
 

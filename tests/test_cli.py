@@ -292,6 +292,11 @@ class TestSegmentIdentity:
             baseline = json.loads((out / "unary_argmax.json").read_text())["labels"]
             assert labeling == baseline
 
+    @pytest.mark.parametrize("name", ["labeling.json", "unary_argmax.json"])
+    def test_labels_file_is_json_dumps_of_its_dict(self, fast_run, name):
+        text = (fast_run / name).read_text()
+        assert text == json.dumps(json.loads(text))
+
     def test_segment_reload_reuses_pair_mask(self, fast_run, tmp_path, monkeypatch):
         out = shutil.copytree(fast_run, tmp_path / "run")
         calls = []

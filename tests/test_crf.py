@@ -638,6 +638,119 @@ class TestMeanfield:
         assert np.array_equal(lab1.q, lab2.q)
 
 
+@pytest.fixture(scope="module")
+def r3_case():
+    """An r=3 patch set (Z=16, pad 3) of a random volume, and random slot
+    logits with some beyond the clamp."""
+    from test_patches import synthetic_quadmesh
+    rng = np.random.default_rng(31)
+    vol = sc.Volume((32, 32, 32), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0),
+                    rng.random((32, 32, 32)).astype(np.float32))
+    qm = synthetic_quadmesh(level=3, radius=8.0, center=(15.5, 15.5, 15.5))
+    ps = sc.sample_columns(vol, qm, z_len=16, delta=0.5, pad=3)
+    logits = rng.normal(0.0, 3.0, size=(*ps.graph.shape, 16))
+    logits.reshape(-1)[::97] = 1e3
+    logits.reshape(-1)[::89] = -1e3
+    return ps, sc.unary_from_logits(ps.graph, logits)
+
+
+def full_loop(u, params, ps=None):
+    """meanfield_unroll on the merged logits with the kernel built."""
+    return sc.crf.meanfield_unroll(u.graph.merge(u.logits),
+                                   sc.compute_kernel(u, params, ps=ps).W, params)
+
+
+class TestMeanfieldWpZero:
+    """At w_p = 0 meanfield_infer builds no kernel and runs no iteration,
+    and returns the floats of the full loop."""
+
+    @pytest.mark.parametrize("iterations", [1, 3, 9])
+    @pytest.mark.parametrize("w_p", [0.0, -0.0])
+    def test_equals_full_loop_on_patch_set(self, r3_case, iterations, w_p):
+        ps, u = r3_case
+        for variant in ("probability", "intensity"):
+            params = sc.CrfParams(w_p=w_p, iterations=iterations, window_radius=2,
+                                  kernel_variant=variant)
+            lab = sc.meanfield_infer(u, params, ps=ps)
+            want = full_loop(u, params, ps)
+            assert lab.q.tobytes() == want.tobytes(), variant
+            assert np.array_equal(lab.labels, np.argmax(want, axis=-1))
+
+    @pytest.mark.parametrize("shape", TOY_SHAPES)
+    def test_equals_full_loop_on_toy_graphs(self, shape):
+        patches, height, width = shape
+        u = toy_unary(height, width, 12, seed=height * width, sigma=20.0, patches=patches)
+        # -0.0 - 0 * q_hat is +0.0 in the loop where q_hat < 0, and some rows
+        # have their maximum there
+        u.logits[..., ::4] = -0.0
+        for iterations in (1, 3, 9):
+            for w_p in (0.0, -0.0):
+                params = sc.CrfParams(w_p=w_p, iterations=iterations, window_radius=2)
+                want = full_loop(u, params)
+                assert sc.meanfield_infer(u, params).q.tobytes() == want.tobytes()
+
+    def test_builds_no_kernel(self, r3_case, monkeypatch):
+        ps, u = r3_case
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("compute_kernel called at w_p = 0")
+
+        monkeypatch.setattr(sc.crf, "compute_kernel", no_kernel)
+        for variant in ("probability", "intensity"):
+            lab = sc.meanfield_infer(u, sc.CrfParams(w_p=0.0, kernel_variant=variant), ps=ps)
+            assert np.array_equal(lab.labels, u.argmax_labels())
+
+    def test_errors_stay(self, r3_case):
+        ps, u = r3_case
+        nan = u.logits.copy()
+        nan.reshape(-1, u.z_len)[u.graph.owner[5], 3] = np.nan
+        for variant in ("probability", "intensity"):
+            params = sc.CrfParams(w_p=0.0, kernel_variant=variant)
+            with pytest.raises(RuntimeError, match="^non-finite mean-field marginals$"):
+                sc.meanfield_infer(sc.unary_from_logits(u.graph, nan), params, ps=ps)
+        with pytest.raises(ValueError, match="PatchSet"):
+            sc.meanfield_infer(u, sc.CrfParams(w_p=0.0, kernel_variant="intensity"))
+
+
+class TestEdgeStatsBlocks:
+    @pytest.mark.parametrize("variant", ["probability", "intensity"])
+    def test_fd_independent_of_block_size(self, r3_case, monkeypatch, variant):
+        # _EDGE_BLOCK counts elements: 1 and 7 give one pair per block at
+        # Z=16, 3 Z + 1 gives three
+        ps, u = r3_case
+        for radius in (1, 2, 4):
+            params = sc.CrfParams(window_radius=radius, kernel_variant=variant)
+            want = ref_full_fd(u, params, ps)
+            for block in (1, 7, 3 * u.z_len + 1):
+                monkeypatch.setattr(sc.crf, "_EDGE_BLOCK", block)
+                fd = sc.crf.edge_stats(u, params, ps)[0]
+                assert np.array_equal(fd, want), (radius, block)
+
+
+class TestSoftmax:
+    def test_bits_equal_reference(self):
+        c = LOGIT_CLAMP
+        rows = np.asarray([
+            [c, -c, 0.0, -0.0, 1.5],
+            [-c, -c, -c, -c, -c],
+            [c, c, -c, 0.0, c],
+            [-0.0, -0.0, -0.0, -0.0, -0.0],
+            [0.0, -0.0, 0.0, -0.0, 0.0],
+            [-0.0, -c, -c, 2.0, 2.0],
+            [1e-300, -1e-300, 0.0, -0.0, 5e-324],
+        ])
+        rng = np.random.default_rng(0)
+        rows = np.concatenate([rows, np.clip(rng.normal(0.0, 20.0, size=(64, 5)), -c, c)])
+        given = rows.copy()
+        e = np.exp(rows - rows.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        for shape in (rows.shape, (1, 71, 1, 5), (71, 1, 1, 5)):
+            got = softmax(rows.reshape(shape))
+            assert got.shape == shape and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        assert rows.tobytes() == given.tobytes()  # the input is not written
+
+
 class TestEnergy:
     def _toy_instance(self, logits, params):
         graph = make_toy_graph(1, 2)

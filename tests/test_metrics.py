@@ -137,6 +137,14 @@ class TestDsc:
         with pytest.raises(ValueError, match="origin"):
             sc.dsc(label_volume(cube), moved)
 
+    def test_list_and_tuple_grids_compare_equal(self):
+        # a Volume keeps its triples as tuples, so the same grid given as
+        # lists is the same grid
+        mask = np.zeros((4, 4, 4), dtype=np.float32)
+        mask[1:3] = 1
+        as_lists = sc.Volume([4, 4, 4], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], mask)
+        assert sc.dsc(as_lists, label_volume(mask)) == 1.0
+
     def test_non_binary_rejected(self):
         bad = label_volume(np.full((4, 4, 4), 0.5))
         with pytest.raises(ValueError, match="binary"):

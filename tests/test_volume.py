@@ -52,6 +52,17 @@ class TestSvolIO:
         sc.save_svol(vol, path)
         assert np.array_equal(sc.load_svol(path).data, vol.data)
 
+    def test_triples_stored_as_tuples_with_their_elements(self, tmp_path):
+        # lists become tuples; the elements, and so the header bytes, stay
+        vol = sc.Volume([4, 4, 4], [1, 0.5, 2.0], [0, -1.0, 3.5], np.zeros((4, 4, 4), np.float32))
+        assert (vol.dims, vol.spacing, vol.origin) == ((4, 4, 4), (1, 0.5, 2.0), (0, -1.0, 3.5))
+        assert all(type(t) is tuple for t in (vol.dims, vol.spacing, vol.origin))
+        assert type(vol.spacing[0]) is int
+        sc.save_svol(vol, tmp_path / "v.svol")
+        header = (tmp_path / "v.svol").read_bytes().split(b"\n", 1)[0]
+        assert header == b'{"dims": [4, 4, 4], "spacing": [1, 0.5, 2.0], ' \
+                         b'"origin": [0, -1.0, 3.5], "dtype": "f32le"}'
+
     def test_length_mismatch(self, tmp_path):
         path = tmp_path / "bad.svol"
         header = {"dims": [2, 2, 2], "spacing": [1, 1, 1], "origin": [0, 0, 0],
