@@ -21,7 +21,7 @@ from .mesh import (MeshError, SphereMap, TriMesh, harmonic_sphere_map, load_mesh
                    load_quad_mesh_records, save_mesh, save_quad_mesh_records, taubin_smooth)
 from .metrics import compare_surfaces
 from .patches import (GroundTruth, ground_truth, labeling_to_world, load_face_grids, load_patchset,
-                      sample_columns, save_face_grids, save_patchset)
+                      sample_columns, save_columns, save_face_grids)
 from .quadsphere import (MAX_LEVEL, build_quadsphere, checked_unit_rows, load_arrays, load_quadmesh,
                          remesh, save_arrays, save_quadmesh)
 from .volume import PhantomSpec, load_svol, make_phantom, phantom_label_volume, save_svol
@@ -337,17 +337,20 @@ def cmd_remesh(cfg, outdir):
         smap = SphereMap(mesh=pre, positions=positions)
         qs = build_quadsphere(cfg["quad"]["recursion"])
         qm = remesh(pre, smap, qs)
-        save_quadmesh(qm, step.path("quad.npz"))
+        # the one copy of the remesh: patches samples it and keeps it as the
+        # patch set's geometry, where unary, segment and fit read it
+        os.makedirs(os.path.join(outdir, "patches"), exist_ok=True)
+        save_quadmesh(qm, step.path(os.path.join("patches", "quad.npz")))
 
 
 def cmd_patches(cfg, outdir):
     with _Step("patches", outdir, cfg) as step:
         pc = cfg["patches"]
         vol = load_svol(step.input(os.path.join(outdir, "volume.svol")))
-        qm = load_quadmesh(step.input(os.path.join(outdir, "quad.npz")))
+        qm = load_quadmesh(step.input(os.path.join(outdir, "patches", "quad.npz")))
         ps = sample_columns(vol, qm, z_len=pc["column_len"], delta=pc["column_res_mm"],
                             pad=pc["pad"])
-        save_patchset(ps, step.path("patches"))
+        save_columns(ps, lambda name: step.path(os.path.join("patches", name)))
         truth_path = os.path.join(outdir, "truth.mesh")
         if os.path.exists(truth_path):
             truth = load_mesh(step.input(truth_path))

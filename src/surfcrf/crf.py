@@ -6,13 +6,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 import functools
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from . import accel
 from .patches import ColumnGraph, PatchSet
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 LOGIT_CLAMP = 30.0
 
@@ -131,17 +133,18 @@ class KernelField:
         return out.reshape(P, H, W, -1)
 
 
-def _window_records(graph: ColumnGraph, offsets: np.ndarray):
+def _window_records(graph: ColumnGraph, offsets: np.ndarray, lo: int = 0, hi: int | None = None):
     """(i, k, j) for every window entry k of vertex i's owning slot that
-    shows another valid vertex j, in (i, k) order."""
+    shows another valid vertex j, in (i, k) order, for the vertices
+    lo..hi-1 (all of them by default)."""
     r = int(np.abs(offsets).max())  # pad by the radius: entries past the edge read -1
     gid = np.pad(graph.gid, ((0, 0), (r, r), (r, r)), constant_values=-1)
-    p, y, x = np.unravel_index(graph.owner, graph.shape)
+    p, y, x = np.unravel_index(graph.owner[lo:hi], graph.shape)
     slot = np.ravel_multi_index((p, y + r, x + r), gid.shape)
     gwin = gid.reshape(-1)[slot[:, None] + offsets @ [gid.shape[2], 1]]
     # drop self: the centre offset, and any pad that shows the vertex again
-    rows, ks = np.nonzero((gwin >= 0) & (gwin != np.arange(len(slot))[:, None]))
-    return rows, ks, gwin[rows, ks]
+    rows, ks = np.nonzero((gwin >= 0) & (gwin != np.arange(lo, lo + len(slot))[:, None]))
+    return rows + lo, ks, gwin[rows, ks]
 
 
 class PairEdges(NamedTuple):
@@ -150,8 +153,11 @@ class PairEdges(NamedTuple):
     cols: np.ndarray    # (nnz,) the neighbour's gid per entry
     pos: np.ndarray     # (nnz,) the entry's flat (slot, k) position in (P,H,W,K)
     indptr: np.ndarray  # (Nv+1,) row pointer
-    upper: np.ndarray   # (nnz/2,) the entries (i, j) with i < j
+    upper: np.ndarray   # (nnz/2,) the entries (i, j) with i < j, in (i, j) order
     mirror: np.ndarray  # (nnz/2,) the entry (j, i) of each upper entry
+
+
+_RECORD_BLOCK = 1 << 14  # window records per block of pair_edges
 
 
 def pair_edges(graph: ColumnGraph, offsets: np.ndarray) -> PairEdges:
@@ -169,43 +175,84 @@ def pair_edges(graph: ColumnGraph, offsets: np.ndarray) -> PairEdges:
     gives, for each entry (i, j) with i < j, the position of its transpose
     (j, i), so that symmetric per-entry values are computed once per pair.
 
-    The arrays are int32 where the positions allow it, so scipy takes them
-    without a copy, and read-only."""
+    The records are read, deduplicated and mirror-checked in blocks of
+    about _RECORD_BLOCK, so only three arrays span every record: the
+    int64 key (i, j, d2) of each deduplicated record, sorted, its offset k
+    and its rank in (i, k) order.  The arrays returned are int32 where the
+    positions allow it, so scipy takes them without a copy, and read-only."""
     K = offsets.shape[0]
     nv = graph.n_vertices
-    rows, ks, cols = _window_records(graph, offsets)
     d2 = offsets[:, 0] ** 2 + offsets[:, 1] ** 2
     stride = int(d2.max()) + 1
-    pair = rows * nv + cols
-    key = pair * stride + d2[ks]
-    order = np.argsort(key * K + ks)  # by (i, j), then (d2, k)
-    pair = pair[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = pair[1:] != pair[:-1]
-    del pair  # drop each (records,) intermediate at its last use, to lower the peak
-    kept = order[first]  # one record per (i, j), in (i, j) order
-    del order, first
-    kept_key = key[kept]
-    del key
-    mirror_key = (cols[kept] * nv + rows[kept]) * stride + d2[ks[kept]]
-    loc = np.searchsorted(kept_key, mirror_key)
-    found = loc < kept.size
-    found[found] = kept_key[loc[found]] == mirror_key[found]
-    del kept_key, mirror_key
-    keep = np.zeros(rows.size, dtype=bool)
-    keep[kept[found]] = True
-    at = np.cumsum(keep) - 1  # CSR position of each kept record
-    upper = found & (rows[kept] < cols[kept])
-
     itype = np.int32 if graph.gid.size * K < 2 ** 31 else np.int64
-    out = PairEdges(cols=cols[keep].astype(itype),
-                    pos=(graph.owner[rows[keep]] * K + ks[keep]).astype(itype),
+    block = _RECORD_BLOCK
+
+    # per block of owners: the first record of each pair (i, j) in (i, j, d2, k)
+    # order; no vertex has more than K - 1 records, the centre is never one
+    key = np.empty(nv * (K - 1), dtype=np.int64)
+    kk = np.empty(key.size, dtype=np.min_scalar_type(K - 1))
+    rank = np.empty(key.size, dtype=itype)
+    n = 0
+    rows_per_block = max(1, block // K)
+    for lo in range(0, nv, rows_per_block):
+        rows, ks, cols = _window_records(graph, offsets, lo, lo + rows_per_block)
+        pair = rows * nv + cols
+        rec = pair * stride + d2[ks]
+        order = np.argsort(rec * K + ks)
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = pair[order[1:]] != pair[order[:-1]]
+        kept = order[first]
+        in_ik = np.zeros(rows.size, dtype=bool)
+        in_ik[kept] = True
+        m = kept.size
+        key[n:n + m] = rec[kept]
+        kk[n:n + m] = ks[kept]
+        rank[n:n + m] = np.cumsum(in_ik)[kept] + (n - 1)
+        n += m
+    key, kk, rank = key[:n], kk[:n], rank[:n]
+
+    # per block of kept records: is the mirror (j, i, d2) kept too?
+    found = np.empty(n, dtype=bool)
+    upper = np.empty(n // 2, dtype=itype)  # found records pair up: at most n/2 have i < j
+    mirror = np.empty(n // 2, dtype=itype)
+    u = 0
+    for a in range(0, n, block):
+        pair, d = np.divmod(key[a:a + block], stride)
+        i, j = np.divmod(pair, nv)
+        mirror_key = (j * nv + i) * stride + d
+        loc = np.searchsorted(key, mirror_key)
+        f = loc < n
+        f[f] = key[loc[f]] == mirror_key[f]
+        found[a:a + block] = f
+        up = np.flatnonzero(f & (i < j))
+        upper[u:u + up.size] = up + a
+        mirror[u:u + up.size] = loc[up]
+        u += up.size
+
+    # the CSR position of each kept record: its rank in (i, k) order among the found
+    found_ik = np.zeros(n, dtype=bool)
+    found_ik[rank] = found
+    csr = np.cumsum(found_ik, dtype=itype)
+    del found_ik
+    csr -= 1
+    csr = csr[rank]
+    del rank
+    nnz = 2 * u
+    out = PairEdges(cols=np.empty(nnz, dtype=itype), pos=np.empty(nnz, dtype=itype),
                     indptr=np.zeros(nv + 1, dtype=itype),
-                    upper=at[kept[upper]].astype(itype),
-                    mirror=at[kept[loc[upper]]].astype(itype))
-    np.cumsum(np.bincount(rows[keep], minlength=nv), out=out.indptr[1:])
-    for a in out:
-        a.flags.writeable = False
+                    upper=csr[upper[:u]], mirror=csr[mirror[:u]])
+    del upper, mirror
+    counts = np.zeros(nv, dtype=np.int64)
+    for a in range(0, n, block):
+        f = found[a:a + block]
+        i, j = np.divmod(key[a:a + block][f] // stride, nv)
+        at = csr[a:a + block][f]
+        out.cols[at] = j
+        out.pos[at] = graph.owner[i] * K + kk[a:a + block][f]
+        counts += np.bincount(i, minlength=nv)
+    np.cumsum(counts, out=out.indptr[1:])
+    for arr in out:
+        arr.flags.writeable = False
     return out
 
 
@@ -337,6 +384,8 @@ def edge_kernel(fd: np.ndarray, d2: np.ndarray, edges: PairEdges, params: CrfPar
     over the ``edges`` records, with the appearance term
     app = exp(-d2/(2 theta1^2) - fd/(2 theta2^2)) and the smoothness term
     sm = exp(-d2/(2 theta3^2)) per entry.  Returns (W, app, sm)."""
+    from scipy import sparse  # here, so that steps without a CRF do not import it
+
     it1 = 1.0 / (2.0 * params.theta1 ** 2)
     it2 = 1.0 / (2.0 * params.theta2 ** 2)
     it3 = 1.0 / (2.0 * params.theta3 ** 2)

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 
 class MeshError(ValueError):
@@ -157,6 +155,8 @@ def _edge_table(faces, n_vertices):
 def _edge_operator(edges, weights, n_vertices):
     """Symmetric (V,V) CSR matrix with ``weights[e]`` at (i,j) and (j,i) of
     each edge (i,j)."""
+    from scipy import sparse  # here, so that steps without a mesh operator do not import it
+
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     return sparse.csr_matrix((np.concatenate([weights, weights]), (rows, cols)),
@@ -190,6 +190,8 @@ def validate_closed_genus0(mesh: TriMesh) -> ValidationReport:
         problems.append(f"boundary edge: {int((counts == 1).sum())} edges with a single incident face")
     if (counts > 2).any():
         problems.append(f"non-manifold edge: {int((counts > 2).sum())} edges with >2 incident faces")
+
+    from scipy.sparse.csgraph import connected_components
 
     _, component = connected_components(
         _edge_operator(edges, np.ones(len(edges)), V), directed=False)

@@ -7,7 +7,6 @@ from dataclasses import dataclass, asdict
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import accel
 from .volume import Volume
@@ -139,6 +138,8 @@ def _bidirectional_distances(s1: np.ndarray, s2: np.ndarray):
     whole set is made.  Leaves of _KD_LEAFSIZE points cut the tree depth,
     which the dense surface samples gain more from than they lose to longer
     leaf scans."""
+    from scipy.spatial import cKDTree  # here, so that only the metrics step imports it
+
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
     if s1.size == 0 or s2.size == 0:

@@ -217,16 +217,20 @@ def load_face_grids(path_of, dims) -> np.ndarray:
     return grids
 
 
+def save_columns(ps: PatchSet, path_of) -> None:
+    """The patch set without its quad mesh: the sampled columns as
+    patch{f}.svol and the scalars as patchset.json, each file to
+    ``path_of(name)``."""
+    save_face_grids(lambda f: path_of(f"patch{f}.svol"), ps.samples, ps.delta)
+    with open(path_of("patchset.json"), "w") as fh:
+        json.dump({"z_len": ps.z_len, "delta": ps.delta, "pad": ps.pad}, fh)
+
+
 def save_patchset(ps: PatchSet, dirpath) -> None:
+    """The whole patch set in ``dirpath``: save_columns and the quad mesh
+    the columns were sampled on, quad.npz."""
     os.makedirs(dirpath, exist_ok=True)
-    save_face_grids(lambda f: os.path.join(dirpath, f"patch{f}.svol"), ps.samples, ps.delta)
-    doc = {
-        "z_len": ps.z_len,
-        "delta": ps.delta,
-        "pad": ps.pad,
-    }
-    with open(os.path.join(dirpath, "patchset.json"), "w") as fh:
-        json.dump(doc, fh)
+    save_columns(ps, lambda name: os.path.join(dirpath, name))
     save_quadmesh(ps.quad, os.path.join(dirpath, "quad.npz"))
 
 

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
-from scipy import sparse
 
 from .crf import (LOGIT_CLAMP, CrfParams, UnaryField, compat_matrix, edge_kernel,
                   edge_stats, meanfield_unroll, softmax)
@@ -112,6 +111,8 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
     and each is the contraction <[dQ~_1 ... dQ~_T], C [Q_in,1 ... Q_in,T]> of
     (Nv, T Z) stacks with the sparse matrix C = csr((c, cols, indptr)), so no
     per-entry (edges, Z) array is gathered."""
+    from scipy import sparse  # here, as in crf.edge_kernel
+
     raw = u.graph.merge(u.logits)
     frozen = frozen_kernel_stats(
         UnaryField(graph=u.graph, logits=unary_scale * u.logits), params, ps=ps)

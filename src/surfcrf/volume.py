@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import ndimage
 
 _FLOAT_MAX = np.finfo(np.float64).max
 
@@ -217,6 +216,8 @@ def phantom_label_volume(spec: PhantomSpec) -> Volume:
 def make_phantom(spec: PhantomSpec):
     """Render the phantom volume (blur + seeded noise) and return it together
     with the analytic boundary mesh (deformed icosphere)."""
+    from scipy import ndimage  # here, so that only the phantom step imports it
+
     from . import mesh as meshmod
 
     spec.validate()

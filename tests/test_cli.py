@@ -50,7 +50,7 @@ class TestPipeline:
     def test_emits_all_artifacts(self, tmp_path):
         out = run_pipeline(tmp_path / "run")
         for name in ("volume.svol", "labels.svol", "truth.mesh", "preseg.mesh",
-                     "sphere.npz", "quad.npz", "patches",
+                     "sphere.npz", "patches/quad.npz", "patches",
                      "pred.mesh", "labeling.json", "metrics.json",
                      "config.echo.json", "ground_truth.json"):
             assert (out / name).exists(), name
@@ -93,7 +93,7 @@ class TestPipeline:
         assert inputs("presegment") == ["truth.mesh"]
         assert inputs("spheremap") == ["preseg.mesh"]
         assert inputs("remesh") == ["preseg.mesh", "sphere.npz"]
-        assert inputs("patches") == ["volume.svol", "quad.npz", "truth.mesh"]
+        assert inputs("patches") == ["volume.svol", "patches/quad.npz", "truth.mesh"]
         assert inputs("unary") == inputs("segment") == ["patches"]
         assert inputs("metrics") == ["pred.mesh", "truth.mesh", "labels.svol"]
 
@@ -214,10 +214,10 @@ class TestPipeline:
         assert err["message"].startswith(f"{out / 'sphere.npz'}: {message}")
 
     @pytest.mark.parametrize("name, command, edit, message", [
-        pytest.param("quad.npz", "patches",
+        pytest.param("patches/quad.npz", "patches",
                      lambda a: np.where(np.arange(len(a))[:, None] == 40, np.nan, a),
                      "'normals' must be finite", id="quad-nan-normal"),
-        pytest.param("quad.npz", "patches", lambda a: 2.0 * a,
+        pytest.param("patches/quad.npz", "patches", lambda a: 2.0 * a,
                      "'normals' rows must have unit length", id="quad-doubled-normals"),
         pytest.param("patches/quad.npz", "segment",
                      lambda a: np.where(np.arange(len(a))[:, None] == 40, np.nan, a),
@@ -236,14 +236,28 @@ class TestPipeline:
         err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
         assert err["message"].startswith(f"{out / name}: {message}")
 
-    def test_patch_set_stores_the_run_quad_mesh(self, fast_run):
-        # the patch set keeps the remesh it sampled in the quad-mesh format
-        assert (fast_run / "patches" / "quad.npz").read_bytes() == \
-            (fast_run / "quad.npz").read_bytes()
+    def test_patch_set_stores_the_run_quad_mesh(self, fast_run, tmp_path, capsys):
+        # remesh writes the run's one quad.npz into the patch set, and patches
+        # adds the columns: the run once held a byte-identical second copy,
+        # which an edit reached in patches but not in unary, segment or fit
+        assert list(fast_run.rglob("quad.npz")) == [fast_run / "patches" / "quad.npz"]
+        outputs = {step: json.loads((fast_run / f"{step}.prov.json").read_text())["outputs"]
+                   for step in ("remesh", "patches")}
+        assert outputs["remesh"] == ["patches/quad.npz"]
+        assert "patches/quad.npz" not in outputs["patches"]
+        # a run directory of the earlier layout fails in patches, naming the missing file
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        os.replace(out / "patches" / "quad.npz", out / "quad.npz")
+        assert cli.main(["patches", "--out", str(out)] + FAST) == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert str(out / "patches" / "quad.npz") in err["message"]
 
     @pytest.mark.parametrize("level", [31, 100000])
-    @pytest.mark.parametrize("name, command", [("quad.npz", "patches"),
-                                               ("patches/quad.npz", "segment")])
+    @pytest.mark.parametrize("name, command", [
+        # the run's one quad.npz, in patches/: read by patches and by segment
+        pytest.param("patches/quad.npz", "patches", id="quad.npz-patches"),
+        pytest.param("patches/quad.npz", "segment", id="patches/quad.npz-segment"),
+    ])
     def test_level_bound_named_by_the_step_that_reads_it(self, fast_run, tmp_path, capsys,
                                                          name, command, level):
         # 6 * 4**31 + 2 vertices overflow an int64 index; level 100000 failed
@@ -568,16 +582,40 @@ class TestParser:
         assert "--preseg-smooth-mu" in capsys.readouterr().err
 
 
+def child_env():
+    """The environment of a child Python that imports the surfcrf this test
+    imported, installed or not."""
+    src = os.path.dirname(os.path.dirname(sc.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class TestLazyImports:
+    """A step imports only the scipy it runs: each command is a process of
+    its own, and scipy.sparse, scipy.spatial and scipy.ndimage took 0.5 s
+    and 38 MB of every one of them when surfcrf imported them at load."""
+    HEAVY = ("scipy.sparse", "scipy.spatial", "scipy.ndimage")
+
+    def heavy_loaded(self, code, *args):
+        out = subprocess.run([sys.executable, "-c", code + "; print(json.dumps(sorted(sys.modules)))",
+                              *args], capture_output=True, text=True, env=child_env(), check=True)
+        return [m for m in json.loads(out.stdout) if m.startswith(self.HEAVY)]
+
+    def test_cli_import_loads_none(self):
+        assert self.heavy_loaded("import json, sys, surfcrf.cli") == []
+
+    def test_unary_step_loads_none(self, fast_run, tmp_path):
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        code = "import json, sys; from surfcrf import cli; assert cli.main(sys.argv[1:]) == 0"
+        assert self.heavy_loaded(code, "unary", "--out", str(out), *FAST) == []
+
+
 class TestErrors:
     def test_single_line_machine_parsable_error(self, tmp_path):
-        # the child imports the surfcrf this test imported, installed or not
-        src = os.path.dirname(os.path.dirname(sc.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
             [sys.executable, "-m", "surfcrf.cli", "segment", "--out",
              str(tmp_path / "nothing")],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=child_env())
         assert out.returncode == 1
         lines = [l for l in out.stderr.strip().splitlines() if l]
         assert len(lines) == 1
