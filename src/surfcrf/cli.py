@@ -421,12 +421,16 @@ def cmd_metrics(cfg, outdir):
 
 def _check_ground_truth(gt: GroundTruth, ps, path) -> None:
     """Ground truth must cover the patch set's vertices with valid indices
-    inside its columns."""
+    inside its columns, and mark at least one vertex valid: the fit loss is
+    a mean over each instance's valid columns."""
     for field in ("surface_index", "valid"):
         n = len(getattr(gt, field))
         if n != ps.graph.n_vertices:
             raise CliError(f"{path}: {field} has {n} entries, the patch set has "
                            f"{ps.graph.n_vertices} vertices")
+    if not gt.valid.any():
+        raise CliError(f"{path}: valid is false for every vertex; the fit needs at least "
+                       f"one valid ground-truth column per run")
     idx = gt.surface_index[gt.valid]
     if np.any((idx < 0) | (idx >= ps.z_len)):
         raise CliError(f"{path}: surface_index of a valid vertex lies outside "

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import accel
-from .patches import ColumnGraph, PatchSet
+from .patches import ColumnGraph, PatchSet, build_column_graph
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -120,17 +120,16 @@ class KernelField:
     graph: ColumnGraph
     offsets: np.ndarray    # (K,2) int64
     W: sparse.csr_matrix   # (Nv,Nv) rows in the offset order of the owning slot
-    edge_pos: np.ndarray   # (nnz,) flat (slot, k) position of each entry of W
 
     @property
     def weights(self) -> np.ndarray:
         """The slot-grid view of W, (P,H,W,K): each entry of W at its
         position in its row's owning-slot window, 0 elsewhere.  Built on
         access, for the slot-grid reference (message_pass)."""
-        P, H, W = self.graph.shape
-        out = np.zeros(P * H * W * len(self.offsets))
-        out[self.edge_pos] = self.W.data
-        return out.reshape(P, H, W, -1)
+        edges = _cached_pair_edges(self.graph, int(np.abs(self.offsets).max()))
+        out = np.zeros(self.graph.gid.size * len(self.offsets))
+        out[_slot_positions(self.graph, edges, len(self.offsets))] = self.W.data
+        return out.reshape(*self.graph.shape, -1)
 
 
 def _window_records(graph: ColumnGraph, offsets: np.ndarray, lo: int = 0, hi: int | None = None):
@@ -149,9 +148,10 @@ def _window_records(graph: ColumnGraph, offsets: np.ndarray, lo: int = 0, hi: in
 
 class PairEdges(NamedTuple):
     """The neighbour records of the owner windows as CSR arrays over
-    vertices (pair_edges), read-only, int32 where the positions allow it."""
+    vertices (pair_edges), read-only; the index arrays are int32 where the
+    positions allow it."""
     cols: np.ndarray    # (nnz,) the neighbour's gid per entry
-    pos: np.ndarray     # (nnz,) the entry's flat (slot, k) position in (P,H,W,K)
+    k: np.ndarray       # (nnz,) the entry's window offset index, the least uint type of K
     indptr: np.ndarray  # (Nv+1,) row pointer
     upper: np.ndarray   # (nnz/2,) the entries (i, j) with i < j, in (i, j) order
     mirror: np.ndarray  # (nnz/2,) the entry (j, i) of each upper entry
@@ -184,7 +184,7 @@ def pair_edges(graph: ColumnGraph, offsets: np.ndarray) -> PairEdges:
     nv = graph.n_vertices
     d2 = offsets[:, 0] ** 2 + offsets[:, 1] ** 2
     stride = int(d2.max()) + 1
-    itype = np.int32 if graph.gid.size * K < 2 ** 31 else np.int64
+    itype = np.int32 if nv * K < 2 ** 31 else np.int64
     block = _RECORD_BLOCK
 
     # per block of owners: the first record of each pair (i, j) in (i, j, d2, k)
@@ -238,7 +238,7 @@ def pair_edges(graph: ColumnGraph, offsets: np.ndarray) -> PairEdges:
     csr = csr[rank]
     del rank
     nnz = 2 * u
-    out = PairEdges(cols=np.empty(nnz, dtype=itype), pos=np.empty(nnz, dtype=itype),
+    out = PairEdges(cols=np.empty(nnz, dtype=itype), k=np.empty(nnz, dtype=kk.dtype),
                     indptr=np.zeros(nv + 1, dtype=itype),
                     upper=csr[upper[:u]], mirror=csr[mirror[:u]])
     del upper, mirror
@@ -248,7 +248,7 @@ def pair_edges(graph: ColumnGraph, offsets: np.ndarray) -> PairEdges:
         i, j = np.divmod(key[a:a + block][f] // stride, nv)
         at = csr[a:a + block][f]
         out.cols[at] = j
-        out.pos[at] = graph.owner[i] * K + kk[a:a + block][f]
+        out.k[at] = kk[a:a + block][f]
         counts += np.bincount(i, minlength=nv)
     np.cumsum(counts, out=out.indptr[1:])
     for arr in out:
@@ -256,23 +256,41 @@ def pair_edges(graph: ColumnGraph, offsets: np.ndarray) -> PairEdges:
     return out
 
 
+def _window_graph(graph: ColumnGraph, radius: int) -> ColumnGraph:
+    """The graph whose windows of ``radius`` give the CRF neighbours of
+    ``graph``'s vertices: for a cube-sphere graph its face grids padded to
+    min(radius, n), so that each window reads every seam entry it reaches,
+    whatever the pad of ``graph``; a toy graph itself."""
+    qs = graph.sphere
+    return graph if qs is None else build_column_graph(qs, min(radius, qs.n))
+
+
+def _slot_positions(graph: ColumnGraph, edges: PairEdges, K: int) -> np.ndarray:
+    """The flat (P,H,W,K) position in ``graph`` of each record: its row's
+    owning slot and its window offset k."""
+    return np.repeat(graph.owner * K, np.diff(edges.indptr)) + edges.k
+
+
 def window_pair_mask(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
-    """The slot view of the pair_edges records, (P,H,W,K) bool: True at each
-    record's (owning slot, k) position, so on owner rows only.  Built afresh
-    on each call, records included, for the slot-grid test references and
-    the benchmark's pair-record probe; inference does not use it."""
+    """The slot view of the CRF neighbour records, (P,H,W,K) bool: True at
+    each record's (owning slot, k) position, so on owner rows only.  Built
+    afresh on each call, records included, for the slot-grid test
+    references and the benchmark's pair-record probe; inference does not
+    use it."""
+    edges = pair_edges(_window_graph(graph, int(np.abs(offsets).max())), offsets)
     mask = np.zeros(graph.gid.size * offsets.shape[0], dtype=bool)
-    mask[pair_edges(graph, offsets).pos] = True
+    mask[_slot_positions(graph, edges, offsets.shape[0])] = True
     return mask.reshape(*graph.shape, -1)
 
 
 @functools.lru_cache(maxsize=16)
 def _cached_pair_edges(graph: ColumnGraph, radius: int) -> PairEdges:
-    """The pair_edges records of ``graph`` at window ``radius``; they depend
-    on nothing else, and fit rebuilds the kernel of every instance on every
-    evaluation.  build_column_graph returns one graph per (level, pad), so
-    the cache hits across load_patchset calls."""
-    return pair_edges(graph, window_offsets(radius))
+    """The CRF neighbour records of ``graph``'s vertices at window
+    ``radius``: pair_edges on _window_graph.  They depend on nothing else,
+    and fit rebuilds the kernel of every instance on every evaluation.
+    build_column_graph returns one graph per (level, pad), so the cache
+    hits across load_patchset calls."""
+    return pair_edges(_window_graph(graph, radius), window_offsets(radius))
 
 
 @dataclass(eq=False)
@@ -375,7 +393,7 @@ def edge_stats(u: UnaryField, params: CrfParams, ps: PatchSet | None = None):
         diff -= f.take(cols[up], axis=0)
         diff *= diff
         fd[up] = fd[mi] = diff.sum(axis=-1)
-    d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2).astype(np.float64)[edges.pos % len(offs)]
+    d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2).astype(np.float64)[edges.k]
     return fd, d2, edges
 
 
@@ -403,7 +421,7 @@ def compute_kernel(u: UnaryField, params: CrfParams, ps: PatchSet | None = None)
     Features are FIXED for the whole inference (computed once, here)."""
     fd, d2, edges = edge_stats(u, params, ps)
     return KernelField(graph=u.graph, offsets=window_offsets(params.window_radius),
-                       W=edge_kernel(fd, d2, edges, params)[0], edge_pos=edges.pos)
+                       W=edge_kernel(fd, d2, edges, params)[0])
 
 
 def refresh_duplicates(q: np.ndarray, graph: ColumnGraph) -> np.ndarray:

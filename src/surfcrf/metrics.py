@@ -103,13 +103,18 @@ def sample_surface(vertices: np.ndarray, faces: np.ndarray, max_edge: float) -> 
     Midpoint subdivision halves every edge of all four children, so every
     leaf of a face with longest edge L sits at the least depth k with
     L / 2**k <= max_edge, and the leaf centroids are a fixed lattice of 4**k
-    barycentric points."""
+    barycentric points.  A face whose longest edge is not finite (a NaN
+    vertex, or one far enough out to overflow it) is rejected."""
     if not max_edge > 0:
         raise ValueError(f"max_edge must be > 0, got {max_edge!r}")
     tris = _as_triangles(faces)
     verts = np.asarray(vertices, dtype=np.float64)
     corners = verts[tris]  # (F,3,3)
-    longest = np.linalg.norm(corners - corners[:, (1, 2, 0)], axis=2).max(axis=1)
+    with np.errstate(over="ignore"):
+        longest = np.linalg.norm(corners - corners[:, (1, 2, 0)], axis=2).max(axis=1)
+    bad = np.flatnonzero(~np.isfinite(longest))
+    if bad.size:
+        raise ValueError(f"face {bad[0]} has a non-finite edge length ({longest[bad[0]]})")
     depth = np.zeros(len(tris), dtype=np.int64)
     big = longest > max_edge
     while big.any():

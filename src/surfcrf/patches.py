@@ -22,10 +22,12 @@ class ColumnGraph:
 
     gid holds the global vertex of each slot (-1 in the corner pad blocks,
     which have no geometry); owner holds, per global vertex, the flat index
-    of the single slot that contributes to merged output.
+    of the single slot that contributes to merged output; sphere is the
+    cube-sphere whose face grids these are (None for a toy grid).
     """
     gid: np.ndarray    # (P,H,W) int64, -1 where invalid
     owner: np.ndarray  # (Nv,) int64 flat slot index
+    sphere: QuadSphere | None = None
 
     @property
     def shape(self):
@@ -140,7 +142,7 @@ def _cached_column_graph(qs: QuadSphere, pad: int) -> ColumnGraph:
     first = np.unique(gid.ravel()[slots], return_index=True)[1]
     if len(first) != len(qs.vertices):
         raise AssertionError("unclaimed quad vertex in ownership pass")
-    graph = ColumnGraph(gid=gid, owner=slots[first])
+    graph = ColumnGraph(gid=gid, owner=slots[first], sphere=qs)
     for arr in (graph.gid, graph.owner):
         arr.flags.writeable = False
     return graph

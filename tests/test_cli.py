@@ -311,6 +311,20 @@ class TestSegmentIdentity:
         text = (fast_run / name).read_text()
         assert text == json.dumps(json.loads(text))
 
+    def test_window_wider_than_pad_equals_wider_pad(self, fast_run, tmp_path):
+        # the CRF neighbours do not depend on the pad: at radius 4 a pad-3
+        # patch set keeps the seam entries that a pad-4 one shows
+        outs = []
+        for pad in ("3", "4"):
+            out = shutil.copytree(fast_run, tmp_path / f"pad{pad}")
+            flags = FAST + ["--pad", pad, "--window-radius", "4"]
+            for command in ("patches", "segment"):
+                assert cli.main([command, "--out", str(out)] + flags) == 0
+            assert json.loads((out / "patches" / "patchset.json").read_text())["pad"] == int(pad)
+            outs.append(out)
+        for name in ("labeling.json", "pred.mesh"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_segment_reload_reuses_pair_mask(self, fast_run, tmp_path, monkeypatch):
         out = shutil.copytree(fast_run, tmp_path / "run")
         calls = []
@@ -733,6 +747,20 @@ class TestFitCommand:
         cfg = cli.load_config(overrides={"fit.epochs": 1, "crf.window_radius": 2})
         with pytest.raises(cli.CliError, match=re.escape(f"{gt_path}: {field}")):
             cli.cmd_fit(cfg, str(tmp_path / "fit"), str(manifest))
+
+    def test_all_invalid_ground_truth_named(self, fast_run, tmp_path, capsys):
+        run = shutil.copytree(fast_run, tmp_path / "run")
+        gt_path = run / "ground_truth.json"
+        doc = json.loads(gt_path.read_text())
+        doc["valid"] = [False] * len(doc["valid"])
+        gt_path.write_text(json.dumps(doc))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"runs": [str(run)]}))
+        rc = cli.main(["fit", "--out", str(tmp_path / "fit"), "--manifest", str(manifest),
+                       "--epochs", "1"] + FAST)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"].startswith(f"{gt_path}: valid is false for every vertex")
 
     @pytest.mark.parametrize("field", ["surface_index", "valid"])
     def test_missing_ground_truth_field_named(self, fast_run, tmp_path, capsys, field):

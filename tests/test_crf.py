@@ -94,24 +94,46 @@ def ref_full_pair_mask(graph, offsets):
 
 def ref_pair_edges(graph, mask, offsets):
     """The owner-row records of a full-grid pair mask as CSR arrays over
-    vertices, (cols, pos, indptr), as crf.pair_edges returns them."""
+    vertices, (cols, k, indptr), as crf.pair_edges returns them."""
     W = graph.shape[2]
     K = offsets.shape[0]
-    itype = np.int32 if mask.size < 2 ** 31 else np.int64
+    itype = np.int32 if graph.n_vertices * K < 2 ** 31 else np.int64
     owner = graph.owner
     rows, ks = np.nonzero(mask.reshape(-1, K)[owner])
     src = owner[rows]
     cols = graph.gid.reshape(-1)[src + offsets[ks, 0] * W + offsets[ks, 1]].astype(itype)
-    pos = (src * K + ks).astype(itype)
     indptr = np.zeros(graph.n_vertices + 1, dtype=itype)
     np.cumsum(np.bincount(rows, minlength=graph.n_vertices), out=indptr[1:])
-    return cols, pos, indptr
+    return cols, ks.astype(np.min_scalar_type(K - 1)), indptr
+
+
+def record_slots(graph, edges, K):
+    """The flat (P,H,W,K) position in ``graph`` of each record of
+    ``edges``: its row's owning slot and its window offset k."""
+    rows = np.repeat(np.arange(graph.n_vertices), np.diff(edges.indptr))
+    return graph.owner[rows] * K + edges.k
+
+
+def at_owner_slots(graph, other, field):
+    """The owner rows of a (P,H,W,...) slot field of ``other``, a graph of
+    the same sphere at another pad, at the owning slots of ``graph``; 0
+    elsewhere."""
+    out = np.zeros((graph.gid.size, *field.shape[3:]), dtype=field.dtype)
+    out[graph.owner] = field.reshape(-1, *field.shape[3:])[other.owner]
+    return out.reshape(*graph.shape, *field.shape[3:])
+
+
+def window_pad_graph(qs, pad, radius):
+    """The graph of ``qs`` at a pad wide enough for every window of
+    ``radius``, so a slot-grid reference reads no truncated seam: ``pad``
+    itself where it is already that wide, else the radius (n at most)."""
+    return build_column_graph(qs, min(max(pad, radius), qs.n))
 
 
 def ref_full_fd(u, params, ps=None):
     """The squared feature distance of every stored entry (i, j) of W,
     gathered on both i and j per entry (no mirroring)."""
-    edges = sc.crf.pair_edges(u.graph, window_offsets(params.window_radius))
+    edges = sc.crf._cached_pair_edges(u.graph, params.window_radius)
     rows = np.repeat(np.arange(u.graph.n_vertices), np.diff(edges.indptr))
     f = u.graph.merge(sc.crf.kernel_features(u, ps, params))
     diff = f[rows] - f[edges.cols]
@@ -307,7 +329,8 @@ class TestComputeKernel:
         w, _, fdist, mask = slot_kernel(u, params, ps=ps)
         # constant volume -> zero intensity distance everywhere
         assert np.allclose(fdist[mask], 0.0, atol=1e-12)
-        assert np.array_equal(kf.W.data, w.reshape(-1)[kf.edge_pos])
+        at = record_slots(ps.graph, sc.crf._cached_pair_edges(ps.graph, 1), len(kf.offsets))
+        assert np.array_equal(kf.W.data, w.reshape(-1)[at])
 
 
 QUAD_GRAPHS = [(level, pad) for level in range(6) for pad in range(min(3, 2 ** level) + 1)]
@@ -320,12 +343,16 @@ class TestPairMask:
     @pytest.mark.parametrize("level", [2, 3, 4])
     @pytest.mark.parametrize("pad", [0, 1, 2, 3])
     def test_matches_key_set_reference_on_quad_sphere(self, level, pad):
-        graph = build_column_graph(sc.build_quadsphere(level), pad=pad)
-        owned = owned_mask(graph)[..., None]
+        # the records do not depend on the pad: a window wider than the pad
+        # keeps the entries that the reference finds on a pad as wide as it
+        qs = sc.build_quadsphere(level)
+        graph = build_column_graph(qs, pad=pad)
         for radius in range(1, 5):
             offs = window_offsets(radius)
+            wide = window_pad_graph(qs, pad, radius)
+            want = ref_window_pair_mask(wide, offs) & owned_mask(wide)[..., None]
             assert np.array_equal(sc.crf.window_pair_mask(graph, offs),
-                                  ref_window_pair_mask(graph, offs) & owned)
+                                  at_owner_slots(graph, wide, want))
 
     @pytest.mark.parametrize("shape", TOY_SHAPES[:4])
     def test_matches_key_set_reference_on_toy_graphs(self, shape):
@@ -349,7 +376,7 @@ class TestPairEdges:
             offs = window_offsets(radius)
             got = sc.crf.pair_edges(graph, offs)
             want = ref_pair_edges(graph, ref_full_pair_mask(graph, offs), offs)
-            for name, a, b in zip(("cols", "pos", "indptr"), got, want):
+            for name, a, b in zip(("cols", "k", "indptr"), got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (radius, name)
                 assert not a.flags.writeable
 
@@ -372,10 +399,23 @@ class TestPairEdges:
             first = None
             for pad in range(radius, min(2 ** level, 6) + 1):
                 e = sc.crf.pair_edges(build_column_graph(qs, pad), offs)
-                got = (e.cols, e.indptr, e.upper, e.mirror, e.pos % len(offs))
+                got = (e.cols, e.indptr, e.upper, e.mirror, e.k)
                 first = first or got
                 for name, a, b in zip(("cols", "indptr", "upper", "mirror", "k"), got, first):
                     assert np.array_equal(a, b), (radius, pad, name)
+
+    @pytest.mark.parametrize("level", range(1, 6))
+    def test_cached_records_read_the_window_pad(self, level):
+        # every pad of a sphere gets the records of its face grids padded
+        # to the radius, or to n where the radius is wider
+        qs = sc.build_quadsphere(level)
+        for radius in range(1, 5):
+            want = sc.crf.pair_edges(build_column_graph(qs, min(radius, qs.n)),
+                                     window_offsets(radius))
+            for pad in range(min(4, qs.n) + 1):
+                got = sc.crf._cached_pair_edges(build_column_graph(qs, pad), radius)
+                for name, a, b in zip(got._fields, got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (radius, pad, name)
 
     @staticmethod
     def assert_mirrors(graph):
@@ -391,7 +431,7 @@ class TestPairEdges:
             edges = sc.crf.pair_edges(graph, offs)
             nnz = edges.cols.size
             rows = np.repeat(np.arange(graph.n_vertices), np.diff(edges.indptr))
-            d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2)[edges.pos % len(offs)]
+            d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2)[edges.k]
             for a in (edges.upper, edges.mirror):
                 assert a.dtype == edges.cols.dtype and not a.flags.writeable
             assert 2 * edges.upper.size == nnz
@@ -432,19 +472,20 @@ class TestPairEdges:
         self.assert_mirrors(make_toy_graph(height, width, patches))
 
     def test_memory_bounded(self):
-        # the default r=5, pad 3 graph at radius 4: 486,828 window records,
-        # 5.5 MiB of returned arrays; in owner blocks it traces 14.9 MiB,
-        # sorting and mirror-checking every record at once 34.3 MiB
-        graph = build_column_graph(sc.build_quadsphere(5), 3)
+        # the default r=5 sphere at radius 4, whose records are read on its
+        # face grids padded to 4: 490,112 window records, 489,168 kept; in
+        # owner blocks it traces 13.8 MiB (sorting and mirror-checking every
+        # record at once traced 34.3 MiB on the pad-3 grid)
+        graph = build_column_graph(sc.build_quadsphere(5), 4)
         edges, peak = traced_peak_mib(sc.crf.pair_edges, graph, window_offsets(4))
         assert edges.cols.size > 480_000
         assert peak < 16.0
 
     def test_window_records_memory_bounded(self):
         # the same records read from a grid with one (Nv, K) index array
-        # and one (Nv, K) id array; clipping the window to the grid with
-        # row and column masks traces about 27 MiB
-        graph = build_column_graph(sc.build_quadsphere(5), 3)
+        # and one (Nv, K) id array (19.1 MiB); clipping the window to the
+        # grid with row and column masks traces about 27 MiB
+        graph = build_column_graph(sc.build_quadsphere(5), 4)
         (rows, _, _), peak = traced_peak_mib(sc.crf._window_records, graph, window_offsets(4))
         assert rows.size > 480_000
         assert peak < 20.0
@@ -514,36 +555,54 @@ class TestVertexOperator:
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
     def test_matches_slot_message_pass_on_quad_sphere(self, level):
-        # pad 3, or the whole face grid where it is smaller (level 1: n = 2)
-        graph = build_column_graph(sc.build_quadsphere(level), pad=min(3, 2 ** level))
+        # W of the pad-3 graph (the whole face grid where n is smaller,
+        # level 1: n = 2) against the slot message pass on a pad as wide as
+        # the window, merged through its owning slots
+        qs = sc.build_quadsphere(level)
+        pad = min(3, qs.n)
+        graph = build_column_graph(qs, pad=pad)
         rng = np.random.default_rng(level)
-        u = sc.unary_from_logits(graph, graph.split(rng.normal(size=(graph.n_vertices, 5))))
+        logits = rng.normal(size=(graph.n_vertices, 5))
+        u = sc.unary_from_logits(graph, graph.split(logits))
         q = rng.random((graph.n_vertices, 5))
         for radius in range(1, 5):
-            kf = sc.compute_kernel(u, sc.CrfParams(window_radius=radius))
-            slot = sc.message_pass(sc.crf.refresh_duplicates(graph.split(q), graph), kf)
-            assert np.array_equal(kf.W @ q, graph.merge(slot))
+            params = sc.CrfParams(window_radius=radius)
+            kf = sc.compute_kernel(u, params)
+            wide = window_pad_graph(qs, pad, radius)
+            kf_wide = sc.compute_kernel(sc.unary_from_logits(wide, wide.split(logits)), params)
+            slot = sc.message_pass(sc.crf.refresh_duplicates(wide.split(q), wide), kf_wide)
+            assert np.array_equal(kf.W @ q, wide.merge(slot))
             assert (kf.W != kf.W.T).nnz == 0
-            assert kf.W.nnz == ref_full_pair_mask(graph, kf.offsets)[owned_mask(graph)].sum()
+            assert kf.W.nnz == ref_full_pair_mask(wide, kf.offsets)[owned_mask(wide)].sum()
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
     def test_weights_match_slot_kernel_on_quad_sphere(self, level):
-        # refreshed slots, so every pad reads its owner's features: W holds
-        # exactly the owner-row entries of the masked slot-grid weights
-        graph = build_column_graph(sc.build_quadsphere(level), pad=min(3, 2 ** level))
+        # refreshed slots on a pad as wide as the window, so every pad reads
+        # its owner's features: W of the pad-3 graph holds exactly the
+        # owner-row entries of the masked slot-grid weights
+        qs = sc.build_quadsphere(level)
+        pad = min(3, qs.n)
+        graph = build_column_graph(qs, pad=pad)
         rng = np.random.default_rng(level)
-        u = sc.unary_from_logits(graph, graph.split(rng.normal(size=(graph.n_vertices, 5))))
-        ps = SimpleNamespace(samples=graph.split(rng.random((graph.n_vertices, 5))))
+        logits = rng.normal(size=(graph.n_vertices, 5))
+        samples = rng.random((graph.n_vertices, 5))
+        u = sc.unary_from_logits(graph, graph.split(logits))
+        ps = SimpleNamespace(samples=graph.split(samples))
         for radius in range(1, 5):
-            owner_rows = ref_full_pair_mask(graph, window_offsets(radius)) \
-                & owned_mask(graph)[..., None]
+            wide = window_pad_graph(qs, pad, radius)
+            u_wide = sc.unary_from_logits(wide, wide.split(logits))
+            ps_wide = SimpleNamespace(samples=wide.split(samples))
+            owner_rows = ref_full_pair_mask(wide, window_offsets(radius)) \
+                & owned_mask(wide)[..., None]
+            at = record_slots(wide, sc.crf._cached_pair_edges(graph, radius),
+                              len(window_offsets(radius)))
+            assert np.array_equal(np.sort(at), np.flatnonzero(owner_rows))
             for variant in ("probability", "intensity"):
                 params = sc.CrfParams(window_radius=radius, kernel_variant=variant)
                 kf = sc.compute_kernel(u, params, ps=ps)
-                w, _, _, mask = slot_kernel(u, params, ps=ps)
+                w, _, _, mask = slot_kernel(u_wide, params, ps=ps_wide)
                 assert np.array_equal(mask, owner_rows)
-                assert np.array_equal(np.sort(kf.edge_pos), np.flatnonzero(owner_rows))
-                assert np.array_equal(kf.W.data, w.reshape(-1)[kf.edge_pos])
+                assert np.array_equal(kf.W.data, w.reshape(-1)[at])
 
 
 class TestCompatTransform:

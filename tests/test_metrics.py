@@ -216,6 +216,17 @@ class TestSampleSurface:
             with pytest.raises(ValueError, match="max_edge"):
                 sc.sample_surface(ico.vertices, ico.faces, bad)
 
+    @pytest.mark.parametrize("far", [1e308, np.nan])
+    def test_non_finite_edge_length_rejected(self, far):
+        # two vertices at +-1e308 overflow the edge length to inf, which no
+        # subdivision depth brings under max_edge
+        cube = cube_mesh(side=4.0)
+        verts = cube.vertices.copy()
+        verts[6], verts[7] = -far, far
+        first = np.flatnonzero((cube.faces >= 6).any(axis=1))[0]
+        with pytest.raises(ValueError, match=f"^face {first} has a non-finite edge length"):
+            sc.sample_surface(verts, cube.faces, 0.5)
+
     def test_samples_lie_on_faces(self):
         cube = cube_mesh(side=4.0)
         s = sc.sample_surface(cube.vertices, cube.faces, 0.7)

@@ -60,6 +60,20 @@ def test_probe_crf(small_run, tmp_path):
                       "accel.window_sum_adjoint", "accel.window_weight_grad"})
 
 
+def test_probe_crf_window_wider_than_pad(small_run, tmp_path):
+    # the run has n = 4 and pad 3: at radius 4 every slot-grid view the
+    # probes call (the pair mask, kf.weights, the window kernels) reaches
+    # past the pad
+    run, cfg_path, _ = small_run
+    cfg = cli.load_config(str(cfg_path))
+    assert cfg["patches"]["pad"] == 3 and cfg["quad"]["recursion"] == 2
+    cfg["crf"]["window_radius"] = 4
+    tr = tracing.Tracer()
+    probes.probe_crf(tr, str(run), cfg, str(tmp_path), "small")
+    assert_spans(tr, {"crf.compute_kernel", "crf.window_pair_mask", "crf.meanfield_iter",
+                      "accel.window_sum", "accel.window_sum_adjoint"})
+
+
 def test_probe_fit(small_run):
     _, cfg_path, manifest = small_run
     tr = tracing.Tracer()

@@ -408,10 +408,13 @@ class TestFit:
         assert len(calls) == 2
         kf = crf.compute_kernel(dataset[0][1], init)
         assert len(calls) == 2
+        hits = crf._cached_pair_edges.cache_info().hits
         edges = crf._cached_pair_edges(kf.graph, init.window_radius)
-        assert kf.edge_pos is edges[1]
-        for arr in edges:
-            assert arr.dtype == np.int32 and not arr.flags.writeable
+        assert crf._cached_pair_edges.cache_info().hits == hits + 1
+        assert len(calls) == 2
+        for name, arr in zip(edges._fields, edges):
+            assert arr.dtype == (np.uint8 if name == "k" else np.int32), name
+            assert not arr.flags.writeable
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
