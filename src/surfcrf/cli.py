@@ -21,7 +21,7 @@ from .mesh import (MeshError, SphereMap, TriMesh, harmonic_sphere_map, load_mesh
                    load_quad_mesh_records, save_mesh, save_quad_mesh_records, taubin_smooth)
 from .metrics import compare_surfaces
 from .patches import (GroundTruth, ground_truth, labeling_to_world, load_face_grids, load_patchset,
-                      sample_columns, save_columns, save_face_grids)
+                      sample_columns, save_face_grids)
 from .quadsphere import (MAX_LEVEL, build_quadsphere, checked_unit_rows, load_arrays, load_quadmesh,
                          remesh, save_arrays, save_quadmesh)
 from .volume import PhantomSpec, load_svol, make_phantom, phantom_label_volume, save_svol
@@ -350,11 +350,12 @@ def cmd_patches(cfg, outdir):
         qm = load_quadmesh(step.input(os.path.join(outdir, "patches", "quad.npz")))
         ps = sample_columns(vol, qm, z_len=pc["column_len"], delta=pc["column_res_mm"],
                             pad=pc["pad"])
-        save_columns(ps, lambda name: step.path(os.path.join("patches", name)))
+        save_face_grids(lambda f: step.path(os.path.join("patches", f"patch{f}.svol")),
+                        ps.samples, ps.delta)
         truth_path = os.path.join(outdir, "truth.mesh")
         if os.path.exists(truth_path):
             truth = load_mesh(step.input(truth_path))
-            gt = ground_truth(qm, truth, pc["column_len"], pc["column_res_mm"])
+            gt = ground_truth(qm, truth, ps.z_len, ps.delta)
             with open(step.path("ground_truth.json"), "w") as fh:
                 fh.write(gt.to_json())
 
@@ -370,9 +371,8 @@ def _load_unary(step, cfg, run_dir) -> tuple:
     if un["mode"] == "gradient":
         return ps, crfmod.gradient_unary(ps, polarity=un["polarity"]).logits
     ext = un["external_dir"] or os.path.join(run_dir, "external_logits")
-    dims = (*ps.graph.shape[1:], ps.z_len)
     surf, nons = (load_face_grids(lambda f: step.input(os.path.join(ext, f"patch{f}_{c}.svol")),
-                                  dims) for c in ("surface", "nonsurface"))
+                                  ps.samples.shape[1:]) for c in ("surface", "nonsurface"))
     return ps, crfmod.channel_reduce(surf, nons)
 
 
@@ -406,13 +406,24 @@ def cmd_segment(cfg, outdir):
 
 def cmd_metrics(cfg, outdir):
     with _Step("metrics", outdir, cfg) as step:
-        pred_verts, pred_faces = load_quad_mesh_records(
-            step.input(os.path.join(outdir, "pred.mesh")))
+        pred_path = step.input(os.path.join(outdir, "pred.mesh"))
+        pred_verts, pred_faces = load_quad_mesh_records(pred_path)
         truth = load_mesh(step.input(os.path.join(outdir, "truth.mesh")))
         labels_path = step.input(os.path.join(outdir, "labels.svol"))
         labels = load_svol(labels_path)
         if not np.isin(labels.data, (0.0, 1.0)).all():
             raise CliError(f"{labels_path}: not a binary label volume")
+        if len(pred_faces) == 0:
+            raise CliError(f"{pred_path}: no quad faces")
+        # segment moves no vertex more than half a column from its quad mesh
+        grow = cfg["patches"]["column_len"] * cfg["patches"]["column_res_mm"]
+        lo = np.asarray(labels.origin) - grow
+        hi = lo + (np.asarray(labels.dims) - 1) * labels.spacing + 2 * grow
+        far = np.flatnonzero(((pred_verts < lo) | (pred_verts > hi)).any(axis=1))
+        if len(far):
+            raise CliError(f"{pred_path}: vertex {far[0] + 1} at {pred_verts[far[0]].tolist()} "
+                           f"lies outside the label volume's box grown by patches.column_len x "
+                           f"column_res_mm = {grow} mm, {lo.tolist()} to {hi.tolist()}")
         rep = compare_surfaces(pred_verts, pred_faces, truth.vertices, truth.faces,
                                labels, labels=labels)
         with open(step.path("metrics.json"), "w") as fh:

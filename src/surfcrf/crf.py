@@ -96,13 +96,13 @@ class CrfParams:
 
 
 def prostate_params(**overrides) -> CrfParams:
-    return CrfParams(w_p=1.0, w1=3.0, theta1=5.0, theta2=0.2, theta3=5.0,
-                     theta_comp=5.0, **overrides)
+    return CrfParams(**{"w_p": 1.0, "w1": 3.0, "theta1": 5.0, "theta2": 0.2, "theta3": 5.0,
+                        "theta_comp": 5.0, **overrides})
 
 
 def spleen_params(**overrides) -> CrfParams:
-    return CrfParams(w_p=0.3, w1=0.2, theta1=5.0, theta2=0.2, theta3=5.0,
-                     theta_comp=5.0, **overrides)
+    return CrfParams(**{"w_p": 0.3, "w1": 0.2, "theta1": 5.0, "theta2": 0.2, "theta3": 5.0,
+                        "theta_comp": 5.0, **overrides})
 
 
 def window_offsets(radius: int) -> np.ndarray:

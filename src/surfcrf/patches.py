@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -66,31 +65,38 @@ def make_toy_graph(height: int, width: int, patches: int = 1) -> ColumnGraph:
 
 @dataclass(eq=False)
 class PatchSet:
-    """6 padded (W,W,Z) intensity grids plus the quad mesh of their columns.
+    """Six padded (W,W,Z) face grids of intensity columns and the quad mesh
+    they were sampled on, stored as patch{0..5}.svol and quad.npz; graph is
+    the sphere's column graph at the pad of W = n + 1 + 2*pad.
 
     Sample i of vertex v's column sits at
-    quad.positions[v] + (i - center_index)*delta*quad.normals[v], so the
+    quad.positions[v] + (i - z_len // 2)*delta*quad.normals[v], so the
     center sample lies on the pre-segmentation vertex.
     """
     quad: QuadMesh
     graph: ColumnGraph
     samples: np.ndarray    # (6,W,W,Z) float32
-    z_len: int
     delta: float
-    pad: int
 
     @property
-    def center_index(self) -> int:
-        return self.z_len // 2
+    def z_len(self) -> int:
+        return self.samples.shape[-1]
 
     def sample_offsets(self) -> np.ndarray:
         """Signed distance (mm) of each sample along its column's normal, (Z,)."""
-        return (np.arange(self.z_len) - self.center_index) * self.delta
+        return _sample_offsets(self.z_len, self.delta)
 
     def column_points(self) -> np.ndarray:
         """World sample points of every vertex column, (Nv,Z,3)."""
-        offs = self.sample_offsets()
-        return self.quad.positions[:, None, :] + offs[None, :, None] * self.quad.normals[:, None, :]
+        return _column_points(self.quad, self.sample_offsets())
+
+
+def _sample_offsets(z_len: int, delta: float) -> np.ndarray:
+    return (np.arange(z_len) - z_len // 2) * delta
+
+
+def _column_points(qm: QuadMesh, offs: np.ndarray) -> np.ndarray:
+    return qm.positions[:, None, :] + offs[None, :, None] * qm.normals[:, None, :]
 
 
 @dataclass
@@ -164,11 +170,11 @@ def sample_columns(vol: Volume, qm: QuadMesh, z_len: int, delta: float, pad: int
     if pad < 0:
         raise ValueError("pad must be >= 0")
     graph = build_column_graph(qm.sphere, pad)
-    ps = PatchSet(quad=qm, graph=graph, samples=None, z_len=z_len, delta=float(delta), pad=pad)
-    vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin), np.asarray(vol.spacing),
-                                  ps.column_points().reshape(-1, 3))
-    ps.samples = graph.split(vals.reshape(-1, z_len)).astype(np.float32)
-    return ps
+    vals = accel.trilinear_gather(
+        vol.data, np.asarray(vol.origin), np.asarray(vol.spacing),
+        _column_points(qm, _sample_offsets(z_len, float(delta))).reshape(-1, 3))
+    samples = graph.split(vals.reshape(-1, z_len)).astype(np.float32)
+    return PatchSet(quad=qm, graph=graph, samples=samples, delta=float(delta))
 
 
 def ground_truth(qm: QuadMesh, ref, z_len: int, delta: float) -> GroundTruth:
@@ -186,15 +192,17 @@ def labeling_to_world(labels: np.ndarray, ps: PatchSet):
     """Per-vertex surface indices -> quad surface (vertices, quad faces)."""
     if len(labels) != ps.graph.n_vertices:
         raise ValueError("labeling does not cover all interior columns")
-    offs = (np.asarray(labels, dtype=np.float64) - ps.center_index) * ps.delta
+    if not 0 <= np.min(labels) <= np.max(labels) < ps.z_len:
+        raise ValueError(f"labels must lie in [0, z_len) = [0, {ps.z_len})")
+    offs = ps.sample_offsets()[labels]
     verts = ps.quad.positions + offs[:, None] * ps.quad.normals
     return verts, ps.quad.sphere.faces
 
 
 # ---------------------------------------------------------------------------
-# serialization: one .svol per face grid, scalars in patchset.json and the
-# quad mesh in quad.npz (quadsphere.save_quadmesh); the topology is rebuilt
-# from the quad mesh's level and pad, never stored
+# serialization: one .svol per face grid, dims [W, W, z_len] and spacing
+# [1, 1, delta], and the quad mesh in quad.npz (quadsphere.save_quadmesh); the
+# topology is rebuilt from its level and the pad of W = n + 1 + 2*pad
 
 
 def save_face_grids(path_of, grids: np.ndarray, delta: float) -> None:
@@ -219,58 +227,38 @@ def load_face_grids(path_of, dims) -> np.ndarray:
     return grids
 
 
-def save_columns(ps: PatchSet, path_of) -> None:
-    """The patch set without its quad mesh: the sampled columns as
-    patch{f}.svol and the scalars as patchset.json, each file to
-    ``path_of(name)``."""
-    save_face_grids(lambda f: path_of(f"patch{f}.svol"), ps.samples, ps.delta)
-    with open(path_of("patchset.json"), "w") as fh:
-        json.dump({"z_len": ps.z_len, "delta": ps.delta, "pad": ps.pad}, fh)
-
-
 def save_patchset(ps: PatchSet, dirpath) -> None:
-    """The whole patch set in ``dirpath``: save_columns and the quad mesh
-    the columns were sampled on, quad.npz."""
+    """The patch set in ``dirpath``: its face grids as patch{f}.svol
+    (save_face_grids) and its quad mesh as quad.npz."""
     os.makedirs(dirpath, exist_ok=True)
-    save_columns(ps, lambda name: os.path.join(dirpath, name))
+    save_face_grids(lambda f: os.path.join(dirpath, f"patch{f}.svol"), ps.samples, ps.delta)
     save_quadmesh(ps.quad, os.path.join(dirpath, "quad.npz"))
 
 
-def _load_patchset_doc(path) -> dict:
-    """The scalars of patchset.json, each present and in range."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a JSON object, got {doc!r}")
-    for key in ("z_len", "delta", "pad"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing field {key!r}")
-    for key in ("pad", "z_len"):
-        if type(doc[key]) is not int or doc[key] < 0:
-            raise ValueError(f"{path}: {key!r} must be an integer >= 0, got {doc[key]!r}")
-    delta = doc["delta"]
-    if type(delta) not in (int, float) or not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"{path}: 'delta' must be finite and > 0, got {delta!r}")
-    if doc["z_len"] < 2:
-        raise ValueError(f"{path}: 'z_len' must be >= 2, got {doc['z_len']}")
-    return doc
-
-
 def load_patchset(dirpath) -> PatchSet:
-    doc_path = os.path.join(dirpath, "patchset.json")
+    """The patch set that save_patchset wrote in ``dirpath``: the six face
+    grids share dims [W, W, z_len] and spacing [1, 1, delta], W fixing the
+    pad; an error names the file and the field."""
     quad_path = os.path.join(dirpath, "quad.npz")
-    doc = _load_patchset_doc(doc_path)
     qm = load_quadmesh(quad_path)
-    pad = doc["pad"]
-    if pad > qm.sphere.n:
-        raise ValueError(f"{doc_path}: 'pad' {pad} exceeds the face grid size "
-                         f"n = 2**level = {qm.sphere.n} of {quad_path}")
-    graph = build_column_graph(qm.sphere, pad)
-    z_len = doc["z_len"]
-    samples = load_face_grids(lambda f: os.path.join(dirpath, f"patch{f}.svol"),
-                              (*graph.shape[1:], z_len))
-    return PatchSet(quad=qm, graph=graph, samples=samples, z_len=z_len,
-                    delta=float(doc["delta"]), pad=pad)
+    n = qm.sphere.n
+    paths = [os.path.join(dirpath, f"patch{f}.svol") for f in range(6)]
+    first = load_svol(paths[0])
+    W, H, z_len = first.dims
+    pad, odd = divmod(W - n - 1, 2)
+    if W != H or odd or not 0 <= pad <= n or z_len < 2:
+        raise ValueError(f"{paths[0]}: dims {list(first.dims)} must be [W, W, z_len] with "
+                         f"z_len >= 2 and W = n + 1 + 2*pad for a pad in 0..n, n = {n} the "
+                         f"face grid size of {quad_path}")
+    samples = np.empty((6, *first.dims), dtype=np.float32)
+    samples[0] = first.data
+    for f in range(1, 6):
+        vol = load_svol(paths[f])
+        for field in ("dims", "spacing"):
+            got, want = getattr(vol, field), getattr(first, field)
+            if got != want:
+                raise ValueError(f"{paths[f]}: {field} {list(got)} differ from "
+                                 f"{paths[0]}'s {list(want)}")
+        samples[f] = vol.data
+    return PatchSet(quad=qm, graph=build_column_graph(qm.sphere, pad), samples=samples,
+                    delta=first.spacing[2])

@@ -180,6 +180,45 @@ class TestPipeline:
         err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
         assert err["message"] == f"{out / 'labels.svol'}: not a binary label volume"
 
+    def test_patches_writes_the_face_grids_only(self, fast_run):
+        # beside the quad mesh that remesh wrote; no patchset.json
+        assert sorted(os.listdir(fast_run / "patches")) == sorted(
+            [f"patch{f}.svol" for f in range(6)] + ["quad.npz"])
+
+    @pytest.mark.parametrize("step, ok", [(0.0, True), (1e-9, False)])
+    def test_prediction_box_edge(self, fast_run, tmp_path, capsys, step, ok):
+        # the box of labels.svol's voxel centres, 0..63 mm, grown by 20 mm
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        verts, quads = sc.mesh.load_quad_mesh_records(out / "pred.mesh")
+        verts[3, 1] = 83.0 + step
+        sc.mesh.save_quad_mesh_records(out / "pred.mesh", verts, quads)
+        assert (cli.main(["metrics", "--out", str(out)] + FAST) == 0) is ok
+        if not ok:
+            err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+            assert err["message"].startswith(f"{out / 'pred.mesh'}: vertex 4 at ")
+
+    def test_empty_prediction_named(self, fast_run, tmp_path, capsys):
+        # failed in sample_surface with "empty surface point set"
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        (out / "pred.mesh").write_text("")
+        assert cli.main(["metrics", "--out", str(out)] + FAST) == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"] == f"{out / 'pred.mesh'}: no quad faces"
+
+    def test_far_prediction_vertex_named(self, fast_run, tmp_path, capsys):
+        # finite vertices at +-1e308 overflowed in voxelize; the label volume
+        # is 64^3 at 1 mm and the column 16 x 1.25 = 20 mm long
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        verts, quads = sc.mesh.load_quad_mesh_records(out / "pred.mesh")
+        verts[0], verts[1] = 1e308, -1e308
+        sc.mesh.save_quad_mesh_records(out / "pred.mesh", verts, quads)
+        assert cli.main(["metrics", "--out", str(out)] + FAST) == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"] == (
+            f"{out / 'pred.mesh'}: vertex 1 at [1e+308, 1e+308, 1e+308] lies outside the label "
+            f"volume's box grown by patches.column_len x column_res_mm = 20.0 mm, "
+            f"[-20.0, -20.0, -20.0] to [83.0, 83.0, 83.0]")
+
     def test_open_preseg_mesh_named(self, fast_run, tmp_path, capsys):
         out = shutil.copytree(fast_run, tmp_path / "run")
         pre = sc.load_mesh(out / "preseg.mesh")
@@ -283,16 +322,20 @@ class TestPipeline:
                                   f"found 64 non-finite values")
 
     @pytest.mark.parametrize("command", ["unary", "segment", "fit"])
-    def test_invalid_patchset_json_named(self, fast_run, tmp_path, capsys, command):
+    def test_bad_patch_grid_named(self, fast_run, tmp_path, capsys, command):
+        # the loader reads z_len, delta and the pad from the face grids
         out = shutil.copytree(fast_run, tmp_path / "run")
-        (out / "patches" / "patchset.json").write_text("{level: 3}")
+        grid = out / "patches" / "patch0.svol"
+        vol = sc.load_svol(grid)
+        sc.save_svol(sc.Volume((12, 12, 16), vol.spacing, vol.origin,
+                               np.zeros((12, 12, 16), dtype=np.float32)), grid)
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"runs": [str(out)]}))
         extra = ["--manifest", str(manifest), "--epochs", "1"] if command == "fit" else []
         dest = tmp_path / "fit" if command == "fit" else out
         assert cli.main([command, "--out", str(dest)] + extra + FAST) == 1
         err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
-        assert err["message"].startswith(f"{out / 'patches' / 'patchset.json'}: not valid JSON")
+        assert err["message"].startswith(f"{grid}: dims [12, 12, 16] must be [W, W, z_len]")
 
 
 class TestSegmentIdentity:
@@ -312,18 +355,20 @@ class TestSegmentIdentity:
         assert text == json.dumps(json.loads(text))
 
     def test_window_wider_than_pad_equals_wider_pad(self, fast_run, tmp_path):
-        # the CRF neighbours do not depend on the pad: at radius 4 a pad-3
-        # patch set keeps the seam entries that a pad-4 one shows
+        # the CRF neighbours do not depend on the pad: at radius 4 a pad-3 or
+        # a pad-0 patch set keeps the seam entries that a pad-4 one shows
         outs = []
-        for pad in ("3", "4"):
+        for pad in (0, 3, 4):
             out = shutil.copytree(fast_run, tmp_path / f"pad{pad}")
-            flags = FAST + ["--pad", pad, "--window-radius", "4"]
+            flags = FAST + ["--pad", str(pad), "--window-radius", "4"]
             for command in ("patches", "segment"):
                 assert cli.main([command, "--out", str(out)] + flags) == 0
-            assert json.loads((out / "patches" / "patchset.json").read_text())["pad"] == int(pad)
+            # recursion 3: n = 8, so the face grids are 9 + 2*pad wide
+            assert sc.load_svol(out / "patches" / "patch0.svol").dims[:2] == (9 + 2 * pad,) * 2
             outs.append(out)
-        for name in ("labeling.json", "pred.mesh"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        for out in outs[1:]:
+            for name in ("labeling.json", "pred.mesh"):
+                assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (out, name)
 
     def test_segment_reload_reuses_pair_mask(self, fast_run, tmp_path, monkeypatch):
         out = shutil.copytree(fast_run, tmp_path / "run")

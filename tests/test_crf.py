@@ -218,7 +218,7 @@ class TestGradientUnary:
         ps = self._patchset(data)
         u = sc.gradient_unary(ps, polarity="bright_to_dark")
         labels = u.argmax_labels()
-        c = ps.center_index
+        c = ps.z_len // 2
         assert (np.abs(labels - c) <= 1).all()
 
     def test_constant_column_zero_logits(self):
@@ -990,6 +990,14 @@ class TestUnaryField:
         s = sc.spleen_params()
         assert (s.w_p, s.w1, s.theta1, s.theta2, s.theta3, s.theta_comp) == \
             (0.3, 0.2, 5.0, 0.2, 5.0, 5.0)
+
+    @pytest.mark.parametrize("preset", ["prostate_params", "spleen_params"])
+    def test_preset_overrides_replace_its_values(self, preset):
+        # an override of a preset value raised "got multiple values for
+        # keyword argument"
+        p = getattr(sc, preset)(w_p=0.0, w1=1.0, theta_comp=2.0, iterations=3)
+        assert (p.w_p, p.w1, p.theta_comp, p.iterations) == (0.0, 1.0, 2.0, 3)
+        assert (p.theta1, p.theta2, p.theta3) == (5.0, 0.2, 5.0)
 
 
 class TestIntensityVariantInference:

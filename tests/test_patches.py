@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -171,7 +172,7 @@ class TestSampleColumns:
         data = np.broadcast_to(ii[None, None, :], (48, 48, 48)).copy()
         vol = sc.Volume((48, 48, 48), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), data)
         ps = sc.sample_columns(vol, qm, z_len=64, delta=0.625, pad=0)
-        assert ps.center_index == 32
+        assert ps.sample_offsets()[32] == 0.0
         base_vals = accel.trilinear_gather(vol.data, np.asarray(vol.origin),
                                            np.asarray(vol.spacing), ps.quad.positions)
         center_vals = ps.graph.merge(ps.samples)[:, 32]
@@ -198,7 +199,7 @@ class TestSampleColumns:
         qm = synthetic_quadmesh()
         ps = sc.sample_columns(constant_volume(), qm, z_len=8, delta=0.25, pad=1)
         pts = ps.column_points()
-        c = ps.center_index
+        c = ps.z_len // 2
         recon = ps.quad.positions[:, None, :] + \
             (np.arange(8) - c)[None, :, None] * 0.25 * ps.quad.normals[:, None, :]
         assert pts.shape == (ps.graph.n_vertices, 8, 3)
@@ -309,7 +310,7 @@ class TestLabelingToWorld:
     def test_center_labels_reproduce_preseg(self):
         qm = synthetic_quadmesh()
         ps = sc.sample_columns(constant_volume(), qm, z_len=8, delta=0.5, pad=1)
-        labels = np.full(ps.graph.n_vertices, ps.center_index)
+        labels = np.full(ps.graph.n_vertices, ps.z_len // 2)
         verts, faces = sc.labeling_to_world(labels, ps)
         assert np.allclose(verts, qm.positions, atol=1e-12)
         assert np.array_equal(faces, qm.sphere.faces)
@@ -318,9 +319,20 @@ class TestLabelingToWorld:
         qm = synthetic_quadmesh(level=2, radius=10.0, center=(0.0, 0.0, 0.0))
         delta = 0.5
         ps = sc.sample_columns(constant_volume(), qm, z_len=8, delta=delta, pad=0)
-        labels = np.full(ps.graph.n_vertices, ps.center_index + 1)
+        labels = np.full(ps.graph.n_vertices, ps.z_len // 2 + 1)
         verts, _ = sc.labeling_to_world(labels, ps)
         assert np.abs(np.linalg.norm(verts, axis=1) - 10.5).max() <= 1e-9
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_label_outside_the_column_rejected(self, bad):
+        qm = synthetic_quadmesh()
+        ps = sc.sample_columns(constant_volume(), qm, z_len=8, delta=0.5, pad=0)
+        labels = np.full(ps.graph.n_vertices, 7)
+        labels[:2] = 0
+        sc.labeling_to_world(labels, ps)  # 0 and z_len - 1 are in the column
+        labels[5] = bad
+        with pytest.raises(ValueError, match=re.escape("labels must lie in [0, z_len) = [0, 8)")):
+            sc.labeling_to_world(labels, ps)
 
     def test_incomplete_labeling_rejected(self):
         qm = synthetic_quadmesh()
@@ -340,6 +352,14 @@ class TestLabelingToWorld:
         assert sc.hd(s_pred, s_truth) <= 2 * delta
 
 
+def write_grids(path, dims, spacing=(1.0, 1.0, 0.5), faces=range(6)):
+    """Overwrite the face grids ``faces`` of the patch set at ``path`` with
+    zero grids of ``dims`` and ``spacing``."""
+    for f in faces:
+        sc.save_svol(sc.Volume(dims=dims, spacing=spacing, origin=(0.0, 0.0, 0.0),
+                               data=np.zeros(dims, dtype=np.float32)), path / f"patch{f}.svol")
+
+
 class TestPatchSetIO:
     @pytest.fixture
     def saved(self, tmp_path):
@@ -348,11 +368,18 @@ class TestPatchSetIO:
         sc.save_patchset(ps, tmp_path / "ps")
         return ps, tmp_path / "ps"
 
+    def test_fields_are_the_grids_and_the_mesh(self, saved):
+        # z_len is the grids' depth, and the pad is the graph's
+        ps, _ = saved
+        assert [f.name for f in dataclasses.fields(sc.PatchSet)] == [
+            "quad", "graph", "samples", "delta"]
+        assert ps.z_len == ps.samples.shape[-1] == 8
+        assert ps.graph is build_column_graph(ps.quad.sphere, 2)
+
     def test_save_load_round_trip(self, saved):
         ps, path = saved
         back = sc.load_patchset(path)
         assert back.z_len == ps.z_len
-        assert back.pad == ps.pad
         assert back.delta == ps.delta
         assert np.array_equal(back.samples, ps.samples)
         assert back.quad.sphere is ps.quad.sphere
@@ -360,28 +387,41 @@ class TestPatchSetIO:
         assert np.array_equal(back.quad.normals, ps.quad.normals)
         assert back.graph is ps.graph is sc.load_patchset(path).graph
 
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_round_trip_at_every_pad(self, tmp_path, level):
+        # the pad is read back from the grid width W = n + 1 + 2*pad, z_len
+        # and delta from the grids' dims and spacing
+        qm = synthetic_quadmesh(level=level)
+        for pad in range(qm.sphere.n + 1):
+            ps = sc.sample_columns(constant_volume(1.5), qm, z_len=7, delta=0.3, pad=pad)
+            sc.save_patchset(ps, tmp_path / f"pad{pad}")
+            back = sc.load_patchset(tmp_path / f"pad{pad}")
+            assert back.graph is ps.graph is build_column_graph(qm.sphere, pad), pad
+            W = qm.sphere.n + 1 + 2 * pad
+            assert back.samples.shape == (6, W, W, 7), pad
+            assert np.array_equal(back.samples, ps.samples), pad
+            assert (back.delta, back.z_len) == (0.3, 7), pad
+
     def test_geometry_is_a_quad_mesh_file(self, saved):
-        # the face grids, the scalars and the quad mesh, each stored once
+        # the six face grids and the quad mesh, nothing else
         ps, path = saved
         assert sorted(os.listdir(path)) == sorted(
-            [f"patch{f}.svol" for f in range(6)] + ["patchset.json", "quad.npz"])
+            [f"patch{f}.svol" for f in range(6)] + ["quad.npz"])
         qm = sc.load_quadmesh(path / "quad.npz")
         assert qm.sphere is ps.quad.sphere
         assert np.array_equal(qm.positions, ps.quad.positions)
         assert np.array_equal(qm.normals, ps.quad.normals)
 
-    def test_json_holds_scalars_only(self, saved):
-        _, path = saved
-        doc = json.loads((path / "patchset.json").read_text())
-        assert sorted(doc) == ["delta", "pad", "z_len"]
-
-    def test_loads_with_a_stored_center_index(self, saved):
-        # patchset.json files of earlier versions also stored z_len // 2
+    @pytest.mark.parametrize("extra", [{}, {"center_index": 4}], ids=["scalars", "center_index"])
+    def test_loads_a_directory_with_patchset_json(self, saved, extra):
+        # earlier versions also wrote the scalars to patchset.json (and
+        # before that the column centre); the file is not read
         ps, path = saved
-        doc = json.loads((path / "patchset.json").read_text())
-        (path / "patchset.json").write_text(json.dumps({**doc, "center_index": ps.z_len // 2}))
+        (path / "patchset.json").write_text(json.dumps({"z_len": 8, "delta": 0.5, "pad": 2,
+                                                        **extra}))
         back = sc.load_patchset(path)
-        assert back.center_index == ps.center_index
+        assert back.graph is ps.graph
+        assert (back.z_len, back.delta) == (8, 0.5)
         assert np.array_equal(back.samples, ps.samples)
 
     def test_missing_sidecar_names_file(self, saved):
@@ -455,56 +495,47 @@ class TestPatchSetIO:
                 path, r"'positions' has shape \(98, 3\).*\(100663298, 3\)")):
             sc.load_patchset(path)
 
-    @pytest.mark.parametrize("text, got", [("5", "5"),
-                                           ('"level z_len delta pad"', "'level z_len delta pad'"),
-                                           ("null", "None")])
-    def test_non_object_names_file(self, saved, text, got):
-        # a string that holds every field name would pass a presence check
-        _, path = saved
-        (path / "patchset.json").write_text(text)
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path / 'patchset.json'}: not a JSON object, got {got}")):
-            sc.load_patchset(path)
-
-    @pytest.mark.parametrize("field", ["z_len", "delta", "pad"])
-    def test_missing_scalar_names_file_and_field(self, saved, field):
-        _, path = saved
-        doc = json.loads((path / "patchset.json").read_text())
-        del doc[field]
-        (path / "patchset.json").write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=rf"patchset\.json: missing field '{field}'"):
-            sc.load_patchset(path)
-
-    @pytest.mark.parametrize("edit, message", [
-        ({"pad": True}, r"'pad' must be an integer >= 0, got True"),
-        ({"delta": True}, r"'delta' must be finite and > 0, got True"),
-        ({"pad": 1.5}, r"'pad' must be an integer >= 0, got 1\.5"),
-        ({"pad": -1}, r"'pad' must be an integer >= 0, got -1"),
-        ({"z_len": True}, r"'z_len' must be an integer >= 0, got True"),
-        ({"delta": -1.0}, r"'delta' must be finite and > 0, got -1\.0"),
-        ({"delta": 0.0}, r"'delta' must be finite and > 0, got 0\.0"),
-        ({"delta": float("nan")}, r"'delta' must be finite and > 0, got nan"),
-        ({"delta": float("inf")}, r"'delta' must be finite and > 0, got inf"),
-        ({"delta": "0.5"}, r"'delta' must be finite and > 0, got '0\.5'"),
-        ({"pad": 5}, r"'pad' 5 exceeds the face grid size n = 2\*\*level = 4 of \S*quad\.npz$"),
-        ({"z_len": 1}, r"'z_len' must be >= 2, got 1"),
-    ])
-    def test_bad_scalar_names_file_and_field(self, saved, edit, message):
-        # a negative delta would load and mirror every column about its centre
-        _, path = saved
-        doc = json.loads((path / "patchset.json").read_text())
-        (path / "patchset.json").write_text(json.dumps({**doc, **edit}))
-        with pytest.raises(ValueError, match=r"patchset\.json: " + message):
-            sc.load_patchset(path)
-
     def test_patch_dims_mismatch_names_file_and_field(self, saved):
         ps, path = saved
         W = ps.graph.shape[1]
-        sc.save_svol(sc.Volume(dims=(W, W, 7), spacing=(1.0, 1.0, 0.5),
-                               origin=(0.0, 0.0, 0.0),
-                               data=np.zeros((W, W, 7), dtype=np.float32)),
-                     path / "patch2.svol")
-        with pytest.raises(ValueError, match=r"patch2\.svol.*dims"):
+        write_grids(path, (W, W, 7), faces=[2])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path / 'patch2.svol'}: dims [{W}, {W}, 7] differ from "
+                f"{path / 'patch0.svol'}'s [{W}, {W}, 8]")):
+            sc.load_patchset(path)
+
+    def test_patch_spacing_mismatch_names_file_and_field(self, saved):
+        ps, path = saved
+        W = ps.graph.shape[1]
+        write_grids(path, (W, W, 8), spacing=(1.0, 1.0, 0.25), faces=[4])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path / 'patch4.svol'}: spacing [1.0, 1.0, 0.25] differ from "
+                f"{path / 'patch0.svol'}'s [1.0, 1.0, 0.5]")):
+            sc.load_patchset(path)
+
+    # level 2: n = 4, so W = 5 + 2*pad for a pad in 0..4
+    @pytest.mark.parametrize("dims", [(6, 6, 8), (15, 15, 8), (4, 4, 8), (9, 11, 8), (9, 9, 1)],
+                             ids=["odd-ring", "pad-over-n", "narrower-than-n", "not-square",
+                                  "z_len-1"])
+    def test_dims_that_fit_no_patch_set_name_file(self, saved, dims):
+        _, path = saved
+        write_grids(path, dims)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path / 'patch0.svol'}: dims {list(dims)} must be [W, W, z_len] with "
+                f"z_len >= 2 and W = n + 1 + 2*pad for a pad in 0..n, n = 4 the face grid "
+                f"size of {path / 'quad.npz'}")):
+            sc.load_patchset(path)
+
+    @pytest.mark.parametrize("delta", ["-0.5", "0.0", "NaN", "Infinity", "true", "\"0.5\""])
+    def test_bad_delta_names_file_and_field(self, saved, delta):
+        # delta is the grids' z spacing; a negative one would mirror every
+        # column about its centre
+        _, path = saved
+        raw = (path / "patch0.svol").read_bytes()
+        (path / "patch0.svol").write_bytes(raw.replace(b"[1.0, 1.0, 0.5]",
+                                                       b"[1.0, 1.0, " + delta.encode() + b"]", 1))
+        with pytest.raises(ValueError, match=re.escape(
+                f"header field 'spacing' in {path / 'patch0.svol'} must be ")):
             sc.load_patchset(path)
 
 
