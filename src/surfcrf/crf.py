@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import functools
 import math
+import numbers
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -19,9 +20,10 @@ if TYPE_CHECKING:
 LOGIT_CLAMP = 30.0
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """exp(l - max) / sum along the last axis, in one full-size array."""
-    e = logits - logits.max(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(l - max) / sum along the last axis, in one full-size array:
+    ``out`` if given, which may be ``logits`` itself."""
+    e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -86,10 +88,12 @@ class CrfParams:
             width = getattr(self, name)
             if not (math.isfinite(width) and width > 0):
                 raise ValueError(f"{name} must be a finite width > 0, got {width!r}")
-        if self.window_radius < 1:
-            raise ValueError(f"window_radius must be >= 1, got {self.window_radius!r}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
+        for name in ("window_radius", "iterations"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count!r}")
         if self.kernel_variant not in ("probability", "intensity"):
             raise ValueError(f"kernel_variant must be 'probability' or 'intensity', "
                              f"got {self.kernel_variant!r}")
@@ -369,16 +373,14 @@ _EDGE_BLOCK = 1 << 16  # elements (pairs x Z) per gathered block of the feature 
 def edge_stats(u: UnaryField, params: CrfParams, ps: PatchSet | None = None):
     """The kernel inputs per stored entry (i, j) of W, from the owner
     (merged) kernel features f: the squared feature distance
-    fd = sum_z (f_i - f_j)^2, the squared grid distance d2 of the entry's
-    window offset, and the entries' cached PairEdges records.  The
-    probability features are the softmax of the merged logits: softmax
-    works row by row, so they are the merged kernel_features, from fewer
-    rows.  fd is gathered on the upper entries (i < j) only, in blocks of
-    _EDGE_BLOCK elements so the (pairs, Z) arrays stay bounded, and copied
-    to their mirrors (j, i): (f_i - f_j)^2 and (f_j - f_i)^2 are the same
-    floats, so fd is exactly symmetric and equal to a gather over every
-    entry."""
-    offs = window_offsets(params.window_radius)
+    fd = sum_z (f_i - f_j)^2, and the entries' cached PairEdges records.
+    Returns (fd, edges).  The probability features are the softmax of the
+    merged logits: softmax works row by row, so they are the merged
+    kernel_features, from fewer rows.  fd is gathered on the upper entries
+    (i < j) only, in blocks of _EDGE_BLOCK elements so the (pairs, Z)
+    arrays stay bounded, and copied to their mirrors (j, i):
+    (f_i - f_j)^2 and (f_j - f_i)^2 are the same floats, so fd is exactly
+    symmetric and equal to a gather over every entry."""
     edges = _cached_pair_edges(u.graph, params.window_radius)
     cols, upper, mirror = edges.cols, edges.upper, edges.mirror
     if params.kernel_variant == "probability":
@@ -393,25 +395,37 @@ def edge_stats(u: UnaryField, params: CrfParams, ps: PatchSet | None = None):
         diff -= f.take(cols[up], axis=0)
         diff *= diff
         fd[up] = fd[mi] = diff.sum(axis=-1)
-    d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2).astype(np.float64)[edges.k]
-    return fd, d2, edges
+    return fd, edges
 
 
-def edge_kernel(fd: np.ndarray, d2: np.ndarray, edges: PairEdges, params: CrfParams):
+def offset_tables(params: CrfParams):
+    """(d2, sm), one entry per window offset k: the squared grid distance
+    d2 = dy^2 + dx^2 of offset k and the smoothness term
+    sm = exp(-d2/(2 theta3^2)).  An entry of W takes both from its offset,
+    so they are gathered by the records' k, never stored per entry."""
+    offs = window_offsets(params.window_radius)
+    d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2).astype(np.float64)
+    return d2, np.exp(-d2 * (1.0 / (2.0 * params.theta3 ** 2)))
+
+
+def edge_kernel(fd: np.ndarray, edges: PairEdges, params: CrfParams):
     """The Gaussian edge weights w = app + w1 * sm as the vertex operator W
     over the ``edges`` records, with the appearance term
-    app = exp(-d2/(2 theta1^2) - fd/(2 theta2^2)) and the smoothness term
-    sm = exp(-d2/(2 theta3^2)) per entry.  Returns (W, app, sm)."""
+    app = exp(-d2/(2 theta1^2) - fd/(2 theta2^2)) per entry; d2, its
+    spatial exponent and w1 * sm are offset_tables gathered by the entries'
+    k.  Returns (W, app)."""
     from scipy import sparse  # here, so that steps without a CRF do not import it
 
+    d2, sm = offset_tables(params)
     it1 = 1.0 / (2.0 * params.theta1 ** 2)
     it2 = 1.0 / (2.0 * params.theta2 ** 2)
-    it3 = 1.0 / (2.0 * params.theta3 ** 2)
-    app = np.exp(-d2 * it1 - fd * it2)
-    sm = np.exp(-d2 * it3)
+    app = (-d2 * it1)[edges.k]
+    app -= fd * it2
+    np.exp(app, out=app)
+    data = (params.w1 * sm)[edges.k]
+    data += app  # app + w1 * sm: the sum of two floats does not depend on their order
     nv = edges.indptr.size - 1
-    op = sparse.csr_matrix((app + params.w1 * sm, edges.cols, edges.indptr), shape=(nv, nv))
-    return op, app, sm
+    return sparse.csr_matrix((data, edges.cols, edges.indptr), shape=(nv, nv)), app
 
 
 def compute_kernel(u: UnaryField, params: CrfParams, ps: PatchSet | None = None) -> KernelField:
@@ -419,9 +433,8 @@ def compute_kernel(u: UnaryField, params: CrfParams, ps: PatchSet | None = None)
     windows' pair_edges records.
 
     Features are FIXED for the whole inference (computed once, here)."""
-    fd, d2, edges = edge_stats(u, params, ps)
     return KernelField(graph=u.graph, offsets=window_offsets(params.window_radius),
-                       W=edge_kernel(fd, d2, edges, params)[0])
+                       W=edge_kernel(*edge_stats(u, params, ps), params)[0])
 
 
 def refresh_duplicates(q: np.ndarray, graph: ColumnGraph) -> np.ndarray:
@@ -466,9 +479,16 @@ def meanfield_unroll(logits: np.ndarray, W: sparse.csr_matrix, params: CrfParams
         q_in = q
         q_tilde = W @ q_in
         q_hat = compat_transform(q_tilde, params.theta_comp)
-        q = _finite(softmax(logits - params.w_p * q_hat))
+        if tape is None:
+            del q_tilde  # before the next (Nv,Z) array is allocated
+        # softmax(logits - w_p * q_hat) in place in one new array: -(w_p x)
+        # is (-w_p) x and a - b is a + (-b), so these are the same floats
+        q = np.multiply(q_hat, -params.w_p)
+        q += logits
+        q = _finite(softmax(q, out=q))
         if tape is not None:
             tape.append((q_in, q_tilde, q_hat, q))
+        del q_hat  # before the next iteration's arrays are allocated
     return q
 
 
@@ -480,12 +500,14 @@ def meanfield_infer(u: UnaryField, params: CrfParams,
     At w_p = 0 every iteration returns softmax(l - 0 * q_hat), the same
     floats as softmax(l) (a signed zero moves no bit of a softmax), so no
     kernel is built and no iteration runs.  The intensity variant without
-    a PatchSet still goes to compute_kernel, which rejects it."""
-    logits = u.graph.merge(u.logits)
+    a PatchSet still goes to compute_kernel, which rejects it.  The logits
+    are merged after W is built, so the kernel's temporaries and the
+    merged logits are not held at once."""
     if params.w_p == 0 and (params.kernel_variant == "probability" or ps is not None):
-        q = _finite(softmax(logits))
+        q = _finite(softmax(u.graph.merge(u.logits)))
     else:
-        q = meanfield_unroll(logits, compute_kernel(u, params, ps=ps).W, params)
+        W = compute_kernel(u, params, ps=ps).W
+        q = meanfield_unroll(u.graph.merge(u.logits), W, params)
     return SurfaceLabeling(labels=np.argmax(q, axis=-1).astype(np.int64), q=q)
 
 

@@ -446,7 +446,7 @@ class TestPairEdges:
             assert np.array_equal(d2[swap], d2)
             for variant in ("probability", "intensity"):
                 params = sc.CrfParams(window_radius=radius, kernel_variant=variant)
-                fd, _, _ = sc.crf.edge_stats(u, params, ps)
+                fd, _ = sc.crf.edge_stats(u, params, ps)
                 assert np.array_equal(fd, ref_full_fd(u, params, ps)), (radius, variant)
 
     def test_upper_in_row_col_order(self):
@@ -480,6 +480,25 @@ class TestPairEdges:
         edges, peak = traced_peak_mib(sc.crf.pair_edges, graph, window_offsets(4))
         assert edges.cols.size > 480_000
         assert peak < 16.0
+
+    @pytest.mark.parametrize("variant", ["probability", "intensity"])
+    def test_kernel_memory_bounded(self, variant):
+        # the r=5 sphere at radius 4, its 489,168 records cached first: d2,
+        # the spatial exponent and w1 * sm come from per-offset tables and
+        # mean field forms each update in place, so compute_kernel traces
+        # 11.3 MiB and meanfield_infer 13.0 MiB (18.7 and 20.9 MiB with
+        # per-entry d2 and sm arrays and an out-of-place update)
+        graph = build_column_graph(sc.build_quadsphere(5), 3)
+        rng = np.random.default_rng(5)
+        u = sc.unary_from_logits(graph, rng.normal(size=(*graph.shape, 48)))
+        ps = SimpleNamespace(samples=rng.normal(size=(*graph.shape, 48)).astype(np.float32))
+        params = sc.CrfParams(window_radius=4, kernel_variant=variant)
+        sc.crf._cached_pair_edges(graph, 4)
+        kf, peak = traced_peak_mib(sc.compute_kernel, u, params, ps)
+        assert kf.W.nnz > 480_000
+        assert peak < 16.5
+        _, peak = traced_peak_mib(sc.meanfield_infer, u, params, ps)
+        assert peak < 17.0
 
     def test_window_records_memory_bounded(self):
         # the same records read from a grid with one (Nv, K) index array
@@ -975,6 +994,18 @@ class TestUnaryField:
         # the CLI puts the section before the message to name the dotted key
         with pytest.raises(ValueError, match=f"^{field} must"):
             sc.CrfParams(**{field: value})
+
+    def test_counts_must_be_integers(self):
+        # window_offsets(2.5) lists (-2, 0) twice, True was taken as 1, and
+        # iterations=2.5 failed inside the mean-field loop with a TypeError
+        for field in ("window_radius", "iterations"):
+            for value in (2.5, 3.0, True, np.True_, "3"):
+                with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                    sc.CrfParams(**{field: value})
+        params = sc.CrfParams(window_radius=np.int64(2), iterations=np.uint8(3))
+        u = toy_unary(4, 5, 6, seed=3)
+        want = sc.meanfield_infer(u, sc.CrfParams(window_radius=2, iterations=3))
+        assert sc.meanfield_infer(u, params).q.tobytes() == want.q.tobytes()
 
     def test_negative_w_p_rejected(self):
         # the fit bounds the weights >= 0; w_p = 0 is the w_p=0 identity (A5)

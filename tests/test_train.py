@@ -112,7 +112,8 @@ def ref_edge_grads(u, params, gt, unary_scale=1.0, ps=None):
     graph = u.graph
     frozen = train.frozen_kernel_stats(
         sc.unary_from_logits(graph, unary_scale * u.logits), params, ps=ps)
-    fd, d2, _ = frozen
+    fd, edges = frozen
+    d2, sm = (table[edges.k] for table in crf.offset_tables(params))
     tape = []
     merged_raw = graph.merge(u.logits)
     _, c = train._forward(merged_raw, unary_scale, frozen, params, gt, tape=tape)
@@ -138,7 +139,7 @@ def ref_edge_grads(u, params, gt, unary_scale=1.0, ps=None):
         dq = op.T @ dq_tilde
     dl += _softmax_backward(softmax(c["l"]), dq)
     dl = np.where(np.abs(unary_scale * merged_raw) <= LOGIT_CLAMP, dl, 0.0)
-    app, sm = c["app"], c["sm"]
+    app = c["app"]
     idx = np.arange(u.z_len)
     delta2 = (idx[:, None] - idx[None, :]) ** 2
     dmu_dtc = -np.exp(-delta2 / params.theta_comp ** 2) * (2.0 * delta2 / params.theta_comp ** 3)
@@ -511,12 +512,25 @@ class TestFitDivergence:
 
 class TestForwardConsistency:
     def test_training_forward_matches_inference_loss(self):
-        # the unrolled differentiable forward pass and meanfield_infer are the
-        # same computation; their MCE losses agree exactly, also where the
-        # scaled logits exceed the clamp (scale 20)
+        # the taped, unrolled differentiable forward pass and the untaped,
+        # in-place meanfield_infer are the same computation: the same final
+        # q to the bit, so the same MCE loss, also where the scaled logits
+        # exceed the clamp (scale 20)
         u, gt = toy_instance(h=3, w=5, z=6, seed=31)
-        params = sc.CrfParams(window_radius=2, iterations=4, theta2=0.5)
-        for scale in (1.0, 20.0):
-            rep = sc.meanfield_grad(u, params, gt, unary_scale=scale)
-            lab = sc.meanfield_infer(sc.unary_from_logits(u.graph, scale * u.logits), params)
-            assert rep.loss == pytest.approx(sc.mce_loss(lab.q, gt), abs=1e-12)
+        toy_ps = SimpleNamespace(samples=np.random.default_rng(31).normal(size=u.logits.shape))
+        (ps3, u3, gt3), = phantom_fit_dataset(seeds=[0])
+        for variant in ("probability", "intensity"):
+            cases = [(toy_ps, u, gt, sc.CrfParams(window_radius=2, iterations=4, theta2=0.5,
+                                                   kernel_variant=variant)),
+                     (ps3, u3, gt3, sc.CrfParams(kernel_variant=variant))]
+            for ps, unary, truth, params in cases:
+                raw = unary.graph.merge(unary.logits)
+                for scale in (1.0, 20.0):
+                    scaled = sc.unary_from_logits(unary.graph, scale * unary.logits)
+                    frozen = train.frozen_kernel_stats(scaled, params, ps=ps)
+                    loss, c = train._forward(raw, scale, frozen, params, truth, tape=[])
+                    lab = sc.meanfield_infer(scaled, params, ps=ps)
+                    assert c["q"].tobytes() == lab.q.tobytes(), (variant, scale)
+                    assert loss == sc.mce_loss(lab.q, truth)
+                    rep = sc.meanfield_grad(unary, params, truth, unary_scale=scale, ps=ps)
+                    assert rep.loss == loss
