@@ -371,8 +371,13 @@ def _load_unary(step, cfg, run_dir) -> tuple:
     if un["mode"] == "gradient":
         return ps, crfmod.gradient_unary(ps, polarity=un["polarity"]).logits
     ext = un["external_dir"] or os.path.join(run_dir, "external_logits")
+
+    def check_dims(path, vol):
+        if vol.dims != ps.samples.shape[1:]:
+            raise ValueError(f"{path}: dims {list(vol.dims)} do not match the patch "
+                             f"set's (W, W, z_len) = {list(ps.samples.shape[1:])}")
     surf, nons = (load_face_grids(lambda f: step.input(os.path.join(ext, f"patch{f}_{c}.svol")),
-                                  ps.samples.shape[1:]) for c in ("surface", "nonsurface"))
+                                  check_dims)[0] for c in ("surface", "nonsurface"))
     return ps, crfmod.channel_reduce(surf, nons)
 
 

@@ -136,32 +136,16 @@ class KernelField:
         return out.reshape(*self.graph.shape, -1)
 
 
-def _window_records(graph: ColumnGraph, offsets: np.ndarray, lo: int = 0, hi: int | None = None):
-    """(i, k, j) for every window entry k of vertex i's owning slot that
-    shows another valid vertex j, in (i, k) order, for the vertices
-    lo..hi-1 (all of them by default)."""
-    r = int(np.abs(offsets).max())  # pad by the radius: entries past the edge read -1
-    gid = np.pad(graph.gid, ((0, 0), (r, r), (r, r)), constant_values=-1)
-    p, y, x = np.unravel_index(graph.owner[lo:hi], graph.shape)
-    slot = np.ravel_multi_index((p, y + r, x + r), gid.shape)
-    gwin = gid.reshape(-1)[slot[:, None] + offsets @ [gid.shape[2], 1]]
-    # drop self: the centre offset, and any pad that shows the vertex again
-    rows, ks = np.nonzero((gwin >= 0) & (gwin != np.arange(lo, lo + len(slot))[:, None]))
-    return rows + lo, ks, gwin[rows, ks]
-
-
 class PairEdges(NamedTuple):
     """The neighbour records of the owner windows as CSR arrays over
-    vertices (pair_edges), read-only; the index arrays are int32 where the
+    vertices: the kept cells (i, k) of pair_edges' (Nv, K) window table in
+    row-major order, read-only; the index arrays are int32 where the
     positions allow it."""
     cols: np.ndarray    # (nnz,) the neighbour's gid per entry
     k: np.ndarray       # (nnz,) the entry's window offset index, the least uint type of K
     indptr: np.ndarray  # (Nv+1,) row pointer
     upper: np.ndarray   # (nnz/2,) the entries (i, j) with i < j, in (i, j) order
     mirror: np.ndarray  # (nnz/2,) the entry (j, i) of each upper entry
-
-
-_RECORD_BLOCK = 1 << 14  # window records per block of pair_edges
 
 
 def pair_edges(graph: ColumnGraph, offsets: np.ndarray) -> PairEdges:
@@ -179,82 +163,61 @@ def pair_edges(graph: ColumnGraph, offsets: np.ndarray) -> PairEdges:
     gives, for each entry (i, j) with i < j, the position of its transpose
     (j, i), so that symmetric per-entry values are computed once per pair.
 
-    The records are read, deduplicated and mirror-checked in blocks of
-    about _RECORD_BLOCK, so only three arrays span every record: the
-    int64 key (i, j, d2) of each deduplicated record, sorted, its offset k
-    and its rank in (i, k) order.  The arrays returned are int32 where the
-    positions allow it, so scipy takes them without a copy, and read-only."""
+    Each rule is a row operation on one (Nv, K) table: J[i, k] is the
+    vertex at offset k of vertex i's owning slot, read from gid padded with
+    -1 by the radius, and -1 where it shows i itself.  The kept cells in
+    row-major order are the entries in (i, k) order.  The arrays returned
+    are int32 where the positions allow it, so scipy takes them without a
+    copy, and read-only."""
     K = offsets.shape[0]
     nv = graph.n_vertices
-    d2 = offsets[:, 0] ** 2 + offsets[:, 1] ** 2
-    stride = int(d2.max()) + 1
     itype = np.int32 if nv * K < 2 ** 31 else np.int64
-    block = _RECORD_BLOCK
+    ktype = np.min_scalar_type(K - 1)
+    r = int(np.abs(offsets).max())  # pad by the radius: entries past the edge read -1
+    gid = np.pad(graph.gid.astype(itype), ((0, 0), (r, r), (r, r)), constant_values=-1)
+    p, y, x = np.unravel_index(graph.owner, graph.shape)
+    slot = np.ravel_multi_index((p, y + r, x + r), gid.shape)
+    J = gid.reshape(-1)[slot[:, None] + offsets @ [gid.shape[2], 1]]
+    rows = np.arange(nv, dtype=itype)[:, None]
+    J[J == rows] = -1
 
-    # per block of owners: the first record of each pair (i, j) in (i, j, d2, k)
-    # order; no vertex has more than K - 1 records, the centre is never one
-    key = np.empty(nv * (K - 1), dtype=np.int64)
-    kk = np.empty(key.size, dtype=np.min_scalar_type(K - 1))
-    rank = np.empty(key.size, dtype=itype)
-    n = 0
-    rows_per_block = max(1, block // K)
-    for lo in range(0, nv, rows_per_block):
-        rows, ks, cols = _window_records(graph, offsets, lo, lo + rows_per_block)
-        pair = rows * nv + cols
-        rec = pair * stride + d2[ks]
-        order = np.argsort(rec * K + ks)
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = pair[order[1:]] != pair[order[:-1]]
-        kept = order[first]
-        in_ik = np.zeros(rows.size, dtype=bool)
-        in_ik[kept] = True
-        m = kept.size
-        key[n:n + m] = rec[kept]
-        kk[n:n + m] = ks[kept]
-        rank[n:n + m] = np.cumsum(in_ik)[kept] + (n - 1)
-        n += m
-    key, kk, rank = key[:n], kk[:n], rank[:n]
+    # duplicates: ks lists each row's offsets in (j, d2, k) order; keep the
+    # first offset of each j
+    d2 = offsets[:, 0] ** 2 + offsets[:, 1] ** 2
+    by_d2 = np.argsort(d2, kind="stable")
+    ks = by_d2.astype(ktype)[np.argsort(J[:, by_d2], axis=1, kind="stable")]
+    js = np.take_along_axis(J, ks, axis=1)
+    js[:, 1:][js[:, 1:] == js[:, :-1]] = -1
+    np.put_along_axis(J, ks, js, axis=1)
+    del js
 
-    # per block of kept records: is the mirror (j, i, d2) kept too?
-    found = np.empty(n, dtype=bool)
-    upper = np.empty(n // 2, dtype=itype)  # found records pair up: at most n/2 have i < j
-    mirror = np.empty(n // 2, dtype=itype)
-    u = 0
-    for a in range(0, n, block):
-        pair, d = np.divmod(key[a:a + block], stride)
-        i, j = np.divmod(pair, nv)
-        mirror_key = (j * nv + i) * stride + d
-        loc = np.searchsorted(key, mirror_key)
-        f = loc < n
-        f[f] = key[loc[f]] == mirror_key[f]
-        found[a:a + block] = f
-        up = np.flatnonzero(f & (i < j))
-        upper[u:u + up.size] = up + a
-        mirror[u:u + up.size] = loc[up]
-        u += up.size
+    # mirrors: m[i, k] is the offset of the same d2 at which row j = J[i, k]
+    # lists i; row j lists i at most once, so there is one such offset or
+    # none.  Pass c tries the c-th offset of each d2 group (the group's last
+    # past its end); a -1 cell reads a wrapped index, dropped after the loop
+    first = np.searchsorted(d2[by_d2], d2)
+    size = np.searchsorted(d2[by_d2], d2, side="right") - first
+    m = np.zeros(J.shape, dtype=ktype)
+    keep = np.zeros(J.shape, dtype=bool)
+    for c in range(size.max()):
+        mk = by_d2[first + np.minimum(c, size - 1)].astype(ktype)
+        hit = J.reshape(-1)[J * K + mk] == rows
+        np.copyto(m, mk, where=hit)
+        keep |= hit
+        del hit
+    keep &= J >= 0
 
-    # the CSR position of each kept record: its rank in (i, k) order among the found
-    found_ik = np.zeros(n, dtype=bool)
-    found_ik[rank] = found
-    csr = np.cumsum(found_ik, dtype=itype)
-    del found_ik
-    csr -= 1
-    csr = csr[rank]
-    del rank
-    nnz = 2 * u
-    out = PairEdges(cols=np.empty(nnz, dtype=itype), k=np.empty(nnz, dtype=kk.dtype),
-                    indptr=np.zeros(nv + 1, dtype=itype),
-                    upper=csr[upper[:u]], mirror=csr[mirror[:u]])
-    del upper, mirror
-    counts = np.zeros(nv, dtype=np.int64)
-    for a in range(0, n, block):
-        f = found[a:a + block]
-        i, j = np.divmod(key[a:a + block][f] // stride, nv)
-        at = csr[a:a + block][f]
-        out.cols[at] = j
-        out.k[at] = kk[a:a + block][f]
-        counts += np.bincount(i, minlength=nv)
-    np.cumsum(counts, out=out.indptr[1:])
+    # CSR: a kept cell's position is its rank in row-major order; the kept
+    # i < j cells taken in ks order are the upper entries in (i, j) order
+    pos = np.cumsum(keep, dtype=itype) - 1
+    cell = (rows * K + ks)[np.take_along_axis(keep & (J > rows), ks, axis=1)]
+    upper = pos[cell]
+    mirror = pos[J.reshape(-1)[cell] * K + m.reshape(-1)[cell]]
+    del pos, m, cell
+    indptr = np.zeros(nv + 1, dtype=itype)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    out = PairEdges(cols=J[keep], k=np.broadcast_to(np.arange(K, dtype=ktype), J.shape)[keep],
+                    indptr=indptr, upper=upper, mirror=mirror)
     for arr in out:
         arr.flags.writeable = False
     return out

@@ -213,18 +213,26 @@ def save_face_grids(path_of, grids: np.ndarray, delta: float) -> None:
                          data=grids[f].astype(np.float32, copy=False)), path_of(f))
 
 
-def load_face_grids(path_of, dims) -> np.ndarray:
-    """The six face grids written by save_face_grids, (6, *dims) float32; a
-    file whose dims are not ``dims`` is named in the error."""
-    grids = np.empty((6, *dims), dtype=np.float32)
-    for f in range(6):
+def load_face_grids(path_of, check_first) -> tuple:
+    """The six face grids written by save_face_grids, (6, W, W, Z) float32,
+    and their spacing.  ``check_first(path, vol)`` vets the first file
+    before the others are read; a file whose dims or spacing differ from
+    the first file's is named in the error, with the field."""
+    first_path = path_of(0)
+    first = load_svol(first_path)
+    check_first(first_path, first)
+    grids = np.empty((6, *first.dims), dtype=np.float32)
+    grids[0] = first.data
+    for f in range(1, 6):
         path = path_of(f)
         vol = load_svol(path)
-        if vol.dims != tuple(dims):
-            raise ValueError(f"{path}: dims {list(vol.dims)} do not match the patch "
-                             f"set's (W, W, z_len) = {list(dims)}")
+        for field in ("dims", "spacing"):
+            got, want = getattr(vol, field), getattr(first, field)
+            if got != want:
+                raise ValueError(f"{path}: {field} {list(got)} differ from "
+                                 f"{first_path}'s {list(want)}")
         grids[f] = vol.data
-    return grids
+    return grids, first.spacing
 
 
 def save_patchset(ps: PatchSet, dirpath) -> None:
@@ -242,23 +250,16 @@ def load_patchset(dirpath) -> PatchSet:
     quad_path = os.path.join(dirpath, "quad.npz")
     qm = load_quadmesh(quad_path)
     n = qm.sphere.n
-    paths = [os.path.join(dirpath, f"patch{f}.svol") for f in range(6)]
-    first = load_svol(paths[0])
-    W, H, z_len = first.dims
-    pad, odd = divmod(W - n - 1, 2)
-    if W != H or odd or not 0 <= pad <= n or z_len < 2:
-        raise ValueError(f"{paths[0]}: dims {list(first.dims)} must be [W, W, z_len] with "
-                         f"z_len >= 2 and W = n + 1 + 2*pad for a pad in 0..n, n = {n} the "
-                         f"face grid size of {quad_path}")
-    samples = np.empty((6, *first.dims), dtype=np.float32)
-    samples[0] = first.data
-    for f in range(1, 6):
-        vol = load_svol(paths[f])
-        for field in ("dims", "spacing"):
-            got, want = getattr(vol, field), getattr(first, field)
-            if got != want:
-                raise ValueError(f"{paths[f]}: {field} {list(got)} differ from "
-                                 f"{paths[0]}'s {list(want)}")
-        samples[f] = vol.data
+
+    def check_dims(path, vol):
+        W, H, z_len = vol.dims
+        pad, odd = divmod(W - n - 1, 2)
+        if W != H or odd or not 0 <= pad <= n or z_len < 2:
+            raise ValueError(f"{path}: dims {list(vol.dims)} must be [W, W, z_len] with "
+                             f"z_len >= 2 and W = n + 1 + 2*pad for a pad in 0..n, n = {n} the "
+                             f"face grid size of {quad_path}")
+    samples, spacing = load_face_grids(lambda f: os.path.join(dirpath, f"patch{f}.svol"),
+                                       check_dims)
+    pad = (samples.shape[1] - n - 1) // 2
     return PatchSet(quad=qm, graph=build_column_graph(qm.sphere, pad), samples=samples,
-                    delta=first.spacing[2])
+                    delta=spacing[2])

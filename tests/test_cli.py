@@ -739,6 +739,26 @@ class TestExternalUnary:
         with pytest.raises(ValueError, match=r"patch0_surface\.svol: dims"):
             cli.cmd_unary(cfg, str(out))
 
+    def test_channel_spacing_mismatch_names_file_and_field(self, fast_run, tmp_path):
+        # the six files of a channel are read as one set of face grids, so
+        # they must agree on spacing as the patch set's grids do
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        ps = sc.load_patchset(out / "patches")
+        ext = out / "external_logits"
+        os.makedirs(ext)
+        dims = (*ps.graph.shape[1:], ps.z_len)
+        for f in range(6):
+            for name in ("surface", "nonsurface"):
+                delta = 0.25 if (f, name) == (3, "nonsurface") else ps.delta
+                sc.save_svol(sc.Volume(dims, (1.0, 1.0, delta), (0.0, 0.0, 0.0),
+                                       np.zeros(dims, dtype=np.float32)),
+                             ext / f"patch{f}_{name}.svol")
+        cfg = cli.load_config(overrides={"unary.mode": "external"})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{ext / 'patch3_nonsurface.svol'}: spacing [1.0, 1.0, 0.25] differ from "
+                f"{ext / 'patch0_nonsurface.svol'}'s [1.0, 1.0, {ps.delta}]")):
+            cli.cmd_unary(cfg, str(out))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("grid", ["external_logits/patch2_surface.svol",
                                       "patches/patch2.svol"])

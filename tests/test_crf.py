@@ -1,3 +1,4 @@
+import functools
 import math
 from types import SimpleNamespace
 
@@ -141,41 +142,52 @@ def ref_full_fd(u, params, ps=None):
     return diff.sum(axis=-1)
 
 
-def ref_window_pair_mask(graph, offsets):
-    """The key-set form of ref_full_pair_mask: the same dedup, then a record
-    survives when its (src gid, dst gid, d2) key and the mirrored key are
-    both among the owner windows' records (np.isin / np.unique on composite
-    int64 keys)."""
-    P, H, W = graph.shape
-    K = offsets.shape[0]
-    gwin = ref_window_gids(graph, offsets).reshape(-1, K)
-    own = np.where(graph.valid, graph.gid, -2).reshape(-1)
-    keep = (gwin >= 0) & (gwin != own[:, None]) & graph.valid.reshape(-1)[:, None]
-    keep[:, (offsets[:, 0] == 0) & (offsets[:, 1] == 0)] = False
-    d2 = offsets[:, 0] ** 2 + offsets[:, 1] ** 2
-    order = np.lexsort((np.arange(K), d2))
-    g_ord = np.where(keep, gwin, -1)[:, order]
-    idx = np.argsort(g_ord, axis=1, kind="stable")
-    g_sorted = np.take_along_axis(g_ord, idx, axis=1)
-    dup_sorted = np.zeros_like(g_sorted, dtype=bool)
-    dup_sorted[:, 1:] = (g_sorted[:, 1:] == g_sorted[:, :-1]) & (g_sorted[:, 1:] >= 0)
-    dup_ord = np.zeros_like(dup_sorted)
-    np.put_along_axis(dup_ord, idx, dup_sorted, axis=1)
-    dup = np.zeros_like(dup_sorted)
-    dup[:, order] = dup_ord
-    keep &= ~dup
+@functools.lru_cache(maxsize=None)
+def ref_window_records(graph, radius):
+    """Scalar-loop reference of the neighbour records, one key set per
+    vertex: row i walks the window of its owning slot in (d2, k) order and
+    keeps the first sighting of each other vertex j as {j: k}; then (i, j)
+    stays only where row j lists i at the same d2."""
+    offsets = window_offsets(radius).tolist()
+    d2 = [dy * dy + dx * dx for dy, dx in offsets]
+    _, height, width = graph.shape
+    gid = graph.gid.tolist()
+    seen = []
+    for i, (p, y, x) in enumerate(zip(*np.unravel_index(graph.owner, graph.shape))):
+        row = {}
+        for k in sorted(range(len(offsets)), key=lambda k: (d2[k], k)):
+            ny, nx = y + offsets[k][0], x + offsets[k][1]
+            j = gid[p][ny][nx] if 0 <= ny < height and 0 <= nx < width else -1
+            if j >= 0 and j != i and j not in row:
+                row[j] = k
+        seen.append(row)
+    return [{j: k for j, k in row.items() if i in seen[j] and d2[seen[j][i]] == d2[k]}
+            for i, row in enumerate(seen)]
 
-    nv = graph.n_vertices
-    stride = int(d2.max()) + 1
-    d2k = np.broadcast_to(d2[None, :], keep.shape)
-    src = np.broadcast_to(own[:, None], keep.shape)
-    orec = keep & owned_mask(graph).reshape(-1)[:, None]
-    fwd = (src[orec] * nv + gwin[orec]) * stride + d2k[orec]
-    mirror = (gwin[orec] * nv + src[orec]) * stride + d2k[orec]
-    allowed = np.unique(fwd[np.isin(mirror, fwd)])
-    all_keys = (src[keep] * nv + gwin[keep]) * stride + d2k[keep]
-    keep[keep] = np.isin(all_keys, allowed)
-    return keep.reshape(P, H, W, K)
+
+def assert_matches_scalar_records(edges, graph, radius):
+    """pair_edges' arrays hold the scalar reference's records: each row's
+    entries in k order, upper the entries (i, j) with i < j in (i, j)
+    order and mirror the entry (j, i) of each."""
+    at = {}
+    for i, row in enumerate(ref_window_records(graph, radius)):
+        for k, j in sorted((k, j) for j, k in row.items()):
+            at[i, j] = len(at), k
+    rows = np.repeat(np.arange(graph.n_vertices), np.diff(edges.indptr))
+    assert list(zip(rows.tolist(), edges.cols.tolist())) == list(at), radius
+    assert edges.k.tolist() == [k for _, k in at.values()], radius
+    pairs = [pair for pair in sorted(at) if pair[0] < pair[1]]
+    assert edges.upper.tolist() == [at[i, j][0] for i, j in pairs], radius
+    assert edges.mirror.tolist() == [at[j, i][0] for i, j in pairs], radius
+
+
+def ref_record_mask(graph, radius):
+    """The slot view of the scalar reference's records, (P,H,W,K) bool."""
+    K = (2 * radius + 1) ** 2
+    mask = np.zeros((graph.gid.size, K), dtype=bool)
+    for i, row in enumerate(ref_window_records(graph, radius)):
+        mask[graph.owner[i], list(row.values())] = True
+    return mask.reshape(*graph.shape, K)
 
 
 class TestChannelReduce:
@@ -334,34 +346,38 @@ class TestComputeKernel:
 
 
 QUAD_GRAPHS = [(level, pad) for level in range(6) for pad in range(min(3, 2 ** level) + 1)]
+MASK_GRAPHS = [(pad, level) for level in range(5) for pad in range(min(4, 2 ** level) + 1)]
 TOY_SHAPES = [(1, 1, 1), (1, 1, 4), (1, 2, 3), (2, 5, 4), (1, 6, 5)]
 
 
 class TestPairMask:
-    """The slot view of the records: the owner rows of the full-grid mask."""
+    """The records and their slot view against the scalar reference:
+    levels 0-4 x pads 0..min(4, n) and five toy graphs, at radii 1-4 and a
+    window wider than the grid (2n + 1 up to level 3; the full-grid
+    reference covers levels 4 and 5 in TestPairEdges)."""
 
-    @pytest.mark.parametrize("level", [2, 3, 4])
-    @pytest.mark.parametrize("pad", [0, 1, 2, 3])
+    @pytest.mark.parametrize("pad, level", MASK_GRAPHS)
     def test_matches_key_set_reference_on_quad_sphere(self, level, pad):
         # the records do not depend on the pad: a window wider than the pad
         # keeps the entries that the reference finds on a pad as wide as it
         qs = sc.build_quadsphere(level)
         graph = build_column_graph(qs, pad=pad)
-        for radius in range(1, 5):
+        for radius in [1, 2, 3, 4] + [2 * qs.n + 1] * (level < 4):
             offs = window_offsets(radius)
+            assert_matches_scalar_records(sc.crf.pair_edges(graph, offs), graph, radius)
             wide = window_pad_graph(qs, pad, radius)
-            want = ref_window_pair_mask(wide, offs) & owned_mask(wide)[..., None]
             assert np.array_equal(sc.crf.window_pair_mask(graph, offs),
-                                  at_owner_slots(graph, wide, want))
+                                  at_owner_slots(graph, wide, ref_record_mask(wide, radius)))
 
-    @pytest.mark.parametrize("shape", TOY_SHAPES[:4])
+    @pytest.mark.parametrize("shape", TOY_SHAPES)
     def test_matches_key_set_reference_on_toy_graphs(self, shape):
         patches, height, width = shape
         graph = make_toy_graph(height, width, patches)
-        for radius in range(1, 5):
+        for radius in [1, 2, 3, 4, 2 * max(height, width) + 1]:
             offs = window_offsets(radius)
+            assert_matches_scalar_records(sc.crf.pair_edges(graph, offs), graph, radius)
             mask = sc.crf.window_pair_mask(graph, offs)
-            assert np.array_equal(mask, ref_window_pair_mask(graph, offs))
+            assert np.array_equal(mask, ref_record_mask(graph, radius))
             if shape == (1, 1, 1):
                 assert not mask.any()  # a lone column keeps no record
 
@@ -416,6 +432,25 @@ class TestPairEdges:
                 got = sc.crf._cached_pair_edges(build_column_graph(qs, pad), radius)
                 for name, a, b in zip(got._fields, got, want):
                     assert a.dtype == b.dtype and np.array_equal(a, b), (radius, pad, name)
+
+    @pytest.mark.parametrize("level, radii", [(0, (3, 100)), (1, (5, 100)), (2, (9, 100)),
+                                              (3, (17, 21))])
+    def test_windows_wider_than_2n_reach_no_new_vertex(self, level, radii):
+        # the face grids padded to n are 3n + 1 slots wide, so a window of
+        # radius 2n covers them from every owning slot; a wider one (K =
+        # 40,401 at radius 100) keeps the same (row, col, d2) records
+        qs = sc.build_quadsphere(level)
+
+        def records(pad, radius):
+            e = sc.crf._cached_pair_edges(build_column_graph(qs, pad), radius)
+            offs = window_offsets(radius)
+            return (np.repeat(np.arange(len(qs.vertices)), np.diff(e.indptr)), e.cols,
+                    (offs[:, 0] ** 2 + offs[:, 1] ** 2)[e.k])
+        want = records(0, 2 * qs.n)
+        for pad in (0, qs.n):
+            for radius in radii:
+                for name, a, b in zip(("rows", "cols", "d2"), records(pad, radius), want):
+                    assert np.array_equal(a, b), (pad, radius, name)
 
     @staticmethod
     def assert_mirrors(graph):
@@ -473,13 +508,13 @@ class TestPairEdges:
 
     def test_memory_bounded(self):
         # the default r=5 sphere at radius 4, whose records are read on its
-        # face grids padded to 4: 490,112 window records, 489,168 kept; in
-        # owner blocks it traces 13.8 MiB (sorting and mirror-checking every
-        # record at once traced 34.3 MiB on the pad-3 grid)
+        # face grids padded to 4: 490,112 window records, 489,168 kept; on
+        # one (Nv, K) table it traces 9.3 MiB (13.8 MiB in blocks of sorted
+        # int64 keys, 34.3 MiB sorting every record at once on the pad-3 grid)
         graph = build_column_graph(sc.build_quadsphere(5), 4)
         edges, peak = traced_peak_mib(sc.crf.pair_edges, graph, window_offsets(4))
         assert edges.cols.size > 480_000
-        assert peak < 16.0
+        assert peak < 12.0
 
     @pytest.mark.parametrize("variant", ["probability", "intensity"])
     def test_kernel_memory_bounded(self, variant):
@@ -499,15 +534,6 @@ class TestPairEdges:
         assert peak < 16.5
         _, peak = traced_peak_mib(sc.meanfield_infer, u, params, ps)
         assert peak < 17.0
-
-    def test_window_records_memory_bounded(self):
-        # the same records read from a grid with one (Nv, K) index array
-        # and one (Nv, K) id array (19.1 MiB); clipping the window to the
-        # grid with row and column masks traces about 27 MiB
-        graph = build_column_graph(sc.build_quadsphere(5), 4)
-        (rows, _, _), peak = traced_peak_mib(sc.crf._window_records, graph, window_offsets(4))
-        assert rows.size > 480_000
-        assert peak < 20.0
 
 
 class TestMessagePass:
