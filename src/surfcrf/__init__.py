@@ -2,7 +2,7 @@
 remeshing, terrain-like column patches, and mean-field CRF inference."""
 
 from .volume import (Volume, PhantomSpec, SvolError, load_svol, save_svol,
-                     make_phantom, phantom_label_volume)
+                     make_phantom)
 from .mesh import (TriMesh, SphereMap, MeshError, load_mesh, save_mesh,
                    validate_closed_genus0, vertex_normals, taubin_smooth,
                    harmonic_sphere_map, icosphere)

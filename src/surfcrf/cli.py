@@ -24,7 +24,7 @@ from .patches import (GroundTruth, ground_truth, labeling_to_world, load_face_gr
                       sample_columns, save_face_grids)
 from .quadsphere import (MAX_LEVEL, build_quadsphere, checked_unit_rows, load_arrays, load_quadmesh,
                          remesh, save_arrays, save_quadmesh)
-from .volume import PhantomSpec, load_svol, make_phantom, phantom_label_volume, save_svol
+from .volume import PhantomSpec, load_svol, make_phantom, save_svol
 
 
 DEFAULT_CONFIG = {
@@ -268,8 +268,7 @@ def _echo_config(cfg, outdir):
 def cmd_phantom(cfg, outdir):
     with _Step("phantom", outdir, cfg) as step:
         spec = _phantom_spec(cfg)
-        vol, truth = make_phantom(spec)
-        labels = phantom_label_volume(spec)
+        vol, labels, truth = make_phantom(spec)
         save_svol(vol, step.path("volume.svol"))
         save_svol(labels, step.path("labels.svol"))
         save_mesh(truth, step.path("truth.mesh"))
@@ -372,12 +371,15 @@ def _load_unary(step, cfg, run_dir) -> tuple:
         return ps, crfmod.gradient_unary(ps, polarity=un["polarity"]).logits
     ext = un["external_dir"] or os.path.join(run_dir, "external_logits")
 
-    def check_dims(path, vol):
+    def check_grid(path, vol):
         if vol.dims != ps.samples.shape[1:]:
             raise ValueError(f"{path}: dims {list(vol.dims)} do not match the patch "
                              f"set's (W, W, z_len) = {list(ps.samples.shape[1:])}")
+        if vol.spacing != (1.0, 1.0, ps.delta):
+            raise ValueError(f"{path}: spacing {list(vol.spacing)} does not match the patch "
+                             f"set's [1, 1, delta] = {[1.0, 1.0, ps.delta]}")
     surf, nons = (load_face_grids(lambda f: step.input(os.path.join(ext, f"patch{f}_{c}.svol")),
-                                  check_dims)[0] for c in ("surface", "nonsurface"))
+                                  check_grid)[0] for c in ("surface", "nonsurface"))
     return ps, crfmod.channel_reduce(surf, nons)
 
 

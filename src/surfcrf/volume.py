@@ -192,44 +192,41 @@ def _phantom_radius(spec: PhantomSpec, u: np.ndarray) -> np.ndarray:
 
 
 def _inside_mask(spec: PhantomSpec) -> np.ndarray:
-    dims = spec.dims
-    center = (np.asarray(dims) - 1) / 2.0 * np.asarray(spec.spacing)
-    ii, jj, kk = np.meshgrid(*(np.arange(d) for d in dims), indexing="ij")
-    p = np.stack([ii, jj, kk], axis=-1) * np.asarray(spec.spacing) - center
+    """Boolean (X,Y,Z) inside test at the voxel centres, evaluated on open
+    per-axis coordinates shaped (X,1,1), (1,Y,1) and (1,1,Z)."""
+    spacing = np.asarray(spec.spacing)
+    center = (np.asarray(spec.dims) - 1) / 2.0 * spacing
+    px, py, pz = (i * s - c for i, s, c in
+                  zip(np.ix_(*(np.arange(d) for d in spec.dims)), spacing, center))
     if spec.kind == "ellipsoid":
         a, b, c = spec.semi_axes_mm
-        return (p[..., 0] / a) ** 2 + (p[..., 1] / b) ** 2 + (p[..., 2] / c) ** 2 <= 1.0
+        return (px / a) ** 2 + (py / b) ** 2 + (pz / c) ** 2 <= 1.0
+    p = np.stack(np.broadcast_arrays(px, py, pz), axis=-1)
     r = np.linalg.norm(p, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         u = p / np.where(r[..., None] > 0, r[..., None], 1.0)
     return r <= _phantom_radius(spec, u)
 
 
-def phantom_label_volume(spec: PhantomSpec) -> Volume:
-    """Binary analytic inside-test labels on the phantom grid."""
-    spec.validate()
-    mask = _inside_mask(spec).astype(np.float32)
-    origin = (0.0, 0.0, 0.0)
-    return Volume(dims=spec.dims, spacing=spec.spacing, origin=origin, data=mask)
-
-
 def make_phantom(spec: PhantomSpec):
-    """Render the phantom volume (blur + seeded noise) and return it together
-    with the analytic boundary mesh (deformed icosphere)."""
+    """Render the phantom: returns (volume, labels, truth), where labels holds
+    the float32 inside test, volume is those labels blurred plus seeded noise,
+    and truth is the analytic boundary mesh (deformed icosphere)."""
     from scipy import ndimage  # here, so that only the phantom step imports it
 
     from . import mesh as meshmod
 
     spec.validate()
-    data = _inside_mask(spec).astype(np.float64)
+    grid = {"dims": spec.dims, "spacing": spec.spacing, "origin": (0.0, 0.0, 0.0)}
+    labels = Volume(**grid, data=_inside_mask(spec).astype(np.float32))
+    data = labels.data.astype(np.float64)
     if spec.blur_sigma_mm > 0:
         sig = [spec.blur_sigma_mm / s for s in spec.spacing]
         data = ndimage.gaussian_filter(data, sigma=sig)
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(spec.seed)
         data = data + rng.normal(0.0, spec.noise_sigma, size=data.shape)
-    vol = Volume(dims=spec.dims, spacing=spec.spacing, origin=(0.0, 0.0, 0.0),
-                 data=data.astype(np.float32))
+    vol = Volume(**grid, data=data.astype(np.float32))
 
     sphere = meshmod.icosphere(spec.mesh_subdivisions)
     u = sphere.vertices
@@ -237,4 +234,4 @@ def make_phantom(spec: PhantomSpec):
     center = (np.asarray(spec.dims) - 1) / 2.0 * np.asarray(spec.spacing)
     verts = center + u * radii[:, None]
     tri = meshmod.TriMesh(vertices=verts, faces=sphere.faces.copy())
-    return vol, tri
+    return vol, labels, tri

@@ -16,8 +16,7 @@ def make_pipeline_inputs(seed=0, recursion=4, z_len=32, delta=1.0, pad=3,
                           dims=(64, 64, 64), spacing=(1.0, 1.0, 1.0),
                           noise_sigma=noise, blur_sigma_mm=blur, seed=seed,
                           mesh_subdivisions=subdivisions)
-    vol, truth = sc.make_phantom(spec)
-    labels = sc.phantom_label_volume(spec)
+    vol, labels, truth = sc.make_phantom(spec)
     pre = presegment(truth, perturb, seed)
     smap = sc.harmonic_sphere_map(pre)
     qm = sc.remesh(pre, smap, sc.build_quadsphere(recursion))

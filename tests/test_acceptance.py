@@ -43,7 +43,7 @@ def test_a1_quadsphere_structure():
 def test_a2_harmonic_map_invariants():
     spec = sc.PhantomSpec(kind="bumpy", radius_mm=24.0, bump_amplitude_mm=2.0,
                           bump_freq=3.0, seed=3, mesh_subdivisions=4)
-    _, mesh = sc.make_phantom(spec)
+    _, _, mesh = sc.make_phantom(spec)
     assert len(mesh.vertices) == 2562
     t0 = time.monotonic()
     smap = sc.harmonic_sphere_map(mesh)
@@ -228,8 +228,7 @@ def test_a8_metrics_sanity():
 
     spec = sc.PhantomSpec(kind="ellipsoid", noise_sigma=0.0, blur_sigma_mm=0.0,
                           seed=0, dims=(64, 64, 64), mesh_subdivisions=4)
-    _, mesh = sc.make_phantom(spec)
-    labels = sc.phantom_label_volume(spec)
+    _, labels, mesh = sc.make_phantom(spec)
     vox = sc.voxelize(mesh.vertices, mesh.faces, labels)
     d = sc.dsc(labels, vox)
     assert d >= 0.98

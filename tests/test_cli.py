@@ -759,6 +759,28 @@ class TestExternalUnary:
                 f"{ext / 'patch0_nonsurface.svol'}'s [1.0, 1.0, {ps.delta}]")):
             cli.cmd_unary(cfg, str(out))
 
+    def test_channel_spacing_must_match_patch_set(self, fast_run, tmp_path, capsys):
+        # six consistent channel pairs at a z spacing other than the patch
+        # set's delta sample the columns at other depths: an error, not a
+        # labeling read at the wrong scale
+        out = shutil.copytree(fast_run, tmp_path / "run")
+        ps = sc.load_patchset(out / "patches")
+        assert ps.delta != 2.5
+        ext = out / "external_logits"
+        os.makedirs(ext)
+        dims = (*ps.graph.shape[1:], ps.z_len)
+        for f in range(6):
+            for name in ("surface", "nonsurface"):
+                sc.save_svol(sc.Volume(dims, (1.0, 1.0, 2.5), (0.0, 0.0, 0.0),
+                                       np.zeros(dims, dtype=np.float32)),
+                             ext / f"patch{f}_{name}.svol")
+        rc = cli.main(["unary", "--out", str(out), "--unary-mode", "external"] + FAST)
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().split("error: ", 1)[1])
+        assert err["message"] == (f"{ext / 'patch0_surface.svol'}: spacing [1.0, 1.0, 2.5] "
+                                  f"does not match the patch set's [1, 1, delta] = "
+                                  f"[1.0, 1.0, {ps.delta}]")
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("grid", ["external_logits/patch2_surface.svol",
                                       "patches/patch2.svol"])

@@ -10,6 +10,7 @@ from scipy import sparse
 
 from surfcrf.crf import LOGIT_CLAMP, softmax, window_offsets, window_pair_mask
 from surfcrf.patches import build_column_graph, make_toy_graph
+from surfcrf.quadsphere import _CORNER_SIGNS, _FACE_CORNERS
 
 from conftest import owned_mask, slot_kernel, traced_peak_mib
 
@@ -163,6 +164,47 @@ def ref_window_records(graph, radius):
         seen.append(row)
     return [{j: k for j, k in row.items() if i in seen[j] and d2[seen[j][i]] == d2[k]}
             for i, row in enumerate(seen)]
+
+
+@functools.lru_cache(maxsize=None)
+def ref_unfolded_pairs(level, radius):
+    """Scalar-loop reference of the vertex pairs within Chebyshev distance
+    ``radius`` on the cube lattice after unfolding across one cube edge, as
+    {(i, j): d2}, d2 the least squared distance over the faces that hold i.
+    A vertex's lattice point has coordinates 0..n (padded_gid_grids); a
+    face is read in its two tangent axes, and a point past one of its edges
+    by e <= n lies on the neighbouring face, e steps in from that edge."""
+    qs = sc.build_quadsphere(level)
+    n = qs.n
+    vid = {}
+    for f, (c00, cn0, c0n) in enumerate(_FACE_CORNERS):
+        o = _CORNER_SIGNS[c00]
+        du, dv = _CORNER_SIGNS[cn0] - o, _CORNER_SIGNS[c0n] - o
+        for a in range(n + 1):
+            for b in range(n + 1):
+                vid[tuple(((n * o + a * du + b * dv + n) // 2).tolist())] = int(qs.grids[f, a, b])
+    pairs = {}
+    for point, i in vid.items():
+        for axis in (axis for axis in range(3) if point[axis] in (0, n)):
+            t0, t1 = (t for t in range(3) if t != axis)
+            for dy in range(-radius, radius + 1):
+                for dx in range(-radius, radius + 1):
+                    q = list(point)
+                    q[t0] += dy
+                    q[t1] += dx
+                    past = [t for t in (t0, t1) if not 0 <= q[t] <= n]
+                    if past:
+                        t = past[0]
+                        e = max(-q[t], q[t] - n)
+                        if len(past) == 2 or e > n:
+                            continue
+                        q[t] = min(max(q[t], 0), n)
+                        q[axis] += e if point[axis] == 0 else -e
+                    j = vid[tuple(q)]
+                    if j != i:
+                        d2 = dy * dy + dx * dx
+                        pairs[i, j] = min(pairs.get((i, j), d2), d2)
+    return pairs
 
 
 def assert_matches_scalar_records(edges, graph, radius):
@@ -451,6 +493,35 @@ class TestPairEdges:
             for radius in radii:
                 for name, a, b in zip(("rows", "cols", "d2"), records(pad, radius), want):
                     assert np.array_equal(a, b), (pad, radius, name)
+
+    # the unfolded pairs the owner windows miss: radius -> count on levels >= 3
+    MISSED = {2: 48, 3: 240, 4: 672}
+    # where the window is wider than the face (radius > n), the entries that
+    # the owner window reaches only by a longer route: (level, radius) -> count
+    LONGER = {(1, 3): 16, (1, 4): 16, (1, 5): 16, (2, 9): 48, (3, 17): 112}
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_records_within_unfolded_cube_lattice_pairs(self, level):
+        # the owner windows read only one slot of a seam vertex, so near the
+        # 8 corners they miss pairs within the radius; each pair they keep
+        # is one of the unfolded pairs, at its least d2 unless the radius
+        # exceeds n
+        qs = sc.build_quadsphere(level)
+        for radius in [*range(1, 5), *([2 * qs.n + 1] if level <= 3 else [])]:
+            want = ref_unfolded_pairs(level, radius)
+            e = sc.crf._cached_pair_edges(build_column_graph(qs, 0), radius)
+            offs = window_offsets(radius)
+            rows = np.repeat(np.arange(len(qs.vertices)), np.diff(e.indptr))
+            got = dict(zip(zip(rows.tolist(), e.cols.tolist()),
+                           (offs[:, 0] ** 2 + offs[:, 1] ** 2)[e.k].tolist()))
+            assert got.keys() <= want.keys(), radius
+            longer = [pair for pair, d2 in got.items() if d2 != want[pair]]
+            assert all(got[pair] > want[pair] for pair in longer), radius
+            assert len(longer) == self.LONGER.get((level, radius), 0), radius
+            if radius == 1:
+                assert got.keys() == want.keys()
+            if level >= 3 and radius in self.MISSED:
+                assert len(want) - len(got) == self.MISSED[radius], radius
 
     @staticmethod
     def assert_mirrors(graph):

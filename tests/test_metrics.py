@@ -386,16 +386,14 @@ class TestPhantomAgreement:
         # A8 ingredient: discretization agreement at 64^3
         spec = sc.PhantomSpec(kind="ellipsoid", noise_sigma=0.0, blur_sigma_mm=0.0,
                               seed=0, dims=(64, 64, 64), mesh_subdivisions=4)
-        _, mesh = sc.make_phantom(spec)
-        labels = sc.phantom_label_volume(spec)
+        _, labels, mesh = sc.make_phantom(spec)
         vox = sc.voxelize(mesh.vertices, mesh.faces, labels)
         assert sc.dsc(labels, vox) >= 0.98
 
     def test_compare_surfaces_report(self):
         spec = sc.PhantomSpec(kind="ellipsoid", noise_sigma=0.0, blur_sigma_mm=0.0,
                               seed=0, mesh_subdivisions=3)
-        _, mesh = sc.make_phantom(spec)
-        labels = sc.phantom_label_volume(spec)
+        _, labels, mesh = sc.make_phantom(spec)
         rep = sc.compare_surfaces(mesh.vertices, mesh.faces, mesh.vertices, mesh.faces,
                                   labels, labels=labels)
         assert rep.dsc >= 0.98

@@ -243,7 +243,7 @@ class TestSampleColumns:
 class TestGroundTruth:
     def test_reference_equals_preseg(self):
         spec = sc.PhantomSpec(kind="ellipsoid", seed=0, mesh_subdivisions=3)
-        _, mesh = sc.make_phantom(spec)
+        _, _, mesh = sc.make_phantom(spec)
         smap = sc.harmonic_sphere_map(mesh)
         qm = sc.remesh(mesh, smap, sc.build_quadsphere(3))
         gt = sc.ground_truth(qm, mesh, 16, 0.5)

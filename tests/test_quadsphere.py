@@ -149,7 +149,7 @@ class TestRemesh:
 
     def test_injective_on_phantom(self):
         spec = sc.PhantomSpec(kind="bumpy", seed=1, mesh_subdivisions=3)
-        _, mesh = sc.make_phantom(spec)
+        _, _, mesh = sc.make_phantom(spec)
         smap = sc.harmonic_sphere_map(mesh)
         qm = sc.remesh(mesh, smap, sc.build_quadsphere(3))
         d, _ = cKDTree(qm.positions).query(qm.positions, k=2)
@@ -157,7 +157,7 @@ class TestRemesh:
 
     def test_edge_length_ratio_bounded(self):
         spec = sc.PhantomSpec(kind="ellipsoid", seed=2, mesh_subdivisions=3)
-        _, mesh = sc.make_phantom(spec)
+        _, _, mesh = sc.make_phantom(spec)
         smap = sc.harmonic_sphere_map(mesh)
         qm = sc.remesh(mesh, smap, sc.build_quadsphere(4))
         quads = qm.sphere.faces

@@ -6,9 +6,12 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 import surfcrf as sc
-from surfcrf.volume import SvolError
+from surfcrf.volume import SvolError, _inside_mask
+
+from conftest import traced_peak_mib
 
 GOOD_HEADER = {"dims": [2, 3, 4], "spacing": [1.0, 0.5, 2.0], "origin": [0.0, -1.0, 3.5],
                "dtype": "f32le"}
@@ -123,7 +126,7 @@ class TestSvolIO:
     def test_phantom_header_round_trip(self, tmp_path):
         spec = sc.PhantomSpec(dims=(48, 48, 48), spacing=(1.25, 1.25, 1.25), seed=5,
                               semi_axes_mm=(20.0, 18.0, 20.0))
-        vol, _ = sc.make_phantom(spec)
+        vol, _, _ = sc.make_phantom(spec)
         path = tmp_path / "ph.svol"
         sc.save_svol(vol, path)
         back = sc.load_svol(path)
@@ -134,29 +137,78 @@ class TestSvolIO:
 class TestPhantom:
     def test_noiseless_matches_analytic_inside_test(self):
         spec = sc.PhantomSpec(kind="ellipsoid", noise_sigma=0.0, blur_sigma_mm=0.0, seed=0)
-        vol, _ = sc.make_phantom(spec)
-        labels = sc.phantom_label_volume(spec)
+        vol, labels, _ = sc.make_phantom(spec)
         rendered = vol.data == 1.0
         assert np.array_equal(rendered, labels.data > 0.5)
 
+    @pytest.mark.parametrize("kind", ["ellipsoid", "bumpy"])
+    def test_inside_mask_matches_scalar_loop(self, kind):
+        # a small anisotropic grid: each voxel centre tested on its own
+        spec = sc.PhantomSpec(kind=kind, dims=(20, 24, 18), spacing=(1.0, 0.8, 1.25),
+                              semi_axes_mm=(5.0, 5.5, 5.2), radius_mm=4.0,
+                              bump_amplitude_mm=1.0, bump_freq=2.5)
+        spec.validate()
+        a, b, c = spec.semi_axes_mm
+        f = spec.bump_freq
+        center = [(d - 1) / 2.0 * s for d, s in zip(spec.dims, spec.spacing)]
+        expect = np.zeros(spec.dims, dtype=bool)
+        for idx in np.ndindex(*spec.dims):
+            x, y, z = (i * s - m for i, s, m in zip(idx, spec.spacing, center))
+            if kind == "ellipsoid":
+                expect[idx] = (x / a) ** 2 + (y / b) ** 2 + (z / c) ** 2 <= 1.0
+                continue
+            r = math.sqrt(x * x + y * y + z * z)
+            ux, uy, uz = (x / r, y / r, z / r) if r > 0 else (x, y, z)
+            bump = (math.sin(f * ux) * math.cos(f * uy) + math.sin(f * uy) * math.cos(f * uz)
+                    + math.sin(f * uz) * math.cos(f * ux)) / 3.0
+            expect[idx] = r <= spec.radius_mm + spec.bump_amplitude_mm * bump
+        got = _inside_mask(spec)
+        assert got.shape == spec.dims and got.dtype == bool
+        assert 0 < got.sum() < got.size
+        assert np.array_equal(got, expect)
+
+    def test_labels_are_the_mask_the_volume_is_rendered_from(self):
+        spec = sc.PhantomSpec(noise_sigma=0.3, blur_sigma_mm=1.0, seed=4,
+                              dims=(40, 44, 36), spacing=(1.0, 0.9, 1.2),
+                              semi_axes_mm=(12.0, 13.0, 11.0), mesh_subdivisions=1)
+        vol, labels, _ = sc.make_phantom(spec)
+        assert labels.data.dtype == np.float32
+        assert (labels.dims, labels.spacing, labels.origin) == (vol.dims, vol.spacing, vol.origin)
+        assert np.array_equal(labels.data, _inside_mask(spec).astype(np.float32))
+        blurred = ndimage.gaussian_filter(labels.data.astype(np.float64),
+                                          sigma=[1.0 / s for s in spec.spacing])
+        noise = np.random.default_rng(4).normal(0.0, 0.3, size=spec.dims)
+        assert np.array_equal(vol.data, (blurred + noise).astype(np.float32))
+
+    def test_memory_bounded(self):
+        # the default config's 64^3 phantom: one inside test on open per-axis
+        # coordinates traces 5.0 MiB for the volume, labels and mesh; an index
+        # meshgrid per render, once for the volume and once for the labels,
+        # traced 19.2 MiB
+        spec = sc.PhantomSpec(noise_sigma=0.3, blur_sigma_mm=1.0, mesh_subdivisions=3)
+        (vol, labels, _), peak = traced_peak_mib(sc.make_phantom, spec)
+        assert vol.dims == labels.dims == (64, 64, 64)
+        assert peak <= 8.0
+
     def test_seed_determinism(self):
         spec = sc.PhantomSpec(noise_sigma=0.4, blur_sigma_mm=1.0, seed=17)
-        v1, m1 = sc.make_phantom(spec)
-        v2, m2 = sc.make_phantom(spec)
+        v1, l1, m1 = sc.make_phantom(spec)
+        v2, l2, m2 = sc.make_phantom(spec)
         assert np.array_equal(v1.data, v2.data)
+        assert np.array_equal(l1.data, l2.data)
         assert np.array_equal(m1.vertices, m2.vertices)
         assert np.array_equal(m1.faces, m2.faces)
 
     def test_mesh_is_closed_genus0(self):
         for kind in ("ellipsoid", "bumpy"):
             spec = sc.PhantomSpec(kind=kind, seed=2)
-            _, mesh = sc.make_phantom(spec)
+            _, _, mesh = sc.make_phantom(spec)
             report = sc.validate_closed_genus0(mesh)
             assert report.ok, report.problems
 
     def test_mesh_lies_on_analytic_surface(self):
         spec = sc.PhantomSpec(kind="ellipsoid", semi_axes_mm=(25.0, 22.0, 25.0), seed=0)
-        _, mesh = sc.make_phantom(spec)
+        _, _, mesh = sc.make_phantom(spec)
         center = (np.asarray(spec.dims) - 1) / 2.0
         p = mesh.vertices - center
         a, b, c = spec.semi_axes_mm
