@@ -13,9 +13,8 @@ from .patches import (ColumnGraph, PatchSet, GroundTruth, sample_columns,
                       load_patchset, make_toy_graph)
 from .crf import (UnaryField, CrfParams, KernelField, SurfaceLabeling,
                   channel_reduce, gradient_unary, unary_from_logits,
-                  compatibility, compat_matrix, compute_kernel, message_pass,
-                  compat_transform, meanfield_infer, energy, prostate_params,
-                  spleen_params)
+                  compatibility, compat_matrix, compute_kernel, compat_transform,
+                  meanfield_infer, energy, prostate_params, spleen_params)
 from .train import (LossReport, FitConfig, FitResult, FitDivergedError,
                     mce_loss, meanfield_grad, fd_check, fit)
 from .metrics import (MetricsReport, voxelize, dsc, sample_surface, hd, asd,

@@ -2,19 +2,17 @@
 
 Geometry: trilinear volume sampling, point location on the mapped sphere,
 ray casting against a triangle soup and the voxel parity fill.  CRF: the
-Gaussian pairwise weights on (P,H,W,Z) patch grids, and the slot-grid window
-message pass, its adjoint and its weight gradient, each a plain loop over
-the window offsets.  Mean field runs on the vertex operator of
-crf.compute_kernel, whose weights come from the owner features of each
-vertex pair, so it is symmetric for every unary; the slot-grid CRF kernels
-(pairwise_weights and the window kernels) remain as its reference in the
-tests and as benchmark probe targets.  The per-point geometry kernels work
-in blocks, so their transient memory stays bounded whatever the input size:
-ray casting takes _RAY_CHUNK = 64 rays per (rays x faces) block, point
-location _LOCATE_CHUNK = 256 points per (points x faces) prefilter block,
-and trilinear sampling _GATHER_CHUNK = 2**14 points per block, whose thirty
-or so temporaries then take about 4 MiB, written into one output array.  The
-tests compare every kernel with a scalar-loop reference.
+slot-grid Gaussian pairwise weights and window message pass, its adjoint
+and its weight gradient, each a plain loop over the window offsets.
+Inference and fitting run on the vertex operator of crf.compute_kernel
+instead; the slot-grid CRF kernels remain only as benchmark probe targets.
+The per-point geometry kernels work in blocks, so their transient memory
+stays bounded whatever the input size: ray casting takes _RAY_CHUNK = 64
+rays per (rays x faces) block, point location _LOCATE_CHUNK = 256 points per
+(points x faces) prefilter block, and trilinear sampling _GATHER_CHUNK =
+2**14 points per block, whose thirty or so temporaries then take about
+4 MiB, written into one output array.  The tests compare every kernel with
+a scalar-loop reference.
 """
 from __future__ import annotations
 
@@ -207,18 +205,10 @@ def window_weight_grad(d_out, q, offsets):
 
 
 def pairwise_weights(feat, valid, offsets, inv2t1, inv2t2, inv2t3, w1):
-    """Gaussian pairwise weights per column and window offset.
-
-    Returns (w, app, fdist): total weight, the masked appearance term and the
-    squared feature distance (the latter two serve only the slot-grid kernel
-    reference of the tests, conftest.slot_kernel).  Entries are 0 for the
+    """Gaussian pairwise weights per column and window offset: 0 for the
     self offset, out-of-grid neighbors and columns where either endpoint is
-    invalid.
-    """
-    shape = feat.shape[:3] + (len(offsets),)
-    w = np.zeros(shape, dtype=np.float64)
-    app = np.zeros(shape, dtype=np.float64)
-    fd = np.zeros(shape, dtype=np.float64)
+    invalid."""
+    w = np.zeros(feat.shape[:3] + (len(offsets),), dtype=np.float64)
     for k, c, n in _offset_slices(feat.shape, offsets):
         d2 = float(offsets[k][0] ** 2 + offsets[k][1] ** 2)
         if d2 == 0.0:  # the self offset
@@ -228,9 +218,7 @@ def pairwise_weights(feat, valid, offsets, inv2t1, inv2t2, inv2t3, w1):
         a = np.where(mask, np.exp(-d2 * inv2t1 - dist * inv2t2), 0.0)
         s = np.where(mask, np.exp(-d2 * inv2t3), 0.0)
         w[c + (k,)] = a + w1 * s
-        app[c + (k,)] = a
-        fd[c + (k,)] = np.where(mask, dist, 0.0)
-    return w, app, fd
+    return w
 
 
 # ---------------------------------------------------------------------------

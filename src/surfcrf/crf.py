@@ -129,7 +129,7 @@ class KernelField:
     def weights(self) -> np.ndarray:
         """The slot-grid view of W, (P,H,W,K): each entry of W at its
         position in its row's owning-slot window, 0 elsewhere.  Built on
-        access, for the slot-grid reference (message_pass)."""
+        access, only as a benchmark probe target."""
         edges = _cached_pair_edges(self.graph, int(np.abs(self.offsets).max()))
         out = np.zeros(self.graph.gid.size * len(self.offsets))
         out[_slot_positions(self.graph, edges, len(self.offsets))] = self.W.data
@@ -241,9 +241,8 @@ def _slot_positions(graph: ColumnGraph, edges: PairEdges, K: int) -> np.ndarray:
 def window_pair_mask(graph: ColumnGraph, offsets: np.ndarray) -> np.ndarray:
     """The slot view of the CRF neighbour records, (P,H,W,K) bool: True at
     each record's (owning slot, k) position, so on owner rows only.  Built
-    afresh on each call, records included, for the slot-grid test
-    references and the benchmark's pair-record probe; inference does not
-    use it."""
+    afresh on each call, records included, only as a benchmark probe
+    target."""
     edges = pair_edges(_window_graph(graph, int(np.abs(offsets).max())), offsets)
     mask = np.zeros(graph.gid.size * offsets.shape[0], dtype=bool)
     mask[_slot_positions(graph, edges, offsets.shape[0])] = True
@@ -403,15 +402,15 @@ def compute_kernel(u: UnaryField, params: CrfParams, ps: PatchSet | None = None)
 def refresh_duplicates(q: np.ndarray, graph: ColumnGraph) -> np.ndarray:
     """Copy every valid slot's values from its owning slot (pads and unowned
     seam slots become consistent with their owner); the corner slots become
-    0.  The slot-grid reference of the vertex operator; inference does not
-    use it."""
+    0.  Only a benchmark probe target."""
     return graph.split(graph.merge(q))
 
 
 def message_pass(q: np.ndarray, kf: KernelField) -> np.ndarray:
     """Q~_i(l) = sum_{j in window(i), j != i} k_ij Q_j(l) on (P,H,W,Z) slots.
 
-    Its owner rows, on refreshed slots, are ``kf.W @ Q`` on the vertices."""
+    Its owner rows, on refreshed slots, are ``kf.W @ Q`` on the vertices;
+    only a benchmark probe target."""
     return accel.window_sum(np.ascontiguousarray(q, dtype=np.float64),
                             kf.weights, kf.offsets)
 

@@ -346,6 +346,8 @@ def harmonic_sphere_map(mesh: TriMesh, tol: float = 1e-6, max_iters: int = 5000,
     few hundred vertices, per-call overhead dominates, and 1-D takes and
     row arithmetic are far cheaper than (V,3) fancy gathers and reductions.
     """
+    if not (math.isfinite(damping) and damping > 0):
+        raise ValueError(f"damping must be a finite number > 0, got {damping!r}")
     report = validate_closed_genus0(mesh)
     if not report.ok:
         raise MeshError(f"harmonic_sphere_map requires a closed genus-0 mesh: {report.problems}")

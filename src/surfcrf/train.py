@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -36,6 +37,8 @@ class FitConfig:
 
     def __post_init__(self):
         """Each error message starts with the name of the field it rejects."""
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
         unknown = set(self.trainable) - set(SCALAR_NAMES)
@@ -101,7 +104,9 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
     kernel features treated as constants of the forward pass.  The loss reads
     one logit per vertex and label, the merged (owner-slot) logits of ``u``,
     so ``dlogits`` is (Nv,Z) like them.  The logit clamp has zero derivative
-    where it binds, for the logits and the unary scale.
+    where it binds, for the logits and the unary scale.  Below unary scale 1
+    a logit at the clamp would be clamped before the scale, where inference
+    clamps the scaled logit once, so that case raises a ValueError.
 
     The reverse pass multiplies by W itself, which is exactly symmetric.
     The weight gradient of entry e = (i, j) would be
@@ -114,6 +119,9 @@ def meanfield_grad(u: UnaryField, params: CrfParams, gt: GroundTruth,
     from scipy import sparse  # here, as in crf.edge_kernel
 
     raw = u.graph.merge(u.logits)
+    if unary_scale < 1 and np.abs(raw).max() >= LOGIT_CLAMP:
+        raise ValueError(f"unary_scale must be >= 1 where a logit sits at the clamp "
+                         f"+-{LOGIT_CLAMP}, got {unary_scale!r}")
     frozen = frozen_kernel_stats(
         UnaryField(graph=u.graph, logits=unary_scale * u.logits), params, ps=ps)
     fd, edges = frozen
@@ -256,9 +264,9 @@ def fit(dataset, init: CrfParams, cfg: FitConfig, unary_scale: float = 1.0) -> F
     GroundTruth) instances over the trainable scalars, with meanfield_grad's
     exact gradients; frozen scalars stay bit-exact.  Stops after cfg.epochs
     evaluations, when scipy converges (a shorter curve), or at a failed trial
-    point (CrfParams rejects it, or its loss or gradient is not finite), and
-    returns the best evaluated point; a failed first evaluation raises
-    FitDivergedError."""
+    point (CrfParams or meanfield_grad rejects it, or its loss or gradient
+    is not finite), and returns the best evaluated point; a failed first
+    evaluation raises FitDivergedError."""
     if not dataset:
         raise ValueError("dataset is empty")
     if not (math.isfinite(unary_scale) and unary_scale > 0):

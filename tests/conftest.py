@@ -1,10 +1,11 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import surfcrf as sc
-from surfcrf import accel, crf
+from surfcrf import crf
 from surfcrf.cli import presegment
 
 
@@ -46,20 +47,41 @@ def owned_mask(graph):
     return out.reshape(graph.shape)
 
 
-def slot_kernel(u, params, ps=None):
-    """The slot-grid reference of the pairwise kernel: accel.pairwise_weights
-    over every window entry of the (P,H,W) grid, each slot reading its own
-    features, kept where crf.window_pair_mask keeps it (the owner rows of
-    the pair records).  Returns the masked weights, appearance terms and
-    squared feature distances, and the mask."""
-    offs = crf.window_offsets(params.window_radius)
-    feats = np.ascontiguousarray(crf.kernel_features(u, ps, params), dtype=np.float64)
-    mask = crf.window_pair_mask(u.graph, offs)
-    terms = accel.pairwise_weights(feats, np.ascontiguousarray(u.graph.valid), offs,
-                                   1.0 / (2.0 * params.theta1 ** 2),
-                                   1.0 / (2.0 * params.theta2 ** 2),
-                                   1.0 / (2.0 * params.theta3 ** 2), params.w1)
-    return (*(np.where(mask, t, 0.0) for t in terms), mask)
+def record_kernel(u, params, ps=None):
+    """The reference kernel of u's CRF neighbour records, per record (i, j, k)
+    in record order: d2 of window offset k, fd = sum_z (f_i - f_j)^2 on the
+    merged features f, app = exp(-d2/(2 theta1^2) - fd/(2 theta2^2)),
+    sm = exp(-d2/(2 theta3^2)) and w = app + w1 * sm, with np.exp taken over
+    the record arrays so that w can equal W.data bit for bit."""
+    graph = u.graph
+    edges = crf._cached_pair_edges(graph, params.window_radius)
+    rows = np.repeat(np.arange(graph.n_vertices), np.diff(edges.indptr))
+    if params.kernel_variant == "probability":
+        f = crf.softmax(graph.merge(u.logits))
+    else:
+        f = graph.merge(ps.samples).astype(np.float64)
+    diff = f[rows] - f[edges.cols]
+    fd = (diff * diff).sum(axis=-1)
+    dy, dx = crf.window_offsets(params.window_radius)[edges.k].T
+    d2 = (dy * dy + dx * dx).astype(np.float64)
+    it1, it2, it3 = (1.0 / (2.0 * t ** 2) for t in (params.theta1, params.theta2, params.theta3))
+    app = np.exp(-d2 * it1 - fd * it2)
+    sm = np.exp(-d2 * it3)
+    return SimpleNamespace(rows=rows, cols=edges.cols, indptr=edges.indptr,
+                           d2=d2, fd=fd, app=app, sm=sm, w=app + params.w1 * sm)
+
+
+def record_message_pass(rec, q):
+    """out[i] = sum over row i's records (i, j), in record order, of
+    w_e * q[j]: each row's terms added one at a time from 0, as a CSR
+    product adds them, all rows at once per position in the row."""
+    out = np.zeros_like(q)
+    start, count = rec.indptr[:-1], np.diff(rec.indptr)
+    for t in range(count.max(initial=0)):
+        i = np.flatnonzero(count > t)
+        e = start[i] + t
+        out[i] += rec.w[e, None] * q[rec.cols[e]]
+    return out
 
 
 @pytest.fixture(scope="session")

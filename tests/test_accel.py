@@ -155,19 +155,15 @@ def ref_window_weight_grad(d_out, q, offsets):
 
 
 def ref_pairwise_weights(feat, valid, offsets, inv2t1, inv2t2, inv2t3, w1):
-    shape = feat.shape[:3] + (len(offsets),)
-    w, app, fd = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    w = np.zeros(feat.shape[:3] + (len(offsets),))
     for p, y, x, k, ny, nx in _neighbors(feat.shape[:3], offsets):
         dy, dx = offsets[k]
         if (dy == 0 and dx == 0) or not (valid[p, y, x] and valid[p, ny, nx]):
             continue
         dist = ((feat[p, y, x] - feat[p, ny, nx]) ** 2).sum()
         d2 = float(dy * dy + dx * dx)
-        a = np.exp(-d2 * inv2t1 - dist * inv2t2)
-        w[p, y, x, k] = a + w1 * np.exp(-d2 * inv2t3)
-        app[p, y, x, k] = a
-        fd[p, y, x, k] = dist
-    return w, app, fd
+        w[p, y, x, k] = np.exp(-d2 * inv2t1 - dist * inv2t2) + w1 * np.exp(-d2 * inv2t3)
+    return w
 
 
 def ref_parity_diff(tri_xyz, origin, spacing, dims):
@@ -329,8 +325,7 @@ class TestScalarOracles:
         valid = rng.random((2, 7, 6)) > 0.15
         got = accel.pairwise_weights(feat, valid, offs, 0.1, 3.0, 0.2, 1.7)
         want = ref_pairwise_weights(feat, valid, offs, 0.1, 3.0, 0.2, 1.7)
-        for a, b in zip(got, want):
-            assert np.abs(a - b).max() <= 1e-12
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_parity(self):
         ico = sc.icosphere(2, radius=7.0)

@@ -13,6 +13,8 @@ from surfcrf import cli
 from surfcrf import crf as crfmod
 from surfcrf.quadsphere import save_arrays
 
+from test_train import phantom_fit_dataset
+
 FAST = ["--recursion", "3", "--column-len", "16", "--column-res-mm", "1.25",
         "--pad", "2", "--window-radius", "2"]
 
@@ -380,6 +382,34 @@ class TestSegmentIdentity:
         for _ in range(2):
             assert cli.main(["segment", "--out", str(out)] + FAST) == 0
         assert len(calls) == 1
+
+
+class TestSlotGridUnreached:
+    def test_inference_fit_and_segment_run_without_slot_grid(self, fast_run, tmp_path,
+                                                             monkeypatch):
+        # the slot-grid CRF kernels and views remain only as benchmark probe
+        # targets: with each of them raising, inference, the gradient, the
+        # fit and the segment step still run
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a slot-grid CRF kernel was called")
+        for name in ("accel.window_sum", "accel.window_sum_adjoint", "accel.window_weight_grad",
+                     "accel.pairwise_weights", "crf.message_pass", "crf.refresh_duplicates",
+                     "crf.window_pair_mask"):
+            monkeypatch.setattr(f"surfcrf.{name}", unreachable)
+        monkeypatch.setattr(crfmod.KernelField, "weights", property(unreachable))
+        (ps, u, gt), = phantom_fit_dataset(seeds=[0])
+        for variant in ("probability", "intensity"):
+            for w_p in (0.0, 1.0):
+                params = sc.CrfParams(w_p=w_p, kernel_variant=variant)
+                crfmod.compute_kernel(u, params, ps=ps)
+                sc.meanfield_infer(u, params, ps=ps)
+            sc.meanfield_grad(u, params, gt, ps=ps)
+            sc.fd_check(u, params, gt, n_logits=2, ps=ps)
+            res = sc.fit([(ps, u, gt)], params, sc.FitConfig(epochs=2), unary_scale=6.0)
+            assert len(res.curve) == 3
+            out = shutil.copytree(fast_run, tmp_path / variant)
+            assert cli.main(["segment", "--out", str(out), "--kernel-variant", variant]
+                            + FAST) == 0
 
 
 class TestConfig:

@@ -8,11 +8,11 @@ import pytest
 import surfcrf as sc
 from scipy import sparse
 
-from surfcrf.crf import LOGIT_CLAMP, softmax, window_offsets, window_pair_mask
+from surfcrf.crf import LOGIT_CLAMP, softmax, window_offsets
 from surfcrf.patches import build_column_graph, make_toy_graph
 from surfcrf.quadsphere import _CORNER_SIGNS, _FACE_CORNERS
 
-from conftest import owned_mask, slot_kernel, traced_peak_mib
+from conftest import owned_mask, record_kernel, record_message_pass, traced_peak_mib
 
 
 def toy_unary(height, width, z_len, seed=0, sigma=1.5, patches=1):
@@ -109,13 +109,6 @@ def ref_pair_edges(graph, mask, offsets):
     return cols, ks.astype(np.min_scalar_type(K - 1)), indptr
 
 
-def record_slots(graph, edges, K):
-    """The flat (P,H,W,K) position in ``graph`` of each record of
-    ``edges``: its row's owning slot and its window offset k."""
-    rows = np.repeat(np.arange(graph.n_vertices), np.diff(edges.indptr))
-    return graph.owner[rows] * K + edges.k
-
-
 def at_owner_slots(graph, other, field):
     """The owner rows of a (P,H,W,...) slot field of ``other``, a graph of
     the same sphere at another pad, at the owning slots of ``graph``; 0
@@ -130,17 +123,6 @@ def window_pad_graph(qs, pad, radius):
     ``radius``, so a slot-grid reference reads no truncated seam: ``pad``
     itself where it is already that wide, else the radius (n at most)."""
     return build_column_graph(qs, min(max(pad, radius), qs.n))
-
-
-def ref_full_fd(u, params, ps=None):
-    """The squared feature distance of every stored entry (i, j) of W,
-    gathered on both i and j per entry (no mirroring)."""
-    edges = sc.crf._cached_pair_edges(u.graph, params.window_radius)
-    rows = np.repeat(np.arange(u.graph.n_vertices), np.diff(edges.indptr))
-    f = u.graph.merge(sc.crf.kernel_features(u, ps, params))
-    diff = f[rows] - f[edges.cols]
-    diff *= diff
-    return diff.sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,7 +303,7 @@ class TestComputeKernel:
         params = sc.CrfParams(w1=3.0, theta1=5.0, theta3=5.0, window_radius=1)
         kf = sc.compute_kernel(u, params)
         expect = math.exp(-1.0 / 50.0) + 3.0 * math.exp(-1.0 / 50.0)
-        got = kf.weights[kf.weights > 0]
+        got = kf.W.data
         assert got.shape == (2,)
         assert np.allclose(got, expect, atol=1e-15)
 
@@ -334,26 +316,22 @@ class TestComputeKernel:
         u = sc.unary_from_logits(graph, logits)
         params = sc.CrfParams(w1=3.0, theta2=0.2, window_radius=1)
         kf = sc.compute_kernel(u, params)
-        w, app, fdist, mask = slot_kernel(u, params)
-        assert np.array_equal(kf.weights, w)
-        assert np.allclose(fdist[mask], 2.0, atol=1e-10)
-        assert np.allclose(app[mask], math.exp(-1.0 / 50.0 - 2.0 / 0.08), rtol=1e-6)
-        smooth = w[mask] - app[mask]
-        assert (smooth > 1e3 * app[mask]).all()
+        rec = record_kernel(u, params)
+        assert rec.w.shape == (2,)
+        assert np.array_equal(kf.W.data, rec.w)
+        assert np.allclose(rec.fd, 2.0, atol=1e-10)
+        assert np.allclose(rec.app, math.exp(-1.0 / 50.0 - 2.0 / 0.08), rtol=1e-6)
+        assert (rec.w - rec.app > 1e3 * rec.app).all()
 
     def test_kernel_symmetry_random(self):
         rng = np.random.default_rng(7)
         graph = make_toy_graph(6, 5)
         u = sc.unary_from_logits(graph, rng.normal(size=(1, 6, 5, 8)))
-        kf = sc.compute_kernel(u, sc.CrfParams(window_radius=2))
-        gw = ref_window_gids(graph, kf.offsets)
-        mask = window_pair_mask(graph, kf.offsets)
-        table = {}
-        for y in range(6):
-            for x in range(5):
-                for k in range(kf.offsets.shape[0]):
-                    if mask[0, y, x, k]:
-                        table[(graph.gid[0, y, x], gw[0, y, x, k])] = kf.weights[0, y, x, k]
+        params = sc.CrfParams(window_radius=2)
+        kf = sc.compute_kernel(u, params)
+        rec = record_kernel(u, params)
+        assert np.array_equal(kf.W.data, rec.w)
+        table = dict(zip(zip(rec.rows.tolist(), rec.cols.tolist()), rec.w.tolist()))
         for (a, b), w in table.items():
             assert abs(table[(b, a)] - w) <= 1e-9
 
@@ -380,11 +358,10 @@ class TestComputeKernel:
         u = sc.gradient_unary(ps, polarity="dark_to_bright")
         params = sc.CrfParams(kernel_variant="intensity", window_radius=1)
         kf = sc.compute_kernel(u, params, ps=ps)
-        w, _, fdist, mask = slot_kernel(u, params, ps=ps)
+        rec = record_kernel(u, params, ps=ps)
         # constant volume -> zero intensity distance everywhere
-        assert np.allclose(fdist[mask], 0.0, atol=1e-12)
-        at = record_slots(ps.graph, sc.crf._cached_pair_edges(ps.graph, 1), len(kf.offsets))
-        assert np.array_equal(kf.W.data, w.reshape(-1)[at])
+        assert np.allclose(rec.fd, 0.0, atol=1e-12)
+        assert np.array_equal(kf.W.data, rec.w)
 
 
 QUAD_GRAPHS = [(level, pad) for level in range(6) for pad in range(min(3, 2 ** level) + 1)]
@@ -553,7 +530,7 @@ class TestPairEdges:
             for variant in ("probability", "intensity"):
                 params = sc.CrfParams(window_radius=radius, kernel_variant=variant)
                 fd, _ = sc.crf.edge_stats(u, params, ps)
-                assert np.array_equal(fd, ref_full_fd(u, params, ps)), (radius, variant)
+                assert np.array_equal(fd, record_kernel(u, params, ps).fd), (radius, variant)
 
     def test_upper_in_row_col_order(self):
         # upper lists its entries (i, j) strictly increasing in (i, j), the
@@ -613,7 +590,7 @@ class TestMessagePass:
         u = sc.unary_from_logits(graph, np.zeros((1, 1, 1, 4)))
         kf = sc.compute_kernel(u, sc.CrfParams(window_radius=2))
         q = softmax(u.logits)
-        assert np.array_equal(sc.message_pass(q, kf), np.zeros_like(q))
+        assert np.array_equal(sc.crf.message_pass(q, kf), np.zeros_like(q))
 
     def test_uniform_closed_form(self):
         # uniform Q and m neighbors of uniform weight w: Q~ = m*w/Z
@@ -623,7 +600,7 @@ class TestMessagePass:
         params = sc.CrfParams(w1=0.0, theta1=1e6, window_radius=1)
         kf = sc.compute_kernel(u, params)
         q = np.full((1, 3, 3, z), 1.0 / z)
-        out = sc.message_pass(q, kf)
+        out = sc.crf.message_pass(q, kf)
         m = kf.weights[0, 1, 1].astype(bool).sum()
         assert m == 8
         w = kf.weights[0, 1, 1].max()
@@ -635,7 +612,7 @@ class TestMessagePass:
         u = toy_unary(8, 8, 16, seed=seed)
         kf = sc.compute_kernel(u, sc.CrfParams(window_radius=2))
         q = rng.random((1, 8, 8, 16))
-        got = sc.message_pass(q, kf)
+        got = sc.crf.message_pass(q, kf)
         expect = brute_force_message_pass(q, kf)
         denom = max(np.abs(expect).max(), 1e-12)
         assert np.abs(got - expect).max() / denom <= 1e-6
@@ -666,59 +643,49 @@ class TestRefreshDuplicates:
 
 
 class TestVertexOperator:
-    """W against its slot-grid reference: the owner rows of a message pass
-    over refreshed slots."""
+    """W against the record reference: its entries are the records' weights
+    from first principles, and its product sums them row by row in record
+    order."""
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
     def test_matches_slot_message_pass_on_quad_sphere(self, level):
         # W of the pad-3 graph (the whole face grid where n is smaller,
-        # level 1: n = 2) against the slot message pass on a pad as wide as
-        # the window, merged through its owning slots
+        # level 1: n = 2) against the per-row sums over its records: record
+        # order is W's CSR order, so the two are the same floats
         qs = sc.build_quadsphere(level)
-        pad = min(3, qs.n)
-        graph = build_column_graph(qs, pad=pad)
+        graph = build_column_graph(qs, pad=min(3, qs.n))
         rng = np.random.default_rng(level)
-        logits = rng.normal(size=(graph.n_vertices, 5))
-        u = sc.unary_from_logits(graph, graph.split(logits))
+        u = sc.unary_from_logits(graph, graph.split(rng.normal(size=(graph.n_vertices, 5))))
         q = rng.random((graph.n_vertices, 5))
         for radius in range(1, 5):
             params = sc.CrfParams(window_radius=radius)
             kf = sc.compute_kernel(u, params)
-            wide = window_pad_graph(qs, pad, radius)
-            kf_wide = sc.compute_kernel(sc.unary_from_logits(wide, wide.split(logits)), params)
-            slot = sc.message_pass(sc.crf.refresh_duplicates(wide.split(q), wide), kf_wide)
-            assert np.array_equal(kf.W @ q, wide.merge(slot))
+            rec = record_kernel(u, params)
+            assert np.array_equal(kf.W @ q, record_message_pass(rec, q))
             assert (kf.W != kf.W.T).nnz == 0
-            assert kf.W.nnz == ref_full_pair_mask(wide, kf.offsets)[owned_mask(wide)].sum()
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
     def test_weights_match_slot_kernel_on_quad_sphere(self, level):
-        # refreshed slots on a pad as wide as the window, so every pad reads
-        # its owner's features: W of the pad-3 graph holds exactly the
-        # owner-row entries of the masked slot-grid weights
+        # W of the pad-3 graph holds the owner-row records of the full-grid
+        # reference on a pad as wide as the window, each at the weight the
+        # record reference gives it, for raw random pad slots
         qs = sc.build_quadsphere(level)
         pad = min(3, qs.n)
         graph = build_column_graph(qs, pad=pad)
         rng = np.random.default_rng(level)
-        logits = rng.normal(size=(graph.n_vertices, 5))
-        samples = rng.random((graph.n_vertices, 5))
-        u = sc.unary_from_logits(graph, graph.split(logits))
-        ps = SimpleNamespace(samples=graph.split(samples))
+        u = sc.unary_from_logits(graph, rng.normal(size=(*graph.shape, 5)))
+        ps = SimpleNamespace(samples=rng.random((*graph.shape, 5)))
         for radius in range(1, 5):
+            offs = window_offsets(radius)
             wide = window_pad_graph(qs, pad, radius)
-            u_wide = sc.unary_from_logits(wide, wide.split(logits))
-            ps_wide = SimpleNamespace(samples=wide.split(samples))
-            owner_rows = ref_full_pair_mask(wide, window_offsets(radius)) \
-                & owned_mask(wide)[..., None]
-            at = record_slots(wide, sc.crf._cached_pair_edges(graph, radius),
-                              len(window_offsets(radius)))
-            assert np.array_equal(np.sort(at), np.flatnonzero(owner_rows))
+            cols, ks, indptr = ref_pair_edges(wide, ref_full_pair_mask(wide, offs), offs)
+            assert np.array_equal(sc.crf._cached_pair_edges(graph, radius).k, ks)
             for variant in ("probability", "intensity"):
                 params = sc.CrfParams(window_radius=radius, kernel_variant=variant)
                 kf = sc.compute_kernel(u, params, ps=ps)
-                w, _, _, mask = slot_kernel(u_wide, params, ps=ps_wide)
-                assert np.array_equal(mask, owner_rows)
-                assert np.array_equal(kf.W.data, w.reshape(-1)[at])
+                assert np.array_equal(kf.W.indptr, indptr)
+                assert np.array_equal(kf.W.indices, cols)
+                assert np.array_equal(kf.W.data, record_kernel(u, params, ps=ps).w)
 
 
 class TestCompatTransform:
@@ -815,7 +782,7 @@ class TestMeanfield:
         graph = build_column_graph(qs, pad=2)
         rng = np.random.default_rng(13)
         logits = rng.normal(size=(*graph.shape, 5))
-        clean = sc.crf.refresh_duplicates(logits, graph)
+        clean = graph.split(graph.merge(logits))
         noisy = clean.copy()
         dup = ~owned_mask(graph)
         noisy[dup] += rng.normal(size=noisy.shape)[dup]
@@ -908,7 +875,7 @@ class TestEdgeStatsBlocks:
         ps, u = r3_case
         for radius in (1, 2, 4):
             params = sc.CrfParams(window_radius=radius, kernel_variant=variant)
-            want = ref_full_fd(u, params, ps)
+            want = record_kernel(u, params, ps).fd
             for block in (1, 7, 3 * u.z_len + 1):
                 monkeypatch.setattr(sc.crf, "_EDGE_BLOCK", block)
                 fd = sc.crf.edge_stats(u, params, ps)[0]
@@ -964,7 +931,7 @@ class TestEnergy:
         labels = np.asarray([2, 2])
         lab = sc.SurfaceLabeling(labels=labels, q=np.eye(4)[labels])
         e = sc.energy(lab, u, kf, params)
-        k01 = kf.weights[kf.weights > 0][0]
+        k01 = record_kernel(u, params).w[0]
         psi = u.potentials()
         expect = psi[0, 0, 0, 2] + psi[0, 0, 1, 2] + 1.5 * (-1.0) * k01
         assert e == pytest.approx(expect, abs=1e-12)
@@ -1002,15 +969,15 @@ class TestEnergy:
 
     def test_seam_graph_against_pair_mask_records(self):
         # a padded quad-sphere graph (seams, duplicate pad slots, corner
-        # blocks): the energy equals a scalar loop over the pair-mask records
-        # of owned slots, each symmetric pair counted twice and halved
+        # blocks): the energy equals a scalar loop over the neighbour records
+        # at the record reference's weights, each symmetric pair counted
+        # twice and halved
         graph = build_column_graph(sc.build_quadsphere(2), 3)
         rng = np.random.default_rng(16)
         u = sc.unary_from_logits(graph, graph.split(rng.normal(size=(graph.n_vertices, 6))))
         params = sc.CrfParams(w_p=0.9, theta1=2.0, theta2=0.5, theta_comp=2.0, window_radius=3)
         kf = sc.compute_kernel(u, params)
-        gwin = ref_window_gids(graph, kf.offsets)
-        mask = window_pair_mask(graph, kf.offsets)
+        rec = record_kernel(u, params)
         owned = owned_mask(graph)
         psi = u.potentials()
         for seed in range(3):
@@ -1019,9 +986,9 @@ class TestEnergy:
             unary = pair = 0.0
             for p, y, x in zip(*np.nonzero(owned)):
                 unary += psi[p, y, x, labels[graph.gid[p, y, x]]]
-            for p, y, x, k in zip(*np.nonzero(mask)):
-                d = labels[graph.gid[p, y, x]] - labels[gwin[p, y, x, k]]
-                pair += kf.weights[p, y, x, k] * -math.exp(-d * d / params.theta_comp ** 2)
+            for i, j, w in zip(rec.rows.tolist(), rec.cols.tolist(), rec.w.tolist()):
+                d = labels[i] - labels[j]
+                pair += w * -math.exp(-d * d / params.theta_comp ** 2)
             expect = unary + params.w_p * pair / 2.0
             assert sc.energy(lab, u, kf, params) == pytest.approx(expect, rel=1e-12)
 

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import string
@@ -446,6 +447,16 @@ class TestHarmonicMap:
         broken = sc.TriMesh(vertices=ico.vertices, faces=ico.faces[:-1])
         with pytest.raises(MeshError, match="genus-0"):
             sc.harmonic_sphere_map(broken)
+
+    def test_damping_must_be_positive(self):
+        # at damping 0 no step moves the map, so the max-displacement stop
+        # claimed convergence after one iteration from the radial start
+        ico = sc.icosphere(2)
+        stretched = sc.TriMesh(vertices=ico.vertices * np.array([30.0, 20.0, 10.0]),
+                               faces=ico.faces)
+        for damping in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^damping must be a finite number > 0"):
+                sc.harmonic_sphere_map(stretched, damping=damping)
 
     def test_cotangent_weights_positive_on_sphere(self):
         ico = sc.icosphere(2)

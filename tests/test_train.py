@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import surfcrf as sc
-from surfcrf import accel, crf, train
+from surfcrf import crf, train
 from surfcrf.crf import LOGIT_CLAMP, softmax
 from surfcrf.patches import make_toy_graph
 from surfcrf.train import _softmax_backward, central_difference, relative_error
 
-from conftest import make_pipeline_inputs, slot_kernel
+from conftest import make_pipeline_inputs, record_kernel, record_message_pass
 
 
 def toy_instance(h=4, w=4, z=8, seed=0, valid_frac=1.0):
@@ -26,108 +26,36 @@ def toy_instance(h=4, w=4, z=8, seed=0, valid_frac=1.0):
     return u, gt
 
 
-def _ref_refresh_adjoint(dr, graph):
-    flat = dr.reshape(-1, dr.shape[-1])
-    gid = graph.gid.ravel()
-    ok = gid >= 0
-    out = np.zeros_like(flat)
-    np.add.at(out, graph.owner[gid[ok]], flat[ok])
-    return out.reshape(dr.shape)
-
-
 def ref_meanfield_grad(u, params, gt, unary_scale=1.0, ps=None):
-    """The slot-grid forward and reverse pass: mean field on the padded
-    (P,H,W,Z) slots with seam refreshes, the window adjoint, and the refresh
-    adjoint scattering every duplicate's gradient onto its owning slot.
-    Returns (loss, grads, dlogits) as meanfield_grad does."""
+    """The vertex-graph reference of meanfield_grad: its own forward on the
+    record reference's weights (conftest.record_kernel), then a per-entry
+    reverse pass, in which each record e = (i, j) sends w_e dQ~[i] to j and
+    takes the weight gradient dw_e = sum_t <dQ~_t[i], Q_in,t[j]>, and the
+    kernel scalars' gradients are sums over the records.  Returns (loss,
+    grads, dlogits) as meanfield_grad does."""
     graph = u.graph
-    logits_raw = u.logits
-    _, _, fd, mask = slot_kernel(
-        sc.unary_from_logits(graph, unary_scale * logits_raw), params, ps=ps)
-    offs = crf.window_offsets(params.window_radius)
-    d2 = (offs[:, 0] ** 2 + offs[:, 1] ** 2).astype(np.float64)
-    it1 = 1.0 / (2.0 * params.theta1 ** 2)
-    it2 = 1.0 / (2.0 * params.theta2 ** 2)
-    it3 = 1.0 / (2.0 * params.theta3 ** 2)
-    spatial = d2[None, None, None, :]
-    app = np.where(mask, np.exp(-spatial * it1 - fd * it2), 0.0)
-    sm = np.where(mask, np.exp(-spatial * it3), 0.0)
-    w = app + params.w1 * sm
-    l = np.clip(unary_scale * logits_raw, -LOGIT_CLAMP, LOGIT_CLAMP)
+    rec = record_kernel(sc.unary_from_logits(graph, unary_scale * u.logits), params, ps=ps)
+    raw = graph.merge(u.logits)
+    l = np.clip(unary_scale * raw, -LOGIT_CLAMP, LOGIT_CLAMP)
+    m = sc.compat_matrix(u.z_len, params.theta_comp)
     q = softmax(l)
     tape = []
     for _ in range(params.iterations):
-        r = crf.refresh_duplicates(q, graph)
-        q_tilde = accel.window_sum(r, w, offs)
-        q_hat = crf.compat_transform(q_tilde, params.theta_comp)
+        q_in = q
+        q_tilde = record_message_pass(rec, q_in)
+        q_hat = q_tilde @ m
         q = softmax(l - params.w_p * q_hat)
-        tape.append((r, q_tilde, q_hat, q))
-    merged = graph.merge(q)
-    loss = sc.mce_loss(merged, gt)
+        tape.append((q_in, q_tilde, q_hat, q))
+    loss = sc.mce_loss(q, gt)
 
     rows = np.nonzero(gt.valid)[0]
-    d_merged = np.zeros_like(merged)
     g_idx = gt.surface_index[rows]
-    d_merged[rows, g_idx] = -1.0 / (len(rows) * merged[rows, g_idx])
-    dq = np.zeros_like(l)
-    dq.reshape(-1, dq.shape[-1])[graph.owner] = d_merged
-    m = sc.compat_matrix(logits_raw.shape[-1], params.theta_comp)
+    dq = np.zeros_like(q)
+    dq[rows, g_idx] = -1.0 / (len(rows) * q[rows, g_idx])
     dl = np.zeros_like(l)
     dwp = 0.0
     dm = np.zeros_like(m)
-    dw = np.zeros_like(w)
-    for r, q_tilde, q_hat, q in reversed(tape):
-        ds = _softmax_backward(q, dq)
-        dl += ds
-        dq_hat = -params.w_p * ds
-        dwp += float(-(ds * q_hat).sum())
-        dq_tilde = dq_hat @ m.T
-        dm += np.einsum("pyxl,pyxm->lm", q_tilde, dq_hat)
-        dr = accel.window_sum_adjoint(dq_tilde, w, offs)
-        dw += accel.window_weight_grad(dq_tilde, r, offs)
-        dq = _ref_refresh_adjoint(dr, graph)
-    dl += _softmax_backward(softmax(l), dq)
-    dl = np.where(np.abs(unary_scale * logits_raw) <= LOGIT_CLAMP, dl, 0.0)
-
-    z = logits_raw.shape[-1]
-    idx = np.arange(z)
-    delta2 = (idx[:, None] - idx[None, :]) ** 2
-    dmu_dtc = -np.exp(-delta2 / params.theta_comp ** 2) * (2.0 * delta2 / params.theta_comp ** 3)
-    grads = {"w_p": dwp,
-             "w1": float((dw * sm).sum()),
-             "theta1": float((dw * app * spatial).sum() / params.theta1 ** 3),
-             "theta2": float((dw * app * fd).sum() / params.theta2 ** 3),
-             "theta3": float((dw * params.w1 * sm * spatial).sum() / params.theta3 ** 3),
-             "theta_comp": float((dm * dmu_dtc).sum()),
-             "unary_scale": float((dl * logits_raw).sum())}
-    return loss, grads, unary_scale * dl
-
-
-def ref_edge_grads(u, params, gt, unary_scale=1.0, ps=None):
-    """The vertex-graph reverse pass with the adjoint taken through W.T and
-    the weight gradient formed per stored entry e = (i, j) of W,
-    dw_e = sum_t <dQ~_t[i], Q_in,t[j]>, gathered per entry; then the kernel
-    scalars' gradients as sums over the entries.  Returns the scalar
-    gradients and the logit gradient on the vertices."""
-    graph = u.graph
-    frozen = train.frozen_kernel_stats(
-        sc.unary_from_logits(graph, unary_scale * u.logits), params, ps=ps)
-    fd, edges = frozen
-    d2, sm = (table[edges.k] for table in crf.offset_tables(params))
-    tape = []
-    merged_raw = graph.merge(u.logits)
-    _, c = train._forward(merged_raw, unary_scale, frozen, params, gt, tape=tape)
-    q_out = c["q"]
-    rows = np.nonzero(gt.valid)[0]
-    dq = np.zeros_like(q_out)
-    dq[rows, gt.surface_index[rows]] = -1.0 / (len(rows) * q_out[rows, gt.surface_index[rows]])
-    m = sc.compat_matrix(u.z_len, params.theta_comp)
-    op = c["W"]
-    e_rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-    dl = np.zeros_like(c["l"])
-    dwp = 0.0
-    dm = np.zeros_like(m)
-    dw = np.zeros(op.nnz)
+    dw = np.zeros(rec.w.size)
     for q_in, q_tilde, q_hat, q in reversed(tape):
         ds = _softmax_backward(q, dq)
         dl += ds
@@ -135,22 +63,23 @@ def ref_edge_grads(u, params, gt, unary_scale=1.0, ps=None):
         dwp += float(-(ds * q_hat).sum())
         dq_tilde = dq_hat @ m.T
         dm += q_tilde.T @ dq_hat
-        dw += np.einsum("ez,ez->e", dq_tilde[e_rows], q_in[op.indices])
-        dq = op.T @ dq_tilde
-    dl += _softmax_backward(softmax(c["l"]), dq)
-    dl = np.where(np.abs(unary_scale * merged_raw) <= LOGIT_CLAMP, dl, 0.0)
-    app = c["app"]
+        dw += np.einsum("ez,ez->e", dq_tilde[rec.rows], q_in[rec.cols])
+        dq = np.zeros_like(dq_tilde)
+        np.add.at(dq, rec.cols, rec.w[:, None] * dq_tilde[rec.rows])
+    dl += _softmax_backward(softmax(l), dq)
+    dl = np.where(np.abs(unary_scale * raw) <= LOGIT_CLAMP, dl, 0.0)
+
     idx = np.arange(u.z_len)
     delta2 = (idx[:, None] - idx[None, :]) ** 2
     dmu_dtc = -np.exp(-delta2 / params.theta_comp ** 2) * (2.0 * delta2 / params.theta_comp ** 3)
     grads = {"w_p": dwp,
-             "w1": float((dw * sm).sum()),
-             "theta1": float((dw * app * d2).sum() / params.theta1 ** 3),
-             "theta2": float((dw * app * fd).sum() / params.theta2 ** 3),
-             "theta3": float((dw * params.w1 * sm * d2).sum() / params.theta3 ** 3),
+             "w1": float((dw * rec.sm).sum()),
+             "theta1": float((dw * rec.app * rec.d2).sum() / params.theta1 ** 3),
+             "theta2": float((dw * rec.app * rec.fd).sum() / params.theta2 ** 3),
+             "theta3": float((dw * params.w1 * rec.sm * rec.d2).sum() / params.theta3 ** 3),
              "theta_comp": float((dm * dmu_dtc).sum()),
-             "unary_scale": float((dl * merged_raw).sum())}
-    return grads, unary_scale * dl
+             "unary_scale": float((dl * raw).sum())}
+    return loss, grads, unary_scale * dl
 
 
 class TestMce:
@@ -233,10 +162,9 @@ class TestMeanfieldGrad:
         assert errs["unary_scale"] <= 1e-6
 
     def test_matches_slot_reference_on_phantom(self):
-        # the vertex-graph pass against the slot-grid one on a padded r=3
+        # meanfield_grad against the record reference on a padded r=3
         # instance: the same marginals, so the same loss, and gradients that
-        # differ only by summation order; the reference's logit gradient on
-        # the slots, merged, is the per-vertex one
+        # differ only by summation order
         (ps, u, gt), = phantom_fit_dataset(seeds=[0])
         params = sc.prostate_params()
         for scale in (1.0, 3.0):
@@ -245,15 +173,14 @@ class TestMeanfieldGrad:
             assert rep.loss == loss
             for name, g in grads.items():
                 assert abs(rep.grads[name] - g) <= 1e-13 * abs(g), name
-            dlogits = u.graph.merge(dlogits)
             assert np.abs(rep.dlogits - dlogits).max() <= 1e-13 * np.abs(dlogits).max()
 
     @pytest.mark.parametrize("iterations", [1, 2, 5])
     @pytest.mark.parametrize("variant", ["probability", "intensity"])
     def test_contracted_weight_gradients_match_per_edge(self, iterations, variant):
         # the four kernel-scalar gradients as sparse products against the
-        # per-entry weight gradient, and the adjoint through W against W.T:
-        # the same sums in another order
+        # per-entry weight gradient, and the adjoint through W against the
+        # per-entry scatter: the same sums in another order
         (ps, u, gt), = phantom_fit_dataset(seeds=[0])
         rng = np.random.default_rng(iterations)
         toys = [(SimpleNamespace(samples=rng.normal(size=t[0].logits.shape)), *t)
@@ -263,7 +190,8 @@ class TestMeanfieldGrad:
             params = sc.prostate_params(iterations=iterations, kernel_variant=variant)
             for scale in (1.0, 6.0):
                 rep = sc.meanfield_grad(u_i, params, gt_i, unary_scale=scale, ps=ps_i)
-                grads, dl = ref_edge_grads(u_i, params, gt_i, unary_scale=scale, ps=ps_i)
+                loss, grads, dl = ref_meanfield_grad(u_i, params, gt_i, scale, ps_i)
+                assert rep.loss == loss
                 for name, g in grads.items():
                     assert abs(rep.grads[name] - g) <= 1e-13 * abs(g), (name, scale)
                 assert np.abs(rep.dlogits - dl).max() <= 1e-13 * np.abs(dl).max()
@@ -274,6 +202,31 @@ class TestMeanfieldGrad:
         (ps, u, gt), = phantom_fit_dataset(seeds=[0])
         errs = sc.fd_check(u, sc.prostate_params(iterations=2), gt, n_logits=40, ps=ps)
         assert errs["max"] <= 1e-3
+
+    def test_scale_below_one_rejected_where_the_clamp_binds(self):
+        # the fit clamps the logits and then scales them, inference clamps
+        # the scaled logits once: the same from scale 1 up; below it a logit
+        # at the clamp gives the fit another loss (16.05 against 23.03 at
+        # scale 0.5 here)
+        rng = np.random.default_rng(0)
+        graph = make_toy_graph(4, 4)
+        raw = rng.normal(0.0, 30.0, size=(1, 4, 4, 8))
+        gt = sc.GroundTruth(surface_index=rng.integers(0, 8, graph.n_vertices),
+                            valid=np.ones(graph.n_vertices, dtype=bool))
+        u = sc.unary_from_logits(graph, raw)
+        params = sc.CrfParams()
+        for scale in (1.0, 2.0):
+            lab = sc.meanfield_infer(sc.unary_from_logits(graph, scale * raw), params)
+            assert sc.meanfield_grad(u, params, gt, unary_scale=scale).loss == \
+                sc.mce_loss(lab.q, gt)
+        with pytest.raises(ValueError, match="^unary_scale must be >= 1 where a logit sits"):
+            sc.meanfield_grad(u, params, gt, unary_scale=0.5)
+        with pytest.raises(sc.FitDivergedError, match="unary_scale must be >= 1"):
+            sc.fit([(None, u, gt)], params, sc.FitConfig(epochs=2), unary_scale=0.5)
+        # below scale 1 without a logit at the clamp, the two still agree
+        u, gt = toy_instance(seed=6)
+        lab = sc.meanfield_infer(sc.unary_from_logits(u.graph, 0.5 * u.logits), params)
+        assert sc.meanfield_grad(u, params, gt, unary_scale=0.5).loss == sc.mce_loss(lab.q, gt)
 
     def test_all_gradients_finite(self):
         u, gt = toy_instance(seed=5, z=12)
@@ -448,9 +401,12 @@ class TestFit:
         with pytest.raises(ValueError):
             sc.FitConfig(trainable=("nonsense",))
         # the CLI puts the section before the message to name the dotted key
-        for field, value in [("epochs", -1), ("trainable", ("w_p", "bogus"))]:
+        # a float epochs would reach scipy as a fractional evaluation limit
+        for field, value in [("epochs", -1), ("epochs", 2.5), ("epochs", True), ("epochs", "3"),
+                             ("trainable", ("w_p", "bogus"))]:
             with pytest.raises(ValueError, match=f"^{field} "):
                 sc.FitConfig(**{field: value})
+        assert sc.FitConfig(epochs=np.int64(2)).epochs == 2
         assert [f.name for f in dataclasses.fields(sc.FitConfig)] == ["epochs", "trainable"]
 
 
